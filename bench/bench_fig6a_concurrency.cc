@@ -76,13 +76,7 @@ void BM_Fig6a(benchmark::State& state) {
     state.counters["txn_per_s"] = kTxns / secs;
     state.counters["committed"] =
         static_cast<double>(engine.stats().committed.load());
-    // Scan sharing across concurrent connections (grounding scans of the
-    // social tables are the scan-heavy part of these curves).
     const TxnStats& tstats = stack.value()->tm->stats();
-    state.counters["shared_scan_leads"] =
-        static_cast<double>(tstats.shared_scan_leads.load());
-    state.counters["shared_scan_attaches"] =
-        static_cast<double>(tstats.shared_scan_attaches.load());
     state.counters["snapshot_reads"] =
         static_cast<double>(tstats.snapshot_reads.load());
     state.ResumeTiming();

@@ -251,12 +251,10 @@ void BM_OrderByLimitScan(benchmark::State& state) {
 }
 BENCHMARK(BM_OrderByLimitScan)->Unit(benchmark::kMicrosecond);
 
-/// Shared-vs-private scan ablation: 8 threads repeatedly full-scan the same
-/// heap. With sharing on, concurrent scans attach to one circular heap walk
-/// (one std::map traversal + one batch materialization, N cheap consumers);
-/// with sharing off every thread re-walks the heap privately. Aggregate
-/// throughput with sharing on should be well above the private baseline —
-/// this is the scan-heavy regime of the fig. 6(a) concurrency curves.
+/// Concurrent full scans: 8 threads repeatedly full-scan the same heap at
+/// a locking level, each cursor walking the heap privately under its own
+/// table S lock — the scan-heavy regime of the fig. 6(a) concurrency
+/// curves.
 struct ConcurrentScanStack {
   Database db;
   LockManager locks;
@@ -264,10 +262,8 @@ struct ConcurrentScanStack {
   Table* table = nullptr;
   static constexpr int kRows = 16384;
 
-  explicit ConcurrentScanStack(bool shared_scans) {
-    TransactionManager::Options opts;
-    opts.enable_shared_scans = shared_scans;
-    tm = std::make_unique<TransactionManager>(&db, &locks, nullptr, opts);
+  ConcurrentScanStack() {
+    tm = std::make_unique<TransactionManager>(&db, &locks, nullptr);
     Schema schema({{"a", TypeId::kInt64},
                    {"b", TypeId::kInt64},
                    {"c", TypeId::kInt64}});
@@ -281,9 +277,9 @@ struct ConcurrentScanStack {
 
 std::unique_ptr<ConcurrentScanStack> g_scan_stack;  // NOLINT
 
-void ConcurrentScanBody(benchmark::State& state, bool shared_scans) {
+void BM_ConcurrentScans(benchmark::State& state) {
   if (state.thread_index() == 0) {
-    g_scan_stack = std::make_unique<ConcurrentScanStack>(shared_scans);
+    g_scan_stack = std::make_unique<ConcurrentScanStack>();
   }
   // Threads synchronize at the loop barrier, so non-zero threads only touch
   // the stack inside the loop.
@@ -320,27 +316,9 @@ void ConcurrentScanBody(benchmark::State& state, bool shared_scans) {
     }
   }
   state.SetItemsProcessed(state.iterations() * ConcurrentScanStack::kRows);
-  if (state.thread_index() == 0) {
-    state.counters["shared_leads"] = static_cast<double>(
-        g_scan_stack->tm->stats().shared_scan_leads.load());
-    state.counters["shared_attaches"] = static_cast<double>(
-        g_scan_stack->tm->stats().shared_scan_attaches.load());
-    g_scan_stack.reset();
-  }
-}
-
-void BM_ConcurrentScans(benchmark::State& state) {
-  ConcurrentScanBody(state, /*shared_scans=*/true);
+  if (state.thread_index() == 0) g_scan_stack.reset();
 }
 BENCHMARK(BM_ConcurrentScans)
-    ->Threads(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ConcurrentScansPrivate(benchmark::State& state) {
-  ConcurrentScanBody(state, /*shared_scans=*/false);
-}
-BENCHMARK(BM_ConcurrentScansPrivate)
     ->Threads(8)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
@@ -678,16 +656,13 @@ BENCHMARK(BM_ShardedScanBatchSweep)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-void GroupByAggregateBody(benchmark::State& state, bool pushdown) {
+void BM_GroupByAggregate(benchmark::State& state) {
   // One GROUP BY over the 32k-row partitioned table (97 groups, four
-  // aggregate columns), through the full SQL path. With pushdown each
-  // shard folds its partition inside its own drain thread and only 97
-  // partial states per shard reach the coordinator; the row-shipping
-  // ablation drags all 32k rows through the merged fan-out cursor and
-  // folds centrally.
+  // aggregate columns), through the full SQL path. Each shard folds its
+  // partition inside its own drain thread and only 97 partial states per
+  // shard reach the coordinator.
   const size_t num_shards = static_cast<size_t>(state.range(0));
   auto router = MakeWideRouter(num_shards);
-  router->set_aggregate_pushdown_enabled(pushdown);
   sql::Session session(router.get());
   for (auto _ : state) {
     auto res = session.Execute(
@@ -707,21 +682,7 @@ void GroupByAggregateBody(benchmark::State& state, bool pushdown) {
       static_cast<double>(router->stats().aggregate_pushdowns.load()),
       benchmark::Counter::kAvgIterations);
 }
-
-void BM_GroupByAggregate(benchmark::State& state) {
-  GroupByAggregateBody(state, /*pushdown=*/true);
-}
 BENCHMARK(BM_GroupByAggregate)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_GroupByAggregateRowShip(benchmark::State& state) {
-  GroupByAggregateBody(state, /*pushdown=*/false);
-}
-BENCHMARK(BM_GroupByAggregateRowShip)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure + build + ctest, exactly as ROADMAP.md
 # specifies. Every suite runs under a ctest per-test timeout (set in
-# CMakeLists.txt) so a hung test — e.g. a wedged shared-scan consumer —
-# fails fast instead of stalling the whole run; on failure this script
-# names the suites that timed out.
+# CMakeLists.txt) so a hung test — e.g. a fan-out drain thread wedged in
+# a lock wait — fails fast instead of stalling the whole run; on failure
+# this script names the suites that timed out.
 # With --bench-smoke, additionally runs a short bench_sql pass plus a
 # fig6a concurrency point from a dedicated Release tree (build-bench) and
 # emits BENCH_sql.json / BENCH_fig6a.json trajectory points in the repo
-# root. bench_sql prints a MetricsRegistry::DumpText() snapshot to stderr
+# root; one short point each of the fig6b (pending transactions) and
+# fig6c (entanglement complexity) benches must also run without error.
+# bench_sql prints a MetricsRegistry::DumpText() snapshot to stderr
 # on exit, and the *MetricsOff ablation pair is diffed into an
 # instrumentation-overhead table (budget: <= 5%). Debug binaries are never benched: the configuration is checked,
 # bench_sql refuses to run without NDEBUG, and the emitted JSON is grepped
@@ -16,8 +18,8 @@
 # baseline fails the script (1.3x stays a warning — smoke boxes are noisy).
 # With --tsan, additionally builds a ThreadSanitizer tree (build-tsan) and
 # races the lock/txn/sql/shard/mvcc/torture suites under it — the key-range
-# lock conflict paths, the shared-scan attach/produce/wrap machinery, the
-# shard router's parallel fanout drains + concurrent-writer differential,
+# lock conflict paths, concurrent heap scans under writers, the shard
+# router's parallel fanout drains + concurrent-writer differential,
 # the MVCC snapshot-vs-writer races, and the fault-injected crash-recover
 # cycles are all exercised by those binaries' concurrent tests.
 # With --torture, runs the long crash-recover torture gate: >= 50 seeded
@@ -78,7 +80,8 @@ if [[ "${bench_smoke}" == 1 ]]; then
     echo "refusing to bench: build-bench is '${build_type}', not Release" >&2
     exit 1
   fi
-  cmake --build build-bench -j --target bench_sql bench_fig6a_concurrency
+  cmake --build build-bench -j --target bench_sql bench_fig6a_concurrency \
+        bench_fig6b_pending bench_fig6c_complexity
   # Keep the committed baseline around for the regression diff below.
   bench_baseline=$(mktemp)
   git show HEAD:BENCH_sql.json > "${bench_baseline}" 2>/dev/null || \
@@ -169,9 +172,8 @@ if pairs:
               f"overhead={pct:+.1f}%{flag}")
 PYEOF
   # One fig6a point per workload extreme: many connections hammering the
-  # same tables — the regime scan sharing is for (watch the
-  # shared_scan_attaches counter) — plus the MVCC read-path ablation pair
-  # (NoSocial-T re-leveled to kReadCommitted, snapshot reads on vs off).
+  # same tables, plus the MVCC read-path ablation pair (NoSocial-T
+  # re-leveled to kReadCommitted, snapshot reads on vs off).
   ./build-bench/bench_fig6a_concurrency \
     --benchmark_filter='Fig6a/(NoSocial-T|Entangled-Q|NoSocial-T-SnapRead|NoSocial-T-LockRead)/conns:50' \
     --benchmark_out=BENCH_fig6a.json \
@@ -182,6 +184,29 @@ PYEOF
     exit 1
   fi
   echo "wrote BENCH_fig6a.json (Release)"
+  # One short point of each remaining paper figure. The binaries exit 0
+  # even when a run reports an error, so the JSON is checked too: no run
+  # at all, or any errored run, fails the script.
+  for point in "bench_fig6b_pending Fig6b/f:10/pending:10/" \
+               "bench_fig6c_complexity Fig6c/Spoke-hub/f:10/k:2/"; do
+    read -r bin filter <<< "${point}"
+    point_json=$(mktemp)
+    "./build-bench/${bin}" --benchmark_filter="${filter}" \
+      --benchmark_out="${point_json}" --benchmark_out_format=json
+    python3 - "${point_json}" "${bin} ${filter}" <<'PYEOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    runs = json.load(f).get("benchmarks", [])
+if not runs:
+    sys.exit(f"{sys.argv[2]}: the filter matched no benchmark")
+errored = [b["name"] for b in runs if b.get("error_occurred")]
+if errored:
+    sys.exit(f"{sys.argv[2]}: errored run(s): " + ", ".join(errored))
+PYEOF
+    rm -f "${point_json}"
+  done
+  echo "fig6b/fig6c smoke points passed"
 fi
 
 if [[ "${tsan}" == 1 ]]; then

@@ -157,12 +157,14 @@ RunReport EntangledTransactionEngine::ExecuteRun(
   int64_t now = Now();
   for (PoolEntry& e : entries) {
     if (now >= e.deadline_micros) {
+      // Counters before Resolve: a client woken by Wait() must already
+      // see its own outcome in stats().
+      ++report.timed_out;
+      stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
       e.handle->Resolve(
           Status::TimedOut("entangled transaction '" + e.spec->name +
                            "' timed out waiting for partners"),
           0, {});
-      ++report.timed_out;
-      stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     auto p = std::make_unique<Participant>();
@@ -576,11 +578,12 @@ void EntangledTransactionEngine::FinalizeRun(RunState* run,
         for (size_t i : members) {
           Participant* p = parts[i].get();
           if (p->state == PState::kReady) {
+            // Counters before Resolve (see ExecuteRun).
+            ++report->committed;
+            stats_.committed.fetch_add(1, std::memory_order_relaxed);
             p->entry.handle->Resolve(
                 Status::Ok(), p->txn != nullptr ? p->txn->id() : 0, p->vars);
             p->state = PState::kRunning;  // consumed marker
-            ++report->committed;
-            stats_.committed.fetch_add(1, std::memory_order_relaxed);
           }
         }
       } else {
@@ -622,16 +625,16 @@ void EntangledTransactionEngine::FinalizeRun(RunState* run,
                   : tm_->Commit(p->txn.get());
         }
         if (s.ok()) {
-          p->entry.handle->Resolve(Status::Ok(), id, p->vars);
           ++report->committed;
           stats_.committed.fetch_add(1, std::memory_order_relaxed);
+          p->entry.handle->Resolve(Status::Ok(), id, p->vars);
         } else {
           RollbackParticipant(p);
           if (now >= p->entry.deadline_micros) {
-            p->entry.handle->Resolve(
-                Status::TimedOut("timed out after commit failure"), 0, {});
             ++report->timed_out;
             stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
+            p->entry.handle->Resolve(
+                Status::TimedOut("timed out after commit failure"), 0, {});
           } else {
             requeue.push_back(std::move(p->entry));
             ++report->retried;
@@ -642,13 +645,13 @@ void EntangledTransactionEngine::FinalizeRun(RunState* run,
       }
       case PState::kRetry: {
         if (now >= p->entry.deadline_micros) {
+          ++report->timed_out;
+          stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
           p->entry.handle->Resolve(
               Status::TimedOut("entangled transaction '" +
                                p->entry.spec->name +
                                "' timed out waiting for partners"),
               0, {});
-          ++report->timed_out;
-          stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
         } else {
           requeue.push_back(std::move(p->entry));
           ++report->retried;
@@ -658,9 +661,9 @@ void EntangledTransactionEngine::FinalizeRun(RunState* run,
       }
       case PState::kFailed: {
         RollbackParticipant(p);
-        p->entry.handle->Resolve(p->final_status, 0, p->vars);
         ++report->failed;
         stats_.failed.fetch_add(1, std::memory_order_relaxed);
+        p->entry.handle->Resolve(p->final_status, 0, p->vars);
         break;
       }
       default:

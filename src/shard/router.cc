@@ -651,9 +651,10 @@ StatusOr<std::unique_ptr<TableCursor>> Router::OpenCursor(Transaction* txn,
   return tracked(std::move(merged));
 }
 
-StatusOr<std::unique_ptr<TableCursor>> Router::OpenFanout(
+Status Router::DrainShards(
     const Transaction* txn, Dtxn* dt, const std::string& table,
-    const AccessPlan& plan, ReadOrigin origin) {
+    const AccessPlan& plan, ReadOrigin origin,
+    const std::function<void(size_t, RowBatch*)>& sink) {
   const size_t n = shards_.size();
   // Enlist + open in shard order on the calling thread: lock acquisition
   // order across shards is deterministic for readers.
@@ -664,26 +665,17 @@ StatusOr<std::unique_ptr<TableCursor>> Router::OpenFanout(
     YT_ASSIGN_OR_RETURN(cursors[s],
                         shards_[s].tm->OpenCursor(b, st, plan, origin));
   }
-  // Drain every shard's cursor into its source buffer, one thread per
-  // shard: the heap walks (and per-row lock acquisitions) of different
-  // shards proceed in parallel. Each thread touches exactly one branch
-  // transaction, so branch state stays single-threaded. Fresh threads
-  // (not a pool) are deliberate: drains can block on lock waits for up to
-  // the lock timeout, and a bounded pool whose workers are all parked in
-  // lock waits would stall every other fanout behind them.
-  std::vector<MergedCursor::Source> sources(n);
-  if (plan.is_scan()) {
-    for (size_t s = 0; s < n; ++s) {
-      auto t = shards_[s].db->GetTable(table);
-      if (t.ok()) sources[s].rows.reserve(t.value()->size());
-    }
-  }
+  // Drain every shard's cursor, one thread per shard: the heap walks (and
+  // per-row lock acquisitions) of different shards proceed in parallel.
+  // Each thread touches exactly one branch transaction, so branch state
+  // stays single-threaded. Fresh threads (not a pool) are deliberate:
+  // drains can block on lock waits for up to the lock timeout, and a
+  // bounded pool whose workers are all parked in lock waits would stall
+  // every other fanout behind them.
   std::vector<Status> drained(n, Status::Ok());
   auto drain = [&](size_t s) {
-    // Batched pull: a private heap scan hands whole chunks over by swap,
-    // so the per-row cost here is one tag write plus one pair move — no
-    // per-row virtual call or visitor indirection.
-    std::vector<std::pair<RowId, Row>>& rows = sources[s].rows;
+    // Batched pull: a heap scan hands whole chunks over by swap, so the
+    // sink sees one call per chunk, not one per row.
     RowBatch batch;
     while (true) {
       StatusOr<bool> more = cursors[s]->NextBatch(&batch);
@@ -692,32 +684,47 @@ StatusOr<std::unique_ptr<TableCursor>> Router::OpenFanout(
         break;
       }
       if (!more.value()) break;
-      for (auto& [rid, row] : batch.rows) rid = TagRid(s, rid);
-      if (rows.empty() && rows.capacity() < batch.rows.size()) {
-        rows.swap(batch.rows);
-        batch.clear();
-        continue;
-      }
-      rows.insert(rows.end(),
-                  std::make_move_iterator(batch.rows.begin()),
-                  std::make_move_iterator(batch.rows.end()));
+      sink(s, &batch);
     }
     cursors[s].reset();  // close (isolation-level early release) here
   };
   {
     LatencyTimer drain_timer(ShardMetrics().fanout_drain_micros);
-    if (options_.parallel_fanout && n > 1) {
-      std::vector<std::thread> threads;
-      threads.reserve(n);
-      for (size_t s = 0; s < n; ++s) threads.emplace_back(drain, s);
-      for (std::thread& th : threads) th.join();
-    } else {
-      for (size_t s = 0; s < n; ++s) drain(s);
-    }
+    std::vector<std::thread> threads;
+    threads.reserve(n);
+    for (size_t s = 0; s < n; ++s) threads.emplace_back(drain, s);
+    for (std::thread& th : threads) th.join();
   }
   for (const Status& st : drained) {
     if (!st.ok()) return st;
   }
+  return Status::Ok();
+}
+
+StatusOr<std::unique_ptr<TableCursor>> Router::OpenFanout(
+    const Transaction* txn, Dtxn* dt, const std::string& table,
+    const AccessPlan& plan, ReadOrigin origin) {
+  const size_t n = shards_.size();
+  std::vector<MergedCursor::Source> sources(n);
+  if (plan.is_scan()) {
+    for (size_t s = 0; s < n; ++s) {
+      auto t = shards_[s].db->GetTable(table);
+      if (t.ok()) sources[s].rows.reserve(t.value()->size());
+    }
+  }
+  YT_RETURN_IF_ERROR(DrainShards(
+      txn, dt, table, plan, origin, [&](size_t s, RowBatch* batch) {
+        // Per row: one tag write plus one pair move, no visitor call.
+        std::vector<std::pair<RowId, Row>>& rows = sources[s].rows;
+        for (auto& [rid, row] : batch->rows) rid = TagRid(s, rid);
+        if (rows.empty() && rows.capacity() < batch->rows.size()) {
+          rows.swap(batch->rows);
+          batch->clear();
+          return;
+        }
+        rows.insert(rows.end(), std::make_move_iterator(batch->rows.begin()),
+                    std::make_move_iterator(batch->rows.end()));
+      }));
   // Ranges merge back in index-key order (ORDER-BY pushdown stays sorted
   // across shards); scans and fanned-out lookups concatenate.
   return std::unique_ptr<TableCursor>(
@@ -750,58 +757,19 @@ StatusOr<AggregateGroups> Router::AggregateTable(Transaction* txn, Table* t,
     return shards_[pinned].tm->AggregateTable(b, st, std::move(plan), spec,
                                               origin);
   }
-  if (!aggregate_pushdown_.load(std::memory_order_relaxed)) {
-    // Ablation: ship every row to the coordinator and fold there (the base
-    // fold's OpenCursor fans out through OpenFanout).
-    return TxnEngine::AggregateTable(txn, t, std::move(plan), spec, origin);
-  }
   stats_.aggregate_pushdowns.fetch_add(1, std::memory_order_relaxed);
   stats_.fanout_cursors.fetch_add(1, std::memory_order_relaxed);
-  const size_t n = shards_.size();
-  // Enlist + open in shard order on the calling thread, exactly like
-  // OpenFanout: deterministic lock acquisition order for readers.
-  std::vector<std::unique_ptr<TableCursor>> cursors(n);
-  for (size_t s = 0; s < n; ++s) {
-    Transaction* b = EnlistBranch(dt, txn, s);
-    YT_ASSIGN_OR_RETURN(Table * st, shards_[s].db->GetTable(name));
-    YT_ASSIGN_OR_RETURN(cursors[s],
-                        shards_[s].tm->OpenCursor(b, st, plan, origin));
-  }
   // The pushdown: each drain thread folds its shard's rows into a private
   // Aggregator as it pulls them, so rows die inside the thread and only
-  // the per-shard group states travel to the coordinator. Fresh threads
-  // for the same reason as OpenFanout (drains can park on lock waits).
+  // the per-shard group states travel to the coordinator.
+  const size_t n = shards_.size();
   std::vector<Aggregator> partials;
   partials.reserve(n);
   for (size_t s = 0; s < n; ++s) partials.emplace_back(spec);
-  std::vector<Status> drained(n, Status::Ok());
-  auto drain = [&](size_t s) {
-    RowBatch batch;
-    while (true) {
-      StatusOr<bool> more = cursors[s]->NextBatch(&batch);
-      if (!more.ok()) {
-        drained[s] = more.status();
-        break;
-      }
-      if (!more.value()) break;
-      for (const auto& [rid, row] : batch.rows) partials[s].Accumulate(row);
-    }
-    cursors[s].reset();  // close (isolation-level early release) here
-  };
-  {
-    LatencyTimer drain_timer(ShardMetrics().fanout_drain_micros);
-    if (options_.parallel_fanout && n > 1) {
-      std::vector<std::thread> threads;
-      threads.reserve(n);
-      for (size_t s = 0; s < n; ++s) threads.emplace_back(drain, s);
-      for (std::thread& th : threads) th.join();
-    } else {
-      for (size_t s = 0; s < n; ++s) drain(s);
-    }
-  }
-  for (const Status& st : drained) {
-    if (!st.ok()) return st;
-  }
+  YT_RETURN_IF_ERROR(DrainShards(
+      txn, dt, name, plan, origin, [&](size_t s, RowBatch* batch) {
+        for (const auto& [rid, row] : batch->rows) partials[s].Accumulate(row);
+      }));
   Aggregator merged(spec);
   for (size_t s = 0; s < n; ++s) {
     YT_RETURN_IF_ERROR(partials[s].Finish());

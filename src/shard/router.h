@@ -2,6 +2,7 @@
 #define YOUTOPIA_SHARD_ROUTER_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -68,9 +69,6 @@ class Router : public TxnEngine {
     IsolationLevel default_isolation = IsolationLevel::kFullEntangled;
     int64_t lock_timeout_micros = 2'000'000;
     bool sync_on_flush = false;
-    /// Fan-out cursor opens drain the per-shard cursors on one thread per
-    /// shard; off = sequential (ablation / debugging).
-    bool parallel_fanout = true;
   };
 
   /// What Recover resolved (tests / operators).
@@ -126,20 +124,12 @@ class Router : public TxnEngine {
   /// plan folds `spec` inside each shard's drain thread and merges the
   /// per-shard group states at the coordinator, so the bytes crossing the
   /// shard boundary scale with the number of groups, not the number of
-  /// rows. Pinned/broadcast plans fold on their one shard. With pushdown
-  /// disabled (ablation) falls back to the base row-shipping fold over a
-  /// fanned-out cursor.
+  /// rows. Pinned/broadcast plans fold on their one shard.
   using TxnEngine::AggregateTable;
   StatusOr<AggregateGroups> AggregateTable(Transaction* txn, Table* t,
                                            AccessPlan plan,
                                            const AggregateSpec& spec,
                                            ReadOrigin origin) override;
-
-  /// Ablation: route fanned-out aggregates through the row-shipping base
-  /// fold instead of per-shard partials (benches measure the difference).
-  void set_aggregate_pushdown_enabled(bool on) {
-    aggregate_pushdown_.store(on, std::memory_order_relaxed);
-  }
 
   /// Group-commit ablation: toggles the WAL group-commit queue on every
   /// shard WAL and the coordinator decision log at once. Off = every
@@ -329,6 +319,15 @@ class Router : public TxnEngine {
                         bool* crashed);
   /// Aborts every branch (best effort) — failure/abort cleanup.
   void AbortBranches(Dtxn* dt);
+  /// The fan-out core of OpenFanout and AggregateTable: enlists every
+  /// shard and opens `plan` on it in shard order, then drains the per-shard
+  /// cursors in parallel, handing each pulled batch to `sink(shard, batch)`
+  /// on that shard's drain thread. Cursors close as their drain ends.
+  /// Returns the first failed open or drain.
+  Status DrainShards(const Transaction* txn, Dtxn* dt,
+                     const std::string& table, const AccessPlan& plan,
+                     ReadOrigin origin,
+                     const std::function<void(size_t, RowBatch*)>& sink);
   /// Opens one fanned-out plan: per-shard cursors, parallel drain, merge.
   StatusOr<std::unique_ptr<TableCursor>> OpenFanout(const Transaction* txn,
                                                     Dtxn* dt,
@@ -353,9 +352,6 @@ class Router : public TxnEngine {
 
   std::atomic<TxnId> next_txn_id_{1};
   TxnStats stats_;
-  /// Fanned-out aggregates fold per-shard partials when true (default);
-  /// false = row-shipping ablation.
-  std::atomic<bool> aggregate_pushdown_{true};
   /// Versioned snapshot reads when true (default); false = locking-read
   /// ablation (mirrored into every shard manager).
   std::atomic<bool> mvcc_reads_{true};

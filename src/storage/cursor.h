@@ -55,15 +55,15 @@ struct AccessPlan {
 /// A batch of rows pulled through the cursor seam in one virtual call.
 /// Column-agnostic: rows keep their Row shape, so any cursor type can fill
 /// one. The (RowId, Row) pair layout deliberately matches every internal
-/// materialization buffer in the engine (heap-scan chunks, shared-scan
-/// batches, merged fan-out sources), which lets native NextBatch overrides
-/// hand whole chunks over by swap/move instead of element-wise push_back.
+/// materialization buffer in the engine (heap-scan chunks, merged fan-out
+/// sources), which lets native NextBatch overrides hand whole chunks over
+/// by swap/move instead of element-wise push_back.
 /// Consumers move rows out and reuse the batch object across pulls — the
 /// vector's capacity then ping-pongs between producer and consumer with no
 /// steady-state allocation.
 struct RowBatch {
-  /// Default pull target, matching SharedScan's production chunking so a
-  /// batched pull maps 1:1 onto one materialized chunk.
+  /// Default pull target, and the heap-scan chunk size, so a batched pull
+  /// of a heap scan maps 1:1 onto one materialized chunk.
   static constexpr size_t kDefaultRows = 256;
 
   std::vector<std::pair<RowId, Row>> rows;
@@ -75,12 +75,11 @@ struct RowBatch {
 };
 
 /// Pull-based cursor over one table read — every read access path (heap
-/// scan, shared scan, hash lookup, range lookup) produces one. Row locks
-/// are acquired as rows are pulled, so lock acquisition can fail mid-read:
-/// Next returns a Status for that, or false/true for end/row. Destroying a
-/// cursor closes it (detaches from a shared scan, performs the isolation
-/// level's early lock release); a consumer that stops early just drops the
-/// cursor.
+/// scan, hash lookup, range lookup) produces one. Row locks are acquired as
+/// rows are pulled, so lock acquisition can fail mid-read: Next returns a
+/// Status for that, or false/true for end/row. Destroying a cursor closes
+/// it (performs the isolation level's early lock release); a consumer that
+/// stops early just drops the cursor.
 class TableCursor {
  public:
   virtual ~TableCursor() = default;
@@ -89,21 +88,20 @@ class TableCursor {
   /// next pull or the cursor's destruction. Returns false at end.
   virtual StatusOr<bool> NextRef(RowId* rid, const Row** row) = 0;
 
-  /// Pulls the next row into `*row` by move when the cursor owns its buffer
-  /// (private scans, index fetches) and by copy when the buffer is shared
-  /// (shared-scan followers). Returns false at end.
+  /// Pulls the next row into `*row`, by move where the cursor owns its
+  /// buffer (heap scans, index fetches). Returns false at end.
   virtual StatusOr<bool> Next(RowId* rid, Row* row);
 
   /// Pulls the next batch of rows into `*batch` (cleared first), by move
-  /// where the cursor owns its buffer and by copy where it is shared —
-  /// the batched form of Next. Returns false only at end, with the batch
-  /// left empty; a true return carries at least one row. `max_rows` is a
+  /// where the cursor owns its buffer — the batched form of Next. Returns
+  /// false only at end, with the batch left empty; a true return carries
+  /// at least one row. `max_rows` is a
   /// pacing target, not a hard cap: a cursor that can hand over a whole
   /// already-materialized chunk by swap may exceed it rather than split
   /// the chunk. The base implementation is a row-looping fallback over
-  /// Next; heap-scan, shared-scan, fetched-row, shard-merge, and
-  /// shard-tagging cursors override it natively so chunks cross the seam
-  /// without per-row virtual calls.
+  /// Next; heap-scan, fetched-row, shard-merge, and shard-tagging cursors
+  /// override it natively so chunks cross the seam without per-row virtual
+  /// calls.
   virtual StatusOr<bool> NextBatch(RowBatch* batch,
                                    size_t max_rows = RowBatch::kDefaultRows);
 
@@ -129,7 +127,7 @@ class TableCursor {
 
   /// Drains the cursor through a borrowing visitor (returns false to stop
   /// early; same exhaustion contract as Drain). Virtual so a cursor can
-  /// skip intermediate buffering for visit-only consumers (a fresh private
+  /// skip intermediate buffering for visit-only consumers (a fresh locking
   /// heap scan drains zero-copy, straight off the heap — selective filters
   /// then copy only what they keep). Stays on the borrowing NextRef loop:
   /// batching here would force copies on cursors that only lend views.

@@ -170,7 +170,6 @@ StatusOr<RowId> Table::InsertCoerced(Row row) {
   vr.latest = std::move(row);
   rows_.emplace(rid, std::move(vr));
   ++live_rows_;
-  write_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return rid;
 }
 
@@ -188,7 +187,6 @@ StatusOr<RowId> Table::InsertVersioned(Row coerced, TxnId writer) {
   vr.writer = writer;
   rows_.emplace(rid, std::move(vr));
   ++live_rows_;
-  write_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return rid;
 }
 
@@ -211,7 +209,6 @@ Status Table::InsertWithId(RowId rid, const Row& row) {
   vr.latest = std::move(coerced);
   rows_.emplace(rid, std::move(vr));
   ++live_rows_;
-  write_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::Ok();
 }
 
@@ -258,7 +255,6 @@ Status Table::UpdateCoerced(RowId rid, Row row) {
   vr.writer = 0;
   IndexInsertLocked(rid, vr.latest);
   ScrubKeysLocked(rid, old);
-  write_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::Ok();
 }
 
@@ -294,7 +290,6 @@ Status Table::UpdateVersioned(RowId rid, Row coerced, TxnId writer,
     IndexInsertLocked(rid, vr.latest);
     *pushed = true;
   }
-  write_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::Ok();
 }
 
@@ -306,7 +301,6 @@ Status Table::Delete(RowId rid) {
                             name_);
   }
   EraseEntryLocked(it);
-  write_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::Ok();
 }
 
@@ -330,7 +324,6 @@ Status Table::DeleteVersioned(RowId rid, TxnId writer, bool* pushed) {
   // scrubbing know what it carried; `deleted` hides it from every reader.
   vr.deleted = true;
   --live_rows_;
-  write_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::Ok();
 }
 
@@ -351,7 +344,6 @@ void Table::RollbackInsert(RowId rid, TxnId writer) {
   VersionedRow& vr = it->second;
   if (vr.writer != writer || !vr.history.empty()) return;
   EraseEntryLocked(it);
-  write_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void Table::RollbackWrite(RowId rid, TxnId writer) {
@@ -377,7 +369,6 @@ void Table::RollbackWrite(RowId rid, TxnId writer) {
   if (!was_live && !vr.deleted) ++live_rows_;
   IndexInsertLocked(rid, vr.latest);
   ScrubKeysLocked(rid, discarded);
-  write_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 uint64_t Table::LatestBeginTs(RowId rid) const {

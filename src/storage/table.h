@@ -1,7 +1,6 @@
 #ifndef YOUTOPIA_STORAGE_TABLE_H_
 #define YOUTOPIA_STORAGE_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -208,14 +207,6 @@ class Table {
   RowId ScanChunk(RowId from, size_t max_rows,
                   std::vector<std::pair<RowId, Row>>* out) const;
 
-  /// Monotonic counter bumped by every row mutation (insert/update/delete).
-  /// A shared scan captures it at registration; attachers compare it under
-  /// their own table S lock, so a scan from before any write is never
-  /// shared across the write (the shared-scan attach barrier).
-  uint64_t write_epoch() const {
-    return write_epoch_.load(std::memory_order_acquire);
-  }
-
   /// Builds an index over the named columns (backfills existing rows).
   /// `unique` rejects duplicate keys — except keys containing NULL, which
   /// are exempt from uniqueness per SQL. `ordered` builds a B-tree instead
@@ -340,7 +331,6 @@ class Table {
   RowId next_row_id_ = 1;
   size_t live_rows_ = 0;  ///< entries whose latest version is not a tombstone
   std::vector<Index> indexes_;
-  std::atomic<uint64_t> write_epoch_{0};
 };
 
 }  // namespace youtopia

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 
 #include "src/common/fault.h"
 #include "src/common/metrics.h"
@@ -62,41 +63,30 @@ void ReleaseUnlessWriteHeld(LockManager* locks, TxnId txn, LockKey key) {
   locks->ReleaseKey(txn, key);
 }
 
-/// Heap-scan cursor: either a private chunked walk of the heap or a
-/// consumer of a shared circular scan. A *leader* registers the scan so
-/// concurrent scanners can find it, but walks the heap privately — batch
-/// materialization only starts with the first *attached* consumer, so an
-/// uncontended scan pays nothing for sharing. All consumers hold their own
-/// table S lock (acquired by OpenCursor) for the cursor's lifetime; closing
-/// detaches from the shared scan *before* any early lock release, so shared
-/// batches never outlive the continuous table-S window that makes them
-/// valid.
-class ScanCursor : public TableCursor {
+/// Heap-scan cursor: a private walk of the heap in chunks of
+/// RowBatch::kDefaultRows rows. With a ReadView it reads the versioned heap
+/// (snapshot levels: no locks, closing releases nothing); without one it
+/// reads the latest versions under the table S lock OpenCursor took, and
+/// closing performs the kReadCommitted early release of that lock when
+/// `release_table_on_close`.
+class HeapScanCursor : public TableCursor {
  public:
-  static constexpr size_t kChunkRows = SharedScan::kBatchRows;
-  // One batched pull == one materialized chunk: the swap fast path below
-  // leans on the default pull target matching the chunk size.
-  static_assert(kChunkRows == RowBatch::kDefaultRows);
+  // One batched pull == one chunk: the swap fast path in NextBatch leans on
+  // the default pull target matching the chunk size.
+  static constexpr size_t kChunkRows = RowBatch::kDefaultRows;
 
-  ScanCursor(LockManager* locks, Transaction* txn, const Table* table,
-             SharedScanManager* manager, SharedScanManager::Ticket ticket,
-             bool release_table_on_close)
+  HeapScanCursor(LockManager* locks, Transaction* txn, const Table* table,
+                 std::optional<ReadView> view, bool release_table_on_close)
       : locks_(locks),
         txn_(txn),
         table_(table),
-        manager_(manager),
-        ticket_(std::move(ticket)),
+        view_(view),
         release_table_on_close_(release_table_on_close) {
     txn_->cursor_opened();
-    if (ticket_.attached) {
-      cur_batch_ = ticket_.start_batch;
-    } else {
-      buf_.reserve(kChunkRows);
-    }
+    buf_.reserve(kChunkRows);
   }
 
-  ~ScanCursor() override {
-    if (ticket_.scan != nullptr) manager_->Leave(ticket_);
+  ~HeapScanCursor() override {
     // Early release only when this is the transaction's last open cursor:
     // S locks merge per (txn, key), so dropping the table S here could
     // strip it from under a sibling cursor still scanning this table.
@@ -107,32 +97,33 @@ class ScanCursor : public TableCursor {
     }
   }
 
-  /// Visit-only drain: a fresh private scan skips chunk materialization
-  /// and walks the heap directly under the latch (the pre-cursor
-  /// Table::Scan semantics — selective consumers copy only what they
-  /// keep). Attached or already-started cursors use the generic pull loop.
+  /// Visit-only drain of a fresh cursor skips the pull loop. A locking
+  /// read walks the heap directly under the latch (the table S lock
+  /// already excludes writers; selective consumers copy only what they
+  /// keep). A snapshot read walks chunk by chunk so concurrent writers
+  /// never wait on the latch for a whole scan.
   Status DrainRef(
       const std::function<bool(RowId, const Row&)>& visitor) override {
-    if (!ticket_.attached && !started_ && !done_) {
-      done_ = true;
+    if (started_) return TableCursor::DrainRef(visitor);
+    started_ = done_ = true;
+    if (!view_) {
       table_->Scan(visitor);
       return Status::Ok();
     }
-    return TableCursor::DrainRef(visitor);
+    bool more = true;
+    for (RowId from = 1; more && from != 0;) {
+      from = FetchChunk(from);
+      for (size_t i = 0; more && i < buf_.size(); ++i) {
+        more = visitor(buf_[i].first, buf_[i].second);
+      }
+    }
+    buf_.clear();  // drained: later pulls must find nothing buffered
+    return Status::Ok();
   }
 
   StatusOr<bool> NextRef(RowId* rid, const Row** row) override {
     started_ = true;
-    if (ticket_.attached) {
-      while (batch_ == nullptr || pos_ >= batch_->rows.size()) {
-        if (!AdvanceSharedBatch()) return false;
-      }
-      *rid = batch_->rows[pos_].first;
-      *row = &batch_->rows[pos_].second;
-      ++pos_;
-      return true;
-    }
-    if (!RefillPrivate()) return false;
+    if (!Refill()) return false;
     *rid = buf_[pos_].first;
     *row = &buf_[pos_].second;
     ++pos_;
@@ -140,48 +131,27 @@ class ScanCursor : public TableCursor {
   }
 
   StatusOr<bool> Next(RowId* rid, Row* row) override {
-    // Private chunks are owned by this cursor: hand rows over by move.
-    // Shared batches are read by many consumers: fall back to the copying
-    // base implementation.
     started_ = true;
-    if (ticket_.attached) return TableCursor::Next(rid, row);
-    if (!RefillPrivate()) return false;
+    if (!Refill()) return false;
     *rid = buf_[pos_].first;
     *row = std::move(buf_[pos_].second);
     ++pos_;
     return true;
   }
 
-  /// Batched pull. Private mode hands a whole heap chunk over by swap —
-  /// the chunk buffer and the caller's batch then ping-pong, so a full
-  /// scan costs one virtual call and zero row copies per 256 rows.
-  /// Shared mode bulk-copies out of the shared batch (many consumers read
-  /// it, so rows cannot move).
+  /// Batched pull: a whole chunk moves over by swap — the chunk buffer and
+  /// the caller's batch then ping-pong, so a full scan costs one virtual
+  /// call and zero row copies per chunk.
   StatusOr<bool> NextBatch(RowBatch* batch, size_t max_rows) override {
     started_ = true;
     batch->clear();
     if (max_rows == 0) max_rows = 1;
-    if (ticket_.attached) {
-      while (batch->rows.size() < max_rows) {
-        if (batch_ == nullptr || pos_ >= batch_->rows.size()) {
-          if (!AdvanceSharedBatch()) break;
-          continue;
-        }
-        size_t take = std::min(max_rows - batch->rows.size(),
-                               batch_->rows.size() - pos_);
-        batch->rows.insert(batch->rows.end(), batch_->rows.begin() + pos_,
-                           batch_->rows.begin() + pos_ + take);
-        pos_ += take;
-      }
-      return !batch->rows.empty();
-    }
-    if (!RefillPrivate()) return false;
+    if (!Refill()) return false;
     if (pos_ == 0) {
-      // Whole chunk (chunks are kChunkRows-sized, i.e. the default pull
-      // target; a smaller max_rows still takes the chunk wholesale — the
-      // target is pacing, not a cap).
+      // Whole chunk (a smaller max_rows still takes the chunk wholesale —
+      // the target is pacing, not a cap).
       batch->rows.swap(buf_);
-      buf_.clear();  // keep the swapped-in capacity for the next ScanChunk
+      buf_.clear();  // keep the swapped-in capacity for the next chunk
     } else {
       size_t take = buf_.size() - pos_;
       batch->reserve(take);
@@ -196,36 +166,21 @@ class ScanCursor : public TableCursor {
   size_t size_hint() const override { return table_->size(); }
 
  private:
-  /// Moves to the next shared batch of this consumer's cycle:
-  /// start_batch..end, then wrap to 0..start_batch-1.
-  bool AdvanceSharedBatch() {
-    while (true) {
-      if (!wrapped_) {
-        const SharedScan::Batch* b = ticket_.scan->GetBatch(cur_batch_);
-        if (b != nullptr) {
-          batch_ = b;
-          pos_ = 0;
-          ++cur_batch_;
-          return true;
-        }
-        total_ = cur_batch_;
-        wrapped_ = true;
-        cur_batch_ = 0;
-        continue;
-      }
-      if (cur_batch_ >= std::min(ticket_.start_batch, total_)) return false;
-      batch_ = ticket_.scan->GetBatch(cur_batch_);  // published: non-null
-      pos_ = 0;
-      ++cur_batch_;
-      return true;
-    }
+  /// Reads the chunk starting at `from` into buf_; returns the RowId to
+  /// resume from (0 = heap exhausted).
+  RowId FetchChunk(RowId from) {
+    return view_ ? table_->ScanChunkVersioned(*view_, from, kChunkRows, &buf_)
+                 : table_->ScanChunk(from, kChunkRows, &buf_);
   }
 
-  /// Ensures buf_[pos_] is the next unreturned private row.
-  bool RefillPrivate() {
+  /// Ensures buf_[pos_] is the next unreturned row.
+  bool Refill() {
     if (pos_ < buf_.size()) return true;
     if (done_) return false;
-    RowId next = table_->ScanChunk(next_from_, kChunkRows, &buf_);
+    RowId next = FetchChunk(next_from_);
+    // Only a 0 resume point means the end: an empty chunk (every entry in
+    // the window invisible at this view) is skipped, not returned.
+    while (buf_.empty() && next != 0) next = FetchChunk(next);
     pos_ = 0;
     if (buf_.empty()) {
       done_ = true;
@@ -239,21 +194,13 @@ class ScanCursor : public TableCursor {
   LockManager* locks_;
   Transaction* txn_;
   const Table* table_;
-  SharedScanManager* manager_;
-  SharedScanManager::Ticket ticket_;
+  std::optional<ReadView> view_;
   bool release_table_on_close_;
-  // Shared-mode state.
-  const SharedScan::Batch* batch_ = nullptr;
-  size_t cur_batch_ = 0;
-  size_t total_ = 0;
-  bool wrapped_ = false;
-  // Private-mode state.
   std::vector<std::pair<RowId, Row>> buf_;
   RowId next_from_ = 1;
+  size_t pos_ = 0;  ///< next unreturned row in buf_
   bool done_ = false;
   bool started_ = false;
-  // Position within the current batch / chunk.
-  size_t pos_ = 0;
 };
 
 /// Cursor over a RowId list fetched at open time (hash lookup or ordered
@@ -285,7 +232,7 @@ class FetchedRowsCursor : public TableCursor {
   }
 
   ~FetchedRowsCursor() override {
-    // Last-open-cursor gate: see ~ScanCursor.
+    // Last-open-cursor gate: see ~HeapScanCursor.
     if (txn_->cursor_closed() != 0 || !take_locks_ ||
         !ReleasesReadLocksEarly(txn_->isolation_level())) {
       return;
@@ -380,112 +327,6 @@ class FetchedRowsCursor : public TableCursor {
   size_t idx_ = 0;
   std::vector<RowId> visited_;
   Row current_;
-};
-
-/// Snapshot heap-scan cursor: a private chunked walk over the versioned
-/// heap at one ReadView. Takes no locks, never attaches to shared scans
-/// (those exist to amortize work under a table-S freeze this cursor does
-/// not impose), and closing releases nothing — readers neither block nor
-/// are blocked by writers.
-class SnapshotScanCursor : public TableCursor {
- public:
-  static constexpr size_t kChunkRows = SharedScan::kBatchRows;
-
-  SnapshotScanCursor(Transaction* txn, const Table* table, ReadView view)
-      : txn_(txn), table_(table), view_(view) {
-    txn_->cursor_opened();
-    buf_.reserve(kChunkRows);
-  }
-
-  ~SnapshotScanCursor() override { txn_->cursor_closed(); }
-
-  Status DrainRef(
-      const std::function<bool(RowId, const Row&)>& visitor) override {
-    if (started_) return TableCursor::DrainRef(visitor);
-    started_ = done_ = true;
-    // Fresh cursor: chunked walk without the pull-loop round trips.
-    std::vector<std::pair<RowId, Row>> chunk;
-    RowId from = 1;
-    while (true) {
-      RowId next = table_->ScanChunkVersioned(view_, from, kChunkRows, &chunk);
-      for (auto& [rid, row] : chunk) {
-        if (!visitor(rid, row)) return Status::Ok();
-      }
-      if (next == 0) return Status::Ok();
-      from = next;
-    }
-  }
-
-  StatusOr<bool> NextRef(RowId* rid, const Row** row) override {
-    started_ = true;
-    if (!Refill()) return false;
-    *rid = buf_[pos_].first;
-    *row = &buf_[pos_].second;
-    ++pos_;
-    return true;
-  }
-
-  StatusOr<bool> Next(RowId* rid, Row* row) override {
-    started_ = true;
-    if (!Refill()) return false;
-    *rid = buf_[pos_].first;
-    *row = std::move(buf_[pos_].second);
-    ++pos_;
-    return true;
-  }
-
-  /// Batched pull: whole chunks move by swap, as in the private ScanCursor
-  /// fast path.
-  StatusOr<bool> NextBatch(RowBatch* batch, size_t max_rows) override {
-    started_ = true;
-    batch->clear();
-    if (max_rows == 0) max_rows = 1;
-    if (!Refill()) return false;
-    if (pos_ == 0) {
-      batch->rows.swap(buf_);
-      buf_.clear();
-    } else {
-      size_t take = buf_.size() - pos_;
-      batch->reserve(take);
-      std::move(buf_.begin() + pos_, buf_.end(),
-                std::back_inserter(batch->rows));
-      buf_.clear();
-      pos_ = 0;
-    }
-    return true;
-  }
-
-  size_t size_hint() const override { return table_->size(); }
-
- private:
-  bool Refill() {
-    if (pos_ < buf_.size()) return true;
-    if (done_) return false;
-    RowId next = table_->ScanChunkVersioned(view_, next_from_, kChunkRows,
-                                            &buf_);
-    pos_ = 0;
-    // A chunk may come back empty while the heap continues (all entries in
-    // the window invisible at this snapshot): keep pulling.
-    while (buf_.empty() && next != 0) {
-      next = table_->ScanChunkVersioned(view_, next, kChunkRows, &buf_);
-    }
-    if (buf_.empty()) {
-      done_ = true;
-      return false;
-    }
-    next_from_ = next;
-    if (next == 0) done_ = true;
-    return true;
-  }
-
-  Transaction* txn_;
-  const Table* table_;
-  ReadView view_;
-  std::vector<std::pair<RowId, Row>> buf_;
-  RowId next_from_ = 1;
-  size_t pos_ = 0;
-  bool done_ = false;
-  bool started_ = false;
 };
 
 /// Cursor over (RowId, Row) pairs materialized at open time by a versioned
@@ -991,8 +832,8 @@ StatusOr<std::unique_ptr<TableCursor>> TransactionManager::OpenCursor(
           options_.observer->OnRead(txn->id(), {t->name(), 0});
         }
       }
-      return std::unique_ptr<TableCursor>(
-          new SnapshotScanCursor(txn, t, view));
+      return std::unique_ptr<TableCursor>(new HeapScanCursor(
+          locks_, txn, t, view, /*release_table_on_close=*/false));
     }
 
     std::vector<std::pair<RowId, Row>> rows;
@@ -1034,22 +875,11 @@ StatusOr<std::unique_ptr<TableCursor>> TransactionManager::OpenCursor(
         options_.observer->OnRead(txn->id(), {t->name(), 0});
       }
     }
-    // Sharing requires the table S lock (just taken above): the continuous
-    // S window across all consumers is what freezes the heap mid-scan.
-    SharedScanManager::Ticket ticket;
-    if (take_locks && options_.enable_shared_scans) {
-      ticket = shared_scans_.Join(t);
-      if (ticket.attached) {
-        stats_.shared_scan_attaches.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        stats_.shared_scan_leads.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
     // Grounding scans keep the table S lock even at kReadCommitted
     // (quasi-read repeatability); statement scans drop it at close.
-    return std::unique_ptr<TableCursor>(
-        new ScanCursor(locks_, txn, t, &shared_scans_, std::move(ticket),
-                       /*release_table_on_close=*/take_locks && !grounding));
+    return std::unique_ptr<TableCursor>(new HeapScanCursor(
+        locks_, txn, t, std::nullopt,
+        /*release_table_on_close=*/take_locks && !grounding));
   }
 
   if (plan.is_index()) {

@@ -13,7 +13,6 @@
 #include "src/storage/cursor.h"
 #include "src/storage/database.h"
 #include "src/storage/mvcc.h"
-#include "src/storage/shared_scan.h"
 #include "src/txn/transaction.h"
 #include "src/txn/txn_engine.h"
 #include "src/wal/wal_writer.h"
@@ -34,10 +33,6 @@ class TransactionManager : public TxnEngine {
     IsolationLevel default_isolation = IsolationLevel::kFullEntangled;
     int64_t lock_timeout_micros = 2'000'000;  ///< 2 s default lock wait
     OpObserver* observer = nullptr;           ///< optional schedule recorder
-    /// Concurrent heap scans of the same table share one circular scan
-    /// (one heap walk, many consumers). Off = every scan walks privately
-    /// (the ablation baseline).
-    bool enable_shared_scans = true;
     /// Snapshot-read levels (kReadCommitted, kSnapshot) read the versioned
     /// heap with zero locks. Off = they fall back to locking reads (the
     /// MVCC ablation baseline). Writes maintain version chains either way.
@@ -60,9 +55,6 @@ class TransactionManager : public TxnEngine {
   TxnStats& stats() override { return stats_; }
   void set_observer(OpObserver* obs) { options_.observer = obs; }
   OpObserver* observer() const { return options_.observer; }
-  /// Ablation switch for scan sharing (benches / differential tests).
-  void set_shared_scans_enabled(bool on) { options_.enable_shared_scans = on; }
-  bool shared_scans_enabled() const { return options_.enable_shared_scans; }
   /// Ablation switch for the versioned read path (benches / differential
   /// tests): off makes snapshot-read levels take locks again.
   void set_mvcc_reads_enabled(bool enabled) override {
@@ -98,12 +90,7 @@ class TransactionManager : public TxnEngine {
   /// Opens a pull cursor for `plan` over `t` — the one seam every read
   /// access path goes through. Lock protocol by plan kind:
   ///   * kTableScan: table S (the phantom-protection fallback for
-  ///     predicates no index covers). When scan sharing is enabled and the
-  ///     level takes read locks, the cursor attaches to a compatible
-  ///     in-flight shared scan of the same table (circular: late joiners
-  ///     start mid-heap and wrap) or leads a fresh one — every consumer
-  ///     still holds its own table S lock, so results are identical to a
-  ///     private walk.
+  ///     predicates no index covers); the cursor walks the heap in chunks.
   ///   * kIndexLookup: table IS + S on the index-key hash (equality-
   ///     predicate phantom protection) + S on each row as it is pulled.
   ///   * kIndexRange: table IS + key-range S on the scanned interval
@@ -272,7 +259,6 @@ class TransactionManager : public TxnEngine {
   std::atomic<TxnId> next_txn_id_{1};
   std::atomic<GroupId> next_group_id_{1};
   TxnStats stats_;
-  SharedScanManager shared_scans_;
   // Commit clock + live-snapshot set: shared (Options) or privately owned.
   std::unique_ptr<VersionClock> owned_clock_;
   std::unique_ptr<SnapshotRegistry> owned_snapshots_;

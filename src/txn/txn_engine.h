@@ -23,15 +23,13 @@ namespace youtopia {
 /// bumps table_scans / grounding_scans, and every bind-driven join probe
 /// bumps join_probes / grounding_join_probes (with *_cache_hits counting
 /// per-binding keys the executor/grounder served from their probe caches
-/// without re-entering the transaction manager). shared_scan_leads /
-/// shared_scan_attaches make scan sharing observable: every heap-scan
-/// cursor either leads a fresh shared scan or attaches to an in-flight one.
-/// The shard counters make routing and commit protocol choices observable:
-/// a shard::Router bumps shard_routed_lookups for every plan pinned to one
-/// shard, fanout_cursors for every plan fanned out across all shards, and
-/// exactly one of single_shard_txns / two_phase_commits per commit
-/// operation; `prepares` counts kPrepare WAL records written by a
-/// participant transaction manager (zero on the one-phase fast path).
+/// without re-entering the transaction manager). The shard counters make
+/// routing and commit protocol choices observable: a shard::Router bumps
+/// shard_routed_lookups for every plan pinned to one shard, fanout_cursors
+/// for every plan fanned out across all shards, and exactly one of
+/// single_shard_txns / two_phase_commits per commit operation; `prepares`
+/// counts kPrepare WAL records written by a participant transaction manager
+/// (zero on the one-phase fast path).
 struct TxnStats {
   std::atomic<uint64_t> begins{0};
   std::atomic<uint64_t> commits{0};
@@ -51,8 +49,6 @@ struct TxnStats {
   std::atomic<uint64_t> range_probe_cache_hits{0};
   std::atomic<uint64_t> grounding_range_probes{0};
   std::atomic<uint64_t> grounding_range_probe_cache_hits{0};
-  std::atomic<uint64_t> shared_scan_leads{0};
-  std::atomic<uint64_t> shared_scan_attaches{0};
   std::atomic<uint64_t> single_shard_txns{0};
   std::atomic<uint64_t> two_phase_commits{0};
   std::atomic<uint64_t> fanout_cursors{0};
@@ -241,18 +237,6 @@ class TxnEngine {
     YT_ASSIGN_OR_RETURN(auto cursor,
                         OpenCursor(txn, table, AccessPlan::TableScan(),
                                    ReadOrigin::kStatement));
-    return cursor->DrainRef(visitor);
-  }
-
-  /// Like Scan but recorded as a *grounding* read (R^G); used by the
-  /// entangled-query grounder so the isolation recorder can derive
-  /// quasi-reads.
-  Status ScanForGrounding(
-      Transaction* txn, const std::string& table,
-      const std::function<bool(RowId, const Row&)>& visitor) {
-    YT_ASSIGN_OR_RETURN(auto cursor,
-                        OpenCursor(txn, table, AccessPlan::TableScan(),
-                                   ReadOrigin::kGrounding));
     return cursor->DrainRef(visitor);
   }
 

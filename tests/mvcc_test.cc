@@ -286,8 +286,8 @@ TEST(MvccWriteTest, FirstUpdaterWinsAbortsStaleSnapshotWriter) {
 
 TEST(MvccWriteTest, WriterProceedsWhileSnapshotScansOpen) {
   // The freeze this fixes: pre-MVCC, a kReadCommitted scan held a table S
-  // lock for the life of the cursor (shared scans kept whole tables frozen
-  // under read-mostly load). Now two snapshot scans sit open mid-table
+  // lock for the life of the cursor, so concurrent scans kept whole tables
+  // frozen under read-mostly load. Now two snapshot scans sit open mid-table
   // while a writer updates and commits between their pulls — synchronously,
   // so any residual blocking would surface as a lock timeout.
   EngineFixture fix;

@@ -1003,8 +1003,8 @@ TEST(CursorDrainTest, DrainingAnExhaustedRouterCursorVisitsNothing) {
 }
 
 // --- Distributed aggregate pushdown: per-shard partial folds must agree
-// --- with the single-shard fold, the row-shipping ablation, and a
-// --- scan-and-fold reference, including under concurrent writers.
+// --- with the single-shard fold and a scan-and-fold reference, including
+// --- under concurrent writers.
 
 class ShardAggregateTest : public ShardDifferentialTest {
  protected:
@@ -1020,9 +1020,29 @@ class ShardAggregateTest : public ShardDifferentialTest {
                     .status());
     }
   }
+
+  /// Scan-and-fold reference for "SELECT city, COUNT(*), SUM(bal) ...
+  /// GROUP BY city": folds raw rows (bal at `bal_col`, city at `city_col`)
+  /// into per-city counts and sums and checks `agg` against them.
+  static void ExpectCityCountSum(const std::vector<Row>& agg,
+                                 const std::vector<Row>& rows,
+                                 size_t bal_col, size_t city_col) {
+    std::map<std::string, std::pair<int64_t, int64_t>> ref;  // count, sum
+    for (const Row& row : rows) {
+      auto& a = ref[row[city_col].as_string()];
+      ++a.first;
+      if (!row[bal_col].is_null()) a.second += row[bal_col].as_int();
+    }
+    ASSERT_EQ(agg.size(), ref.size());
+    for (const Row& row : agg) {
+      const auto& a = ref[row[0].as_string()];
+      EXPECT_EQ(row[1], Value::Int(a.first));
+      EXPECT_EQ(row[2], Value::Int(a.second));
+    }
+  }
 };
 
-TEST_F(ShardAggregateTest, PushdownMatchesSingleShardAndRowShipping) {
+TEST_F(ShardAggregateTest, PushdownMatchesSingleShardAndScanAndFold) {
   Populate(one_.get(), 300, 20260801);
   Populate(four_.get(), 300, 20260801);
   sql::Session s1(one_.get());
@@ -1046,34 +1066,18 @@ TEST_F(ShardAggregateTest, PushdownMatchesSingleShardAndRowShipping) {
     ASSERT_OK_AND_ASSIGN(sql::QueryResult r1, s1.Execute(q));
     ASSERT_OK_AND_ASSIGN(sql::QueryResult pushed, s4.Execute(q));
     EXPECT_EQ(r1.rows, pushed.rows) << q;  // both deterministically ordered
-    // The row-shipping ablation (coordinator drains the merged fan-out and
-    // folds centrally) must not change any result.
-    four_->set_aggregate_pushdown_enabled(false);
-    ASSERT_OK_AND_ASSIGN(sql::QueryResult shipped, s4.Execute(q));
-    four_->set_aggregate_pushdown_enabled(true);
-    EXPECT_EQ(pushed.rows, shipped.rows) << q;
   }
 
   // Scan-and-fold reference for the plain GROUP BY: derived from the raw
   // shard contents, independent of the SQL read path entirely.
-  std::map<std::string, std::pair<int64_t, int64_t>> ref;  // count, sum
-  for (const Row& row : AllRows(four_.get(), "Acct")) {
-    auto& a = ref[row[2].as_string()];
-    ++a.first;
-    if (!row[1].is_null()) a.second += row[1].as_int();
-  }
   ASSERT_OK_AND_ASSIGN(
       sql::QueryResult agg,
       s4.Execute("SELECT city, COUNT(*), SUM(bal) FROM Acct GROUP BY city"));
-  ASSERT_EQ(agg.rows.size(), ref.size());
-  for (const Row& row : agg.rows) {
-    const auto& a = ref[row[0].as_string()];
-    EXPECT_EQ(row[1], Value::Int(a.first));
-    EXPECT_EQ(row[2], Value::Int(a.second));
-  }
+  ExpectCityCountSum(agg.rows, AllRows(four_.get(), "Acct"), /*bal_col=*/1,
+                     /*city_col=*/2);
 }
 
-TEST_F(ShardAggregateTest, PushdownCountersAndAblationAccounting) {
+TEST_F(ShardAggregateTest, PushdownCountersAndRoutingAccounting) {
   Populate(four_.get(), 60, 20260802);
   sql::Session s(four_.get());
 
@@ -1082,11 +1086,11 @@ TEST_F(ShardAggregateTest, PushdownCountersAndAblationAccounting) {
                 .status());
   EXPECT_EQ(four_->stats().aggregate_pushdowns.load(), pushdowns + 1);
 
-  // Row shipping never counts as a pushdown.
-  four_->set_aggregate_pushdown_enabled(false);
-  ASSERT_OK(s.Execute("SELECT city, COUNT(*) FROM Acct GROUP BY city")
+  // A residual WHERE folds locally over a fanned-out cursor: row shipping
+  // never counts as a pushdown.
+  ASSERT_OK(s.Execute("SELECT city, COUNT(*) FROM Acct WHERE bal + 0 < 250 "
+                      "GROUP BY city")
                 .status());
-  four_->set_aggregate_pushdown_enabled(true);
   EXPECT_EQ(four_->stats().aggregate_pushdowns.load(), pushdowns + 1);
 
   // A partition-key-pinned aggregate routes to one shard instead.
@@ -1097,9 +1101,10 @@ TEST_F(ShardAggregateTest, PushdownCountersAndAblationAccounting) {
 }
 
 TEST_F(ShardAggregateTest, AggregatesStableUnderConcurrentWriters) {
-  // Writers churn keys >= 10000 on both engines; inside one reader
-  // transaction the pushed-down and row-shipped folds must agree exactly
-  // (Strict 2PL pins the read set between the paired executions).
+  // Writers churn keys >= 10000; inside one reader transaction the
+  // pushed-down fold must agree exactly with a scan-and-fold over the rows
+  // the same transaction reads (Strict 2PL pins the read set between the
+  // paired executions).
   Populate(four_.get(), 120, 20260803);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -1124,21 +1129,98 @@ TEST_F(ShardAggregateTest, AggregatesStableUnderConcurrentWriters) {
   for (int round = 0; round < 60 && compared < 12; ++round) {
     ASSERT_OK(reader.Execute("BEGIN TRANSACTION").status());
     auto pushed = reader.Execute(query);
-    four_->set_aggregate_pushdown_enabled(false);
-    auto shipped = reader.Execute(query);
-    four_->set_aggregate_pushdown_enabled(true);
-    if (!pushed.ok() || !shipped.ok()) {
+    auto scanned = reader.Execute("SELECT city, bal FROM Acct");
+    if (!pushed.ok() || !scanned.ok()) {
       (void)reader.Execute("ROLLBACK");
       continue;
     }
     ASSERT_OK(reader.Execute("COMMIT").status());
-    EXPECT_EQ(pushed.value().rows, shipped.value().rows)
-        << "divergence in round " << round;
+    SCOPED_TRACE("round " + std::to_string(round));
+    ExpectCityCountSum(pushed.value().rows, scanned.value().rows,
+                       /*bal_col=*/1, /*city_col=*/0);
     ++compared;
   }
   stop.store(true);
   for (std::thread& t : writers) t.join();
   EXPECT_GT(compared, 0) << "every round timed out; nothing was compared";
+}
+
+// --- Fan-out drain failures: a shard whose drain fails mid-read fails the
+// --- whole fanned-out read, and the transaction still aborts cleanly.
+
+TEST(FanoutDrainTest, ShardDrainErrorFailsCursorAndAggregate) {
+  constexpr size_t kShards = 4;
+  constexpr int64_t kRows = 40;
+  Router::Options opts;
+  opts.num_shards = kShards;
+  opts.lock_timeout_micros = 100'000;
+  ASSERT_OK_AND_ASSIGN(auto r, Router::Open(opts));
+  ASSERT_OK(r->CreateTable("Acct", AcctSchema()).status());
+  ASSERT_OK(r->CreateIndex("Acct", {"city"}));
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_OK(r->Load("Acct", Row({Value::Int(i), Value::Int(i),
+                                   Value::Str("C")})));
+  }
+  // A lookup on a non-partition index fans out; at a locking level each
+  // shard's open takes table IS + key S on the calling thread, and each
+  // shard's drain then takes one row S per row it pulls.
+  const AccessPlan plan = AccessPlan::Lookup({2}, Row({Value::Str("C")}));
+  AggregateSpec count_star;
+  count_star.aggs.push_back(AggSpec{});
+  FaultInjector* fi = FaultInjector::Global();
+  struct ResetFaults {
+    ~ResetFaults() { FaultInjector::Global()->Reset(); }
+  } reset_faults;
+
+  // Dry run with a never-firing probe confirms that hit accounting.
+  FaultInjector::SiteConfig count_only;
+  count_only.probability = 0.0;
+  fi->Arm("lock.acquire", count_only);
+  {
+    auto txn = r->Begin(IsolationLevel::kSerializable);
+    {
+      ASSERT_OK_AND_ASSIGN(auto cursor,
+                           r->OpenCursor(txn.get(), "Acct", plan,
+                                         ReadOrigin::kStatement));
+    }
+    EXPECT_EQ(fi->HitCount("lock.acquire"), 2 * kShards + kRows);
+    ASSERT_OK(r->Commit(txn.get()));
+  }
+
+  // The first hit past the opens is some shard's first row lock, inside
+  // its drain.
+  FaultInjector::SiteConfig fail_drain;
+  fail_drain.code = StatusCode::kTimedOut;
+  fail_drain.nth = 2 * kShards + 1;
+  const std::vector<std::pair<const char*, std::function<Status(Transaction*)>>>
+      reads = {
+          {"OpenCursor",
+           [&](Transaction* txn) {
+             return r->OpenCursor(txn, "Acct", plan, ReadOrigin::kStatement)
+                 .status();
+           }},
+          {"AggregateTable",
+           [&](Transaction* txn) {
+             return r->AggregateTable(txn, "Acct", plan, count_star,
+                                      ReadOrigin::kStatement)
+                 .status();
+           }},
+      };
+  for (const auto& [name, read] : reads) {
+    SCOPED_TRACE(name);
+    fi->Arm("lock.acquire", fail_drain);
+    auto txn = r->Begin(IsolationLevel::kSerializable);
+    EXPECT_EQ(read(txn.get()).code(), StatusCode::kTimedOut);
+    EXPECT_EQ(fi->FireCount("lock.acquire"), 1u);
+    fi->Disarm("lock.acquire");
+    ASSERT_OK(r->Abort(txn.get()));
+    // Nothing leaked: a writer touching every row on every shard gets its
+    // X locks well inside the short lock timeout.
+    sql::Session writer(r.get());
+    ASSERT_OK_AND_ASSIGN(sql::QueryResult updated,
+                         writer.Execute("UPDATE Acct SET bal = bal + 1"));
+    EXPECT_EQ(updated.affected, static_cast<size_t>(kRows));
+  }
 }
 
 }  // namespace

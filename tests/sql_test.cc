@@ -1109,7 +1109,7 @@ TEST_F(RangeSessionTest, RangeJoinProbesMatchSnapshotJoin) {
   EXPECT_GT(fix_.tm->stats().range_probe_cache_hits.load(), hits);
 }
 
-TEST(SqlSharedScanTest, ConcurrentSelectsShareScansAndAgree) {
+TEST(SqlConcurrentScanTest, ConcurrentSelectsAgree) {
   EngineFixture fix;
   Session setup(fix.tm.get());
   ASSERT_OK(setup.Execute("CREATE TABLE Big (k INT, v VARCHAR)").status());
@@ -1120,8 +1120,8 @@ TEST(SqlSharedScanTest, ConcurrentSelectsShareScansAndAgree) {
                   .status());
   }
 
-  // Unindexed predicate => every SELECT full-scans Big; concurrent scans
-  // share one heap walk, and results are identical to the private path.
+  // Unindexed predicate => every SELECT full-scans Big while the others'
+  // scans of the same table are open.
   constexpr int kThreads = 3;
   constexpr int kIters = 8;
   std::atomic<int> failures{0};
@@ -1137,11 +1137,8 @@ TEST(SqlSharedScanTest, ConcurrentSelectsShareScansAndAgree) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
-  // Every scan cursor either led or attached — the split is racy, the sum
-  // is not.
-  EXPECT_EQ(fix.tm->stats().shared_scan_leads.load() +
-                fix.tm->stats().shared_scan_attaches.load(),
-            fix.tm->stats().table_scans.load());
+  EXPECT_EQ(fix.tm->stats().table_scans.load(),
+            static_cast<uint64_t>(kThreads * kIters));
 }
 
 // --- Aggregates and GROUP BY: SQL NULL semantics, plan-time validation,

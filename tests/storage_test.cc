@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/storage/database.h"
-#include "src/storage/shared_scan.h"
 #include "tests/test_util.h"
 
 namespace youtopia {
@@ -512,7 +511,7 @@ TEST(CatalogTest, RegisterLookupUnregister) {
   EXPECT_FALSE(c.Unregister("Flights").ok());
 }
 
-// --- Chunked scans, write epochs, and the shared-scan layer. ---
+// --- Chunked scans. ---
 
 TEST(TableTest, ScanChunkCoversHeapInResumableChunks) {
   Table t(0, "User", UserSchema());
@@ -542,92 +541,6 @@ TEST(TableTest, ScanChunkCoversHeapInResumableChunks) {
   Table empty(1, "E", UserSchema());
   EXPECT_EQ(empty.ScanChunk(1, 4, &chunk), 0u);
   EXPECT_TRUE(chunk.empty());
-}
-
-TEST(TableTest, WriteEpochBumpsOnMutationsOnly) {
-  Table t(0, "User", UserSchema());
-  const uint64_t e0 = t.write_epoch();
-  ASSERT_OK_AND_ASSIGN(RowId rid,
-                       t.Insert(Row({Value::Int(1), Value::Str("LA")})));
-  EXPECT_GT(t.write_epoch(), e0);
-  const uint64_t e1 = t.write_epoch();
-  ASSERT_OK(t.Get(rid).status());
-  t.Scan([](RowId, const Row&) { return true; });
-  EXPECT_EQ(t.write_epoch(), e1);  // reads do not advance the epoch
-  ASSERT_OK(t.Update(rid, Row({Value::Int(1), Value::Str("SF")})));
-  EXPECT_GT(t.write_epoch(), e1);
-  const uint64_t e2 = t.write_epoch();
-  ASSERT_OK(t.Delete(rid));
-  EXPECT_GT(t.write_epoch(), e2);
-}
-
-TEST(SharedScanManagerTest, AttachWhileLiveLeadAfterLastLeave) {
-  Table t(0, "User", UserSchema());
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_OK(t.Insert(Row({Value::Int(i), Value::Str("c")})).status());
-  }
-  SharedScanManager mgr;
-  auto lead = mgr.Join(&t);
-  EXPECT_FALSE(lead.attached);
-  EXPECT_TRUE(lead.registered);
-  auto follow = mgr.Join(&t);
-  EXPECT_TRUE(follow.attached);
-  EXPECT_EQ(follow.scan, lead.scan);
-  mgr.Leave(follow);
-  // One consumer still inside: the scan stays attachable.
-  auto follow2 = mgr.Join(&t);
-  EXPECT_TRUE(follow2.attached);
-  mgr.Leave(follow2);
-  mgr.Leave(lead);
-  // The scan died with its last consumer: the next join leads afresh.
-  auto lead2 = mgr.Join(&t);
-  EXPECT_FALSE(lead2.attached);
-  EXPECT_NE(lead2.scan, lead.scan);
-  mgr.Leave(lead2);
-}
-
-TEST(SharedScanManagerTest, EpochMismatchIsAnAttachBarrier) {
-  Table t(0, "User", UserSchema());
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_OK(t.Insert(Row({Value::Int(i), Value::Str("c")})).status());
-  }
-  SharedScanManager mgr;
-  auto lead = mgr.Join(&t);
-  // A write between the scan's registration and a later join (impossible
-  // while consumers hold table S; defensive for lockless paths) must not
-  // let the joiner see pre-write batches.
-  ASSERT_OK(t.Insert(Row({Value::Int(99), Value::Str("x")})).status());
-  auto stale = mgr.Join(&t);
-  EXPECT_FALSE(stale.attached);
-  EXPECT_NE(stale.scan, lead.scan);
-  EXPECT_FALSE(stale.registered);  // the live slot still belongs to `lead`
-  mgr.Leave(stale);
-  mgr.Leave(lead);
-}
-
-TEST(SharedScanTest, CircularBatchesCoverHeapFromAnyStart) {
-  Table t(0, "User", UserSchema());
-  const int kRows = 700;  // three 256-row batches, last one short
-  for (int i = 0; i < kRows; ++i) {
-    ASSERT_OK(t.Insert(Row({Value::Int(i), Value::Str("c")})).status());
-  }
-  SharedScan scan(&t, t.write_epoch());
-  EXPECT_EQ(scan.AttachIndex(), 0u);
-  const SharedScan::Batch* b0 = scan.GetBatch(0);
-  ASSERT_NE(b0, nullptr);
-  EXPECT_EQ(b0->rows.size(), SharedScan::kBatchRows);
-  EXPECT_EQ(scan.AttachIndex(), 1u);
-  // Production is demand-driven and idempotent: any consumer may request
-  // any batch index; past-the-end returns null.
-  const SharedScan::Batch* b2 = scan.GetBatch(2);
-  ASSERT_NE(b2, nullptr);
-  EXPECT_EQ(scan.GetBatch(3), nullptr);
-  EXPECT_EQ(scan.GetBatch(0), b0);
-  size_t total = 0;
-  for (size_t i = 0; scan.GetBatch(i) != nullptr; ++i) {
-    total += scan.GetBatch(i)->rows.size();
-  }
-  EXPECT_EQ(total, static_cast<size_t>(kRows));
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <latch>
+#include <functional>
 
 #include "src/wal/recovery.h"
 #include "tests/test_util.h"
@@ -125,8 +125,13 @@ TEST(TxnTest, SerializableScanBlocksInsertPreventingFig3b) {
   EngineFixture fix;
   ASSERT_OK(fix.tm->CreateTable("Airlines", KV()).status());
   auto minnie = fix.tm->Begin();
-  ASSERT_OK(fix.tm->ScanForGrounding(minnie.get(), "Airlines",
-                                     [](RowId, const Row&) { return true; }));
+  {
+    ASSERT_OK_AND_ASSIGN(auto cursor,
+                         fix.tm->OpenCursor(minnie.get(), "Airlines",
+                                            AccessPlan::TableScan(),
+                                            ReadOrigin::kGrounding));
+    ASSERT_OK(cursor->DrainRef([](RowId, const Row&) { return true; }));
+  }
   auto donald = fix.tm->Begin();
   std::atomic<bool> inserted{false};
   std::thread th([&] {
@@ -801,8 +806,9 @@ TEST(WalRecordTest, EncodeDecodeRoundTripAllTypes) {
   }
 }
 
-// --- Shared scans: cursor attach/lead protocol, circular wrap, and the
-// --- differential guarantee (shared results == private results).
+// --- Heap scans: every pull method agrees at locking and snapshot levels,
+// --- read-committed early release, and the differential guarantee under
+// --- concurrent writers.
 
 using RowSet = std::vector<std::pair<RowId, Row>>;
 
@@ -830,123 +836,7 @@ RowSet Sorted(RowSet rows) {
   return rows;
 }
 
-TEST(SharedScanTest, ConcurrentCursorsProduceOneLeadAndNMinusOneAttaches) {
-  EngineFixture fix;
-  ASSERT_OK(fix.tm->CreateTable("T", KV()).status());
-  auto setup = fix.tm->Begin();
-  for (int i = 0; i < 700; ++i) {
-    ASSERT_OK(fix.tm->Insert(setup.get(), "T",
-                             Row({Value::Int(i), Value::Str("v")}))
-                  .status());
-  }
-  ASSERT_OK(fix.tm->Commit(setup.get()));
-  Table* table = fix.db.GetTable("T").value();
-  const RowSet reference = HeapSnapshot(table);
-
-  // N concurrently *open* scan cursors: the first leads, the rest attach.
-  // Table S locks are mutually compatible, so nothing blocks and the
-  // lead/attach split is deterministic.
-  constexpr size_t kCursors = 4;
-  std::vector<std::unique_ptr<Transaction>> txns;
-  std::vector<std::unique_ptr<TableCursor>> cursors;
-  for (size_t i = 0; i < kCursors; ++i) {
-    txns.push_back(fix.tm->Begin());
-    ASSERT_OK_AND_ASSIGN(auto cursor,
-                         fix.tm->OpenCursor(txns.back().get(), table,
-                                            AccessPlan::TableScan(),
-                                            ReadOrigin::kStatement));
-    cursors.push_back(std::move(cursor));
-  }
-  EXPECT_EQ(fix.tm->stats().shared_scan_leads.load(), 1u);
-  EXPECT_EQ(fix.tm->stats().shared_scan_attaches.load(), kCursors - 1);
-
-  for (size_t i = 0; i < kCursors; ++i) {
-    EXPECT_EQ(Sorted(DrainCursor(cursors[i].get())), reference)
-        << "cursor " << i;
-  }
-  cursors.clear();
-  for (auto& txn : txns) ASSERT_OK(fix.tm->Commit(txn.get()));
-
-  // The scan died with its last consumer: a later scan leads afresh.
-  auto again = fix.tm->Begin();
-  ASSERT_OK_AND_ASSIGN(auto cursor,
-                       fix.tm->OpenCursor(again.get(), table,
-                                          AccessPlan::TableScan(),
-                                          ReadOrigin::kStatement));
-  EXPECT_EQ(Sorted(DrainCursor(cursor.get())), reference);
-  cursor.reset();
-  ASSERT_OK(fix.tm->Commit(again.get()));
-  EXPECT_EQ(fix.tm->stats().shared_scan_leads.load(), 2u);
-  EXPECT_EQ(fix.tm->stats().shared_scan_attaches.load(), kCursors - 1);
-}
-
-TEST(SharedScanTest, LateJoinerStartsMidHeapAndWraps) {
-  EngineFixture fix;
-  ASSERT_OK(fix.tm->CreateTable("T", KV()).status());
-  auto setup = fix.tm->Begin();
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_OK(fix.tm->Insert(setup.get(), "T",
-                             Row({Value::Int(i), Value::Str("v")}))
-                  .status());
-  }
-  ASSERT_OK(fix.tm->Commit(setup.get()));
-  Table* table = fix.db.GetTable("T").value();
-  const RowSet reference = HeapSnapshot(table);
-
-  // The leader registers the scan but walks privately (an uncontended scan
-  // pays nothing for sharing); production starts with the first attached
-  // follower.
-  auto leader_txn = fix.tm->Begin();
-  ASSERT_OK_AND_ASSIGN(auto leader,
-                       fix.tm->OpenCursor(leader_txn.get(), table,
-                                          AccessPlan::TableScan(),
-                                          ReadOrigin::kStatement));
-  auto f1_txn = fix.tm->Begin();
-  ASSERT_OK_AND_ASSIGN(auto follower1,
-                       fix.tm->OpenCursor(f1_txn.get(), table,
-                                          AccessPlan::TableScan(),
-                                          ReadOrigin::kStatement));
-  // Pull the first follower past two full batches into the third (600 rows
-  // with 256-row batches => production watermark at batch 3).
-  RowSet f1_rows;
-  RowId rid = 0;
-  const Row* row = nullptr;
-  for (int i = 0; i < 600; ++i) {
-    ASSERT_OK_AND_ASSIGN(bool more, follower1->NextRef(&rid, &row));
-    ASSERT_TRUE(more);
-    f1_rows.emplace_back(rid, *row);
-  }
-  EXPECT_EQ(f1_rows.front().first, 1u);  // attached at watermark 0
-
-  auto f2_txn = fix.tm->Begin();
-  ASSERT_OK_AND_ASSIGN(auto follower2,
-                       fix.tm->OpenCursor(f2_txn.get(), table,
-                                          AccessPlan::TableScan(),
-                                          ReadOrigin::kStatement));
-  EXPECT_EQ(fix.tm->stats().shared_scan_attaches.load(), 2u);
-  RowSet f2_rows = DrainCursor(follower2.get());
-  ASSERT_EQ(f2_rows.size(), reference.size());
-  // Circular semantics: the late joiner starts at the production watermark
-  // (3 * 256 rows => RowId 769), runs to the end of the heap, and wraps.
-  EXPECT_EQ(f2_rows.front().first, 769u);
-  EXPECT_EQ(f2_rows.back().first, 768u);
-  EXPECT_EQ(Sorted(std::move(f2_rows)), reference);
-
-  ASSERT_OK(follower1->Drain([&](RowId r, Row&& v) {
-    f1_rows.emplace_back(r, std::move(v));
-    return true;
-  }));
-  EXPECT_EQ(Sorted(std::move(f1_rows)), reference);
-  EXPECT_EQ(Sorted(DrainCursor(leader.get())), reference);
-  leader.reset();
-  follower1.reset();
-  follower2.reset();
-  ASSERT_OK(fix.tm->Commit(leader_txn.get()));
-  ASSERT_OK(fix.tm->Commit(f1_txn.get()));
-  ASSERT_OK(fix.tm->Commit(f2_txn.get()));
-}
-
-TEST(SharedScanTest, ReadUncommittedAndDisabledSharingScanPrivately) {
+TEST(HeapScanTest, ReadUncommittedScanSeesHeap) {
   EngineFixture fix;
   ASSERT_OK(fix.tm->CreateTable("T", KV()).status());
   auto setup = fix.tm->Begin();
@@ -959,80 +849,20 @@ TEST(SharedScanTest, ReadUncommittedAndDisabledSharingScanPrivately) {
   Table* table = fix.db.GetTable("T").value();
   const RowSet reference = HeapSnapshot(table);
 
-  // kReadUncommitted takes no table S lock, so it must never attach to (or
-  // lead) a shared scan — the S window is what makes batches valid.
+  // kReadUncommitted takes no table S lock and reads the latest versions.
   auto ru = fix.tm->Begin(IsolationLevel::kReadUncommitted);
   ASSERT_OK_AND_ASSIGN(auto ru_cursor,
                        fix.tm->OpenCursor(ru.get(), table,
                                           AccessPlan::TableScan(),
                                           ReadOrigin::kStatement));
-  EXPECT_EQ(Sorted(DrainCursor(ru_cursor.get())), reference);
+  EXPECT_FALSE(fix.locks.Holds(ru->id(), LockKey::Table(table->id()),
+                               LockMode::kS));
+  EXPECT_EQ(DrainCursor(ru_cursor.get()), reference);
   ru_cursor.reset();
   ASSERT_OK(fix.tm->Commit(ru.get()));
-  EXPECT_EQ(fix.tm->stats().shared_scan_leads.load(), 0u);
-  EXPECT_EQ(fix.tm->stats().shared_scan_attaches.load(), 0u);
-
-  // The ablation switch: sharing off, identical results, no counters.
-  fix.tm->set_shared_scans_enabled(false);
-  auto txn = fix.tm->Begin();
-  ASSERT_OK_AND_ASSIGN(auto cursor,
-                       fix.tm->OpenCursor(txn.get(), table,
-                                          AccessPlan::TableScan(),
-                                          ReadOrigin::kStatement));
-  EXPECT_EQ(Sorted(DrainCursor(cursor.get())), reference);
-  cursor.reset();
-  ASSERT_OK(fix.tm->Commit(txn.get()));
-  EXPECT_EQ(fix.tm->stats().shared_scan_leads.load(), 0u);
-  EXPECT_EQ(fix.tm->stats().shared_scan_attaches.load(), 0u);
 }
 
-TEST(SharedScanTest, ThreadedScansOneLeadRestAttach) {
-  EngineFixture fix;
-  ASSERT_OK(fix.tm->CreateTable("T", KV()).status());
-  auto setup = fix.tm->Begin();
-  for (int i = 0; i < 800; ++i) {
-    ASSERT_OK(fix.tm->Insert(setup.get(), "T",
-                             Row({Value::Int(i), Value::Str("v")}))
-                  .status());
-  }
-  ASSERT_OK(fix.tm->Commit(setup.get()));
-  Table* table = fix.db.GetTable("T").value();
-  const RowSet reference = HeapSnapshot(table);
-
-  // All threads open their cursor before any drains (latch barrier): the
-  // scan is live from the first open until the last close, so exactly one
-  // thread leads and the rest attach — even across threads.
-  constexpr int kThreads = 4;
-  std::latch all_open(kThreads);
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&] {
-      auto txn = fix.tm->Begin();
-      auto cursor = fix.tm->OpenCursor(txn.get(), table,
-                                       AccessPlan::TableScan(),
-                                       ReadOrigin::kStatement);
-      if (!cursor.ok()) {
-        ++mismatches;
-        all_open.count_down();
-        return;
-      }
-      all_open.arrive_and_wait();
-      if (Sorted(DrainCursor(cursor.value().get())) != reference) {
-        ++mismatches;
-      }
-      cursor.value().reset();
-      if (!fix.tm->Commit(txn.get()).ok()) ++mismatches;
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(fix.tm->stats().shared_scan_leads.load(), 1u);
-  EXPECT_EQ(fix.tm->stats().shared_scan_attaches.load(),
-            static_cast<uint64_t>(kThreads - 1));
-}
-
-TEST(SharedScanTest, ClosingSiblingCursorKeepsReadCommittedLocks) {
+TEST(HeapScanTest, ClosingSiblingCursorKeepsReadCommittedLocks) {
   EngineFixture fix;
   ASSERT_OK(fix.tm->CreateTable("T", KV()).status());
   auto setup = fix.tm->Begin();
@@ -1071,7 +901,7 @@ TEST(SharedScanTest, ClosingSiblingCursorKeepsReadCommittedLocks) {
   ASSERT_OK(fix.tm->Commit(txn.get()));
 }
 
-TEST(SharedScanTest, DifferentialUnderConcurrentWritersAndMixedIsolation) {
+TEST(HeapScanTest, DifferentialUnderConcurrentWritersAndMixedIsolation) {
   EngineFixture fix;
   ASSERT_OK(fix.tm->CreateTable("T", KV()).status());
   auto setup = fix.tm->Begin();
@@ -1129,10 +959,10 @@ TEST(SharedScanTest, DifferentialUnderConcurrentWritersAndMixedIsolation) {
       for (int i = 0; i < kReaderIters; ++i) {
         IsolationLevel level = kLevels[(r + i) % 4];
         auto txn = fix.tm->Begin(level);
-        RowSet shared;
+        RowSet scanned;
         Status s = fix.tm->Scan(txn.get(), "T",
                                 [&](RowId rid, const Row& row) {
-                                  shared.emplace_back(rid, row);
+                                  scanned.emplace_back(rid, row);
                                   return true;
                                 });
         if (!s.ok()) {
@@ -1140,23 +970,19 @@ TEST(SharedScanTest, DifferentialUnderConcurrentWritersAndMixedIsolation) {
           (void)fix.tm->Abort(txn.get());
           continue;
         }
-        // Internal consistency at every level: schema-shaped rows, and the
-        // circular visit order — ascending RowIds with at most one wrap
-        // point (an attached follower starts mid-heap and wraps once).
-        size_t wraps = 0;
-        for (size_t j = 0; j < shared.size(); ++j) {
-          if (shared[j].second.size() != 2) {
+        // Internal consistency at every level: schema-shaped rows in
+        // strictly ascending RowId order.
+        for (size_t j = 0; j < scanned.size(); ++j) {
+          if (scanned[j].second.size() != 2 ||
+              (j > 0 && scanned[j].first <= scanned[j - 1].first)) {
             ++failures;
             break;
           }
-          if (j > 0 && shared[j].first <= shared[j - 1].first) ++wraps;
         }
-        if (wraps > 1) ++failures;
         if (HoldsReadLocks(level)) {
-          // The table S lock is still held: a private walk of the heap is
-          // the private-scan result under the same serialization point and
-          // must match the (possibly shared) cursor scan as a set.
-          if (Sorted(std::move(shared)) != HeapSnapshot(table)) ++failures;
+          // The table S lock is still held: a direct walk of the heap reads
+          // the same serialization point and must match the cursor scan.
+          if (scanned != HeapSnapshot(table)) ++failures;
         }
         if (!fix.tm->Commit(txn.get()).ok()) ++failures;
       }
@@ -1184,46 +1010,51 @@ TEST(CursorDrainTest, ScanCursorSecondDrainIsEmpty) {
   }
   ASSERT_OK(fix.tm->Commit(setup.get()));
 
-  auto txn = fix.tm->Begin();
-  // Zero-copy DrainRef fast path first.
-  ASSERT_OK_AND_ASSIGN(auto c1,
-                       fix.tm->OpenCursor(txn.get(), "T",
-                                          AccessPlan::TableScan(),
-                                          ReadOrigin::kStatement));
-  size_t first = 0, second = 0;
-  ASSERT_OK(c1->DrainRef([&](RowId, const Row&) {
-    ++first;
-    return true;
-  }));
-  ASSERT_OK(c1->DrainRef([&](RowId, const Row&) {
-    ++second;
-    return true;
-  }));
-  EXPECT_EQ(first, 8u);
-  EXPECT_EQ(second, 0u);
-  RowId rid = 0;
-  Row row;
-  EXPECT_FALSE(c1->Next(&rid, &row).value());
+  for (IsolationLevel level :
+       {IsolationLevel::kFullEntangled, IsolationLevel::kSnapshot}) {
+    SCOPED_TRACE(IsolationLevelName(level));
+    auto txn = fix.tm->Begin(level);
+    // DrainRef fast path first (zero-copy when locking, chunked on a
+    // snapshot).
+    ASSERT_OK_AND_ASSIGN(auto c1,
+                         fix.tm->OpenCursor(txn.get(), "T",
+                                            AccessPlan::TableScan(),
+                                            ReadOrigin::kStatement));
+    size_t first = 0, second = 0;
+    ASSERT_OK(c1->DrainRef([&](RowId, const Row&) {
+      ++first;
+      return true;
+    }));
+    ASSERT_OK(c1->DrainRef([&](RowId, const Row&) {
+      ++second;
+      return true;
+    }));
+    EXPECT_EQ(first, 8u);
+    EXPECT_EQ(second, 0u);
+    RowId rid = 0;
+    Row row;
+    EXPECT_FALSE(c1->Next(&rid, &row).value());
 
-  // Pull-then-drain: the generic loop hits the same contract.
-  ASSERT_OK_AND_ASSIGN(auto c2,
-                       fix.tm->OpenCursor(txn.get(), "T",
-                                          AccessPlan::TableScan(),
-                                          ReadOrigin::kStatement));
-  ASSERT_TRUE(c2->Next(&rid, &row).value());
-  size_t rest = 0;
-  ASSERT_OK(c2->Drain([&](RowId, Row&&) {
-    ++rest;
-    return true;
-  }));
-  EXPECT_EQ(rest, 7u);
-  ASSERT_OK(c2->Drain([&](RowId, Row&&) {
-    ++rest;
-    return true;
-  }));
-  EXPECT_EQ(rest, 7u);
-  EXPECT_FALSE(c2->Next(&rid, &row).value());
-  ASSERT_OK(fix.tm->Commit(txn.get()));
+    // Pull-then-drain: the generic loop hits the same contract.
+    ASSERT_OK_AND_ASSIGN(auto c2,
+                         fix.tm->OpenCursor(txn.get(), "T",
+                                            AccessPlan::TableScan(),
+                                            ReadOrigin::kStatement));
+    ASSERT_TRUE(c2->Next(&rid, &row).value());
+    size_t rest = 0;
+    ASSERT_OK(c2->Drain([&](RowId, Row&&) {
+      ++rest;
+      return true;
+    }));
+    EXPECT_EQ(rest, 7u);
+    ASSERT_OK(c2->Drain([&](RowId, Row&&) {
+      ++rest;
+      return true;
+    }));
+    EXPECT_EQ(rest, 7u);
+    EXPECT_FALSE(c2->Next(&rid, &row).value());
+    ASSERT_OK(fix.tm->Commit(txn.get()));
+  }
 }
 
 TEST(CursorDrainTest, IndexAndRangeCursorsSecondDrainIsEmpty) {
@@ -1354,7 +1185,7 @@ TEST(BatchCursorTest, MaxRowsIsAPacingTargetNotACap) {
   }
 }
 
-TEST(BatchCursorTest, SharedScanFollowersBatchIdentically) {
+TEST(BatchCursorTest, OverlappingScansBatchIdentically) {
   EngineFixture fix;
   ASSERT_OK(fix.tm->CreateTable("T", KV()).status());
   auto setup = fix.tm->Begin();
@@ -1367,28 +1198,123 @@ TEST(BatchCursorTest, SharedScanFollowersBatchIdentically) {
   Table* table = fix.db.GetTable("T").value();
   const RowSet reference = HeapSnapshot(table);
 
-  // Two concurrently open scans: one leads, one attaches; the follower's
-  // batches come off the shared chunks (bulk copy), the leader's off its
-  // private buffer (swap) — both must reproduce the heap exactly.
+  // Two concurrently open scans of one table from different transactions,
+  // drained in the reverse of their open order: each walks its own chunks
+  // and must reproduce the heap exactly.
   auto t1 = fix.tm->Begin();
   auto t2 = fix.tm->Begin();
-  ASSERT_OK_AND_ASSIGN(auto lead,
+  ASSERT_OK_AND_ASSIGN(auto first,
                        fix.tm->OpenCursor(t1.get(), table,
                                           AccessPlan::TableScan(),
                                           ReadOrigin::kStatement));
-  ASSERT_OK_AND_ASSIGN(auto follow,
+  ASSERT_OK_AND_ASSIGN(auto second,
                        fix.tm->OpenCursor(t2.get(), table,
                                           AccessPlan::TableScan(),
                                           ReadOrigin::kStatement));
-  EXPECT_EQ(fix.tm->stats().shared_scan_leads.load(), 1u);
-  EXPECT_EQ(fix.tm->stats().shared_scan_attaches.load(), 1u);
-  EXPECT_EQ(Sorted(BatchDrain(follow.get(), RowBatch::kDefaultRows)),
+  EXPECT_EQ(Sorted(BatchDrain(second.get(), RowBatch::kDefaultRows)),
             reference);
-  EXPECT_EQ(Sorted(BatchDrain(lead.get(), RowBatch::kDefaultRows)), reference);
-  lead.reset();
-  follow.reset();
+  EXPECT_EQ(Sorted(BatchDrain(first.get(), RowBatch::kDefaultRows)), reference);
+  first.reset();
+  second.reset();
   ASSERT_OK(fix.tm->Commit(t1.get()));
   ASSERT_OK(fix.tm->Commit(t2.get()));
+}
+
+// The one heap-scan cursor serves locking and snapshot reads: every pull
+// method must return the same rows, in RowId order, on both paths.
+TEST(HeapScanTest, AllPullMethodsAgreeUnderLocksAndSnapshots) {
+  EngineFixture fix;
+  ASSERT_OK(fix.tm->CreateTable("T", KV()).status());
+  auto setup = fix.tm->Begin();
+  std::vector<RowId> rids;
+  for (int i = 0; i < 900; ++i) {
+    ASSERT_OK_AND_ASSIGN(RowId rid,
+                         fix.tm->Insert(setup.get(), "T",
+                                        Row({Value::Int(i), Value::Str("v")})));
+    rids.push_back(rid);
+  }
+  ASSERT_OK(fix.tm->Commit(setup.get()));
+  // Updates scattered over the heap, plus a delete of 256 consecutive rows
+  // (a whole chunk's worth of entries the snapshot below cannot see).
+  auto writes = fix.tm->Begin();
+  for (size_t i = 0; i < rids.size(); i += 7) {
+    ASSERT_OK(fix.tm->Update(writes.get(), "T", rids[i],
+                             Row({Value::Int(static_cast<int64_t>(i)),
+                                  Value::Str("upd")})));
+  }
+  for (size_t i = 300; i < 300 + RowBatch::kDefaultRows; ++i) {
+    ASSERT_OK(fix.tm->Delete(writes.get(), "T", rids[i]));
+  }
+  ASSERT_OK(fix.tm->Commit(writes.get()));
+  Table* table = fix.db.GetTable("T").value();
+  const RowSet at_snapshot = HeapSnapshot(table);
+  ASSERT_EQ(at_snapshot.size(), rids.size() - RowBatch::kDefaultRows);
+
+  // The snapshot is taken after those writes; a whole chunk of rows
+  // inserted after it lands at the heap's tail, invisible to it.
+  auto snap = fix.tm->Begin(IsolationLevel::kSnapshot);
+  auto late = fix.tm->Begin();
+  for (size_t i = 0; i < RowBatch::kDefaultRows + 10; ++i) {
+    ASSERT_OK(fix.tm->Insert(late.get(), "T",
+                             Row({Value::Int(5000), Value::Str("late")}))
+                  .status());
+  }
+  ASSERT_OK(fix.tm->Commit(late.get()));
+  const RowSet latest = HeapSnapshot(table);
+  ASSERT_EQ(latest.size(), at_snapshot.size() + RowBatch::kDefaultRows + 10);
+
+  const std::vector<
+      std::pair<const char*, std::function<RowSet(TableCursor*)>>>
+      methods = {
+          {"NextRef",
+           [](TableCursor* c) {
+             RowSet out;
+             RowId rid = 0;
+             const Row* row = nullptr;
+             while (c->NextRef(&rid, &row).value()) out.emplace_back(rid, *row);
+             return out;
+           }},
+          {"Next",
+           [](TableCursor* c) {
+             RowSet out;
+             RowId rid = 0;
+             Row row;
+             while (c->Next(&rid, &row).value()) out.emplace_back(rid, row);
+             return out;
+           }},
+          {"NextBatch(1)", [](TableCursor* c) { return BatchDrain(c, 1); }},
+          {"NextBatch(default)",
+           [](TableCursor* c) {
+             return BatchDrain(c, RowBatch::kDefaultRows);
+           }},
+          {"DrainRef",
+           [](TableCursor* c) {
+             RowSet out;
+             EXPECT_OK(c->DrainRef([&](RowId rid, const Row& row) {
+               out.emplace_back(rid, row);
+               return true;
+             }));
+             return out;
+           }},
+      };
+  auto locking = fix.tm->Begin(IsolationLevel::kSerializable);
+  for (const auto& [name, pull] : methods) {
+    ASSERT_OK_AND_ASSIGN(auto locked,
+                         fix.tm->OpenCursor(locking.get(), table,
+                                            AccessPlan::TableScan(),
+                                            ReadOrigin::kStatement));
+    EXPECT_EQ(pull(locked.get()), latest) << "locking " << name;
+    ASSERT_OK_AND_ASSIGN(auto snapshot,
+                         fix.tm->OpenCursor(snap.get(), table,
+                                            AccessPlan::TableScan(),
+                                            ReadOrigin::kStatement));
+    EXPECT_EQ(pull(snapshot.get()), at_snapshot) << "snapshot " << name;
+  }
+  EXPECT_TRUE(fix.locks.Holds(locking->id(), LockKey::Table(table->id()),
+                              LockMode::kS));
+  EXPECT_EQ(fix.locks.HeldCount(snap->id()), 0u);
+  ASSERT_OK(fix.tm->Commit(locking.get()));
+  ASSERT_OK(fix.tm->Commit(snap.get()));
 }
 
 TEST(BatchCursorTest, FetchedRowCursorsBatchWithSizeHints) {
