@@ -8,7 +8,8 @@
 # fig6a concurrency point from a dedicated Release tree (build-bench) and
 # emits BENCH_sql.json / BENCH_fig6a.json trajectory points in the repo
 # root; one short point each of the fig6b (pending transactions) and
-# fig6c (entanglement complexity) benches must also run without error.
+# fig6c (entanglement complexity) benches must also run without error,
+# and bench_lock_manager must run all its cases.
 # bench_sql prints a MetricsRegistry::DumpText() snapshot to stderr
 # on exit, and the *MetricsOff ablation pair is diffed into an
 # instrumentation-overhead table (budget: <= 5%). Debug binaries are never benched: the configuration is checked,
@@ -17,8 +18,8 @@
 # into a gate: any benchmark more than 1.5x slower than the committed
 # baseline fails the script (1.3x stays a warning — smoke boxes are noisy).
 # With --tsan, additionally builds a ThreadSanitizer tree (build-tsan) and
-# races the lock/txn/sql/shard/mvcc/torture suites under it — the key-range
-# lock conflict paths, concurrent heap scans under writers, the shard
+# races the lock/txn/sql/shard/mvcc/torture suites under it (lock_test
+# repeated 20 times) — the key-range lock conflict paths, concurrent heap scans under writers, the shard
 # router's parallel fanout drains + concurrent-writer differential,
 # the MVCC snapshot-vs-writer races, and the fault-injected crash-recover
 # cycles are all exercised by those binaries' concurrent tests.
@@ -81,7 +82,7 @@ if [[ "${bench_smoke}" == 1 ]]; then
     exit 1
   fi
   cmake --build build-bench -j --target bench_sql bench_fig6a_concurrency \
-        bench_fig6b_pending bench_fig6c_complexity
+        bench_fig6b_pending bench_fig6c_complexity bench_lock_manager
   # Keep the committed baseline around for the regression diff below.
   bench_baseline=$(mktemp)
   git show HEAD:BENCH_sql.json > "${bench_baseline}" 2>/dev/null || \
@@ -207,6 +208,12 @@ PYEOF
     rm -f "${point_json}"
   done
   echo "fig6b/fig6c smoke points passed"
+  # The lock-manager microbenches (uncontended, hierarchical, contended,
+  # deadlock-check paths) must run to completion.
+  if ! ./build-bench/bench_lock_manager --benchmark_min_time=0.05; then
+    echo "bench_lock_manager failed" >&2
+    exit 1
+  fi
 fi
 
 if [[ "${tsan}" == 1 ]]; then
@@ -215,7 +222,10 @@ if [[ "${tsan}" == 1 ]]; then
         -DYOUTOPIA_BUILD_BENCH=OFF -DYOUTOPIA_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j \
         --target lock_test txn_test sql_test shard_test mvcc_test torture_test
-  for t in lock_test txn_test sql_test shard_test mvcc_test; do
+  # The lock manager's grant/wait races are timing-dependent: repeat them.
+  echo "== tsan: lock_test (x20)"
+  ./build-tsan/lock_test --gtest_repeat=20
+  for t in txn_test sql_test shard_test mvcc_test; do
     echo "== tsan: ${t}"
     ./build-tsan/${t}
   done

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 #include <unordered_set>
 
 #include "src/common/clock.h"
@@ -77,561 +78,225 @@ Status ProbeAcquireFault(LockStats* stats) {
   return s;
 }
 
-/// A request is "fully granted" when it holds the mode it asked for.
-bool FullyGranted(const LockManager* /*unused*/, bool granted, LockMode held,
-                  LockMode wanted) {
-  return granted && held == wanted;
-}
+/// The interval every point and index-key request carries.
+constinit const IndexRange kWholeKey{};
 
 }  // namespace
 
+bool LockManager::Request::WaitsFor(const Request& o) const {
+  if (o.txn == txn) return false;
+  if (!o.granted && (granted || o.seq > seq)) return false;
+  return !Compatible(o.granted ? o.held : o.wanted, wanted) &&
+         o.range.Overlaps(range);
+}
+
 Status LockManager::Acquire(TxnId txn, LockKey key, LockMode mode,
                             int64_t timeout_micros) {
-  YT_RETURN_IF_ERROR(ProbeAcquireFault(&stats_));
-  LockWaitRecorder wait_recorder;
-  std::unique_lock<std::mutex> g(mu_);
-  KeyState& st = keys_[key];
-
-  // Find or create this transaction's request on the key.
-  Request* mine = nullptr;
-  for (Request& r : st.requests) {
-    if (r.txn == txn) {
-      mine = &r;
-      break;
-    }
-  }
-  bool was_upgrade = false;
-  if (mine != nullptr) {
-    if (mine->granted && Covers(mine->held, mode)) {
-      return Status::Ok();  // re-entrant acquire
-    }
-    LockMode joined = Join(mine->granted ? mine->held : mine->wanted, mode);
-    if (mine->granted && joined != mine->held) {
-      was_upgrade = true;
-      stats_.upgrades.fetch_add(1, std::memory_order_relaxed);
-    }
-    mine->wanted = joined;
-  } else {
-    Request r;
-    r.txn = txn;
-    r.wanted = mode;
-    r.held = mode;  // meaningful once granted
-    r.granted = false;
-    r.seq = next_seq_++;
-    st.requests.push_back(r);
-    mine = &st.requests.back();
-  }
-
-  auto find_mine = [&]() -> Request* {
-    for (Request& r : keys_[key].requests) {
-      if (r.txn == txn) return &r;
-    }
-    return nullptr;
-  };
-
-  GrantPendingLocked(key);
-  mine = find_mine();
-
-  bool waited = false;
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(
-                      timeout_micros < 0 ? int64_t{1} << 40 : timeout_micros);
-
-  while (!FullyGranted(this, mine->granted, mine->held, mine->wanted)) {
-    if (!waited) {
-      waited = true;
-      stats_.waits.fetch_add(1, std::memory_order_relaxed);
-      wait_recorder.OnFirstWait();
-    }
-    if (DeadlockedLocked(txn)) {
-      stats_.deadlocks.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_enabled()) LockMetrics().deadlocks->Add();
-      // Roll back the request: revert an upgrade, drop a fresh request.
-      if (mine->granted) {
-        mine->wanted = mine->held;
-      } else {
-        auto& reqs = keys_[key].requests;
-        reqs.erase(std::remove_if(reqs.begin(), reqs.end(),
-                                  [&](const Request& r) { return r.txn == txn; }),
-                   reqs.end());
-      }
-      GrantPendingLocked(key);
-      cv_.notify_all();
-      return Status::Aborted("deadlock detected; transaction " +
-                             std::to_string(txn) + " chosen as victim");
-    }
-    if (cv_.wait_until(g, deadline) == std::cv_status::timeout) {
-      mine = find_mine();
-      if (mine != nullptr &&
-          FullyGranted(this, mine->granted, mine->held, mine->wanted)) {
-        break;  // granted exactly at the deadline
-      }
-      stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_enabled()) LockMetrics().timeouts->Add();
-      if (mine != nullptr) {
-        if (mine->granted) {
-          mine->wanted = mine->held;
-        } else {
-          auto& reqs = keys_[key].requests;
-          reqs.erase(
-              std::remove_if(reqs.begin(), reqs.end(),
-                             [&](const Request& r) { return r.txn == txn; }),
-              reqs.end());
-        }
-      }
-      GrantPendingLocked(key);
-      cv_.notify_all();
-      return Status::TimedOut("lock wait timeout on table " +
-                              std::to_string(key.table));
-    }
-    GrantPendingLocked(key);
-    mine = find_mine();
-    if (mine == nullptr) {
-      return Status::Internal("lock request vanished while waiting");
-    }
-  }
-
-  // Track the key for ReleaseAll (only once per key).
-  auto& keys_held = held_[txn];
-  if (std::find(keys_held.begin(), keys_held.end(), key) == keys_held.end()) {
-    keys_held.push_back(key);
-  }
-  stats_.acquisitions.fetch_add(1, std::memory_order_relaxed);
-  (void)was_upgrade;
-  return Status::Ok();
+  Seat seat{.key = key, .range = &kWholeKey};
+  return AcquireSeats(txn, {&seat, 1}, mode, timeout_micros);
 }
 
 Status LockManager::AcquireBatch(TxnId txn, const std::vector<LockKey>& keys,
                                  LockMode mode, int64_t timeout_micros) {
   if (keys.empty()) return Status::Ok();
+  // A one-row statement is common: keep it off the dedup set and the heap.
   if (keys.size() == 1) return Acquire(txn, keys[0], mode, timeout_micros);
-  YT_RETURN_IF_ERROR(ProbeAcquireFault(&stats_));
-  LockWaitRecorder wait_recorder;
-  std::unique_lock<std::mutex> g(mu_);
-
-  // Enqueue every request in one pass. Re-entrant keys (already granted
-  // covering `mode`) drop out of the batch immediately; duplicates collapse.
+  // Duplicate keys collapse to their first seat.
   std::unordered_set<LockKey, LockKeyHash> seen;
-  std::vector<LockKey> batch;
-  batch.reserve(keys.size());
+  std::vector<Seat> seats;
+  seats.reserve(keys.size());
   for (const LockKey& key : keys) {
-    if (!seen.insert(key).second) continue;
-    KeyState& st = keys_[key];
-    Request* mine = nullptr;
-    for (Request& r : st.requests) {
-      if (r.txn == txn) {
-        mine = &r;
-        break;
-      }
+    if (seen.insert(key).second) {
+      seats.push_back(Seat{.key = key, .range = &kWholeKey});
     }
-    if (mine != nullptr) {
-      if (mine->granted && Covers(mine->held, mode)) continue;  // re-entrant
-      LockMode joined = Join(mine->granted ? mine->held : mine->wanted, mode);
-      if (mine->granted && joined != mine->held) {
-        stats_.upgrades.fetch_add(1, std::memory_order_relaxed);
-      }
-      mine->wanted = joined;
-    } else {
-      Request r;
-      r.txn = txn;
-      r.wanted = mode;
-      r.held = mode;  // meaningful once granted
-      r.granted = false;
-      r.seq = next_seq_++;
-      st.requests.push_back(r);
-    }
-    batch.push_back(key);
   }
-  if (batch.empty()) return Status::Ok();
-
-  auto find_mine = [&](const LockKey& key) -> Request* {
-    auto it = keys_.find(key);
-    if (it == keys_.end()) return nullptr;
-    for (Request& r : it->second.requests) {
-      if (r.txn == txn) return &r;
-    }
-    return nullptr;
-  };
-  auto settle = [&]() {
-    for (const LockKey& key : batch) GrantPendingLocked(key);
-  };
-  auto all_granted = [&]() {
-    for (const LockKey& key : batch) {
-      Request* mine = find_mine(key);
-      if (mine == nullptr ||
-          !FullyGranted(this, mine->granted, mine->held, mine->wanted)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  // Failure cleanup: still-waiting requests are dropped (upgrades reverted),
-  // and whatever was already granted is recorded so Strict-2PL ReleaseAll
-  // finds it when the caller aborts.
-  auto rollback_waiting = [&]() {
-    for (const LockKey& key : batch) {
-      Request* mine = find_mine(key);
-      if (mine == nullptr) continue;
-      if (mine->granted) {
-        mine->wanted = mine->held;
-      } else {
-        auto& reqs = keys_[key].requests;
-        reqs.erase(
-            std::remove_if(reqs.begin(), reqs.end(),
-                           [&](const Request& r) { return r.txn == txn; }),
-            reqs.end());
-      }
-      GrantPendingLocked(key);
-    }
-  };
-  auto record_granted = [&]() {
-    auto& keys_held = held_[txn];
-    for (const LockKey& key : batch) {
-      Request* mine = find_mine(key);
-      if (mine == nullptr || !mine->granted) continue;
-      if (std::find(keys_held.begin(), keys_held.end(), key) ==
-          keys_held.end()) {
-        keys_held.push_back(key);
-      }
-      stats_.acquisitions.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  settle();
-  bool waited = false;
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(
-                      timeout_micros < 0 ? int64_t{1} << 40 : timeout_micros);
-  while (!all_granted()) {
-    if (!waited) {
-      waited = true;
-      stats_.waits.fetch_add(1, std::memory_order_relaxed);
-      wait_recorder.OnFirstWait();
-    }
-    if (DeadlockedLocked(txn)) {
-      stats_.deadlocks.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_enabled()) LockMetrics().deadlocks->Add();
-      rollback_waiting();
-      record_granted();
-      cv_.notify_all();
-      return Status::Aborted("deadlock detected; transaction " +
-                             std::to_string(txn) + " chosen as victim");
-    }
-    if (cv_.wait_until(g, deadline) == std::cv_status::timeout) {
-      settle();
-      if (all_granted()) break;  // granted exactly at the deadline
-      stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_enabled()) LockMetrics().timeouts->Add();
-      rollback_waiting();
-      record_granted();
-      cv_.notify_all();
-      return Status::TimedOut("batch lock wait timeout (" +
-                              std::to_string(batch.size()) + " keys)");
-    }
-    settle();
-  }
-  record_granted();
-  return Status::Ok();
+  return AcquireSeats(txn, seats, mode, timeout_micros);
 }
 
 Status LockManager::AcquireRange(TxnId txn, RangeSpaceKey space,
                                  const IndexRange& range, LockMode mode,
                                  int64_t timeout_micros) {
+  Seat seat{.space = &space, .range = &range};
+  return AcquireSeats(txn, {&seat, 1}, mode, timeout_micros);
+}
+
+Status LockManager::AcquireSeats(TxnId txn, std::span<Seat> seats,
+                                 LockMode mode, int64_t timeout_micros) {
   YT_RETURN_IF_ERROR(ProbeAcquireFault(&stats_));
   LockWaitRecorder wait_recorder;
   std::unique_lock<std::mutex> g(mu_);
-  RangeSpaceState& st = ranges_[space];
 
-  // Identity of a range request is (txn, exact interval): repeats merge and
-  // upgrade like point locks; different intervals of the same transaction
-  // coexist (and never conflict with each other).
-  RangeRequest* mine = nullptr;
-  for (RangeRequest& r : st.requests) {
-    if (r.txn == txn && r.range == range) {
-      mine = &r;
-      break;
+  // Enqueue every seat (FIFO seats in order) or merge it into this
+  // transaction's request on the same target; a request already covering
+  // `mode` is a re-entrant hit and leaves the call.
+  const uint64_t first_seq = next_seq_;
+  size_t live = 0;
+  for (Seat& s : seats) {
+    Queue& q = s.space != nullptr ? ranges_[*s.space] : keys_[s.key];
+    Request* mine = FindRequest(q, txn, *s.range);
+    if (mine == nullptr) {
+      q.push_back(Request{.txn = txn,
+                          .held = mode,
+                          .wanted = mode,
+                          .seq = next_seq_++,
+                          .range = *s.range});
+      mine = &q.back();
+    } else if (mine->granted && Covers(mine->held, mode)) {
+      continue;
+    } else {
+      mine->wanted = Join(mine->granted ? mine->held : mine->wanted, mode);
     }
+    GrantLocked(q);
+    s.req = mine;
+    seats[live++] = s;
   }
-  if (mine != nullptr) {
-    if (mine->granted && Covers(mine->held, mode)) {
-      return Status::Ok();  // re-entrant acquire
-    }
-    LockMode joined = Join(mine->granted ? mine->held : mine->wanted, mode);
-    if (mine->granted && joined != mine->held) {
-      stats_.upgrades.fetch_add(1, std::memory_order_relaxed);
-    }
-    mine->wanted = joined;
-  } else {
-    RangeRequest r;
-    r.txn = txn;
-    r.range = range;
-    r.wanted = mode;
-    r.held = mode;  // meaningful once granted
-    r.granted = false;
-    r.seq = next_seq_++;
-    st.requests.push_back(std::move(r));
-  }
+  seats = seats.first(live);
 
-  auto find_mine = [&]() -> RangeRequest* {
-    auto it = ranges_.find(space);
-    if (it == ranges_.end()) return nullptr;
-    for (RangeRequest& r : it->second.requests) {
-      if (r.txn == txn && r.range == range) return &r;
-    }
-    return nullptr;
+  auto all_granted = [&] {
+    return std::all_of(seats.begin(), seats.end(),
+                       [](const Seat& s) { return s.req->fully_granted(); });
   };
-  auto drop_mine = [&]() {
-    auto it = ranges_.find(space);
-    if (it == ranges_.end()) return;
-    auto& reqs = it->second.requests;
-    reqs.erase(std::remove_if(reqs.begin(), reqs.end(),
-                              [&](const RangeRequest& r) {
-                                return r.txn == txn && r.range == range;
-                              }),
-               reqs.end());
-  };
-
-  GrantPendingRangeLocked(space);
-  mine = find_mine();
-
   bool waited = false;
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(
-                      timeout_micros < 0 ? int64_t{1} << 40 : timeout_micros);
-
-  while (!(mine->granted && mine->held == mine->wanted)) {
+  std::chrono::steady_clock::time_point deadline;
+  while (!all_granted()) {
     if (!waited) {
       waited = true;
       stats_.waits.fetch_add(1, std::memory_order_relaxed);
       wait_recorder.OnFirstWait();
+      deadline = std::chrono::steady_clock::now() +
+                 std::chrono::microseconds(timeout_micros < 0 ? int64_t{1} << 40
+                                                              : timeout_micros);
     }
     if (DeadlockedLocked(txn)) {
       stats_.deadlocks.fetch_add(1, std::memory_order_relaxed);
       if (metrics_enabled()) LockMetrics().deadlocks->Add();
-      if (mine->granted) {
-        mine->wanted = mine->held;
-      } else {
-        drop_mine();
-      }
-      GrantPendingRangeLocked(space);
-      cv_.notify_all();
-      return Status::Aborted("deadlock detected; transaction " +
-                             std::to_string(txn) + " chosen as victim");
+      return FailLocked(txn, seats, first_seq,
+                        Status::Aborted("deadlock detected; transaction " +
+                                        std::to_string(txn) +
+                                        " chosen as victim"));
     }
-    if (cv_.wait_until(g, deadline) == std::cv_status::timeout) {
-      mine = find_mine();
-      if (mine != nullptr && mine->granted && mine->held == mine->wanted) {
-        break;  // granted exactly at the deadline
-      }
+    const bool timed_out =
+        cv_.wait_until(g, deadline) == std::cv_status::timeout;
+    // mu_ was released: queues may have moved under the seats.
+    bool vanished = false;
+    for (Seat& s : seats) vanished |= !FindSeatLocked(txn, &s);
+    if (vanished) {
+      return FailLocked(txn, seats, first_seq,
+                        Status::Internal("lock request vanished while waiting"));
+    }
+    if (timed_out && !all_granted()) {  // not granted exactly at the deadline
       stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
       if (metrics_enabled()) LockMetrics().timeouts->Add();
-      if (mine != nullptr) {
-        if (mine->granted) {
-          mine->wanted = mine->held;
-        } else {
-          drop_mine();
-        }
-      }
-      GrantPendingRangeLocked(space);
-      cv_.notify_all();
-      return Status::TimedOut("key-range lock wait timeout on table " +
-                              std::to_string(space.table));
-    }
-    GrantPendingRangeLocked(space);
-    mine = find_mine();
-    if (mine == nullptr) {
-      return Status::Internal("range lock request vanished while waiting");
+      const TableId table =
+          seats[0].space != nullptr ? seats[0].space->table : seats[0].key.table;
+      return FailLocked(
+          txn, seats, first_seq,
+          Status::TimedOut("lock wait timeout on table " +
+                           std::to_string(table)));
     }
   }
-
-  auto& spaces = held_ranges_[txn];
-  if (std::find(spaces.begin(), spaces.end(), space) == spaces.end()) {
-    spaces.push_back(space);
-  }
-  stats_.range_acquisitions.fetch_add(1, std::memory_order_relaxed);
+  RecordGrantedLocked(txn, seats, first_seq);
   return Status::Ok();
 }
 
-bool LockManager::GrantableRangeLocked(const RangeSpaceState& st,
-                                       const RangeRequest& r) const {
-  for (const RangeRequest& q : st.requests) {
-    if (q.txn == r.txn || !q.granted) continue;
-    if (!Compatible(q.held, r.wanted) && q.range.Overlaps(r.range)) {
-      return false;
-    }
+LockManager::Request* LockManager::FindRequest(Queue& q, TxnId txn,
+                                               const IndexRange& range) {
+  for (Request& r : q) {
+    if (r.txn == txn && r.range == range) return &r;
   }
-  return true;
+  return nullptr;
 }
 
-bool LockManager::GrantPendingRangeLocked(const RangeSpaceKey& space) {
-  auto it = ranges_.find(space);
-  if (it == ranges_.end()) return false;
-  RangeSpaceState& st = it->second;
-  bool any = false;
+bool LockManager::FindSeatLocked(TxnId txn, Seat* s) {
+  s->req = nullptr;
+  if (s->space != nullptr) {
+    auto it = ranges_.find(*s->space);
+    if (it != ranges_.end()) s->req = FindRequest(it->second, txn, *s->range);
+  } else {
+    auto it = keys_.find(s->key);
+    if (it != keys_.end()) s->req = FindRequest(it->second, txn, *s->range);
+  }
+  return s->req != nullptr;
+}
 
-  // Pass 1: pending upgrades jump the queue.
-  for (RangeRequest& r : st.requests) {
-    if (r.granted && r.held != r.wanted && GrantableRangeLocked(st, r)) {
+Status LockManager::FailLocked(TxnId txn, std::span<Seat> seats,
+                               uint64_t first_seq, Status why) {
+  for (Seat& s : seats) {
+    if (s.req == nullptr || s.req->fully_granted()) continue;
+    const bool upgrade = s.req->granted;
+    s.req->wanted = s.req->held;
+    s.req = nullptr;  // nothing acquired on this seat
+    if (upgrade) continue;  // a reverted upgrade unblocks nobody
+    auto waiting = [&](const Request& r) {
+      return !r.granted && r.range == *s.range;
+    };
+    if (s.space != nullptr) {
+      ReleaseLocked(ranges_, *s.space, txn, waiting);
+    } else {
+      ReleaseLocked(keys_, s.key, txn, waiting);
+    }
+  }
+  RecordGrantedLocked(txn, seats, first_seq);
+  return why;
+}
+
+void LockManager::RecordGrantedLocked(TxnId txn, std::span<const Seat> seats,
+                                      uint64_t first_seq) {
+  for (const Seat& s : seats) {
+    if (s.req == nullptr || !s.req->granted) continue;
+    stats_.acquisitions.fetch_add(1, std::memory_order_relaxed);
+    // Requests from earlier calls were registered when first granted.
+    if (s.req->seq < first_seq) continue;
+    if (s.space == nullptr) {
+      held_[txn].push_back(s.key);
+    } else {
+      auto& spaces = held_ranges_[txn];
+      if (std::find(spaces.begin(), spaces.end(), *s.space) == spaces.end()) {
+        spaces.push_back(*s.space);
+      }
+    }
+  }
+}
+
+void LockManager::GrantLocked(Queue& q) {
+  auto blocked = [&q](const Request& r) {
+    return std::any_of(q.begin(), q.end(),
+                       [&r](const Request& o) { return r.WaitsFor(o); });
+  };
+  bool any = false;
+  // Pending upgrades first: they wait only for granted requests.
+  for (Request& r : q) {
+    if (r.granted && r.held != r.wanted && !blocked(r)) {
       r.held = r.wanted;
       any = true;
     }
   }
-  // Pass 2: FIFO over fresh requests, but only an *overlapping* earlier
-  // incompatible waiter blocks — requests on disjoint intervals pass each
-  // other freely (the whole point of range granularity).
-  std::vector<RangeRequest*> pending;
-  for (RangeRequest& r : st.requests) {
-    if (!r.granted) pending.push_back(&r);
-  }
-  std::sort(pending.begin(), pending.end(),
-            [](const RangeRequest* a, const RangeRequest* b) {
-              return a->seq < b->seq;
-            });
-  for (size_t i = 0; i < pending.size(); ++i) {
-    RangeRequest* r = pending[i];
-    if (r->granted || !GrantableRangeLocked(st, *r)) continue;
-    bool blocked = false;
-    for (size_t j = 0; j < i && !blocked; ++j) {
-      const RangeRequest* q = pending[j];
-      blocked = !q->granted && q->txn != r->txn &&
-                !Compatible(q->wanted, r->wanted) &&
-                q->range.Overlaps(r->range);
-    }
-    if (blocked) continue;
-    r->granted = true;
-    r->held = r->wanted;
-    any = true;
-  }
-  if (st.requests.empty()) ranges_.erase(it);
-  if (any) cv_.notify_all();
-  return any;
-}
-
-void LockManager::ReleaseSharedRange(TxnId txn, RangeSpaceKey space,
-                                     const IndexRange& range) {
-  std::lock_guard<std::mutex> g(mu_);
-  auto it = ranges_.find(space);
-  if (it == ranges_.end()) return;
-  auto& reqs = it->second.requests;
-  reqs.erase(std::remove_if(reqs.begin(), reqs.end(),
-                            [&](const RangeRequest& r) {
-                              return r.txn == txn && r.range == range &&
-                                     r.granted && r.held == r.wanted &&
-                                     r.held == LockMode::kS;
-                            }),
-             reqs.end());
-  GrantPendingRangeLocked(space);
-  cv_.notify_all();
-}
-
-bool LockManager::HoldsRange(TxnId txn, RangeSpaceKey space,
-                             const IndexRange& range, LockMode mode) const {
-  std::lock_guard<std::mutex> g(mu_);
-  auto it = ranges_.find(space);
-  if (it == ranges_.end()) return false;
-  for (const RangeRequest& r : it->second.requests) {
-    if (r.txn == txn && r.range == range && r.granted &&
-        Covers(r.held, mode)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-size_t LockManager::HeldRangeCount(TxnId txn) const {
-  std::lock_guard<std::mutex> g(mu_);
-  size_t n = 0;
-  auto hit = held_ranges_.find(txn);
-  if (hit == held_ranges_.end()) return 0;
-  for (const RangeSpaceKey& space : hit->second) {
-    auto it = ranges_.find(space);
-    if (it == ranges_.end()) continue;
-    for (const RangeRequest& r : it->second.requests) {
-      if (r.txn == txn && r.granted) ++n;
-    }
-  }
-  return n;
-}
-
-bool LockManager::GrantableLocked(const KeyState& st, const Request& r) const {
-  for (const Request& q : st.requests) {
-    if (q.txn == r.txn || !q.granted) continue;
-    if (!Compatible(q.held, r.wanted)) return false;
-  }
-  return true;
-}
-
-bool LockManager::GrantPendingLocked(const LockKey& key) {
-  auto it = keys_.find(key);
-  if (it == keys_.end()) return false;
-  KeyState& st = it->second;
-  bool any = false;
-
-  // Pass 1: pending upgrades (granted but wanting more) jump the queue.
-  for (Request& r : st.requests) {
-    if (r.granted && r.held != r.wanted && GrantableLocked(st, r)) {
+  // Then fresh requests in arrival order, each seeing the grants before it.
+  for (Request& r : q) {
+    if (!r.granted && !blocked(r)) {
+      r.granted = true;
       r.held = r.wanted;
       any = true;
     }
   }
-  // Pass 2: strict FIFO over fresh requests.
-  std::vector<Request*> pending;
-  for (Request& r : st.requests) {
-    if (!r.granted) pending.push_back(&r);
-  }
-  std::sort(pending.begin(), pending.end(),
-            [](const Request* a, const Request* b) { return a->seq < b->seq; });
-  for (Request* r : pending) {
-    if (!GrantableLocked(st, *r)) break;
-    r->granted = true;
-    r->held = r->wanted;
-    any = true;
-  }
-  if (st.requests.empty()) keys_.erase(it);
   if (any) cv_.notify_all();
-  return any;
-}
-
-void LockManager::CollectWaitsForLocked(
-    TxnId /*txn*/, std::unordered_map<TxnId, std::set<TxnId>>* graph) const {
-  for (const auto& [key, st] : keys_) {
-    for (const Request& r : st.requests) {
-      bool r_waiting = !r.granted || r.held != r.wanted;
-      if (!r_waiting) continue;
-      for (const Request& q : st.requests) {
-        if (q.txn == r.txn) continue;
-        bool blocks = false;
-        if (q.granted && !Compatible(q.held, r.wanted)) blocks = true;
-        // Queue-order blocking: an earlier incompatible waiter also blocks.
-        if (!q.granted && q.seq < r.seq && !Compatible(q.wanted, r.wanted)) {
-          blocks = true;
-        }
-        if (blocks) (*graph)[r.txn].insert(q.txn);
-      }
-    }
-  }
-  // Range waits: same structure, with interval overlap as the extra
-  // conflict condition (disjoint intervals never block).
-  for (const auto& [space, st] : ranges_) {
-    for (const RangeRequest& r : st.requests) {
-      bool r_waiting = !r.granted || r.held != r.wanted;
-      if (!r_waiting) continue;
-      for (const RangeRequest& q : st.requests) {
-        if (q.txn == r.txn || !q.range.Overlaps(r.range)) continue;
-        bool blocks = false;
-        if (q.granted && !Compatible(q.held, r.wanted)) blocks = true;
-        if (!q.granted && q.seq < r.seq && !Compatible(q.wanted, r.wanted)) {
-          blocks = true;
-        }
-        if (blocks) (*graph)[r.txn].insert(q.txn);
-      }
-    }
-  }
 }
 
 bool LockManager::DeadlockedLocked(TxnId txn) const {
+  // Waits-for graph over both queue maps, edges from WaitsFor.
   std::unordered_map<TxnId, std::set<TxnId>> graph;
-  CollectWaitsForLocked(txn, &graph);
+  auto collect = [&graph](const auto& queues) {
+    for (const auto& [target, q] : queues) {
+      for (const Request& r : q) {
+        if (r.fully_granted()) continue;
+        for (const Request& o : q) {
+          if (r.WaitsFor(o)) graph[r.txn].insert(o.txn);
+        }
+      }
+    }
+  };
+  collect(keys_);
+  collect(ranges_);
   // DFS from txn looking for a cycle back to txn.
   std::vector<TxnId> stack;
   std::set<TxnId> visited;
@@ -650,115 +315,68 @@ bool LockManager::DeadlockedLocked(TxnId txn) const {
   return false;
 }
 
+template <typename Queues, typename Pred>
+bool LockManager::ReleaseLocked(Queues& queues,
+                                const typename Queues::key_type& target,
+                                TxnId txn, Pred pred) {
+  auto it = queues.find(target);
+  if (it == queues.end()) return false;
+  Queue& q = it->second;
+  std::erase_if(q, [&](const Request& r) { return r.txn == txn && pred(r); });
+  GrantLocked(q);
+  if (q.empty()) {
+    queues.erase(it);
+    return false;
+  }
+  return std::any_of(q.begin(), q.end(),
+                     [txn](const Request& r) { return r.txn == txn; });
+}
+
+template <typename Queues, typename Held, typename Pred>
+void LockManager::ReleaseHeldLocked(Queues& queues, Held& held, TxnId txn,
+                                    Pred pred) {
+  auto hit = held.find(txn);
+  if (hit == held.end()) return;
+  std::erase_if(hit->second, [&](const auto& target) {
+    return !ReleaseLocked(queues, target, txn, pred);
+  });
+  if (hit->second.empty()) held.erase(hit);
+}
+
 void LockManager::ReleaseAll(TxnId txn) {
   std::lock_guard<std::mutex> g(mu_);
-  auto hit = held_.find(txn);
-  if (hit != held_.end()) {
-    for (const LockKey& key : hit->second) {
-      auto kit = keys_.find(key);
-      if (kit == keys_.end()) continue;
-      auto& reqs = kit->second.requests;
-      reqs.erase(std::remove_if(reqs.begin(), reqs.end(),
-                                [&](const Request& r) { return r.txn == txn; }),
-                 reqs.end());
-      GrantPendingLocked(key);
-    }
-    held_.erase(hit);
-  }
-  auto rit = held_ranges_.find(txn);
-  if (rit != held_ranges_.end()) {
-    for (const RangeSpaceKey& space : rit->second) {
-      auto sit = ranges_.find(space);
-      if (sit == ranges_.end()) continue;
-      auto& reqs = sit->second.requests;
-      reqs.erase(
-          std::remove_if(reqs.begin(), reqs.end(),
-                         [&](const RangeRequest& r) { return r.txn == txn; }),
-          reqs.end());
-      GrantPendingRangeLocked(space);
-    }
-    held_ranges_.erase(rit);
-  }
-  cv_.notify_all();
+  auto all = [](const Request&) { return true; };
+  ReleaseHeldLocked(keys_, held_, txn, all);
+  ReleaseHeldLocked(ranges_, held_ranges_, txn, all);
 }
 
 void LockManager::ReleaseSharedLocks(TxnId txn) {
   std::lock_guard<std::mutex> g(mu_);
-  auto hit = held_.find(txn);
-  if (hit != held_.end()) {  // no early return: range locks release below
-    std::vector<LockKey> remaining;
-    for (const LockKey& key : hit->second) {
-      auto kit = keys_.find(key);
-      if (kit == keys_.end()) continue;
-      auto& reqs = kit->second.requests;
-      bool removed = false;
-      reqs.erase(std::remove_if(reqs.begin(), reqs.end(),
-                                [&](const Request& r) {
-                                  if (r.txn == txn && r.granted &&
-                                      r.held == r.wanted &&
-                                      (r.held == LockMode::kS ||
-                                       r.held == LockMode::kIS)) {
-                                    removed = true;
-                                    return true;
-                                  }
-                                  return false;
-                                }),
-                 reqs.end());
-      if (removed) {
-        GrantPendingLocked(key);
-      } else {
-        remaining.push_back(key);
-      }
-    }
-    hit->second = std::move(remaining);
-  }
-  auto rit = held_ranges_.find(txn);
-  if (rit != held_ranges_.end()) {
-    for (const RangeSpaceKey& space : rit->second) {
-      auto sit = ranges_.find(space);
-      if (sit == ranges_.end()) continue;
-      auto& reqs = sit->second.requests;
-      bool removed = false;
-      reqs.erase(std::remove_if(reqs.begin(), reqs.end(),
-                                [&](const RangeRequest& r) {
-                                  if (r.txn == txn && r.granted &&
-                                      r.held == r.wanted &&
-                                      r.held == LockMode::kS) {
-                                    removed = true;
-                                    return true;
-                                  }
-                                  return false;
-                                }),
-                 reqs.end());
-      if (removed) GrantPendingRangeLocked(space);
-    }
-  }
-  cv_.notify_all();
+  auto shared = [](const Request& r) { return r.granted_shared(); };
+  ReleaseHeldLocked(keys_, held_, txn, shared);
+  ReleaseHeldLocked(ranges_, held_ranges_, txn, shared);
 }
 
 void LockManager::ReleaseKey(TxnId txn, LockKey key) {
   std::lock_guard<std::mutex> g(mu_);
-  auto kit = keys_.find(key);
-  if (kit != keys_.end()) {
-    auto& reqs = kit->second.requests;
-    reqs.erase(std::remove_if(reqs.begin(), reqs.end(),
-                              [&](const Request& r) { return r.txn == txn; }),
-               reqs.end());
-    GrantPendingLocked(key);
-  }
+  ReleaseLocked(keys_, key, txn, [](const Request&) { return true; });
   auto hit = held_.find(txn);
-  if (hit != held_.end()) {
-    auto& v = hit->second;
-    v.erase(std::remove(v.begin(), v.end(), key), v.end());
-  }
-  cv_.notify_all();
+  if (hit != held_.end()) std::erase(hit->second, key);
+}
+
+void LockManager::ReleaseSharedRange(TxnId txn, RangeSpaceKey space,
+                                     const IndexRange& range) {
+  std::lock_guard<std::mutex> g(mu_);
+  ReleaseLocked(ranges_, space, txn, [&](const Request& r) {
+    return r.range == range && r.granted_shared();
+  });
 }
 
 bool LockManager::Holds(TxnId txn, LockKey key, LockMode mode) const {
   std::lock_guard<std::mutex> g(mu_);
   auto it = keys_.find(key);
   if (it == keys_.end()) return false;
-  for (const Request& r : it->second.requests) {
+  for (const Request& r : it->second) {
     if (r.txn == txn && r.granted && Covers(r.held, mode)) return true;
   }
   return false;
@@ -768,6 +386,35 @@ size_t LockManager::HeldCount(TxnId txn) const {
   std::lock_guard<std::mutex> g(mu_);
   auto it = held_.find(txn);
   return it == held_.end() ? 0 : it->second.size();
+}
+
+bool LockManager::HoldsRange(TxnId txn, RangeSpaceKey space,
+                             const IndexRange& range, LockMode mode) const {
+  std::lock_guard<std::mutex> g(mu_);
+  auto it = ranges_.find(space);
+  if (it == ranges_.end()) return false;
+  for (const Request& r : it->second) {
+    if (r.txn == txn && r.range == range && r.granted &&
+        Covers(r.held, mode)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+size_t LockManager::HeldRangeCount(TxnId txn) const {
+  std::lock_guard<std::mutex> g(mu_);
+  size_t n = 0;
+  auto hit = held_ranges_.find(txn);
+  if (hit == held_ranges_.end()) return 0;
+  for (const RangeSpaceKey& space : hit->second) {
+    auto it = ranges_.find(space);
+    if (it == ranges_.end()) continue;
+    for (const Request& r : it->second) {
+      if (r.txn == txn && r.granted) ++n;
+    }
+  }
+  return n;
 }
 
 }  // namespace youtopia

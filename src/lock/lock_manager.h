@@ -5,7 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -70,31 +70,39 @@ struct RangeSpaceKeyHash {
   }
 };
 
-/// Counters exposed for the lock-manager ablation bench. Range locks share
-/// waits/deadlocks/timeouts with point locks; range_acquisitions counts
-/// successful key-range grants separately.
+/// Counters exposed for the lock-manager ablation bench. Point and range
+/// locks count together: `acquisitions` is one per granted target of a
+/// successful (or partially granted) acquire, re-entrant hits excluded.
 struct LockStats {
   std::atomic<uint64_t> acquisitions{0};
   std::atomic<uint64_t> waits{0};
   std::atomic<uint64_t> deadlocks{0};
   std::atomic<uint64_t> timeouts{0};
-  std::atomic<uint64_t> upgrades{0};
-  std::atomic<uint64_t> range_acquisitions{0};
 };
 
 /// Centralized Strict-2PL lock manager.
 ///
-/// * FIFO wait queues per key; a request is granted when compatible with all
-///   locks granted to *other* transactions and no earlier incompatible
-///   waiter exists (upgrades jump the queue, the standard anti-starvation
-///   exception).
-/// * Mode upgrades merge into a single request per (txn, key) whose mode is
-///   the lattice join of everything the transaction asked for.
+/// * One FIFO queue per lock target: a point/index key, or an ordered
+///   index's key space (RangeSpaceKey) whose requests each carry an
+///   interval. Point and index-key requests always overlap each other;
+///   range requests overlap when their intervals do.
+/// * Two requests *conflict* when they belong to different transactions,
+///   their modes are incompatible and their targets overlap. One grant rule
+///   covers both families: a pending upgrade is granted once it conflicts
+///   with no granted request (upgrades jump the queue, the standard
+///   anti-starvation exception); a fresh request is granted once it
+///   conflicts with no granted request and no earlier waiter. A later
+///   request compatible with every waiter ahead of it passes them.
+/// * Mode upgrades merge into a single request per (txn, target) whose mode
+///   is the lattice join of everything the transaction asked for.
 /// * Deadlocks are detected by the blocking thread via a waits-for graph
-///   cycle check; the *requesting* transaction is the victim and gets
-///   kAborted("deadlock").
+///   whose edges are exactly the conflicts the grant rule waits on; the
+///   *requesting* transaction is the victim and gets kAborted("deadlock").
 /// * Lock waits also honor a timeout (kTimedOut) so entangled runs can bound
 ///   blocking, per §4 of the paper.
+///
+/// A transaction issues one acquire at a time: outside an acquire call,
+/// every request it has is fully granted.
 class LockManager {
  public:
   LockManager() = default;
@@ -111,7 +119,7 @@ class LockManager {
   /// but keys already granted stay held (recorded for ReleaseAll), exactly
   /// the partial-hold state a sequential loop leaves when key k fails.
   /// Duplicate keys are acquired once. One "lock.acquire" fault probe per
-  /// call (per statement, not per row).
+  /// non-empty call (per statement, not per row).
   Status AcquireBatch(TxnId txn, const std::vector<LockKey>& keys,
                       LockMode mode, int64_t timeout_micros);
 
@@ -140,8 +148,8 @@ class LockManager {
   // conflict only when their modes are incompatible AND their intervals
   // overlap, so writers outside a scanned interval never block its readers
   // — this replaces the table-S fallback (and its phantom story) for range
-  // predicates. Range locks share the waits-for graph, deadlock detection,
-  // and timeout machinery with point locks.
+  // predicates. Range locks share the queue type, grant rule, waits-for
+  // graph, deadlock detection and timeout machinery with point locks.
 
   /// Acquires (or upgrades, for an identical interval) `mode` on `range`
   /// within `space` for `txn`. Same-transaction range locks never conflict.
@@ -164,50 +172,81 @@ class LockManager {
   LockStats& stats() { return stats_; }
 
  private:
+  /// One transaction's request on one target. Point and index-key requests
+  /// carry the whole key space (IndexRange::All()), so they overlap every
+  /// request on their key.
   struct Request {
     TxnId txn;
     LockMode held;    // meaningful when granted
     LockMode wanted;  // == held when fully granted
     bool granted = false;
     uint64_t seq = 0;  // FIFO arrival order
-  };
-  struct KeyState {
-    std::vector<Request> requests;
-  };
-  struct RangeRequest {
-    TxnId txn;
     IndexRange range;
-    LockMode held;
-    LockMode wanted;
-    bool granted = false;
-    uint64_t seq = 0;
+
+    bool fully_granted() const { return granted && held == wanted; }
+    /// A fully granted S/IS lock: what relaxed isolation levels release
+    /// early.
+    bool granted_shared() const {
+      return fully_granted() && (held == LockMode::kS || held == LockMode::kIS);
+    }
+    /// The one conflict relation, read by the grant rule and the waits-for
+    /// graph alike: this waiting request waits for `o` when they belong to
+    /// different transactions, their targets overlap, and `o` holds — or,
+    /// as an earlier waiter, wants — a mode incompatible with `wanted`.
+    /// Upgrades (granted requests) wait only for granted requests.
+    bool WaitsFor(const Request& o) const;
   };
-  struct RangeSpaceState {
-    std::vector<RangeRequest> requests;
+  /// A target's requests in arrival (seq) order: appends take a fresh seq
+  /// and erasure keeps order.
+  using Queue = std::vector<Request>;
+  /// One target of an acquire call and, while mu_ is held, this
+  /// transaction's request on it.
+  struct Seat {
+    LockKey key = {};                      // a point/index-key target, or
+    const RangeSpaceKey* space = nullptr;  // a key-range target in *space
+    const IndexRange* range = nullptr;     // the request's interval
+    Request* req = nullptr;
   };
 
-  /// Grants every grantable pending request on `key`; returns true if any
-  /// grant happened. Caller holds mu_.
-  bool GrantPendingLocked(const LockKey& key);
-  bool GrantableLocked(const KeyState& st, const Request& r) const;
-  /// Range twins of the above: conflicts additionally require interval
-  /// overlap, and FIFO blocking only applies between overlapping waiters
-  /// (disjoint requests pass each other freely). Caller holds mu_.
-  bool GrantPendingRangeLocked(const RangeSpaceKey& space);
-  bool GrantableRangeLocked(const RangeSpaceState& st,
-                            const RangeRequest& r) const;
-  /// True if a waits-for cycle through `txn` exists. Caller holds mu_.
+  /// The acquire core every entry point runs: one fault probe, enqueue or
+  /// merge every seat, grant, then the one wait loop. Re-entrant seats are
+  /// dropped from `seats` in place.
+  Status AcquireSeats(TxnId txn, std::span<Seat> seats, LockMode mode,
+                      int64_t timeout_micros);
+  /// `txn`'s request on `range` in `q`, or nullptr.
+  static Request* FindRequest(Queue& q, TxnId txn, const IndexRange& range);
+  /// Re-finds `s.req` after mu_ was released; false if it vanished.
+  bool FindSeatLocked(TxnId txn, Seat* s);
+  /// Failure exit of the wait loop: drops still-waiting requests (reverts
+  /// pending upgrades), records what was granted, returns `why`.
+  Status FailLocked(TxnId txn, std::span<Seat> seats, uint64_t first_seq,
+                    Status why);
+  /// Counts granted seats and registers newly granted targets (seq at or
+  /// after `first_seq`) for ReleaseAll.
+  void RecordGrantedLocked(TxnId txn, std::span<const Seat> seats,
+                           uint64_t first_seq);
+  /// The one grant rule, applied to every request of `q`; wakes waiters
+  /// when anything was granted.
+  void GrantLocked(Queue& q);
+  /// True if a waits-for cycle through `txn` exists.
   bool DeadlockedLocked(TxnId txn) const;
-  void CollectWaitsForLocked(
-      TxnId txn, std::unordered_map<TxnId, std::set<TxnId>>* graph) const;
+  /// Erases `txn`'s requests on `target` matching `pred`, re-grants the
+  /// queue and drops it once empty. Returns whether `txn` still has a
+  /// request there.
+  template <typename Queues, typename Pred>
+  bool ReleaseLocked(Queues& queues, const typename Queues::key_type& target,
+                     TxnId txn, Pred pred);
+  /// ReleaseLocked over every target `held` lists for `txn`, forgetting the
+  /// targets left with no request of `txn`.
+  template <typename Queues, typename Held, typename Pred>
+  void ReleaseHeldLocked(Queues& queues, Held& held, TxnId txn, Pred pred);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::unordered_map<LockKey, KeyState, LockKeyHash> keys_;
+  std::unordered_map<LockKey, Queue, LockKeyHash> keys_;
   std::unordered_map<TxnId, std::vector<LockKey>> held_;
-  std::unordered_map<RangeSpaceKey, RangeSpaceState, RangeSpaceKeyHash>
-      ranges_;
-  /// Spaces a transaction holds (or waits on) range locks in, deduplicated.
+  std::unordered_map<RangeSpaceKey, Queue, RangeSpaceKeyHash> ranges_;
+  /// Spaces a transaction holds range locks in, deduplicated.
   std::unordered_map<TxnId, std::vector<RangeSpaceKey>> held_ranges_;
   uint64_t next_seq_ = 1;
   LockStats stats_;

@@ -2,7 +2,6 @@
 #define YOUTOPIA_TXN_TXN_ENGINE_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -221,48 +220,6 @@ class TxnEngine {
   virtual Status CreateIndex(const std::string& table,
                              const std::vector<std::string>& columns,
                              bool unique = false, bool ordered = false) = 0;
-
-  // --- Convenience wrappers over OpenCursor (drain-through-visitor). ---
-
-  /// Visitor for indexed reads. The row is handed over by value — the
-  /// cursor materializes its own copy, so the visitor can move it instead
-  /// of copying a second time (lambdas taking `const Row&` still bind, so
-  /// both styles work at call sites).
-  using RowVisitor = std::function<bool(RowId, Row&&)>;
-
-  /// Full-table scan under a table S lock (serializable levels); the
-  /// visitor returns false to stop.
-  Status Scan(Transaction* txn, const std::string& table,
-              const std::function<bool(RowId, const Row&)>& visitor) {
-    YT_ASSIGN_OR_RETURN(auto cursor,
-                        OpenCursor(txn, table, AccessPlan::TableScan(),
-                                   ReadOrigin::kStatement));
-    return cursor->DrainRef(visitor);
-  }
-
-  /// Indexed equality read: visits the rows whose `columns` projection
-  /// equals `key` (RowId order). `key` must be coerced to the indexed
-  /// columns' types (the planner does this).
-  Status GetByIndex(Transaction* txn, const std::string& table,
-                    const std::vector<size_t>& columns, const Row& key,
-                    const RowVisitor& visitor) {
-    YT_ASSIGN_OR_RETURN(auto cursor,
-                        OpenCursor(txn, table, AccessPlan::Lookup(columns, key),
-                                   ReadOrigin::kStatement));
-    return cursor->Drain(visitor);
-  }
-
-  /// Indexed range read: visits rows whose projection on `spec.columns`
-  /// lies in `spec.range`, in index-key order (descending with
-  /// `spec.reverse`).
-  Status GetByIndexRange(Transaction* txn, const std::string& table,
-                         const IndexRangeSpec& spec,
-                         const RowVisitor& visitor) {
-    YT_ASSIGN_OR_RETURN(auto cursor,
-                        OpenCursor(txn, table, AccessPlan::Range(spec),
-                                   ReadOrigin::kStatement));
-    return cursor->Drain(visitor);
-  }
 };
 
 }  // namespace youtopia

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <future>
 #include <thread>
 
+#include "src/common/fault.h"
 #include "src/lock/lock_manager.h"
 #include "tests/test_util.h"
 
@@ -200,6 +202,39 @@ TEST(LockManagerTest, IntentionLocksAllowRowConcurrency) {
   EXPECT_OK(lm.Acquire(3, table, LockMode::kS, kNoWait));
 }
 
+TEST(LockManagerTest, CompatibleRequestPassesIncompatibleWaiter) {
+  // A waiter blocks later requests only when they conflict with it. T3's
+  // IS is compatible with both T1's granted IX and T2's queued S, so it is
+  // granted at once; were it left queued behind T2 (with no waits-for edge
+  // to T2), the cycle T1 -> T3 -> T2 -> T1 below would go undetected until
+  // T2's lock wait timed out.
+  LockManager lm;
+  LockKey t1 = LockKey::Table(1);
+  LockKey t2 = LockKey::Table(2);
+  ASSERT_OK(lm.Acquire(1, t1, LockMode::kIX, kNoWait));
+  ASSERT_OK(lm.Acquire(3, t2, LockMode::kX, kNoWait));
+  auto t2_reads = std::async(std::launch::async, [&] {
+    return lm.Acquire(2, t1, LockMode::kS, kLongWait);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto t3_intends = std::async(std::launch::async, [&] {
+    return lm.Acquire(3, t1, LockMode::kIS, kLongWait);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto t1_reads = std::async(std::launch::async, [&] {
+    return lm.Acquire(1, t2, LockMode::kS, kLongWait);
+  });
+  ASSERT_EQ(t3_intends.wait_for(std::chrono::milliseconds(200)),
+            std::future_status::ready);
+  EXPECT_OK(t3_intends.get());
+  lm.ReleaseAll(3);
+  EXPECT_OK(t1_reads.get());
+  lm.ReleaseAll(1);
+  EXPECT_OK(t2_reads.get());
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.stats().timeouts.load(), 0u);
+}
+
 IndexRange IntRange(int lo, int hi, bool lo_incl = true, bool hi_incl = true) {
   IndexRange r;
   r.lo = Row({Value::Int(lo)});
@@ -326,6 +361,78 @@ TEST(RangeLockTest, FifoOnlyBlocksOverlappingWaiters) {
   EXPECT_OK(writer.get());
   lm.ReleaseAll(2);
   EXPECT_OK(reader.get());
+}
+
+TEST(RangeLockTest, DeadlockDetectedAcrossLockFamilies) {
+  // A cycle through a row lock and a key-range lock: both families feed
+  // one waits-for graph.
+  LockManager lm;
+  RangeSpaceKey space{5, 3};
+  LockKey row = LockKey::RowOf(5, 7);
+  ASSERT_OK(lm.Acquire(1, row, LockMode::kX, kNoWait));
+  ASSERT_OK(lm.AcquireRange(2, space, IntRange(1, 10), LockMode::kX, kNoWait));
+  auto fut = std::async(std::launch::async, [&] {
+    Status s = lm.AcquireRange(1, space, IntRange(5, 20), LockMode::kS,
+                               kLongWait);
+    if (!s.ok()) lm.ReleaseAll(1);
+    return s;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  Status s2 = lm.Acquire(2, row, LockMode::kS, kLongWait);
+  if (!s2.ok()) lm.ReleaseAll(2);
+  Status s1 = fut.get();
+  EXPECT_TRUE(s1.code() == StatusCode::kAborted ||
+              s2.code() == StatusCode::kAborted)
+      << "s1=" << s1.ToString() << " s2=" << s2.ToString();
+  EXPECT_GE(lm.stats().deadlocks.load(), 1u);
+  lm.ReleaseAll(1);
+  lm.ReleaseAll(2);
+}
+
+TEST(LockManagerTest, OneFaultProbePerAcquireCall) {
+  FaultInjector* fi = FaultInjector::Global();
+  struct ResetFaults {
+    ~ResetFaults() { FaultInjector::Global()->Reset(); }
+  } reset_faults;
+  FaultInjector::SiteConfig count_only;
+  count_only.probability = 0.0;
+  fi->Arm("lock.acquire", count_only);
+
+  LockManager lm;
+  auto probes = [&](const std::function<Status()>& call) {
+    const uint64_t before = fi->HitCount("lock.acquire");
+    EXPECT_OK(call());
+    return fi->HitCount("lock.acquire") - before;
+  };
+  const LockKey row = LockKey::RowOf(1, 1);
+  EXPECT_EQ(probes([&] { return lm.Acquire(1, row, LockMode::kX, kNoWait); }),
+            1u);
+  EXPECT_EQ(probes([&] { return lm.Acquire(1, row, LockMode::kS, kNoWait); }),
+            1u);  // re-entrant
+  EXPECT_EQ(probes([&] {
+              return lm.AcquireBatch(1, {LockKey::RowOf(1, 2)}, LockMode::kX,
+                                     kNoWait);
+            }),
+            1u);
+  EXPECT_EQ(probes([&] {
+              return lm.AcquireBatch(
+                  1,
+                  {LockKey::RowOf(1, 3), LockKey::RowOf(1, 4),
+                   LockKey::RowOf(1, 3), LockKey::RowOf(1, 5)},
+                  LockMode::kX, kNoWait);
+            }),
+            1u);
+  EXPECT_EQ(probes([&] {
+              return lm.AcquireRange(1, RangeSpaceKey{1, 9}, IntRange(1, 5),
+                                     LockMode::kS, kNoWait);
+            }),
+            1u);
+  EXPECT_EQ(probes([&] {
+              return lm.AcquireBatch(1, {}, LockMode::kX, kNoWait);
+            }),
+            0u);
+  EXPECT_EQ(lm.HeldCount(1), 5u);
+  lm.ReleaseAll(1);
 }
 
 TEST(LockManagerTest, AcquireBatchGrantsAllInOneCall) {

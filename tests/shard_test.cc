@@ -235,10 +235,16 @@ TEST(RouterTest, PartitionsByPrimaryKeyAndRoutesPointReads) {
   // A full scan fans out and sees every row exactly once.
   uint64_t fanout_before = r->stats().fanout_cursors.load();
   std::set<int64_t> seen;
-  ASSERT_OK(r->Scan(txn2.get(), "Acct", [&](RowId, const Row& rw) {
-    seen.insert(rw[0].as_int());
-    return true;
-  }));
+  {
+    ASSERT_OK_AND_ASSIGN(auto cursor,
+                         r->OpenCursor(txn2.get(), "Acct",
+                                       AccessPlan::TableScan(),
+                                       ReadOrigin::kStatement));
+    ASSERT_OK(cursor->DrainRef([&](RowId, const Row& rw) {
+      seen.insert(rw[0].as_int());
+      return true;
+    }));
+  }
   EXPECT_EQ(seen.size(), 64u);
   EXPECT_EQ(r->stats().fanout_cursors.load(), fanout_before + 1);
   ASSERT_OK(r->Commit(txn2.get()));

@@ -17,6 +17,16 @@ Schema KV() {
   return Schema({{"k", TypeId::kInt64}, {"v", TypeId::kString}});
 }
 
+/// What a SQL read statement does: opens a statement cursor over `plan` and
+/// drains it through `visitor`.
+Status DrainPlan(TransactionManager* tm, Transaction* txn,
+                 const std::string& table, const AccessPlan& plan,
+                 const std::function<bool(RowId, const Row&)>& visitor) {
+  YT_ASSIGN_OR_RETURN(auto cursor, tm->OpenCursor(txn, table, plan,
+                                                  ReadOrigin::kStatement));
+  return cursor->DrainRef(visitor);
+}
+
 TEST(TxnTest, CommitMakesWritesVisibleAndReleasesLocks) {
   EngineFixture fix;
   ASSERT_OK(fix.tm->CreateTable("T", KV()).status());
@@ -168,11 +178,12 @@ TEST(TxnIndexTest, GetByIndexVisitsMatchesAndBumpsCounter) {
   auto txn = fix.tm->Begin();
   uint64_t scans_before = fix.tm->stats().table_scans.load();
   std::vector<Row> hits;
-  ASSERT_OK(fix.tm->GetByIndex(txn.get(), "T", {0}, Row({Value::Int(7)}),
-                               [&](RowId, const Row& row) {
-                                 hits.push_back(row);
-                                 return true;
-                               }));
+  ASSERT_OK(DrainPlan(fix.tm.get(), txn.get(), "T",
+                      AccessPlan::Lookup({0}, Row({Value::Int(7)})),
+                      [&](RowId, const Row& row) {
+                        hits.push_back(row);
+                        return true;
+                      }));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0][0], Value::Int(7));
   EXPECT_EQ(fix.tm->stats().index_lookups.load(), 1u);
@@ -213,12 +224,13 @@ TEST(TxnIndexTest, RollbackRestoresIndexEntries) {
   // And indexed reads agree with the restored heap.
   auto check = fix.tm->Begin();
   size_t n = 0;
-  ASSERT_OK(fix.tm->GetByIndex(check.get(), "T", {0}, Row({Value::Int(1)}),
-                               [&](RowId, const Row& row) {
-                                 EXPECT_EQ(row[1], Value::Str("a"));
-                                 ++n;
-                                 return true;
-                               }));
+  ASSERT_OK(DrainPlan(fix.tm.get(), check.get(), "T",
+                      AccessPlan::Lookup({0}, Row({Value::Int(1)})),
+                      [&](RowId, const Row& row) {
+                        EXPECT_EQ(row[1], Value::Str("a"));
+                        ++n;
+                        return true;
+                      }));
   EXPECT_EQ(n, 1u);
   ASSERT_OK(fix.tm->Commit(check.get()));
 }
@@ -236,8 +248,9 @@ TEST(TxnIndexTest, RowGranularLocksAllowWritersOnOtherKeys) {
   ASSERT_OK(fix.tm->Commit(setup.get()));
 
   auto reader = fix.tm->Begin();  // serializable: row S held to commit
-  ASSERT_OK(fix.tm->GetByIndex(reader.get(), "T", {0}, Row({Value::Int(1)}),
-                               [](RowId, const Row&) { return true; }));
+  ASSERT_OK(DrainPlan(fix.tm.get(), reader.get(), "T",
+                      AccessPlan::Lookup({0}, Row({Value::Int(1)})),
+                      [](RowId, const Row&) { return true; }));
   // A writer on a DIFFERENT key proceeds — with the old table S lock this
   // update would have blocked.
   auto writer = fix.tm->Begin();
@@ -275,11 +288,12 @@ TEST(TxnIndexTest, IndexKeyLockBlocksPhantomInsert) {
   // Equality read of key 1: matches nothing, but the key's predicate lock
   // is held, so the read is repeatable.
   size_t n = 0;
-  ASSERT_OK(fix.tm->GetByIndex(reader.get(), "T", {0}, Row({Value::Int(1)}),
-                               [&](RowId, const Row&) {
-                                 ++n;
-                                 return true;
-                               }));
+  ASSERT_OK(DrainPlan(fix.tm.get(), reader.get(), "T",
+                      AccessPlan::Lookup({0}, Row({Value::Int(1)})),
+                      [&](RowId, const Row&) {
+                        ++n;
+                        return true;
+                      }));
   EXPECT_EQ(n, 0u);
   // An insert under key 1 would be a phantom: it blocks on the key lock.
   auto phantom = fix.tm->Begin();
@@ -337,11 +351,12 @@ TEST(TxnRangeTest, GetByIndexRangeVisitsKeyOrderAndCounts) {
   uint64_t ranges = fix.tm->stats().range_lookups.load();
   uint64_t scans = fix.tm->stats().table_scans.load();
   std::vector<int64_t> seen;
-  ASSERT_OK(fix.tm->GetByIndexRange(txn.get(), "T", IntRangeSpec(3, 7),
-                                    [&](RowId, Row&& row) {
-                                      seen.push_back(row[0].as_int());
-                                      return true;
-                                    }));
+  ASSERT_OK(DrainPlan(fix.tm.get(), txn.get(), "T",
+                      AccessPlan::Range(IntRangeSpec(3, 7)),
+                      [&](RowId, const Row& row) {
+                        seen.push_back(row[0].as_int());
+                        return true;
+                      }));
   EXPECT_EQ(seen, (std::vector<int64_t>{3, 5, 7}));
   EXPECT_EQ(fix.tm->stats().range_lookups.load(), ranges + 1);
   EXPECT_EQ(fix.tm->stats().table_scans.load(), scans);
@@ -361,11 +376,12 @@ TEST(TxnRangeTest, KeyRangeLockBlocksInRangePhantomOnly) {
 
   auto reader = fix.tm->Begin(IsolationLevel::kSerializable);
   size_t n = 0;
-  ASSERT_OK(fix.tm->GetByIndexRange(reader.get(), "T", IntRangeSpec(10, 20),
-                                    [&](RowId, Row&&) {
-                                      ++n;
-                                      return true;
-                                    }));
+  ASSERT_OK(DrainPlan(fix.tm.get(), reader.get(), "T",
+                      AccessPlan::Range(IntRangeSpec(10, 20)),
+                      [&](RowId, const Row&) {
+                        ++n;
+                        return true;
+                      }));
   EXPECT_EQ(n, 1u);
   // k=15 falls inside the scanned interval: inserting it now would be a
   // phantom, so it blocks on the key-range lock.
@@ -398,11 +414,12 @@ TEST(TxnRangeTest, RangeReadRepeatsAfterOutOfRangeCommit) {
   auto reader = fix.tm->Begin(IsolationLevel::kSerializable);
   auto count = [&](int lo, int hi) {
     size_t n = 0;
-    EXPECT_OK(fix.tm->GetByIndexRange(reader.get(), "T", IntRangeSpec(lo, hi),
-                                      [&](RowId, Row&&) {
-                                        ++n;
-                                        return true;
-                                      }));
+    EXPECT_OK(DrainPlan(fix.tm.get(), reader.get(), "T",
+                        AccessPlan::Range(IntRangeSpec(lo, hi)),
+                        [&](RowId, const Row&) {
+                          ++n;
+                          return true;
+                        }));
     return n;
   };
   EXPECT_EQ(count(10, 20), 0u);
@@ -441,8 +458,9 @@ TEST(TxnRangeTest, LockRowsForWriteRangeTakesXUpFront) {
   // ...but a range reader overlapping the X interval blocks.
   auto reader = fix.tm->Begin(IsolationLevel::kSerializable);
   reader->set_lock_timeout_micros(50'000);
-  Status s = fix.tm->GetByIndexRange(reader.get(), "T", IntRangeSpec(3, 5),
-                                     [](RowId, Row&&) { return true; });
+  Status s = DrainPlan(fix.tm.get(), reader.get(), "T",
+                       AccessPlan::Range(IntRangeSpec(3, 5)),
+                       [](RowId, const Row&) { return true; });
   EXPECT_EQ(s.code(), StatusCode::kTimedOut);
   ASSERT_OK(fix.tm->Abort(reader.get()));
   ASSERT_OK(fix.tm->Commit(writer.get()));
@@ -470,21 +488,23 @@ TEST(TxnIndexTest, ReadCommittedReadKeepsOwnKeyWriteLock) {
   ASSERT_OK(fix.tm->Update(writer.get(), "T", locked[0].first,
                            Row({Value::Int(1), Value::Str("dirty")})));
   // Same-transaction read of the written key (early release path).
-  ASSERT_OK(fix.tm->GetByIndex(writer.get(), "T", {0}, Row({Value::Int(1)}),
-                               [](RowId, const Row&) { return true; }));
+  ASSERT_OK(DrainPlan(fix.tm.get(), writer.get(), "T",
+                      AccessPlan::Lookup({0}, Row({Value::Int(1)})),
+                      [](RowId, const Row&) { return true; }));
   // Another transaction's indexed read of key 1 must still block.
   auto reader = fix.tm->Begin(IsolationLevel::kSerializable);
-  Status blocked = fix.tm->GetByIndex(reader.get(), "T", {0},
-                                      Row({Value::Int(1)}),
-                                      [](RowId, const Row&) { return true; });
+  Status blocked = DrainPlan(fix.tm.get(), reader.get(), "T",
+                             AccessPlan::Lookup({0}, Row({Value::Int(1)})),
+                             [](RowId, const Row&) { return true; });
   EXPECT_FALSE(blocked.ok());
   ASSERT_OK(fix.tm->Commit(writer.get()));
   std::vector<Row> seen;
-  ASSERT_OK(fix.tm->GetByIndex(reader.get(), "T", {0}, Row({Value::Int(1)}),
-                               [&](RowId, const Row& row) {
-                                 seen.push_back(row);
-                                 return true;
-                               }));
+  ASSERT_OK(DrainPlan(fix.tm.get(), reader.get(), "T",
+                      AccessPlan::Lookup({0}, Row({Value::Int(1)})),
+                      [&](RowId, const Row& row) {
+                        seen.push_back(row);
+                        return true;
+                      }));
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0][1], Value::Str("dirty"));
   ASSERT_OK(fix.tm->Commit(reader.get()));
@@ -516,12 +536,12 @@ TEST(TxnIndexTest, ConcurrentIndexedReadersAndWritersStayConsistent) {
         if (fix.tm->Commit(txn.get()).ok()) {
           auto check = fix.tm->Begin();
           size_t found = 0;
-          Status s = fix.tm->GetByIndex(check.get(), "T", {0},
-                                        Row({Value::Int(key)}),
-                                        [&](RowId, const Row&) {
-                                          ++found;
-                                          return true;
-                                        });
+          Status s = DrainPlan(fix.tm.get(), check.get(), "T",
+                               AccessPlan::Lookup({0}, Row({Value::Int(key)})),
+                               [&](RowId, const Row&) {
+                                 ++found;
+                                 return true;
+                               });
           if (!s.ok() || found != 1) ++failures;
           (void)fix.tm->Commit(check.get());
         }
@@ -823,7 +843,7 @@ RowSet HeapSnapshot(Table* t) {
 
 RowSet DrainCursor(TableCursor* cursor) {
   RowSet out;
-  EXPECT_OK(cursor->Drain([&](RowId rid, Row&& row) {
+  EXPECT_OK(cursor->Drain([&](RowId rid, const Row& row) {
     out.emplace_back(rid, std::move(row));
     return true;
   }));
@@ -960,11 +980,12 @@ TEST(HeapScanTest, DifferentialUnderConcurrentWritersAndMixedIsolation) {
         IsolationLevel level = kLevels[(r + i) % 4];
         auto txn = fix.tm->Begin(level);
         RowSet scanned;
-        Status s = fix.tm->Scan(txn.get(), "T",
-                                [&](RowId rid, const Row& row) {
-                                  scanned.emplace_back(rid, row);
-                                  return true;
-                                });
+        Status s = DrainPlan(fix.tm.get(), txn.get(), "T",
+                             AccessPlan::TableScan(),
+                             [&](RowId rid, const Row& row) {
+                               scanned.emplace_back(rid, row);
+                               return true;
+                             });
         if (!s.ok()) {
           ++failures;
           (void)fix.tm->Abort(txn.get());
@@ -1042,12 +1063,12 @@ TEST(CursorDrainTest, ScanCursorSecondDrainIsEmpty) {
                                             ReadOrigin::kStatement));
     ASSERT_TRUE(c2->Next(&rid, &row).value());
     size_t rest = 0;
-    ASSERT_OK(c2->Drain([&](RowId, Row&&) {
+    ASSERT_OK(c2->Drain([&](RowId, const Row&) {
       ++rest;
       return true;
     }));
     EXPECT_EQ(rest, 7u);
-    ASSERT_OK(c2->Drain([&](RowId, Row&&) {
+    ASSERT_OK(c2->Drain([&](RowId, const Row&) {
       ++rest;
       return true;
     }));
@@ -1075,12 +1096,12 @@ TEST(CursorDrainTest, IndexAndRangeCursorsSecondDrainIsEmpty) {
                          AccessPlan::Lookup({0}, Row({Value::Int(3)})),
                          ReadOrigin::kStatement));
   size_t hits = 0;
-  ASSERT_OK(lookup->Drain([&](RowId, Row&&) {
+  ASSERT_OK(lookup->Drain([&](RowId, const Row&) {
     ++hits;
     return true;
   }));
   EXPECT_EQ(hits, 1u);
-  ASSERT_OK(lookup->Drain([&](RowId, Row&&) {
+  ASSERT_OK(lookup->Drain([&](RowId, const Row&) {
     ++hits;
     return true;
   }));
