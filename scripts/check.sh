@@ -19,9 +19,11 @@
 # baseline fails the script (1.3x stays a warning — smoke boxes are noisy).
 # With --tsan, additionally builds a ThreadSanitizer tree (build-tsan) and
 # races the lock/txn/sql/shard/mvcc/torture suites under it (lock_test
-# repeated 20 times) — the key-range lock conflict paths, concurrent heap scans under writers, the shard
+# repeated 20 times, the MvccGc* suite 10 times) — the key-range lock
+# conflict paths, concurrent heap scans under writers, the shard
 # router's parallel fanout drains + concurrent-writer differential,
-# the MVCC snapshot-vs-writer races, and the fault-injected crash-recover
+# the MVCC snapshot-vs-writer races, the inline version-GC drains against
+# snapshot registration, and the fault-injected crash-recover
 # cycles are all exercised by those binaries' concurrent tests.
 # With --torture, runs the long crash-recover torture gate: >= 50 seeded
 # randomized kill/recover cycles under a wall-clock budget. The seed is
@@ -229,6 +231,10 @@ if [[ "${tsan}" == 1 ]]; then
     echo "== tsan: ${t}"
     ./build-tsan/${t}
   done
+  # Inline version GC drains race snapshot registration and each other:
+  # repeat the GC suite (the registration/horizon race test included).
+  echo "== tsan: mvcc_test MvccGc* (x10)"
+  ./build-tsan/mvcc_test --gtest_filter='MvccGc*' --gtest_repeat=10
   # A short torture slice under tsan: enough cycles to race the fault
   # probes, the crash latch, and recovery against the worker threads.
   echo "== tsan: torture_test (short slice)"

@@ -327,9 +327,7 @@ std::unique_ptr<Transaction> Router::Begin(IsolationLevel level) {
   // reads the same point in commit order on every shard.
   if (mvcc_reads_.load(std::memory_order_relaxed) &&
       level == IsolationLevel::kSnapshot) {
-    uint64_t ts = clock_->ReadTs();
-    txn->set_read_ts(ts);
-    snapshots_->Register(ts);
+    txn->set_read_ts(snapshots_->RegisterCurrent(*clock_));
     txn->set_snapshot_registered(true);
   }
   auto dt = std::make_unique<Dtxn>();
@@ -381,14 +379,12 @@ void Router::RefreshCoordinatorSnapshot(Transaction* txn, bool grounding) {
   // cursors and a grounding's later atoms keep the cut the statement
   // started on.
   if (txn->read_ts() != 0 && (txn->open_cursors() > 0 || grounding)) return;
-  uint64_t ts = clock_->ReadTs();
   if (txn->snapshot_registered()) {
-    snapshots_->Update(txn->read_ts(), ts);
+    txn->set_read_ts(snapshots_->RefreshCurrent(txn->read_ts(), *clock_));
   } else {
-    snapshots_->Register(ts);
+    txn->set_read_ts(snapshots_->RegisterCurrent(*clock_));
     txn->set_snapshot_registered(true);
   }
-  txn->set_read_ts(ts);
 }
 
 void Router::ReleaseCoordinatorSnapshot(Transaction* txn) {

@@ -61,11 +61,23 @@ struct ReadView {
 /// Version-chain GC prunes only versions no live snapshot can reach, so the
 /// oldest registered timestamp is the GC horizon. Shared across shards
 /// alongside the clock.
+///
+/// Registration/horizon rule: a new pin's timestamp and the horizon's
+/// no-pin fallback are both read from the clock *under the registry mutex*.
+/// Then either the pin lands first (the horizon is at most the pin) or the
+/// horizon is computed first (the pin's later clock reading is at least the
+/// horizon, the clock being monotonic) — a reader can never register a
+/// snapshot older than a horizon GC has already pruned to. Reading the
+/// clock outside the mutex and registering afterwards would open exactly
+/// that window.
 class SnapshotRegistry {
  public:
-  void Register(uint64_t ts) {
+  /// Pins the clock's current reading and returns it.
+  uint64_t RegisterCurrent(const VersionClock& clock) {
     std::lock_guard<std::mutex> g(mu_);
+    uint64_t ts = clock.ReadTs();
     ++active_[ts];
+    return ts;
   }
 
   void Unregister(uint64_t ts) {
@@ -75,21 +87,27 @@ class SnapshotRegistry {
     if (--it->second == 0) active_.erase(it);
   }
 
-  /// Re-pins a live transaction's snapshot (kReadCommitted refreshes its
-  /// snapshot per statement).
-  void Update(uint64_t old_ts, uint64_t new_ts) {
-    if (old_ts == new_ts) return;
+  /// Moves a live transaction's pin from `old_ts` to the clock's current
+  /// reading and returns it (kReadCommitted refreshes its snapshot per
+  /// statement). When the clock has not moved the held pin is kept as is,
+  /// without taking the mutex.
+  uint64_t RefreshCurrent(uint64_t old_ts, const VersionClock& clock) {
+    if (clock.ReadTs() == old_ts) return old_ts;
     std::lock_guard<std::mutex> g(mu_);
+    uint64_t ts = clock.ReadTs();
     auto it = active_.find(old_ts);
     if (it != active_.end() && --it->second == 0) active_.erase(it);
-    ++active_[new_ts];
+    ++active_[ts];
+    return ts;
   }
 
-  /// The GC horizon: the oldest pinned snapshot, or `fallback` (callers
-  /// pass the clock's current ReadTs) when no snapshot is live.
-  uint64_t OldestOr(uint64_t fallback) const {
+  /// The GC horizon: the oldest pinned snapshot, or the clock's current
+  /// reading when no snapshot is live. Pruning a chain down to its newest
+  /// version at-or-below the horizon keeps every version a live or future
+  /// snapshot can read.
+  uint64_t Horizon(const VersionClock& clock) const {
     std::lock_guard<std::mutex> g(mu_);
-    if (active_.empty()) return fallback;
+    if (active_.empty()) return clock.ReadTs();
     return active_.begin()->first;
   }
 

@@ -1,6 +1,7 @@
 #include "src/storage/table.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace youtopia {
 
@@ -378,42 +379,49 @@ uint64_t Table::LatestBeginTs(RowId rid) const {
   return it->second.begin_ts;
 }
 
-size_t Table::PruneVersions(uint64_t oldest_snapshot) {
+size_t Table::PruneRows(const std::vector<RowId>& rids, uint64_t horizon) {
   std::unique_lock g(latch_);
   size_t pruned = 0;
-  for (auto it = rows_.begin(); it != rows_.end();) {
-    VersionedRow& vr = it->second;
-    // Find the newest version visible at the horizon; everything older is
-    // unreachable by any live or future snapshot. When the latest version
-    // itself is committed at-or-below the horizon, the whole chain goes.
-    size_t keep_from = 0;  // first history index to drop
-    if (vr.writer != 0 || vr.begin_ts > oldest_snapshot) {
-      while (keep_from < vr.history.size() &&
-             vr.history[keep_from].begin_ts > oldest_snapshot) {
-        ++keep_from;
-      }
-      // Keep the horizon version itself (the one a snapshot at exactly the
-      // horizon reads).
-      if (keep_from < vr.history.size()) ++keep_from;
+  for (RowId rid : rids) {
+    auto it = rows_.find(rid);
+    if (it != rows_.end()) pruned += PruneRowLocked(it, horizon);
+  }
+  return pruned;
+}
+
+size_t Table::PruneRowLocked(std::map<RowId, VersionedRow>::iterator it,
+                             uint64_t horizon) {
+  VersionedRow& vr = it->second;
+  // Find the newest version visible at the horizon; everything older is
+  // unreachable by any live or future snapshot. When the latest version
+  // itself is committed at-or-below the horizon, the whole chain goes.
+  size_t keep_from = 0;  // first history index to drop
+  if (vr.writer != 0 || vr.begin_ts > horizon) {
+    while (keep_from < vr.history.size() &&
+           vr.history[keep_from].begin_ts > horizon) {
+      ++keep_from;
     }
-    if (keep_from < vr.history.size()) {
-      std::vector<RowVersion> dropped(vr.history.begin() + keep_from,
-                                      vr.history.end());
-      vr.history.resize(keep_from);
-      pruned += dropped.size();
-      for (RowVersion& v : dropped) {
-        if (!v.deleted) ScrubKeysLocked(it->first, v.data);
-      }
+    // Keep the horizon version itself (the one a snapshot at exactly the
+    // horizon reads).
+    if (keep_from < vr.history.size()) ++keep_from;
+  }
+  size_t pruned = 0;
+  if (keep_from < vr.history.size()) {
+    std::vector<RowVersion> dropped(
+        std::make_move_iterator(vr.history.begin() + keep_from),
+        std::make_move_iterator(vr.history.end()));
+    vr.history.resize(keep_from);
+    pruned = dropped.size();
+    for (RowVersion& v : dropped) {
+      if (!v.deleted) ScrubKeysLocked(it->first, v.data);
     }
-    // A committed tombstone with no remaining chain is dead weight: no
-    // snapshot at-or-above the horizon can see any version of it.
-    if (vr.deleted && vr.writer == 0 && vr.begin_ts <= oldest_snapshot &&
-        vr.history.empty()) {
-      ++pruned;
-      EraseEntryLocked(it++);
-      continue;
-    }
-    ++it;
+  }
+  // A committed tombstone with no remaining chain is dead weight: no
+  // snapshot at-or-above the horizon can see any version of it.
+  if (vr.deleted && vr.writer == 0 && vr.begin_ts <= horizon &&
+      vr.history.empty()) {
+    ++pruned;
+    EraseEntryLocked(it);
   }
   return pruned;
 }

@@ -191,11 +191,12 @@ class Table {
   /// wins checks compare this against the writer's snapshot.
   uint64_t LatestBeginTs(RowId rid) const;
 
-  /// Drops every committed version unreachable from any snapshot >=
-  /// `oldest_snapshot` (keeps the newest version at-or-below the horizon;
-  /// fully-superseded committed tombstones are erased outright). Returns
-  /// the number of versions pruned.
-  size_t PruneVersions(uint64_t oldest_snapshot);
+  /// Drops, on each of `rids`, every committed version unreachable from any
+  /// snapshot >= `horizon` (keeps the newest version at-or-below the
+  /// horizon; fully-superseded committed tombstones are erased outright).
+  /// One exclusive latch hold for the whole batch; absent rows are skipped.
+  /// Returns the number of versions pruned.
+  size_t PruneRows(const std::vector<RowId>& rids, uint64_t horizon);
 
   /// Visits rows in RowId order; the visitor returns false to stop early.
   void Scan(const std::function<bool(RowId, const Row&)>& visitor) const;
@@ -316,6 +317,10 @@ class Table {
   /// The version of `vr` visible to `view`, or nullptr (tombstone/none).
   static const Row* VisibleVersion(const VersionedRow& vr,
                                    const ReadView& view);
+  /// PruneRows for one entry (caller holds the latch exclusively); may
+  /// erase the entry. Returns the number of versions pruned.
+  size_t PruneRowLocked(std::map<RowId, VersionedRow>::iterator it,
+                        uint64_t horizon);
   /// Physically erases an entry and every index key its versions carry.
   void EraseEntryLocked(std::map<RowId, VersionedRow>::iterator it);
   const Index* FindIndexLocked(const std::vector<size_t>& columns) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <optional>
 
 #include "src/common/fault.h"
@@ -10,6 +11,22 @@
 namespace youtopia {
 
 namespace {
+
+/// Inline GC slice of a writing commit: a fixed floor plus twice its own
+/// superseded rows, so every writing commit drains more than it queued and
+/// a backlog left behind a released snapshot pin shrinks commit by commit.
+constexpr size_t kPruneSliceBase = 64;
+constexpr size_t kPruneSlicePerRow = 2;
+
+/// Update/delete undo entries: the rows whose commit supersedes a version.
+/// Inserts supersede nothing.
+size_t SupersededRows(const Transaction& txn) {
+  size_t n = 0;
+  for (const UndoEntry& e : txn.undo_log()) {
+    if (e.kind != UndoEntry::Kind::kInsert) ++n;
+  }
+  return n;
+}
 
 bool IsGroundingOrigin(ReadOrigin origin) {
   return origin == ReadOrigin::kGrounding ||
@@ -466,9 +483,7 @@ std::unique_ptr<Transaction> TransactionManager::Begin(IsolationLevel level) {
   // kReadCommitted acquires a fresh cut lazily at each statement instead.
   if (options_.enable_mvcc_reads &&
       level == IsolationLevel::kSnapshot) {
-    uint64_t ts = clock_->ReadTs();
-    txn->set_read_ts(ts);
-    snapshots_->Register(ts);
+    txn->set_read_ts(snapshots_->RegisterCurrent(*clock_));
     txn->set_snapshot_registered(true);
   }
   return txn;
@@ -495,14 +510,12 @@ void TransactionManager::MaybeRefreshSnapshot(Transaction* txn,
   // grounding reads after the first keep the cut the grounding started on
   // (every body atom of an entangled query reads one consistent state).
   if (txn->read_ts() != 0 && (txn->open_cursors() > 0 || grounding)) return;
-  uint64_t ts = clock_->ReadTs();
   if (txn->snapshot_registered()) {
-    snapshots_->Update(txn->read_ts(), ts);
+    txn->set_read_ts(snapshots_->RefreshCurrent(txn->read_ts(), *clock_));
   } else {
-    snapshots_->Register(ts);
+    txn->set_read_ts(snapshots_->RegisterCurrent(*clock_));
     txn->set_snapshot_registered(true);
   }
-  txn->set_read_ts(ts);
 }
 
 void TransactionManager::StampWrites(Transaction* txn) {
@@ -512,19 +525,29 @@ void TransactionManager::StampWrites(Transaction* txn) {
   // half a commit. Row X locks are still held here (released after).
   std::lock_guard<std::mutex> g(clock_->commit_mutex());
   uint64_t ts = clock_->AllocateCommitTs();
-  for (const UndoEntry& e : txn->undo_log()) {
-    auto t = db_->GetTable(e.table);
-    if (t.ok()) t.value()->StampCommit(e.row_id, txn->id(), ts);
-  }
+  StampRows(txn, ts);
   clock_->Publish(ts);
 }
 
 void TransactionManager::StampWritesAt(Transaction* txn, uint64_t ts) {
+  StampRows(txn, ts);
+  txn->set_commit_stamped(true);
+}
+
+void TransactionManager::StampRows(Transaction* txn, uint64_t ts) {
+  std::vector<PendingPrune> superseded;
   for (const UndoEntry& e : txn->undo_log()) {
     auto t = db_->GetTable(e.table);
-    if (t.ok()) t.value()->StampCommit(e.row_id, txn->id(), ts);
+    if (!t.ok()) continue;
+    t.value()->StampCommit(e.row_id, txn->id(), ts);
+    if (e.kind != UndoEntry::Kind::kInsert) {
+      superseded.push_back({t.value()->id(), e.row_id, ts});
+    }
   }
-  txn->set_commit_stamped(true);
+  if (superseded.empty()) return;
+  std::lock_guard<std::mutex> g(prune_mu_);
+  pending_prunes_.insert(pending_prunes_.end(), superseded.begin(),
+                         superseded.end());
 }
 
 void TransactionManager::ReleaseSnapshot(Transaction* txn) {
@@ -534,16 +557,55 @@ void TransactionManager::ReleaseSnapshot(Transaction* txn) {
 }
 
 size_t TransactionManager::GcVersions() {
-  uint64_t horizon = snapshots_->OldestOr(clock_->ReadTs());
+  return DrainPrunes(std::numeric_limits<size_t>::max());
+}
+
+size_t TransactionManager::pending_prunes() const {
+  std::lock_guard<std::mutex> g(prune_mu_);
+  return pending_prunes_.size();
+}
+
+size_t TransactionManager::DrainPrunes(size_t max_entries) {
+  // Horizon first, then pop: every popped entry is at-or-below it, and the
+  // horizon stays a safe prune bound after it is read (see
+  // SnapshotRegistry). The list is in commit-timestamp order, so the first
+  // entry above the horizon ends the prunable prefix.
+  uint64_t horizon = snapshots_->Horizon(*clock_);
+  std::vector<PendingPrune> slice;
+  {
+    std::lock_guard<std::mutex> g(prune_mu_);
+    while (slice.size() < max_entries && !pending_prunes_.empty() &&
+           pending_prunes_.front().ts <= horizon) {
+      slice.push_back(pending_prunes_.front());
+      pending_prunes_.pop_front();
+    }
+  }
+  std::sort(slice.begin(), slice.end(),
+            [](const PendingPrune& a, const PendingPrune& b) {
+              return a.table != b.table ? a.table < b.table : a.rid < b.rid;
+            });
   size_t pruned = 0;
-  for (const std::string& name : db_->TableNames()) {
-    auto t = db_->GetTable(name);
-    if (t.ok()) pruned += t.value()->PruneVersions(horizon);
+  std::vector<RowId> rids;
+  for (size_t i = 0; i < slice.size();) {
+    TableId table = slice[i].table;
+    rids.clear();
+    for (; i < slice.size() && slice[i].table == table; ++i) {
+      if (rids.empty() || rids.back() != slice[i].rid) {
+        rids.push_back(slice[i].rid);
+      }
+    }
+    Table* t = db_->GetTableById(table);
+    if (t != nullptr) pruned += t->PruneRows(rids, horizon);
   }
   if (pruned > 0) {
     stats_.versions_pruned.fetch_add(pruned, std::memory_order_relaxed);
   }
   return pruned;
+}
+
+void TransactionManager::DrainAfterCommit(size_t superseded) {
+  if (superseded == 0) return;
+  (void)DrainPrunes(kPruneSliceBase + kPruneSlicePerRow * superseded);
 }
 
 Status TransactionManager::AcquireIndexKeyLocks(Transaction* txn,
@@ -1091,11 +1153,7 @@ Status TransactionManager::Commit(Transaction* txn) {
   stats_.commits.fetch_add(1, std::memory_order_relaxed);
   if (timer.active()) TxnMetrics().commits->Add();
   if (options_.observer != nullptr) options_.observer->OnCommit(txn->id());
-  if (commits_since_gc_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      kGcCommitInterval) {
-    commits_since_gc_.store(0, std::memory_order_relaxed);
-    (void)GcVersions();
-  }
+  DrainAfterCommit(SupersededRows(*txn));
   return Status::Ok();
 }
 
@@ -1160,6 +1218,7 @@ Status TransactionManager::CommitPrepared(Transaction* txn, GroupId gtid) {
   stats_.commits.fetch_add(1, std::memory_order_relaxed);
   if (metrics_enabled()) TxnMetrics().commits->Add();
   if (options_.observer != nullptr) options_.observer->OnCommit(txn->id());
+  DrainAfterCommit(SupersededRows(*txn));
   return append_st;
 }
 
@@ -1192,15 +1251,12 @@ Status TransactionManager::CommitGroup(
   if (any_writes) {
     std::lock_guard<std::mutex> g(clock_->commit_mutex());
     uint64_t ts = clock_->AllocateCommitTs();
-    for (Transaction* txn : members) {
-      for (const UndoEntry& e : txn->undo_log()) {
-        auto t = db_->GetTable(e.table);
-        if (t.ok()) t.value()->StampCommit(e.row_id, txn->id(), ts);
-      }
-    }
+    for (Transaction* txn : members) StampRows(txn, ts);
     clock_->Publish(ts);
   }
+  size_t superseded = 0;
   for (Transaction* t : members) {
+    superseded += SupersededRows(*t);
     t->set_state(TxnState::kCommitted);
     ReleaseSnapshot(t);
     locks_->ReleaseAll(t->id());
@@ -1209,6 +1265,7 @@ Status TransactionManager::CommitGroup(
     if (options_.observer != nullptr) options_.observer->OnCommit(t->id());
   }
   stats_.group_commits.fetch_add(1, std::memory_order_relaxed);
+  DrainAfterCommit(superseded);
   return Status::Ok();
 }
 

@@ -2,8 +2,10 @@
 #define YOUTOPIA_TXN_TRANSACTION_MANAGER_H_
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -208,14 +210,17 @@ class TransactionManager : public TxnEngine {
   /// timestamp and never refreshes it per statement.
   void AdoptSnapshot(Transaction* txn, uint64_t ts);
 
-  /// Prunes version chains across all tables down to the oldest live
-  /// snapshot (or the current clock reading when none is live). Runs
-  /// automatically every `kGcCommitInterval` commits; public for tests and
-  /// idle-time maintenance. Returns versions pruned (also accumulated into
-  /// stats().versions_pruned).
+  /// Drains the whole prunable prefix of the pending-prune list: every row
+  /// a committed update or delete superseded a version of, whose commit is
+  /// at-or-below the GC horizon (the oldest live snapshot, or the current
+  /// clock reading when none is live), is pruned down to that horizon.
+  /// Writing commits already drain a bounded slice of the list inline, so
+  /// this is for tests and idle-time maintenance. Returns versions pruned
+  /// (also accumulated into stats().versions_pruned).
   size_t GcVersions();
 
-  static constexpr uint64_t kGcCommitInterval = 64;
+  /// Entries still queued on the pending-prune list (tests, observability).
+  size_t pending_prunes() const;
 
  private:
   Status ApplyUndo(Transaction* txn);
@@ -235,6 +240,17 @@ class TransactionManager : public TxnEngine {
   /// window under the clock's commit mutex). No-op for read-only
   /// transactions.
   void StampWrites(Transaction* txn);
+  /// Stamps `txn`'s written rows with commit timestamp `ts` and queues the
+  /// updated/deleted ones for pruning. Caller holds the commit mutex, so
+  /// the pending-prune list stays in commit-timestamp order.
+  void StampRows(Transaction* txn, uint64_t ts);
+  /// Pops up to `max_entries` entries at-or-below the GC horizon off the
+  /// front of the pending-prune list and prunes their rows, one exclusive
+  /// latch hold per table. Returns versions pruned.
+  size_t DrainPrunes(size_t max_entries);
+  /// The inline GC slice after a commit whose `superseded` rows were
+  /// queued (no-op when it queued none: read-only and insert-only commits).
+  void DrainAfterCommit(size_t superseded);
   /// Drops the transaction's registry pin, if it holds one.
   void ReleaseSnapshot(Transaction* txn);
   Status AcquireReadLocks(Transaction* txn, const Table* t, RowId rid);
@@ -264,7 +280,15 @@ class TransactionManager : public TxnEngine {
   std::unique_ptr<SnapshotRegistry> owned_snapshots_;
   VersionClock* clock_;
   SnapshotRegistry* snapshots_;
-  std::atomic<uint64_t> commits_since_gc_{0};
+  /// One queued prune: commit `ts` superseded a version of (`table`, `rid`).
+  struct PendingPrune {
+    TableId table;
+    RowId rid;
+    uint64_t ts;
+  };
+  /// Guards pending_prunes_; nests inside the clock's commit mutex.
+  mutable std::mutex prune_mu_;
+  std::deque<PendingPrune> pending_prunes_;  ///< commit-timestamp order
 };
 
 }  // namespace youtopia

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <numeric>
 #include <set>
@@ -343,9 +344,11 @@ TEST(MvccGcTest, OldestLiveSnapshotPinsVersionChains) {
   EXPECT_EQ(table->version_count(), 6u);
 
   // GC with the pin live must keep everything the pinned snapshot (and any
-  // newer one) can reach — which here is the whole chain.
+  // newer one) can reach — which here is the whole chain. The five
+  // overwrites stay queued behind the pin.
   EXPECT_EQ(fix.tm->GcVersions(), 0u);
   EXPECT_EQ(table->version_count(), 6u);
+  EXPECT_EQ(fix.tm->pending_prunes(), 5u);
   EXPECT_EQ(fix.tm->Get(pinner.get(), "T", rids[0]).value()[1],
             Value::Int(0));
 
@@ -354,6 +357,7 @@ TEST(MvccGcTest, OldestLiveSnapshotPinsVersionChains) {
   EXPECT_EQ(fix.tm->GcVersions(), 5u);
   EXPECT_EQ(table->version_count(), 1u);
   EXPECT_EQ(fix.tm->stats().versions_pruned.load(), 5u);
+  EXPECT_EQ(fix.tm->pending_prunes(), 0u);
 
   auto check = fix.tm->Begin(IsolationLevel::kSnapshot);
   EXPECT_EQ(fix.tm->Get(check.get(), "T", rids[0]).value()[1],
@@ -361,23 +365,178 @@ TEST(MvccGcTest, OldestLiveSnapshotPinsVersionChains) {
   ASSERT_OK(fix.tm->Commit(check.get()));
 }
 
-TEST(MvccGcTest, AutoGcPrunesOnTheCommitInterval) {
+TEST(MvccGcTest, EveryWritingCommitPrunesWhatItSuperseded) {
   EngineFixture fix;
   ASSERT_OK(fix.tm->CreateTable("T", Bal()).status());
   std::vector<RowId> rids = Seed(fix.tm.get(), "T", 1, 0);
   Table* table = fix.db.GetTable("T").value();
 
-  // Twice the GC interval of committed overwrites with no live snapshot:
-  // the automatic pass must have kept the chain from growing unboundedly.
-  const int kWrites = static_cast<int>(TransactionManager::kGcCommitInterval) * 2;
-  for (int i = 0; i < kWrites; ++i) {
+  // With no live snapshot each overwrite's own inline slice prunes the
+  // version it superseded: the chain never grows.
+  for (int i = 0; i < 128; ++i) {
     auto w = fix.tm->Begin(IsolationLevel::kSerializable);
     ASSERT_OK(fix.tm->Update(w.get(), "T", rids[0], BalRow(0, i)));
     ASSERT_OK(fix.tm->Commit(w.get()));
+    ASSERT_LE(table->version_count(), 2u) << "after overwrite " << i;
   }
+  EXPECT_EQ(fix.tm->stats().versions_pruned.load(), 128u);
+  EXPECT_EQ(fix.tm->pending_prunes(), 0u);
+}
+
+TEST(MvccGcTest, ReadOnlyAndInsertOnlyCommitsDoNoGcWork) {
+  EngineFixture fix;
+  ASSERT_OK(fix.tm->CreateTable("T", Bal()).status());
+  std::vector<RowId> rids = Seed(fix.tm.get(), "T", 2, 0);
+  Table* table = fix.db.GetTable("T").value();
+
+  // Queue a backlog behind a pin, then release the pin with a read-only
+  // commit: the backlog is prunable now, but only a writing commit (or an
+  // explicit GcVersions) may drain it.
+  auto pinner = fix.tm->Begin(IsolationLevel::kSnapshot);
+  for (int64_t v = 1; v <= 4; ++v) {
+    auto w = fix.tm->Begin(IsolationLevel::kSerializable);
+    ASSERT_OK(fix.tm->Update(w.get(), "T", rids[0], BalRow(0, v)));
+    ASSERT_OK(fix.tm->Commit(w.get()));
+  }
+  ASSERT_OK(fix.tm->Get(pinner.get(), "T", rids[0]).status());
+  ASSERT_OK(fix.tm->Commit(pinner.get()));
+  EXPECT_EQ(fix.tm->pending_prunes(), 4u);
+
+  for (IsolationLevel level :
+       {IsolationLevel::kSerializable, IsolationLevel::kReadCommitted,
+        IsolationLevel::kSnapshot}) {
+    auto r = fix.tm->Begin(level);
+    ASSERT_OK(fix.tm->Get(r.get(), "T", rids[1]).status());
+    ASSERT_OK(fix.tm->Commit(r.get()));
+  }
+  auto ins = fix.tm->Begin(IsolationLevel::kSerializable);
+  ASSERT_OK(fix.tm->Insert(ins.get(), "T", BalRow(7, 7)).status());
+  ASSERT_OK(fix.tm->Commit(ins.get()));
+  EXPECT_EQ(fix.tm->stats().versions_pruned.load(), 0u);
+  EXPECT_EQ(fix.tm->pending_prunes(), 4u);
+  EXPECT_EQ(table->version_count(), 7u);
+
+  // One writing commit on another row drains the whole backlog.
+  auto w = fix.tm->Begin(IsolationLevel::kSerializable);
+  ASSERT_OK(fix.tm->Update(w.get(), "T", rids[1], BalRow(1, 9)));
+  ASSERT_OK(fix.tm->Commit(w.get()));
+  EXPECT_EQ(fix.tm->pending_prunes(), 0u);
+  EXPECT_EQ(fix.tm->stats().versions_pruned.load(), 5u);
+  EXPECT_EQ(table->version_count(), table->size());
+}
+
+TEST(MvccGcTest, GroupCommitsPruneWhatTheySuperseded) {
+  EngineFixture fix;
+  ASSERT_OK(fix.tm->CreateTable("T", Bal()).status());
+  std::vector<RowId> rids = Seed(fix.tm.get(), "T", 2, 0);
+  Table* table = fix.db.GetTable("T").value();
+
+  // Entangled-only traffic: every overwrite commits through CommitGroup.
+  for (int i = 0; i < 200; ++i) {
+    auto a = fix.tm->Begin(IsolationLevel::kSerializable);
+    auto b = fix.tm->Begin(IsolationLevel::kSerializable);
+    ASSERT_OK(fix.tm->Update(a.get(), "T", rids[0], BalRow(0, i)));
+    ASSERT_OK(fix.tm->Update(b.get(), "T", rids[1], BalRow(1, i)));
+    ASSERT_OK(fix.tm->CommitGroup({a.get(), b.get()}));
+  }
+  EXPECT_EQ(fix.tm->stats().group_commits.load(), 200u);
+  EXPECT_EQ(table->version_count(), table->size());
+  EXPECT_EQ(table->version_count(), 2u);
+}
+
+TEST(MvccGcTest, TwoPhaseCommitsPruneWhatTheySuperseded) {
+  shard::Router::Options ropts;
+  ropts.num_shards = 2;
+  auto router = shard::Router::Open(ropts).value();
+  Schema schema = Bal();
+  schema.set_primary_key({0});
+  ASSERT_OK(router->CreateTable("Acct", schema).status());
+  constexpr int kRows = 8;
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_OK(router->Load("Acct", BalRow(i, 0)));
+  }
+  std::vector<std::pair<RowId, Row>> rows;
+  {
+    auto txn = router->Begin(IsolationLevel::kSerializable);
+    ASSERT_OK_AND_ASSIGN(auto cursor,
+                         router->OpenCursor(txn.get(), "Acct",
+                                            AccessPlan::TableScan(),
+                                            ReadOrigin::kStatement));
+    rows = Drain(cursor.get());
+    cursor.reset();
+    ASSERT_OK(router->Commit(txn.get()));
+  }
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kRows));
+
+  // Cross-shard-only traffic: every transaction writes all rows, so every
+  // commit runs 2PC and stamps through StampWritesAt + CommitPrepared.
+  uint64_t two_pc_before = router->stats().two_phase_commits.load();
+  for (int i = 0; i < 200; ++i) {
+    auto txn = router->Begin(IsolationLevel::kSerializable);
+    for (const auto& [rid, row] : rows) {
+      ASSERT_OK(router->Update(txn.get(), "Acct", rid,
+                               BalRow(row[0].as_int(), i)));
+    }
+    ASSERT_OK(router->Commit(txn.get()));
+  }
+  EXPECT_EQ(router->stats().two_phase_commits.load() - two_pc_before, 200u);
+  size_t versions = 0, live = 0;
+  for (size_t s = 0; s < router->num_shards(); ++s) {
+    Table* t = router->shard_db(s)->GetTable("Acct").value();
+    versions += t->version_count();
+    live += t->size();
+  }
+  EXPECT_EQ(versions, live);
+  EXPECT_EQ(versions, static_cast<size_t>(kRows));
+}
+
+TEST(MvccGcTest, SnapshotRegistrationNeverRacesPastTheHorizon) {
+  // Writers overwrite rows that always exist and commit, so every commit
+  // drains a GC slice (one writer also runs a full GcVersions); readers at
+  // both snapshot-read levels begin, Get one row and commit, so each
+  // transaction registers a fresh snapshot. A registration whose clock
+  // reading raced a concurrent horizon computation could find the version
+  // it needs already pruned and report a live row as missing.
+  EngineFixture fix;
+  ASSERT_OK(fix.tm->CreateTable("T", Bal()).status());
+  constexpr int kRows = 4;
+  std::vector<RowId> rids = Seed(fix.tm.get(), "T", kRows, 0);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0}, misses{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      for (int64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        // Disjoint rows per writer: commits never wait on each other.
+        size_t r = static_cast<size_t>(w) + 2 * static_cast<size_t>(i % 2);
+        auto txn = fix.tm->Begin(IsolationLevel::kSerializable);
+        ASSERT_OK(fix.tm->Update(txn.get(), "T", rids[r],
+                                 BalRow(static_cast<int64_t>(r), i)));
+        ASSERT_OK(fix.tm->Commit(txn.get()));
+        if (w == 0) (void)fix.tm->GcVersions();
+      }
+    });
+  }
+  for (IsolationLevel level :
+       {IsolationLevel::kSnapshot, IsolationLevel::kReadCommitted}) {
+    threads.emplace_back([&, level] {
+      for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        auto txn = fix.tm->Begin(level);
+        if (!fix.tm->Get(txn.get(), "T", rids[i % kRows]).ok()) {
+          misses.fetch_add(1, std::memory_order_relaxed);
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+        ASSERT_OK(fix.tm->Commit(txn.get()));
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  stop.store(true);
+  for (auto& t : threads) t.join();
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(misses.load(), 0u) << "of " << reads.load() << " reads";
   EXPECT_GT(fix.tm->stats().versions_pruned.load(), 0u);
-  EXPECT_LT(table->version_count(),
-            static_cast<size_t>(TransactionManager::kGcCommitInterval) + 2);
 }
 
 // --- Recovery. ------------------------------------------------------------
@@ -611,10 +770,15 @@ TEST(MvccDifferentialTest, SeededWorkloadMatchesLockingAblation) {
     }
   }
 
-  // GC one side to the bone, then compare final visible heaps.
+  // GC both sides to the bone — every chain collapses to its latest
+  // version and every committed tombstone is gone, the reference a full
+  // heap walk would reach — then compare final visible heaps.
   (void)mvcc_fix.tm->GcVersions();
+  (void)lock_fix.tm->GcVersions();
   Table* ta = mvcc_fix.db.GetTable("Acct").value();
   Table* tb = lock_fix.db.GetTable("Acct").value();
+  EXPECT_EQ(ta->version_count(), ta->size());
+  EXPECT_EQ(tb->version_count(), tb->size());
   EXPECT_EQ(ta->size(), tb->size());
   std::vector<Row> rows_a, rows_b;
   ta->Scan([&](RowId, const Row& row) {
