@@ -586,7 +586,7 @@ Status Router::Load(const std::string& table, const Row& row) {
     RowId rid = 0;
     for (size_t s = 0; s < shards_.size(); ++s) {
       YT_ASSIGN_OR_RETURN(Table * t, shards_[s].db->GetTable(name));
-      YT_ASSIGN_OR_RETURN(RowId r, t->InsertCoerced(Row(coerced)));
+      YT_ASSIGN_OR_RETURN(RowId r, t->Insert(Row(coerced), /*writer=*/0));
       if (s == 0) {
         rid = r;
       } else if (r != rid) {
@@ -597,7 +597,7 @@ Status Router::Load(const std::string& table, const Row& row) {
   }
   size_t s = map_.ShardOfRow(name, coerced);
   YT_ASSIGN_OR_RETURN(Table * t, shards_[s].db->GetTable(name));
-  return t->InsertCoerced(std::move(coerced)).status();
+  return t->Insert(std::move(coerced), /*writer=*/0).status();
 }
 
 // --- The read path. -------------------------------------------------------

@@ -664,10 +664,10 @@ AccessPlan Planner::PlanPointLookup(
 
   // Pick the widest index fully covered by the equality columns (more
   // columns = more selective key).
-  const std::vector<std::vector<size_t>> candidates =
-      table.IndexedColumnSets();
+  const std::vector<IndexInfo> candidates = table.IndexInfos();
   const std::vector<size_t>* best = nullptr;
-  for (const auto& cols : candidates) {
+  for (const IndexInfo& info : candidates) {
+    const std::vector<size_t>& cols = info.columns;
     bool covered = !cols.empty();
     for (size_t c : cols) {
       bool found = false;
@@ -807,10 +807,10 @@ JoinProbePlan Planner::PlanJoinProbe(const Table& table,
   // Widest fully covered index wins; it must use at least one runtime-bound
   // part, otherwise the constant-only AccessPlan path already handles it
   // with a single eager lookup.
-  const std::vector<std::vector<size_t>> candidates =
-      table.IndexedColumnSets();
+  const std::vector<IndexInfo> candidates = table.IndexInfos();
   const std::vector<size_t>* best = nullptr;
-  for (const auto& cols : candidates) {
+  for (const IndexInfo& info : candidates) {
+    const std::vector<size_t>& cols = info.columns;
     bool covered = !cols.empty();
     bool any_bound = false;
     for (size_t col : cols) {

@@ -186,7 +186,7 @@ bool Database::ContentEquals(const Database& other) const {
     if (a.value()->size() != b.value()->size()) return false;
     bool equal = true;
     a.value()->Scan([&](RowId rid, const Row& row) {
-      auto o = b.value()->Get(rid);
+      auto o = b.value()->Get(rid, ReadView::Latest());
       if (!o.ok() || o.value() != row) {
         equal = false;
         return false;

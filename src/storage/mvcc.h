@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 
@@ -49,12 +50,20 @@ class VersionClock {
   std::atomic<uint64_t> last_published_{0};
 };
 
-/// A snapshot reader's view: versions with begin_ts <= `ts` are visible,
-/// plus everything written by `self` (a transaction always sees its own
-/// uncommitted writes).
+/// Which version of a row a read sees. A snapshot view sees versions with
+/// begin_ts <= `ts`, plus everything written by `self` (a transaction
+/// always sees its own uncommitted writes). The Latest() view sees the
+/// in-place latest version whatever its writer: what locking reads (whose
+/// S locks exclude foreign writers), recovery redo and write-candidate
+/// collection read.
 struct ReadView {
+  static constexpr uint64_t kLatestTs = std::numeric_limits<uint64_t>::max();
+
   uint64_t ts = 0;
   TxnId self = 0;
+
+  static ReadView Latest() { return ReadView{kLatestTs, 0}; }
+  bool latest() const { return ts == kLatestTs; }
 };
 
 /// The set of snapshot timestamps currently pinned by live transactions.

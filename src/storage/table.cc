@@ -127,11 +127,11 @@ StatusOr<Row> Table::CoerceToSchema(const Row& row) const {
 }
 
 const Row* Table::VisibleVersion(const VersionedRow& vr, const ReadView& view) {
-  // A transaction always sees its own uncommitted write.
-  if (vr.writer != 0) {
-    if (vr.writer == view.self) return vr.deleted ? nullptr : &vr.latest;
-  } else if (vr.begin_ts <= view.ts) {
-    // Committed latest, within the snapshot.
+  // The latest version is visible to the Latest view whatever its writer,
+  // to its own writer, and, once committed, to snapshots at or past its
+  // stamp.
+  if (view.latest() ||
+      (vr.writer != 0 ? vr.writer == view.self : vr.begin_ts <= view.ts)) {
     return vr.deleted ? nullptr : &vr.latest;
   }
   // Latest is invisible (foreign uncommitted write, or committed past the
@@ -155,39 +155,18 @@ bool Table::AnyVersionCarriesKey(const VersionedRow& vr,
 
 StatusOr<RowId> Table::Insert(const Row& row) {
   YT_ASSIGN_OR_RETURN(Row coerced, CoerceToSchema(row));
-  return InsertCoerced(std::move(coerced));
+  return Insert(std::move(coerced), /*writer=*/0);
 }
 
-StatusOr<RowId> Table::InsertCoerced(Row row) {
-  if (row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument("row arity does not match schema of " +
-                                   name_);
-  }
-  std::unique_lock g(latch_);
-  YT_RETURN_IF_ERROR(CheckUniqueLocked(row, /*self=*/0));
-  RowId rid = next_row_id_++;
-  IndexInsertLocked(rid, row);
-  VersionedRow vr;
-  vr.latest = std::move(row);
-  rows_.emplace(rid, std::move(vr));
-  ++live_rows_;
-  return rid;
-}
-
-StatusOr<RowId> Table::InsertVersioned(Row coerced, TxnId writer) {
+StatusOr<RowId> Table::Insert(Row coerced, TxnId writer) {
   if (coerced.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity does not match schema of " +
                                    name_);
   }
   std::unique_lock g(latch_);
-  YT_RETURN_IF_ERROR(CheckUniqueLocked(coerced, /*self=*/0));
-  RowId rid = next_row_id_++;
-  IndexInsertLocked(rid, coerced);
-  VersionedRow vr;
-  vr.latest = std::move(coerced);
-  vr.writer = writer;
-  rows_.emplace(rid, std::move(vr));
-  ++live_rows_;
+  RowId rid = next_row_id_;
+  YT_RETURN_IF_ERROR(EmplaceLocked(rid, std::move(coerced), writer));
+  ++next_row_id_;
   return rid;
 }
 
@@ -203,27 +182,23 @@ Status Table::InsertWithId(RowId rid, const Row& row) {
     // Committed tombstone: replace in place (recovery-style resurrect).
     EraseEntryLocked(it);
   }
-  YT_RETURN_IF_ERROR(CheckUniqueLocked(coerced, /*self=*/0));
+  YT_RETURN_IF_ERROR(EmplaceLocked(rid, std::move(coerced), /*writer=*/0));
   next_row_id_ = std::max(next_row_id_, rid + 1);
+  return Status::Ok();
+}
+
+Status Table::EmplaceLocked(RowId rid, Row coerced, TxnId writer) {
+  YT_RETURN_IF_ERROR(CheckUniqueLocked(coerced, /*self=*/0));
   IndexInsertLocked(rid, coerced);
   VersionedRow vr;
   vr.latest = std::move(coerced);
+  vr.writer = writer;
   rows_.emplace(rid, std::move(vr));
   ++live_rows_;
   return Status::Ok();
 }
 
-StatusOr<Row> Table::Get(RowId rid) const {
-  std::shared_lock g(latch_);
-  auto it = rows_.find(rid);
-  if (it == rows_.end() || it->second.deleted) {
-    return Status::NotFound("row " + std::to_string(rid) + " in table " +
-                            name_);
-  }
-  return it->second.latest;
-}
-
-StatusOr<Row> Table::GetVersioned(RowId rid, const ReadView& view) const {
+StatusOr<Row> Table::Get(RowId rid, const ReadView& view) const {
   std::shared_lock g(latch_);
   auto it = rows_.find(rid);
   if (it != rows_.end()) {
@@ -235,33 +210,11 @@ StatusOr<Row> Table::GetVersioned(RowId rid, const ReadView& view) const {
 
 Status Table::Update(RowId rid, const Row& row) {
   YT_ASSIGN_OR_RETURN(Row coerced, CoerceToSchema(row));
-  return UpdateCoerced(rid, std::move(coerced));
+  return Update(rid, std::move(coerced), /*writer=*/0);
 }
 
-Status Table::UpdateCoerced(RowId rid, Row row) {
-  if (row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument("row arity does not match schema of " +
-                                   name_);
-  }
-  std::unique_lock g(latch_);
-  auto it = rows_.find(rid);
-  if (it == rows_.end() || it->second.deleted) {
-    return Status::NotFound("row " + std::to_string(rid) + " in table " +
-                            name_);
-  }
-  YT_RETURN_IF_ERROR(CheckUniqueLocked(row, rid));
-  VersionedRow& vr = it->second;
-  Row old = std::move(vr.latest);
-  vr.latest = std::move(row);
-  vr.writer = 0;
-  IndexInsertLocked(rid, vr.latest);
-  ScrubKeysLocked(rid, old);
-  return Status::Ok();
-}
-
-Status Table::UpdateVersioned(RowId rid, Row coerced, TxnId writer,
-                              bool* pushed) {
-  *pushed = false;
+Status Table::Update(RowId rid, Row coerced, TxnId writer, bool* pushed) {
+  if (pushed != nullptr) *pushed = false;
   if (coerced.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity does not match schema of " +
                                    name_);
@@ -274,11 +227,13 @@ Status Table::UpdateVersioned(RowId rid, Row coerced, TxnId writer,
   }
   YT_RETURN_IF_ERROR(CheckUniqueLocked(coerced, rid));
   VersionedRow& vr = it->second;
-  if (vr.writer == writer) {
-    // Re-write by the owning transaction: overwrite the uncommitted
-    // version in place (intermediate states are never visible to anyone).
+  if (writer == 0 || vr.writer == writer) {
+    // A committed in-place write, or a re-write by the owning transaction
+    // (its intermediate states are never visible to anyone): overwrite the
+    // latest version and drop the keys only it carried.
     Row old = std::move(vr.latest);
     vr.latest = std::move(coerced);
+    vr.writer = writer;
     IndexInsertLocked(rid, vr.latest);
     ScrubKeysLocked(rid, old);
   } else {
@@ -289,29 +244,22 @@ Status Table::UpdateVersioned(RowId rid, Row coerced, TxnId writer,
     vr.latest = std::move(coerced);
     vr.writer = writer;
     IndexInsertLocked(rid, vr.latest);
-    *pushed = true;
+    if (pushed != nullptr) *pushed = true;
   }
   return Status::Ok();
 }
 
-Status Table::Delete(RowId rid) {
+Status Table::Delete(RowId rid, TxnId writer, bool* pushed) {
+  if (pushed != nullptr) *pushed = false;
   std::unique_lock g(latch_);
   auto it = rows_.find(rid);
   if (it == rows_.end() || it->second.deleted) {
     return Status::NotFound("row " + std::to_string(rid) + " in table " +
                             name_);
   }
-  EraseEntryLocked(it);
-  return Status::Ok();
-}
-
-Status Table::DeleteVersioned(RowId rid, TxnId writer, bool* pushed) {
-  *pushed = false;
-  std::unique_lock g(latch_);
-  auto it = rows_.find(rid);
-  if (it == rows_.end() || it->second.deleted) {
-    return Status::NotFound("row " + std::to_string(rid) + " in table " +
-                            name_);
+  if (writer == 0) {
+    EraseEntryLocked(it);
+    return Status::Ok();
   }
   VersionedRow& vr = it->second;
   if (vr.writer != writer) {
@@ -319,7 +267,7 @@ Status Table::DeleteVersioned(RowId rid, TxnId writer, bool* pushed) {
     vr.history.insert(vr.history.begin(),
                       RowVersion{vr.begin_ts, false, vr.latest});
     vr.writer = writer;
-    *pushed = true;
+    if (pushed != nullptr) *pushed = true;
   }
   // The tombstone keeps the old data in `latest` so rollback and key
   // scrubbing know what it carried; `deleted` hides it from every reader.
@@ -434,22 +382,8 @@ void Table::Scan(const std::function<bool(RowId, const Row&)>& visitor) const {
   }
 }
 
-RowId Table::ScanChunk(RowId from, size_t max_rows,
+RowId Table::ScanChunk(const ReadView& view, RowId from, size_t max_rows,
                        std::vector<std::pair<RowId, Row>>* out) const {
-  out->clear();
-  out->reserve(max_rows);
-  std::shared_lock g(latch_);
-  auto it = rows_.lower_bound(from);
-  while (it != rows_.end() && out->size() < max_rows) {
-    if (!it->second.deleted) out->emplace_back(it->first, it->second.latest);
-    ++it;
-  }
-  return it == rows_.end() ? 0 : it->first;
-}
-
-RowId Table::ScanChunkVersioned(const ReadView& view, RowId from,
-                                size_t max_rows,
-                                std::vector<std::pair<RowId, Row>>* out) const {
   out->clear();
   out->reserve(max_rows);
   std::shared_lock g(latch_);
@@ -526,28 +460,7 @@ const std::vector<RowId>* Table::IndexFind(const Index& idx, const Row& key) {
   return it == idx.hash.end() ? nullptr : &it->second;
 }
 
-StatusOr<std::vector<RowId>> Table::IndexLookup(
-    const std::vector<size_t>& columns, const Row& key) const {
-  std::shared_lock g(latch_);
-  const Index* idx = FindIndexLocked(columns);
-  if (idx == nullptr) {
-    return Status::NotFound("no index on requested columns of " + name_);
-  }
-  const std::vector<RowId>* bucket = IndexFind(*idx, key);
-  if (bucket == nullptr) return std::vector<RowId>{};
-  // Buckets may carry stale entries (older versions' keys): confirm the
-  // latest version still projects the key and is live.
-  std::vector<RowId> out;
-  out.reserve(bucket->size());
-  for (RowId rid : *bucket) {
-    auto it = rows_.find(rid);
-    if (it == rows_.end() || it->second.deleted) continue;
-    if (ProjectKey(it->second.latest, columns) == key) out.push_back(rid);
-  }
-  return out;
-}
-
-StatusOr<std::vector<std::pair<RowId, Row>>> Table::IndexLookupVersioned(
+StatusOr<std::vector<std::pair<RowId, Row>>> Table::IndexLookup(
     const std::vector<size_t>& columns, const Row& key,
     const ReadView& view) const {
   std::shared_lock g(latch_);
@@ -571,9 +484,9 @@ StatusOr<std::vector<std::pair<RowId, Row>>> Table::IndexLookupVersioned(
 
 namespace {
 
-/// Shared shape of the two range-lookup walks: visits in-range keys in
-/// direction order, NULL-filters bound-constrained columns, and lets the
-/// caller emit a bucket's rows (returning true to stop at a limit).
+/// The range-lookup walk: visits in-range keys in direction order,
+/// NULL-filters bound-constrained columns, and lets the caller emit a
+/// bucket's rows (returning true to stop at a limit).
 template <typename Tree, typename EmitBucket>
 void WalkRange(const Tree& tree, const IndexRangeSpec& spec,
                const EmitBucket& emit_bucket) {
@@ -639,44 +552,7 @@ void WalkRange(const Tree& tree, const IndexRangeSpec& spec,
 
 }  // namespace
 
-StatusOr<std::vector<RowId>> Table::RangeLookup(
-    const IndexRangeSpec& spec) const {
-  std::shared_lock g(latch_);
-  const Index* idx = FindIndexLocked(spec.columns);
-  if (idx == nullptr || !idx->ordered) {
-    return Status::NotFound("no ordered index on requested columns of " +
-                            name_);
-  }
-  std::vector<RowId> out;
-  // Buckets are kept RowId-sorted, so emitting a key's rows is a plain
-  // (possibly reversed) walk: RowIds ascend on a forward scan and descend
-  // on a reverse scan (whole-result key-then-rid order, either direction).
-  // Stale entries (older versions' keys) are filtered against the latest
-  // version before counting toward the limit.
-  auto emit_bucket = [&](const Row& key, const std::vector<RowId>& bucket) {
-    auto emit_one = [&](RowId rid) {
-      auto it = rows_.find(rid);
-      if (it == rows_.end() || it->second.deleted) return false;
-      if (ProjectKey(it->second.latest, spec.columns) != key) return false;
-      out.push_back(rid);
-      return spec.limit >= 0 && out.size() >= static_cast<size_t>(spec.limit);
-    };
-    if (spec.reverse) {
-      for (auto rit = bucket.rbegin(); rit != bucket.rend(); ++rit) {
-        if (emit_one(*rit)) return true;
-      }
-    } else {
-      for (RowId rid : bucket) {
-        if (emit_one(rid)) return true;
-      }
-    }
-    return false;
-  };
-  WalkRange(idx->tree, spec, emit_bucket);
-  return out;
-}
-
-StatusOr<std::vector<std::pair<RowId, Row>>> Table::RangeLookupVersioned(
+StatusOr<std::vector<std::pair<RowId, Row>>> Table::RangeLookup(
     const IndexRangeSpec& spec, const ReadView& view) const {
   std::shared_lock g(latch_);
   const Index* idx = FindIndexLocked(spec.columns);
@@ -685,6 +561,11 @@ StatusOr<std::vector<std::pair<RowId, Row>>> Table::RangeLookupVersioned(
                             name_);
   }
   std::vector<std::pair<RowId, Row>> out;
+  // Buckets are kept RowId-sorted, so emitting a key's rows is a plain
+  // (possibly reversed) walk: RowIds ascend on a forward scan and descend
+  // on a reverse scan (whole-result key-then-rid order, either direction).
+  // Stale entries (older versions' keys) are filtered against the visible
+  // version before counting toward the limit.
   auto emit_bucket = [&](const Row& key, const std::vector<RowId>& bucket) {
     auto emit_one = [&](RowId rid) {
       auto it = rows_.find(rid);
@@ -712,14 +593,6 @@ StatusOr<std::vector<std::pair<RowId, Row>>> Table::RangeLookupVersioned(
 bool Table::HasIndexOn(const std::vector<size_t>& columns) const {
   std::shared_lock g(latch_);
   return FindIndexLocked(columns) != nullptr;
-}
-
-std::vector<std::vector<size_t>> Table::IndexedColumnSets() const {
-  std::shared_lock g(latch_);
-  std::vector<std::vector<size_t>> out;
-  out.reserve(indexes_.size());
-  for (const Index& idx : indexes_) out.push_back(idx.columns);
-  return out;
 }
 
 std::vector<IndexInfo> Table::IndexInfos() const {
@@ -827,27 +700,17 @@ void Table::IndexInsertLocked(RowId rid, const Row& row) {
   }
 }
 
-void Table::IndexRemoveLocked(RowId rid, const Row& row) {
-  for (Index& idx : indexes_) {
-    Row key = ProjectKey(row, idx.columns);
-    if (idx.ordered) {
-      auto it = idx.tree.find(key);
-      if (it == idx.tree.end()) continue;
-      auto& vec = it->second;
-      vec.erase(std::remove(vec.begin(), vec.end(), rid), vec.end());
-      if (vec.empty()) idx.tree.erase(it);
-    } else {
-      auto it = idx.hash.find(key);
-      if (it == idx.hash.end()) continue;
-      auto& vec = it->second;
-      vec.erase(std::remove(vec.begin(), vec.end(), rid), vec.end());
-      if (vec.empty()) idx.hash.erase(it);
-    }
-  }
-}
-
 void Table::ScrubKeysLocked(RowId rid, const Row& old_data) {
   auto it = rows_.find(rid);
+  // Drops `rid` from `key`'s RowId-sorted bucket, and the bucket once empty.
+  auto erase_entry = [rid](auto& buckets, const Row& key) {
+    auto kit = buckets.find(key);
+    if (kit == buckets.end()) return;
+    std::vector<RowId>& bucket = kit->second;
+    auto pos = std::lower_bound(bucket.begin(), bucket.end(), rid);
+    if (pos != bucket.end() && *pos == rid) bucket.erase(pos);
+    if (bucket.empty()) buckets.erase(kit);
+  };
   for (Index& idx : indexes_) {
     Row key = ProjectKey(old_data, idx.columns);
     if (it != rows_.end() &&
@@ -855,17 +718,9 @@ void Table::ScrubKeysLocked(RowId rid, const Row& old_data) {
       continue;  // some remaining version still needs the entry
     }
     if (idx.ordered) {
-      auto kit = idx.tree.find(key);
-      if (kit == idx.tree.end()) continue;
-      auto& vec = kit->second;
-      vec.erase(std::remove(vec.begin(), vec.end(), rid), vec.end());
-      if (vec.empty()) idx.tree.erase(kit);
+      erase_entry(idx.tree, key);
     } else {
-      auto kit = idx.hash.find(key);
-      if (kit == idx.hash.end()) continue;
-      auto& vec = kit->second;
-      vec.erase(std::remove(vec.begin(), vec.end(), rid), vec.end());
-      if (vec.empty()) idx.hash.erase(kit);
+      erase_entry(idx.hash, key);
     }
   }
 }
@@ -876,8 +731,8 @@ void Table::EraseEntryLocked(std::map<RowId, VersionedRow>::iterator it) {
   bool was_live = !vr.deleted;
   rows_.erase(it);
   // With the entry gone, every key any version carried is unreferenced.
-  IndexRemoveLocked(rid, vr.latest);
-  for (const RowVersion& v : vr.history) IndexRemoveLocked(rid, v.data);
+  ScrubKeysLocked(rid, vr.latest);
+  for (const RowVersion& v : vr.history) ScrubKeysLocked(rid, v.data);
   if (was_live) --live_rows_;
 }
 

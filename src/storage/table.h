@@ -92,21 +92,28 @@ struct IndexInfo {
 /// hash or ordered (B-tree) indexes on column subsets. Each entry holds the
 /// *latest* version in place plus a newest-first chain of committed
 /// overwritten versions, each stamped with the commit timestamp that
-/// created it — snapshot readers (`*Versioned` accessors, taking a
-/// `ReadView`) pick the visible version latch-only, never touching the lock
-/// manager, while the legacy accessors keep the pre-MVCC in-place
-/// semantics for 2PL-locked paths and recovery. Physical access is guarded
-/// by a shared_mutex *latch*; logical concurrency control lives above (2PL
-/// for writes and locking reads, the commit clock for snapshot reads).
-/// Scan order is RowId order, which is insertion order, so executions are
-/// deterministic.
+/// created it. Physical access is guarded by a shared_mutex *latch*;
+/// logical concurrency control lives above (2PL for writes and locking
+/// reads, the commit clock for snapshot reads). Scan order is RowId order,
+/// which is insertion order, so executions are deterministic.
+///
+/// There is one read path and one write path. Every read (Get, ScanChunk,
+/// IndexLookup, RangeLookup) takes a ReadView and returns the version that
+/// view sees: snapshot readers pass their cut and never touch the lock
+/// manager; locking readers, recovery and write-candidate collection pass
+/// ReadView::Latest(). Every write (Insert, Update, Delete) takes the
+/// writing TxnId: a transaction's write leaves an uncommitted version it
+/// owns (stamped or rolled back at its end), and writer 0 applies the write
+/// committed in place (loads, recovery redo, checkpoint load).
 ///
 /// Index maintenance under versioning is additive: a versioned update adds
 /// the new key but keeps the old one (an older version still carries it),
 /// so every index probe re-checks that the version it returns actually
 /// projects the probed key. Stale entries are scrubbed when the last
 /// version carrying the key disappears (rollback, same-writer overwrite,
-/// GC prune, physical erase).
+/// GC prune, physical erase). Index buckets are kept RowId-sorted, so
+/// lookups return RowIds ascending (descending within a key on a reverse
+/// range read) without a sort.
 class Table {
  public:
   /// A schema with primary-key columns gets a unique index over them
@@ -119,27 +126,9 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
-  /// Validates arity/types (with coercion) and appends the row.
-  StatusOr<RowId> Insert(const Row& row);
-  /// Insert/Update for a row that already came out of Coerce() — skips the
-  /// re-validation (the transaction manager coerces once up front to
-  /// compute index-key locks).
-  StatusOr<RowId> InsertCoerced(Row row);
-  Status UpdateCoerced(RowId rid, Row row);
-
-  /// Inserts at a specific RowId (recovery redo / checkpoint load). Fails if
-  /// the id is occupied by a live row; a committed tombstone at `rid` is
-  /// replaced in place. Bumps the row-id allocator past `rid`.
-  Status InsertWithId(RowId rid, const Row& row);
-
-  StatusOr<Row> Get(RowId rid) const;
-  Status Update(RowId rid, const Row& row);
-  Status Delete(RowId rid);
-
-  // --- Versioned mutation path (transaction manager writes) ---
+  // --- Write path ---
   //
-  // These keep the heap's version chains correct across commit and abort:
-  // the first write a transaction makes to a committed row pushes the
+  // The first write a transaction makes to a committed row pushes the
   // committed version onto the chain (`*pushed` reports it, for
   // versions_created accounting); re-writes by the same transaction
   // overwrite in place. `StampCommit` runs inside the commit clock's
@@ -147,15 +136,31 @@ class Table {
   // `RollbackWrite`/`RollbackInsert` restore the pre-transaction state on
   // abort (processed through the undo log in reverse, so the first
   // rollback of a row restores the committed version and later entries for
-  // the same row no-op).
+  // the same row no-op). Writer 0 writes committed in place and pushes
+  // nothing.
 
-  /// Appends an uncommitted row owned by `writer`.
-  StatusOr<RowId> InsertVersioned(Row coerced, TxnId writer);
-  /// Overwrites `rid` with an uncommitted version owned by `writer`.
-  Status UpdateVersioned(RowId rid, Row coerced, TxnId writer, bool* pushed);
-  /// Marks `rid` deleted (tombstone) by `writer`; the row stays readable to
-  /// older snapshots.
-  Status DeleteVersioned(RowId rid, TxnId writer, bool* pushed);
+  /// Appends a row that already came out of Coerce() (the transaction
+  /// manager coerces once up front to compute index-key locks), owned by
+  /// `writer`.
+  StatusOr<RowId> Insert(Row coerced, TxnId writer);
+  /// Validates/coerces `row` and appends it committed (writer 0).
+  StatusOr<RowId> Insert(const Row& row);
+
+  /// Inserts at a specific RowId (recovery redo / checkpoint load). Fails if
+  /// the id is occupied by a live row; a committed tombstone at `rid` is
+  /// replaced in place. Bumps the row-id allocator past `rid`.
+  Status InsertWithId(RowId rid, const Row& row);
+
+  /// Overwrites live `rid` with a coerced row owned by `writer`.
+  Status Update(RowId rid, Row coerced, TxnId writer, bool* pushed = nullptr);
+  /// Validates/coerces `row` and overwrites `rid` committed (writer 0).
+  Status Update(RowId rid, const Row& row);
+
+  /// Deletes live `rid`. A transaction's delete leaves a tombstone, so the
+  /// row stays readable to older snapshots; writer 0 erases the entry and
+  /// its index keys outright.
+  Status Delete(RowId rid, TxnId writer, bool* pushed = nullptr);
+
   /// Stamps `writer`'s uncommitted version of `rid` with commit timestamp
   /// `ts` and releases ownership. No-op unless `writer` owns the latest
   /// version (idempotent across redundant undo-log entries).
@@ -166,24 +171,43 @@ class Table {
   /// back into place. No-op unless `writer` owns the latest version.
   void RollbackWrite(RowId rid, TxnId writer);
 
-  // --- Snapshot read path (no locks, latch-only) ---
+  // --- Read path (latch-only; the caller's view picks the version) ---
 
   /// The version of `rid` visible to `view`, or NotFound (absent, not yet
-  /// visible, or deleted at the snapshot).
-  StatusOr<Row> GetVersioned(RowId rid, const ReadView& view) const;
-  /// Chunked snapshot scan: copies up to `max_rows` visible rows with
-  /// RowId >= `from` into `*out`, returns the RowId to resume from (0 when
-  /// exhausted).
-  RowId ScanChunkVersioned(const ReadView& view, RowId from, size_t max_rows,
-                           std::vector<std::pair<RowId, Row>>* out) const;
-  /// Index point probe at a snapshot: (rid, visible row) pairs whose
-  /// *visible version* projects `key` (stale entries filtered out).
-  StatusOr<std::vector<std::pair<RowId, Row>>> IndexLookupVersioned(
+  /// visible, or deleted in the view).
+  StatusOr<Row> Get(RowId rid, const ReadView& view) const;
+
+  /// Chunked scan: copies up to `max_rows` rows visible to `view` with
+  /// RowId >= `from` into `*out` (cleared and reserved first), in RowId
+  /// order. Returns the RowId to resume from, or 0 when the heap past
+  /// `from` is exhausted. Chunked scans hold the latch per chunk, not per
+  /// table — cursors pull through this.
+  RowId ScanChunk(const ReadView& view, RowId from, size_t max_rows,
+                  std::vector<std::pair<RowId, Row>>* out) const;
+
+  /// Index point probe: (rid, visible row) pairs, RowId-ascending, whose
+  /// version visible to `view` projects `key` on `columns` (stale entries
+  /// filtered out). NotFound when no index covers exactly those columns.
+  /// Works on hash and ordered indexes alike.
+  StatusOr<std::vector<std::pair<RowId, Row>>> IndexLookup(
       const std::vector<size_t>& columns, const Row& key,
       const ReadView& view) const;
-  /// Ordered-index range read at a snapshot, key order then RowId order.
-  StatusOr<std::vector<std::pair<RowId, Row>>> RangeLookupVersioned(
+
+  /// Ordered-index range read: (rid, visible row) pairs whose visible
+  /// version's key projection lies in `spec.range`, in key order (then
+  /// RowId order within a key; descending keys and RowIds when
+  /// `spec.reverse`), truncated to `spec.limit`. Keys with NULL in a
+  /// *bound-constrained* column are skipped (SQL comparisons with NULL
+  /// select nothing) — NULLs in columns past every bound's length still
+  /// qualify, so a fully unbounded range (ORDER BY service) returns every
+  /// row. NotFound when no *ordered* index exists on exactly
+  /// `spec.columns`.
+  StatusOr<std::vector<std::pair<RowId, Row>>> RangeLookup(
       const IndexRangeSpec& spec, const ReadView& view) const;
+
+  /// Visits the latest live rows in RowId order under one latch hold; the
+  /// visitor returns false to stop early.
+  void Scan(const std::function<bool(RowId, const Row&)>& visitor) const;
 
   /// Commit timestamp of the newest committed version of `rid` (0 when the
   /// row is absent or the latest version is uncommitted — the caller holds
@@ -198,16 +222,6 @@ class Table {
   /// Returns the number of versions pruned.
   size_t PruneRows(const std::vector<RowId>& rids, uint64_t horizon);
 
-  /// Visits rows in RowId order; the visitor returns false to stop early.
-  void Scan(const std::function<bool(RowId, const Row&)>& visitor) const;
-
-  /// Copies up to `max_rows` rows with RowId >= `from` into `*out` (cleared
-  /// and reserved first), in RowId order. Returns the RowId to resume from,
-  /// or 0 when the heap past `from` is exhausted. Chunked scans hold the
-  /// latch per chunk, not per table — cursors pull through this.
-  RowId ScanChunk(RowId from, size_t max_rows,
-                  std::vector<std::pair<RowId, Row>>* out) const;
-
   /// Builds an index over the named columns (backfills existing rows).
   /// `unique` rejects duplicate keys — except keys containing NULL, which
   /// are exempt from uniqueness per SQL. `ordered` builds a B-tree instead
@@ -218,25 +232,10 @@ class Table {
   Status CreateIndexByPositions(const std::vector<size_t>& columns,
                                 bool unique = false, bool ordered = false);
 
-  /// Returns RowIds whose *latest* version is live and projects `key` on
-  /// `columns`, or NotFound when no index covers exactly those columns.
-  /// Works on hash and ordered indexes alike.
-  StatusOr<std::vector<RowId>> IndexLookup(const std::vector<size_t>& columns,
-                                           const Row& key) const;
   bool HasIndexOn(const std::vector<size_t>& columns) const;
 
-  /// RowIds whose key projection lies in `spec.range`, in key order (then
-  /// RowId order within a key; descending keys when `spec.reverse`),
-  /// truncated to `spec.limit`. Keys with NULL in a *bound-constrained*
-  /// column are skipped (SQL comparisons with NULL select nothing) — NULLs
-  /// in columns past every bound's length still qualify, so a fully
-  /// unbounded range (ORDER BY service) returns every row. NotFound when no
-  /// *ordered* index exists on exactly `spec.columns`.
-  StatusOr<std::vector<RowId>> RangeLookup(const IndexRangeSpec& spec) const;
-
-  /// Column sets of every index, in creation order (access-path planning).
-  std::vector<std::vector<size_t>> IndexedColumnSets() const;
-  /// Same with the unique/ordered flags.
+  /// Column set + flags of every index, in creation order (access-path
+  /// planning).
   std::vector<IndexInfo> IndexInfos() const;
 
   /// Validates/coerces a row against the schema without inserting it (the
@@ -304,11 +303,16 @@ class Table {
   /// latest* versions (`self` excluded, for updates; keys containing NULL
   /// are exempt). Caller holds the latch.
   Status CheckUniqueLocked(const Row& row, RowId self) const;
+  /// Adds a fresh entry at the unoccupied `rid` (unique check, index keys,
+  /// live count), owned by `writer`.
+  Status EmplaceLocked(RowId rid, Row coerced, TxnId writer);
+  /// Adds `rid` under `row`'s key in every index, keeping buckets
+  /// RowId-sorted.
   void IndexInsertLocked(RowId rid, const Row& row);
-  void IndexRemoveLocked(RowId rid, const Row& row);
   /// Removes (key, rid) entries projected from `old_data` for every index
-  /// key no remaining version of `rid` still carries. Call *after* the
-  /// version holding `old_data` has been discarded.
+  /// key no remaining version of `rid` still carries (every key, once the
+  /// entry is gone). Call *after* the version holding `old_data` has been
+  /// discarded.
   void ScrubKeysLocked(RowId rid, const Row& old_data);
   /// True when some non-deleted version of `vr` projects `key` on `columns`.
   static bool AnyVersionCarriesKey(const VersionedRow& vr,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
-#include <optional>
 
 #include "src/common/fault.h"
 #include "src/common/metrics.h"
@@ -81,11 +80,10 @@ void ReleaseUnlessWriteHeld(LockManager* locks, TxnId txn, LockKey key) {
 }
 
 /// Heap-scan cursor: a private walk of the heap in chunks of
-/// RowBatch::kDefaultRows rows. With a ReadView it reads the versioned heap
-/// (snapshot levels: no locks, closing releases nothing); without one it
-/// reads the latest versions under the table S lock OpenCursor took, and
-/// closing performs the kReadCommitted early release of that lock when
-/// `release_table_on_close`.
+/// RowBatch::kDefaultRows rows, each read at `view`. A snapshot view reads
+/// lock-free (closing releases nothing); the Latest view reads under the
+/// table S lock OpenCursor took, and closing performs the kReadCommitted
+/// early release of that lock when `release_table_on_close`.
 class HeapScanCursor : public TableCursor {
  public:
   // One batched pull == one chunk: the swap fast path in NextBatch leans on
@@ -93,7 +91,7 @@ class HeapScanCursor : public TableCursor {
   static constexpr size_t kChunkRows = RowBatch::kDefaultRows;
 
   HeapScanCursor(LockManager* locks, Transaction* txn, const Table* table,
-                 std::optional<ReadView> view, bool release_table_on_close)
+                 ReadView view, bool release_table_on_close)
       : locks_(locks),
         txn_(txn),
         table_(table),
@@ -114,7 +112,7 @@ class HeapScanCursor : public TableCursor {
     }
   }
 
-  /// Visit-only drain of a fresh cursor skips the pull loop. A locking
+  /// Visit-only drain of a fresh cursor skips the pull loop. A Latest-view
   /// read walks the heap directly under the latch (the table S lock
   /// already excludes writers; selective consumers copy only what they
   /// keep). A snapshot read walks chunk by chunk so concurrent writers
@@ -123,13 +121,13 @@ class HeapScanCursor : public TableCursor {
       const std::function<bool(RowId, const Row&)>& visitor) override {
     if (started_) return TableCursor::DrainRef(visitor);
     started_ = done_ = true;
-    if (!view_) {
+    if (view_.latest()) {
       table_->Scan(visitor);
       return Status::Ok();
     }
     bool more = true;
     for (RowId from = 1; more && from != 0;) {
-      from = FetchChunk(from);
+      from = table_->ScanChunk(view_, from, kChunkRows, &buf_);
       for (size_t i = 0; more && i < buf_.size(); ++i) {
         more = visitor(buf_[i].first, buf_[i].second);
       }
@@ -183,21 +181,16 @@ class HeapScanCursor : public TableCursor {
   size_t size_hint() const override { return table_->size(); }
 
  private:
-  /// Reads the chunk starting at `from` into buf_; returns the RowId to
-  /// resume from (0 = heap exhausted).
-  RowId FetchChunk(RowId from) {
-    return view_ ? table_->ScanChunkVersioned(*view_, from, kChunkRows, &buf_)
-                 : table_->ScanChunk(from, kChunkRows, &buf_);
-  }
-
   /// Ensures buf_[pos_] is the next unreturned row.
   bool Refill() {
     if (pos_ < buf_.size()) return true;
     if (done_) return false;
-    RowId next = FetchChunk(next_from_);
+    RowId next = table_->ScanChunk(view_, next_from_, kChunkRows, &buf_);
     // Only a 0 resume point means the end: an empty chunk (every entry in
     // the window invisible at this view) is skipped, not returned.
-    while (buf_.empty() && next != 0) next = FetchChunk(next);
+    while (buf_.empty() && next != 0) {
+      next = table_->ScanChunk(view_, next, kChunkRows, &buf_);
+    }
     pos_ = 0;
     if (buf_.empty()) {
       done_ = true;
@@ -211,7 +204,7 @@ class HeapScanCursor : public TableCursor {
   LockManager* locks_;
   Transaction* txn_;
   const Table* table_;
-  std::optional<ReadView> view_;
+  ReadView view_;
   bool release_table_on_close_;
   std::vector<std::pair<RowId, Row>> buf_;
   RowId next_from_ = 1;
@@ -220,37 +213,46 @@ class HeapScanCursor : public TableCursor {
   bool started_ = false;
 };
 
-/// Cursor over a RowId list fetched at open time (hash lookup or ordered
-/// range lookup). Row S locks are taken as rows are pulled; closing
-/// performs the read-committed early release of everything the cursor
-/// locked.
+/// The predicate S lock a locking lookup cursor holds over its matched
+/// set; kNone marks a lock-free cursor (snapshot views, kReadUncommitted).
+struct PredicateLock {
+  enum class Kind { kNone, kIndexKey, kRange, kTableS };
+  Kind kind = Kind::kNone;
+  LockKey key;          ///< kIndexKey: the key hash; kTableS: the table
+  RangeSpaceKey space;  ///< kRange
+  IndexRange range;     ///< kRange
+};
+
+/// Cursor over the (RowId, Row) pairs an index or range lookup read at
+/// open time; rows are handed out by move (the cursor owns its copies).
+/// A locking cursor already holds its predicate lock when it opens, and
+/// every writer X-locks the index keys (hash and ordered Point) of both
+/// its before and after rows, so no other transaction can change a
+/// matched row while the cursor lives: the pairs read at open are what a
+/// per-pull read would return. Row S locks are still taken as rows are
+/// pulled, and closing at kReadCommitted releases the visited row S plus
+/// the predicate lock. Per-row schedule observation happens as rows are
+/// pulled.
 class FetchedRowsCursor : public TableCursor {
  public:
-  /// What to release (besides visited row locks) on a read-committed close.
-  enum class Release { kIndexKey, kRange, kTableS };
-
-  FetchedRowsCursor(LockManager* locks, Transaction* txn, Table* table,
-                    OpObserver* observer, bool take_locks, bool observe_rows,
-                    std::vector<RowId> rids, Release release,
-                    LockKey key_lock, RangeSpaceKey space, IndexRange range)
+  FetchedRowsCursor(LockManager* locks, Transaction* txn, const Table* table,
+                    OpObserver* observer, bool observe_rows,
+                    std::vector<std::pair<RowId, Row>> rows,
+                    PredicateLock predicate)
       : locks_(locks),
         txn_(txn),
         table_(table),
         observer_(observer),
-        take_locks_(take_locks),
         observe_rows_(observe_rows),
-        rids_(std::move(rids)),
-        release_(release),
-        key_lock_(key_lock),
-        space_(space),
-        range_(std::move(range)) {
+        rows_(std::move(rows)),
+        predicate_(std::move(predicate)) {
     txn_->cursor_opened();
-    visited_.reserve(rids_.size());
   }
 
   ~FetchedRowsCursor() override {
     // Last-open-cursor gate: see ~HeapScanCursor.
-    if (txn_->cursor_closed() != 0 || !take_locks_ ||
+    if (txn_->cursor_closed() != 0 ||
+        predicate_.kind == PredicateLock::Kind::kNone ||
         !ReleasesReadLocksEarly(txn_->isolation_level())) {
       return;
     }
@@ -261,113 +263,17 @@ class FetchedRowsCursor : public TableCursor {
       ReleaseUnlessWriteHeld(locks_, txn_->id(),
                              LockKey::RowOf(table_->id(), rid));
     }
-    switch (release_) {
-      case Release::kIndexKey:
-        ReleaseUnlessWriteHeld(locks_, txn_->id(), key_lock_);
-        break;
-      case Release::kRange:
-        locks_->ReleaseSharedRange(txn_->id(), space_, range_);
-        break;
-      case Release::kTableS:
-        ReleaseUnlessWriteHeld(locks_, txn_->id(),
-                               LockKey::Table(table_->id()));
-        break;
+    if (predicate_.kind == PredicateLock::Kind::kRange) {
+      locks_->ReleaseSharedRange(txn_->id(), predicate_.space,
+                                 predicate_.range);
+    } else {
+      ReleaseUnlessWriteHeld(locks_, txn_->id(), predicate_.key);
     }
   }
-
-  StatusOr<bool> NextRef(RowId* rid, const Row** row) override {
-    YT_ASSIGN_OR_RETURN(bool more, Advance(rid));
-    if (!more) return false;
-    *row = &current_;
-    return true;
-  }
-
-  StatusOr<bool> Next(RowId* rid, Row* row) override {
-    YT_ASSIGN_OR_RETURN(bool more, Advance(rid));
-    if (!more) return false;
-    *row = std::move(current_);
-    return true;
-  }
-
-  /// Batched pull: one virtual call per batch, but the per-row S lock
-  /// acquisition (and deleted-row skip) stays inside the loop — batching
-  /// never changes the lock protocol.
-  StatusOr<bool> NextBatch(RowBatch* batch, size_t max_rows) override {
-    batch->clear();
-    if (max_rows == 0) max_rows = 1;
-    batch->reserve(std::min(max_rows, rids_.size() - idx_));
-    RowId rid = 0;
-    while (batch->rows.size() < max_rows) {
-      YT_ASSIGN_OR_RETURN(bool more, Advance(&rid));
-      if (!more) break;
-      batch->rows.emplace_back(rid, std::move(current_));
-    }
-    return !batch->rows.empty();
-  }
-
-  size_t size_hint() const override { return rids_.size() - idx_; }
-
- private:
-  StatusOr<bool> Advance(RowId* out_rid) {
-    while (idx_ < rids_.size()) {
-      RowId rid = rids_[idx_++];
-      if (take_locks_) {
-        YT_RETURN_IF_ERROR(locks_->Acquire(txn_->id(),
-                                           LockKey::RowOf(table_->id(), rid),
-                                           LockMode::kS,
-                                           txn_->lock_timeout_micros()));
-      }
-      auto row = table_->Get(rid);
-      if (!row.ok()) continue;  // lockless levels may race a delete
-      visited_.push_back(rid);
-      if (observe_rows_ && observer_ != nullptr) {
-        observer_->OnRead(txn_->id(), {table_->name(), rid});
-      }
-      current_ = std::move(row).value();
-      *out_rid = rid;
-      return true;
-    }
-    return false;
-  }
-
-  LockManager* locks_;
-  Transaction* txn_;
-  Table* table_;
-  OpObserver* observer_;
-  bool take_locks_;
-  bool observe_rows_;
-  std::vector<RowId> rids_;
-  Release release_;
-  LockKey key_lock_;
-  RangeSpaceKey space_;
-  IndexRange range_;
-  size_t idx_ = 0;
-  std::vector<RowId> visited_;
-  Row current_;
-};
-
-/// Cursor over (RowId, Row) pairs materialized at open time by a versioned
-/// index/range probe. Lock-free by construction; rows are handed out by
-/// move (the cursor owns its copies). Per-row schedule observation happens
-/// as rows are pulled, mirroring the locking FetchedRowsCursor.
-class MaterializedRowsCursor : public TableCursor {
- public:
-  MaterializedRowsCursor(Transaction* txn, const Table* table,
-                         OpObserver* observer, bool observe_rows,
-                         std::vector<std::pair<RowId, Row>> rows)
-      : txn_(txn),
-        table_(table),
-        observer_(observer),
-        observe_rows_(observe_rows),
-        rows_(std::move(rows)) {
-    txn_->cursor_opened();
-  }
-
-  ~MaterializedRowsCursor() override { txn_->cursor_closed(); }
 
   StatusOr<bool> NextRef(RowId* rid, const Row** row) override {
     if (idx_ >= rows_.size()) return false;
-    Observe(rows_[idx_].first);
+    YT_RETURN_IF_ERROR(Visit(rows_[idx_].first));
     *rid = rows_[idx_].first;
     *row = &rows_[idx_].second;
     ++idx_;
@@ -376,49 +282,62 @@ class MaterializedRowsCursor : public TableCursor {
 
   StatusOr<bool> Next(RowId* rid, Row* row) override {
     if (idx_ >= rows_.size()) return false;
-    Observe(rows_[idx_].first);
+    YT_RETURN_IF_ERROR(Visit(rows_[idx_].first));
     *rid = rows_[idx_].first;
     *row = std::move(rows_[idx_].second);
     ++idx_;
     return true;
   }
 
+  /// Batched pull: one virtual call per batch, but the per-row S lock
+  /// acquisition stays inside the loop — batching never changes the lock
+  /// protocol. A batch covering the whole set moves over by swap.
   StatusOr<bool> NextBatch(RowBatch* batch, size_t max_rows) override {
     batch->clear();
     if (max_rows == 0) max_rows = 1;
-    if (idx_ >= rows_.size()) return false;
-    if (idx_ == 0 && rows_.size() <= max_rows) {
-      for (const auto& [rid, row] : rows_) Observe(rid);
+    const size_t begin = idx_;
+    const size_t end = std::min(rows_.size(), begin + max_rows);
+    if (begin == end) return false;
+    for (; idx_ < end; ++idx_) YT_RETURN_IF_ERROR(Visit(rows_[idx_].first));
+    if (begin == 0 && end == rows_.size()) {
       batch->rows.swap(rows_);
-      idx_ = 0;
       rows_.clear();
+      idx_ = 0;
       return true;
     }
-    size_t take = std::min(max_rows, rows_.size() - idx_);
-    batch->reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      Observe(rows_[idx_].first);
-      batch->rows.push_back(std::move(rows_[idx_]));
-      ++idx_;
-    }
+    batch->reserve(end - begin);
+    std::move(rows_.begin() + begin, rows_.begin() + end,
+              std::back_inserter(batch->rows));
     return true;
   }
 
   size_t size_hint() const override { return rows_.size() - idx_; }
 
  private:
-  void Observe(RowId rid) {
+  /// Per-pulled-row work: row S (locking cursors) and the R observation.
+  Status Visit(RowId rid) {
+    if (predicate_.kind != PredicateLock::Kind::kNone) {
+      YT_RETURN_IF_ERROR(locks_->Acquire(txn_->id(),
+                                         LockKey::RowOf(table_->id(), rid),
+                                         LockMode::kS,
+                                         txn_->lock_timeout_micros()));
+      visited_.push_back(rid);
+    }
     if (observe_rows_ && observer_ != nullptr) {
       observer_->OnRead(txn_->id(), {table_->name(), rid});
     }
+    return Status::Ok();
   }
 
+  LockManager* locks_;
   Transaction* txn_;
   const Table* table_;
   OpObserver* observer_;
   bool observe_rows_;
   std::vector<std::pair<RowId, Row>> rows_;
-  size_t idx_ = 0;
+  PredicateLock predicate_;
+  size_t idx_ = 0;  ///< next unreturned row in rows_
+  std::vector<RowId> visited_;
 };
 
 }  // namespace
@@ -664,7 +583,7 @@ StatusOr<RowId> TransactionManager::Insert(Transaction* txn,
   YT_RETURN_IF_ERROR(
       AcquireOrderedKeyLocks(txn, t, t->OrderedIndexKeysFor(coerced)));
   YT_ASSIGN_OR_RETURN(RowId rid,
-                      t->InsertVersioned(std::move(coerced), txn->id()));
+                      t->Insert(std::move(coerced), txn->id()));
   // X on the new row: no other transaction can see it before commit anyway
   // (it is brand new), but the lock keeps the row protocol uniform.
   YT_RETURN_IF_ERROR(locks_->Acquire(txn->id(), LockKey::RowOf(t->id(), rid),
@@ -707,25 +626,24 @@ void TransactionManager::ReleaseEarlyReadLocks(Transaction* txn,
   }
 }
 
+ReadView TransactionManager::ReadViewFor(Transaction* txn, bool grounding) {
+  if (!SnapshotReadsActive(txn)) return ReadView::Latest();
+  MaybeRefreshSnapshot(txn, grounding);
+  stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
+  return ReadView{txn->read_ts(), txn->id()};
+}
+
 StatusOr<Row> TransactionManager::Get(Transaction* txn,
                                       const std::string& table, RowId rid) {
   if (!txn->active()) return Status::Aborted("transaction not active");
   YT_ASSIGN_OR_RETURN(Table * t, db_->GetTable(table));
-  if (SnapshotReadsActive(txn)) {
-    MaybeRefreshSnapshot(txn, /*grounding=*/false);
-    stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
-    auto row = t->GetVersioned(rid, ReadView{txn->read_ts(), txn->id()});
-    if (options_.observer != nullptr) {
-      options_.observer->OnRead(txn->id(), {t->name(), rid});
-    }
-    return row;
-  }
-  YT_RETURN_IF_ERROR(AcquireReadLocks(txn, t, rid));
-  auto row = t->Get(rid);
+  const ReadView view = ReadViewFor(txn, /*grounding=*/false);
+  if (view.latest()) YT_RETURN_IF_ERROR(AcquireReadLocks(txn, t, rid));
+  auto row = t->Get(rid, view);
   if (options_.observer != nullptr) {
     options_.observer->OnRead(txn->id(), {t->name(), rid});
   }
-  ReleaseEarlyReadLocks(txn, t, rid);
+  if (view.latest()) ReleaseEarlyReadLocks(txn, t, rid);
   return row;
 }
 
@@ -749,7 +667,7 @@ Status TransactionManager::Update(Transaction* txn, const std::string& table,
                            " of " + t->name() +
                            " was updated after this snapshot");
   }
-  YT_ASSIGN_OR_RETURN(Row before, t->Get(rid));
+  YT_ASSIGN_OR_RETURN(Row before, t->Get(rid, ReadView::Latest()));
   // The update moves this row's index entries from the old keys to the new
   // ones; X both sides so equality readers of either key are excluded.
   YT_ASSIGN_OR_RETURN(Row coerced, t->Coerce(row));
@@ -760,8 +678,7 @@ Status TransactionManager::Update(Transaction* txn, const std::string& table,
   for (auto& k : t->OrderedIndexKeysFor(coerced)) okeys.push_back(std::move(k));
   YT_RETURN_IF_ERROR(AcquireOrderedKeyLocks(txn, t, std::move(okeys)));
   bool pushed = false;
-  YT_RETURN_IF_ERROR(
-      t->UpdateVersioned(rid, std::move(coerced), txn->id(), &pushed));
+  YT_RETURN_IF_ERROR(t->Update(rid, std::move(coerced), txn->id(), &pushed));
   if (pushed) {
     stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
   }
@@ -798,13 +715,13 @@ Status TransactionManager::Delete(Transaction* txn, const std::string& table,
                            " of " + t->name() +
                            " was updated after this snapshot");
   }
-  YT_ASSIGN_OR_RETURN(Row before, t->Get(rid));
+  YT_ASSIGN_OR_RETURN(Row before, t->Get(rid, ReadView::Latest()));
   YT_RETURN_IF_ERROR(
       AcquireIndexKeyLocks(txn, t, t->IndexKeyHashesFor(before)));
   YT_RETURN_IF_ERROR(
       AcquireOrderedKeyLocks(txn, t, t->OrderedIndexKeysFor(before)));
   bool pushed = false;
-  YT_RETURN_IF_ERROR(t->DeleteVersioned(rid, txn->id(), &pushed));
+  YT_RETURN_IF_ERROR(t->Delete(rid, txn->id(), &pushed));
   if (pushed) {
     stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
   }
@@ -875,53 +792,13 @@ StatusOr<std::unique_ptr<TableCursor>> TransactionManager::OpenCursor(
     Transaction* txn, Table* t, AccessPlan plan, ReadOrigin origin) {
   if (!txn->active()) return Status::Aborted("transaction not active");
   const bool grounding = IsGroundingOrigin(origin);
-
-  // The snapshot read path: pick the visible version at the transaction's
-  // ReadView instead of locking current state. Zero lock-manager traffic —
-  // scans, index probes, range reads, join probes, and grounding all run
-  // here when the level reads snapshots and MVCC is enabled.
-  if (SnapshotReadsActive(txn)) {
-    MaybeRefreshSnapshot(txn, grounding);
-    const ReadView view{txn->read_ts(), txn->id()};
-    CountRead(plan, origin);
-    stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
-
-    if (plan.is_scan()) {
-      if (options_.observer != nullptr) {
-        if (grounding) {
-          options_.observer->OnGroundingRead(txn->id(), {t->name(), 0});
-        } else {
-          options_.observer->OnRead(txn->id(), {t->name(), 0});
-        }
-      }
-      return std::unique_ptr<TableCursor>(new HeapScanCursor(
-          locks_, txn, t, view, /*release_table_on_close=*/false));
-    }
-
-    std::vector<std::pair<RowId, Row>> rows;
-    if (plan.is_index()) {
-      YT_ASSIGN_OR_RETURN(rows,
-                          t->IndexLookupVersioned(plan.columns, plan.key,
-                                                  view));
-      // Deterministic (scan) order, as on the locking path.
-      std::sort(rows.begin(), rows.end(),
-                [](const std::pair<RowId, Row>& a,
-                   const std::pair<RowId, Row>& b) { return a.first < b.first; });
-    } else {
-      YT_ASSIGN_OR_RETURN(rows,
-                          t->RangeLookupVersioned(plan.ToRangeSpec(), view));
-    }
-    if (grounding && options_.observer != nullptr) {
-      // Table-granular R^G, as with scans (quasi-read derivation stays
-      // conservative).
-      options_.observer->OnGroundingRead(txn->id(), {t->name(), 0});
-    }
-    return std::unique_ptr<TableCursor>(new MaterializedRowsCursor(
-        txn, t, options_.observer, /*observe_rows=*/!grounding,
-        std::move(rows)));
-  }
-
-  const bool take_locks = TakesReadLocks(txn->isolation_level());
+  // Snapshot levels read their cut with zero lock-manager traffic — scans,
+  // index probes, range reads, join probes and grounding alike. The
+  // locking levels (and the MVCC ablation) read the latest versions under
+  // the plan's S locks.
+  const ReadView view = ReadViewFor(txn, grounding);
+  const bool take_locks =
+      view.latest() && TakesReadLocks(txn->isolation_level());
 
   if (plan.is_scan()) {
     if (take_locks) {
@@ -940,73 +817,64 @@ StatusOr<std::unique_ptr<TableCursor>> TransactionManager::OpenCursor(
     // Grounding scans keep the table S lock even at kReadCommitted
     // (quasi-read repeatability); statement scans drop it at close.
     return std::unique_ptr<TableCursor>(new HeapScanCursor(
-        locks_, txn, t, std::nullopt,
+        locks_, txn, t, view,
         /*release_table_on_close=*/take_locks && !grounding));
   }
 
+  PredicateLock predicate;
+  std::vector<std::pair<RowId, Row>> rows;
   if (plan.is_index()) {
-    const LockKey key_lock =
-        LockKey::IndexKey(t->id(), Table::IndexKeyHash(plan.columns, plan.key));
     if (take_locks) {
+      predicate.kind = PredicateLock::Kind::kIndexKey;
+      predicate.key = LockKey::IndexKey(
+          t->id(), Table::IndexKeyHash(plan.columns, plan.key));
       YT_RETURN_IF_ERROR(locks_->Acquire(txn->id(), LockKey::Table(t->id()),
                                          LockMode::kIS,
                                          txn->lock_timeout_micros()));
       // S on the key hash: no writer can add/remove/move a row under this
       // equality key while the cursor lives (phantom protection for the
       // equality predicate).
-      YT_RETURN_IF_ERROR(locks_->Acquire(txn->id(), key_lock, LockMode::kS,
-                                         txn->lock_timeout_micros()));
-    }
-    YT_ASSIGN_OR_RETURN(std::vector<RowId> rids,
-                        t->IndexLookup(plan.columns, plan.key));
-    std::sort(rids.begin(), rids.end());  // deterministic (scan) order
-    CountRead(plan, origin);
-    if (grounding && options_.observer != nullptr) {
-      // Table-granular R^G, as with scans: the grounding read logically
-      // covers the relation (quasi-read derivation stays conservative).
-      options_.observer->OnGroundingRead(txn->id(), {t->name(), 0});
-    }
-    return std::unique_ptr<TableCursor>(new FetchedRowsCursor(
-        locks_, txn, t, options_.observer, take_locks,
-        /*observe_rows=*/!grounding, std::move(rids),
-        FetchedRowsCursor::Release::kIndexKey, key_lock, RangeSpaceKey{},
-        IndexRange()));
-  }
-
-  // kIndexRange.
-  IndexRangeSpec spec = plan.ToRangeSpec();
-  const RangeSpaceKey space{t->id(), Table::IndexColumnsHash(spec.columns)};
-  const bool whole_space = spec.range.fully_unbounded();
-  if (take_locks) {
-    if (whole_space) {
-      // A fully unbounded interval covers the whole key space; the table S
-      // lock is the cheaper equivalent (one record, no interval tests).
-      YT_RETURN_IF_ERROR(locks_->Acquire(txn->id(), LockKey::Table(t->id()),
+      YT_RETURN_IF_ERROR(locks_->Acquire(txn->id(), predicate.key,
                                          LockMode::kS,
                                          txn->lock_timeout_micros()));
-    } else {
+    }
+    YT_ASSIGN_OR_RETURN(rows, t->IndexLookup(plan.columns, plan.key, view));
+  } else {
+    IndexRangeSpec spec = plan.ToRangeSpec();
+    if (take_locks && spec.range.fully_unbounded()) {
+      // A fully unbounded interval covers the whole key space; the table S
+      // lock is the cheaper equivalent (one record, no interval tests).
+      predicate.kind = PredicateLock::Kind::kTableS;
+      predicate.key = LockKey::Table(t->id());
+      YT_RETURN_IF_ERROR(locks_->Acquire(txn->id(), predicate.key,
+                                         LockMode::kS,
+                                         txn->lock_timeout_micros()));
+    } else if (take_locks) {
+      predicate.kind = PredicateLock::Kind::kRange;
+      predicate.space =
+          RangeSpaceKey{t->id(), Table::IndexColumnsHash(spec.columns)};
+      predicate.range = spec.range;
       YT_RETURN_IF_ERROR(locks_->Acquire(txn->id(), LockKey::Table(t->id()),
                                          LockMode::kIS,
                                          txn->lock_timeout_micros()));
       // S on the scanned interval: no writer can insert, delete, or move a
       // row whose key falls inside it while the cursor lives (gap + key
       // phantom protection for the range predicate).
-      YT_RETURN_IF_ERROR(locks_->AcquireRange(txn->id(), space, spec.range,
-                                              LockMode::kS,
+      YT_RETURN_IF_ERROR(locks_->AcquireRange(txn->id(), predicate.space,
+                                              spec.range, LockMode::kS,
                                               txn->lock_timeout_micros()));
     }
+    YT_ASSIGN_OR_RETURN(rows, t->RangeLookup(spec, view));
   }
-  YT_ASSIGN_OR_RETURN(std::vector<RowId> rids, t->RangeLookup(spec));
   CountRead(plan, origin);
   if (grounding && options_.observer != nullptr) {
+    // Table-granular R^G, as with scans: the grounding read logically
+    // covers the relation (quasi-read derivation stays conservative).
     options_.observer->OnGroundingRead(txn->id(), {t->name(), 0});
   }
   return std::unique_ptr<TableCursor>(new FetchedRowsCursor(
-      locks_, txn, t, options_.observer, take_locks,
-      /*observe_rows=*/!grounding, std::move(rids),
-      whole_space ? FetchedRowsCursor::Release::kTableS
-                  : FetchedRowsCursor::Release::kRange,
-      LockKey::Table(t->id()), space, std::move(spec.range)));
+      locks_, txn, t, options_.observer, /*observe_rows=*/!grounding,
+      std::move(rows), std::move(predicate)));
 }
 
 Status TransactionManager::LockTableForWrite(Transaction* txn,
@@ -1036,6 +904,20 @@ Status TransactionManager::Load(const std::string& table, const Row& row) {
   return t->Insert(row).status();
 }
 
+Status TransactionManager::LockRowsX(
+    Transaction* txn, const Table* t,
+    const std::vector<std::pair<RowId, Row>>& rows) {
+  // The whole statement's row set locks in ONE lock-manager round — one
+  // mutex acquisition and one wait instead of one per row.
+  std::vector<LockKey> row_keys;
+  row_keys.reserve(rows.size());
+  for (const auto& [rid, row] : rows) {
+    row_keys.push_back(LockKey::RowOf(t->id(), rid));
+  }
+  return locks_->AcquireBatch(txn->id(), row_keys, LockMode::kX,
+                              txn->lock_timeout_micros());
+}
+
 StatusOr<std::vector<std::pair<RowId, Row>>>
 TransactionManager::LockRowsForWriteRange(Transaction* txn,
                                           const std::string& table,
@@ -1051,22 +933,12 @@ TransactionManager::LockRowsForWriteRange(Transaction* txn,
   YT_RETURN_IF_ERROR(locks_->AcquireRange(
       txn->id(), RangeSpaceKey{t->id(), Table::IndexColumnsHash(spec.columns)},
       spec.range, LockMode::kX, txn->lock_timeout_micros()));
-  YT_ASSIGN_OR_RETURN(std::vector<RowId> rids, t->RangeLookup(spec));
-  // The whole statement's row set locks in ONE lock-manager round — one
-  // mutex acquisition and one wait instead of one per row.
-  std::vector<LockKey> row_keys;
-  row_keys.reserve(rids.size());
-  for (RowId rid : rids) row_keys.push_back(LockKey::RowOf(t->id(), rid));
-  YT_RETURN_IF_ERROR(locks_->AcquireBatch(txn->id(), row_keys, LockMode::kX,
-                                          txn->lock_timeout_micros()));
-  std::vector<std::pair<RowId, Row>> out;
-  out.reserve(rids.size());
-  for (RowId rid : rids) {
-    YT_ASSIGN_OR_RETURN(Row row, t->Get(rid));
-    out.emplace_back(rid, std::move(row));
-  }
+  // The range X excludes every other writer of a matched row, so the rows
+  // read here are the rows the X locks below protect.
+  YT_ASSIGN_OR_RETURN(auto rows, t->RangeLookup(spec, ReadView::Latest()));
+  YT_RETURN_IF_ERROR(LockRowsX(txn, t, rows));
   stats_.range_lookups.fetch_add(1, std::memory_order_relaxed);
-  return out;
+  return rows;
 }
 
 StatusOr<std::vector<std::pair<RowId, Row>>>
@@ -1084,22 +956,13 @@ TransactionManager::LockRowsForWrite(Transaction* txn,
   YT_RETURN_IF_ERROR(locks_->Acquire(
       txn->id(), LockKey::IndexKey(t->id(), Table::IndexKeyHash(columns, key)),
       LockMode::kX, txn->lock_timeout_micros()));
-  YT_ASSIGN_OR_RETURN(std::vector<RowId> rids, t->IndexLookup(columns, key));
-  std::sort(rids.begin(), rids.end());
-  // One lock-manager round for the statement's whole row set.
-  std::vector<LockKey> row_keys;
-  row_keys.reserve(rids.size());
-  for (RowId rid : rids) row_keys.push_back(LockKey::RowOf(t->id(), rid));
-  YT_RETURN_IF_ERROR(locks_->AcquireBatch(txn->id(), row_keys, LockMode::kX,
-                                          txn->lock_timeout_micros()));
-  std::vector<std::pair<RowId, Row>> out;
-  out.reserve(rids.size());
-  for (RowId rid : rids) {
-    YT_ASSIGN_OR_RETURN(Row row, t->Get(rid));
-    out.emplace_back(rid, std::move(row));
-  }
+  // The key X excludes every other writer of a matched row, so the rows
+  // read here are the rows the X locks below protect.
+  YT_ASSIGN_OR_RETURN(auto rows,
+                      t->IndexLookup(columns, key, ReadView::Latest()));
+  YT_RETURN_IF_ERROR(LockRowsX(txn, t, rows));
   stats_.index_lookups.fetch_add(1, std::memory_order_relaxed);
-  return out;
+  return rows;
 }
 
 Status TransactionManager::ApplyUndo(Transaction* txn) {

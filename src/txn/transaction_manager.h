@@ -253,6 +253,9 @@ class TransactionManager : public TxnEngine {
   void DrainAfterCommit(size_t superseded);
   /// Drops the transaction's registry pin, if it holds one.
   void ReleaseSnapshot(Transaction* txn);
+  /// The view a read of `txn` takes: its (refreshed) snapshot when it
+  /// reads snapshots, else ReadView::Latest() under locks.
+  ReadView ReadViewFor(Transaction* txn, bool grounding);
   Status AcquireReadLocks(Transaction* txn, const Table* t, RowId rid);
   void ReleaseEarlyReadLocks(Transaction* txn, const Table* t, RowId rid);
   /// X-locks the index-key hashes a write touches (sorted for deterministic
@@ -265,6 +268,9 @@ class TransactionManager : public TxnEngine {
   /// contains the key, and pass freely otherwise.
   Status AcquireOrderedKeyLocks(Transaction* txn, const Table* t,
                                 std::vector<std::pair<uint64_t, Row>> keys);
+  /// X-locks every row of `rows` in one lock-manager round.
+  Status LockRowsX(Transaction* txn, const Table* t,
+                   const std::vector<std::pair<RowId, Row>>& rows);
   /// Bumps the (plan kind, origin) cell of the access-path counters.
   void CountRead(const AccessPlan& plan, ReadOrigin origin);
 

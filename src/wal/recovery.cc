@@ -170,7 +170,7 @@ StatusOr<RecoveryManager::Result> RecoveryManager::Recover(
       case WalRecordType::kDelete: {
         if (!result.committed.count(r.txn)) break;
         YT_ASSIGN_OR_RETURN(Table * t, result.db->GetTable(r.table));
-        YT_RETURN_IF_ERROR(t->Delete(r.row_id));
+        YT_RETURN_IF_ERROR(t->Delete(r.row_id, /*writer=*/0));
         break;
       }
       default:

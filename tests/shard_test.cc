@@ -278,7 +278,7 @@ TEST(RouterTest, BroadcastTablesReplicateWithAlignedRowIds) {
   for (size_t s = 0; s < 3; ++s) {
     Table* t = r->shard_db(s)->GetTable("City").value();
     ASSERT_EQ(t->size(), 1u);
-    EXPECT_EQ(t->Get(rid).value()[0], Value::Str("LA"));
+    EXPECT_EQ(t->Get(rid, ReadView::Latest()).value()[0], Value::Str("LA"));
   }
 
   // Broadcast writes enlist every shard; the commit is still one commit
@@ -292,7 +292,11 @@ TEST(RouterTest, BroadcastTablesReplicateWithAlignedRowIds) {
   ASSERT_OK(r->Commit(txn2.get()));
   for (size_t s = 0; s < 3; ++s) {
     EXPECT_EQ(
-        r->shard_db(s)->GetTable("City").value()->Get(rid).value()[1],
+        r->shard_db(s)
+            ->GetTable("City")
+            .value()
+            ->Get(rid, ReadView::Latest())
+            .value()[1],
         Value::Str("pacific"));
   }
 }
@@ -426,7 +430,8 @@ TEST(RouterTest, PartialBroadcastWriteForcesAbort) {
   // broadcast update: it applies on shard 0, fails on shard 1, and the
   // transaction may only abort (committing would make the divergence
   // permanent).
-  ASSERT_OK(r->shard_db(1)->GetTable("City").value()->Delete(rid));
+  ASSERT_OK(r->shard_db(1)->GetTable("City").value()->Delete(rid,
+                                                             /*writer=*/0));
   auto txn = r->Begin();
   EXPECT_FALSE(r->Update(txn.get(), "City", rid,
                          Row({Value::Str("LA"), Value::Str("south")}))
@@ -436,7 +441,11 @@ TEST(RouterTest, PartialBroadcastWriteForcesAbort) {
   ASSERT_OK(r->Abort(txn.get()));
   // The undo restored shard 0's replica to the committed value.
   EXPECT_EQ(
-      r->shard_db(0)->GetTable("City").value()->Get(rid).value()[1],
+      r->shard_db(0)
+          ->GetTable("City")
+          .value()
+          ->Get(rid, ReadView::Latest())
+          .value()[1],
       Value::Str("west"));
 }
 

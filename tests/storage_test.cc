@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -9,6 +10,12 @@
 
 namespace youtopia {
 namespace {
+
+using testing::LookupRids;
+using testing::RowIdsOf;
+using testing::RangeRids;
+
+const ReadView kLatest = ReadView::Latest();
 
 Schema UserSchema() {
   return Schema({{"uid", TypeId::kInt64}, {"hometown", TypeId::kString}});
@@ -23,12 +30,12 @@ TEST(TableTest, InsertGetUpdateDelete) {
   EXPECT_EQ(r1, 1u);
   EXPECT_EQ(r2, 2u);
   EXPECT_EQ(t.size(), 2u);
-  ASSERT_OK_AND_ASSIGN(Row row, t.Get(r1));
+  ASSERT_OK_AND_ASSIGN(Row row, t.Get(r1, kLatest));
   EXPECT_EQ(row[1], Value::Str("LA"));
   ASSERT_OK(t.Update(r1, Row({Value::Int(1), Value::Str("SF")})));
-  EXPECT_EQ(t.Get(r1).value()[1], Value::Str("SF"));
-  ASSERT_OK(t.Delete(r1));
-  EXPECT_FALSE(t.Get(r1).ok());
+  EXPECT_EQ(t.Get(r1, kLatest).value()[1], Value::Str("SF"));
+  ASSERT_OK(t.Delete(r1, /*writer=*/0));
+  EXPECT_FALSE(t.Get(r1, kLatest).ok());
   EXPECT_EQ(t.size(), 1u);
 }
 
@@ -37,7 +44,7 @@ TEST(TableTest, ArityAndTypeChecking) {
   EXPECT_FALSE(t.Insert(Row({Value::Int(1)})).ok());  // arity
   // Coercible values are accepted...
   EXPECT_OK(t.Insert(Row({Value::Str("42"), Value::Str("LA")})).status());
-  EXPECT_EQ(t.Get(1).value()[0], Value::Int(42));
+  EXPECT_EQ(t.Get(1, kLatest).value()[0], Value::Int(42));
   // ...non-coercible rejected.
   EXPECT_FALSE(t.Insert(Row({Value::Str("abc"), Value::Str("LA")})).ok());
 }
@@ -75,17 +82,17 @@ TEST(TableTest, HashIndexLookupAndMaintenance) {
   }
   ASSERT_OK_AND_ASSIGN(size_t col, t.schema().IndexOf("hometown"));
   ASSERT_OK_AND_ASSIGN(std::vector<RowId> la,
-                       t.IndexLookup({col}, Row({Value::Str("LA")})));
+                       LookupRids(t, {col}, Row({Value::Str("LA")})));
   EXPECT_EQ(la.size(), 3u);
   // Update moves the row between buckets.
   ASSERT_OK(t.Update(la[0], Row({Value::Int(0), Value::Str("NY")})));
-  EXPECT_EQ(t.IndexLookup({col}, Row({Value::Str("LA")})).value().size(), 2u);
-  EXPECT_EQ(t.IndexLookup({col}, Row({Value::Str("NY")})).value().size(), 4u);
+  EXPECT_EQ(LookupRids(t, {col}, Row({Value::Str("LA")})).value().size(), 2u);
+  EXPECT_EQ(LookupRids(t, {col}, Row({Value::Str("NY")})).value().size(), 4u);
   // Delete removes from the index.
-  ASSERT_OK(t.Delete(la[1]));
-  EXPECT_EQ(t.IndexLookup({col}, Row({Value::Str("LA")})).value().size(), 1u);
+  ASSERT_OK(t.Delete(la[1], /*writer=*/0));
+  EXPECT_EQ(LookupRids(t, {col}, Row({Value::Str("LA")})).value().size(), 1u);
   // Missing index on other columns.
-  EXPECT_FALSE(t.IndexLookup({0}, Row({Value::Int(1)})).ok());
+  EXPECT_FALSE(LookupRids(t, {0}, Row({Value::Int(1)})).ok());
 }
 
 TEST(TableTest, CloneIsDeep) {
@@ -93,7 +100,7 @@ TEST(TableTest, CloneIsDeep) {
   ASSERT_OK(t.Insert(Row({Value::Int(1), Value::Str("LA")})).status());
   std::unique_ptr<Table> copy = t.Clone();
   ASSERT_OK(t.Update(1, Row({Value::Int(1), Value::Str("NY")})));
-  EXPECT_EQ(copy->Get(1).value()[1], Value::Str("LA"));
+  EXPECT_EQ(copy->Get(1, kLatest).value()[1], Value::Str("LA"));
 }
 
 TEST(DatabaseTest, CreateDropAndStableIds) {
@@ -135,7 +142,7 @@ TEST(DatabaseTest, CheckpointRoundTrip) {
                        Database::LoadFrom(&ss));
   EXPECT_TRUE(db.ContentEquals(*loaded));
   // Row ids survive the round trip.
-  EXPECT_EQ(loaded->GetTable("User").value()->Get(17).value()[0],
+  EXPECT_EQ(loaded->GetTable("User").value()->Get(17, kLatest).value()[0],
             Value::Int(16));
 }
 
@@ -164,7 +171,7 @@ TEST(TableIndexTest, PrimaryKeySchemaAutoBuildsUniqueIndex) {
   ASSERT_OK_AND_ASSIGN(RowId r1,
                        t.Insert(Row({Value::Int(1), Value::Str("LA")})));
   ASSERT_OK_AND_ASSIGN(std::vector<RowId> hit,
-                       t.IndexLookup({0}, Row({Value::Int(1)})));
+                       LookupRids(t, {0}, Row({Value::Int(1)})));
   EXPECT_EQ(hit, std::vector<RowId>{r1});
   // Duplicate primary key rejected on Insert, InsertWithId, and Update.
   EXPECT_FALSE(t.Insert(Row({Value::Int(1), Value::Str("NY")})).ok());
@@ -183,33 +190,33 @@ TEST(TableIndexTest, MaintenanceAcrossInsertUpdateDelete) {
   ASSERT_OK_AND_ASSIGN(RowId r2,
                        t.Insert(Row({Value::Int(2), Value::Str("LA")})));
   ASSERT_OK_AND_ASSIGN(std::vector<RowId> la,
-                       t.IndexLookup({1}, Row({Value::Str("LA")})));
+                       LookupRids(t, {1}, Row({Value::Str("LA")})));
   EXPECT_EQ(la.size(), 2u);
   // Update moves the entry to the new key.
   ASSERT_OK(t.Update(r1, Row({Value::Int(1), Value::Str("NY")})));
-  EXPECT_EQ(t.IndexLookup({1}, Row({Value::Str("LA")})).value(),
+  EXPECT_EQ(LookupRids(t, {1}, Row({Value::Str("LA")})).value(),
             std::vector<RowId>{r2});
-  EXPECT_EQ(t.IndexLookup({1}, Row({Value::Str("NY")})).value(),
+  EXPECT_EQ(LookupRids(t, {1}, Row({Value::Str("NY")})).value(),
             std::vector<RowId>{r1});
   // Delete removes it.
-  ASSERT_OK(t.Delete(r2));
-  EXPECT_TRUE(t.IndexLookup({1}, Row({Value::Str("LA")})).value().empty());
+  ASSERT_OK(t.Delete(r2, /*writer=*/0));
+  EXPECT_TRUE(LookupRids(t, {1}, Row({Value::Str("LA")})).value().empty());
   // Lookup keys are coerced by callers; raw typed key must match storage.
   EXPECT_TRUE(t.HasIndexOn({1}));
-  EXPECT_FALSE(t.IndexLookup({0, 1}, Row({Value::Int(1)})).ok());
+  EXPECT_FALSE(LookupRids(t, {0, 1}, Row({Value::Int(1)})).ok());
 }
 
 TEST(TableIndexTest, IndexedColumnSetsAndCloneCarryIndexes) {
   Table t(0, "User", UserSchemaWithPk());
   ASSERT_OK(t.CreateIndex({"hometown"}));
-  auto sets = t.IndexedColumnSets();
-  ASSERT_EQ(sets.size(), 2u);
-  EXPECT_EQ(sets[0], std::vector<size_t>{0});  // PK index first
-  EXPECT_EQ(sets[1], std::vector<size_t>{1});
+  std::vector<IndexInfo> infos = t.IndexInfos();
+  ASSERT_EQ(infos.size(), 2u);
+  EXPECT_EQ(infos[0].columns, std::vector<size_t>{0});  // PK index first
+  EXPECT_EQ(infos[1].columns, std::vector<size_t>{1});
   ASSERT_OK(t.Insert(Row({Value::Int(1), Value::Str("LA")})).status());
   std::unique_ptr<Table> copy = t.Clone();
-  EXPECT_EQ(copy->IndexedColumnSets().size(), 2u);
-  EXPECT_EQ(copy->IndexLookup({1}, Row({Value::Str("LA")})).value().size(),
+  EXPECT_EQ(copy->IndexInfos().size(), 2u);
+  EXPECT_EQ(LookupRids(*copy, {1}, Row({Value::Str("LA")})).value().size(),
             1u);
 }
 
@@ -231,10 +238,10 @@ TEST(TableIndexTest, ConcurrentMaintenanceKeepsIndexConsistent) {
         if (i % 3 == 0) {
           (void)t.Update(rid, Row({Value::Int(uid), Value::Str("MOVED")}));
         } else if (i % 3 == 1) {
-          (void)t.Delete(rid);
+          (void)t.Delete(rid, /*writer=*/0);
         }
         // Interleaved lookups must never see torn state (latch coverage).
-        if (!t.IndexLookup({0}, Row({Value::Int(uid)})).ok()) {
+        if (!LookupRids(t, {0}, Row({Value::Int(uid)})).ok()) {
           lookup_failed = true;
         }
       }
@@ -246,9 +253,9 @@ TEST(TableIndexTest, ConcurrentMaintenanceKeepsIndexConsistent) {
   // and every index entry points at a live row with the right key.
   size_t checked = 0;
   t.Scan([&](RowId rid, const Row& row) {
-    auto by_pk = t.IndexLookup({0}, Row({row[0]}));
+    auto by_pk = LookupRids(t, {0}, Row({row[0]}));
     EXPECT_EQ(by_pk.value(), std::vector<RowId>{rid});
-    auto by_city = t.IndexLookup({1}, Row({row[1]}));
+    auto by_city = LookupRids(t, {1}, Row({row[1]}));
     bool found = false;
     for (RowId r : by_city.value()) found |= (r == rid);
     EXPECT_TRUE(found);
@@ -275,7 +282,7 @@ TEST(DatabaseTest, CheckpointRoundTripsIndexes) {
   Table* lt = loaded->GetTable("User").value();
   EXPECT_TRUE(lt->HasIndexOn({0}));
   EXPECT_TRUE(lt->HasIndexOn({1}));
-  EXPECT_EQ(lt->IndexLookup({1}, Row({Value::Str("LA")})).value().size(), 1u);
+  EXPECT_EQ(LookupRids(*lt, {1}, Row({Value::Str("LA")})).value().size(), 1u);
   // The reloaded PK index is still unique.
   EXPECT_FALSE(lt->Insert(Row({Value::Int(7), Value::Str("NY")})).ok());
 }
@@ -362,11 +369,11 @@ TEST(OrderedIndexTest, RangeLookupBoundsDirectionAndLimit) {
   spec.range.lo = Row({Value::Int(3)});
   spec.range.hi = Row({Value::Int(5)});
   spec.range.lo_unbounded = spec.range.hi_unbounded = false;
-  ASSERT_OK_AND_ASSIGN(std::vector<RowId> rids, t.RangeLookup(spec));
+  ASSERT_OK_AND_ASSIGN(std::vector<RowId> rids, RangeRids(t, spec));
   // a=3 (2 rows) + a=5 (4 rows: two inserts x two b's), in key order.
   ASSERT_EQ(rids.size(), 6u);
   std::vector<Row> rows;
-  for (RowId r : rids) rows.push_back(t.Get(r).value());
+  for (RowId r : rids) rows.push_back(t.Get(r, kLatest).value());
   EXPECT_EQ(rows.front()[0], Value::Int(3));
   EXPECT_EQ(rows.back()[0], Value::Int(5));
   for (size_t i = 1; i < rows.size(); ++i) {
@@ -375,9 +382,10 @@ TEST(OrderedIndexTest, RangeLookupBoundsDirectionAndLimit) {
   // Reverse + limit returns the TOP of the interval, descending.
   spec.reverse = true;
   spec.limit = 2;
-  ASSERT_OK_AND_ASSIGN(std::vector<RowId> top, t.RangeLookup(spec));
+  ASSERT_OK_AND_ASSIGN(std::vector<RowId> top, RangeRids(t, spec));
   ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(t.Get(top[0]).value(), Row({Value::Int(5), Value::Int(8)}));
+  EXPECT_EQ(t.Get(top[0], kLatest).value(),
+            Row({Value::Int(5), Value::Int(8)}));
   // Reverse over a prefix-inclusive upper bound: hi=(5) admits every
   // (5, *) extension, and the reverse walk must start above all of them.
   IndexRangeSpec rev;
@@ -386,10 +394,12 @@ TEST(OrderedIndexTest, RangeLookupBoundsDirectionAndLimit) {
   rev.range.hi_unbounded = false;
   rev.reverse = true;
   rev.limit = 3;
-  ASSERT_OK_AND_ASSIGN(std::vector<RowId> rtop, t.RangeLookup(rev));
+  ASSERT_OK_AND_ASSIGN(std::vector<RowId> rtop, RangeRids(t, rev));
   ASSERT_EQ(rtop.size(), 3u);
-  EXPECT_EQ(t.Get(rtop[0]).value(), Row({Value::Int(5), Value::Int(8)}));
-  EXPECT_EQ(t.Get(rtop[2]).value(), Row({Value::Int(5), Value::Int(2)}));
+  EXPECT_EQ(t.Get(rtop[0], kLatest).value(),
+            Row({Value::Int(5), Value::Int(8)}));
+  EXPECT_EQ(t.Get(rtop[2], kLatest).value(),
+            Row({Value::Int(5), Value::Int(2)}));
   // Exclusive prefix lower bound skips every a=3 extension.
   IndexRangeSpec excl;
   excl.columns = {0, 1};
@@ -398,12 +408,85 @@ TEST(OrderedIndexTest, RangeLookupBoundsDirectionAndLimit) {
   excl.range.lo_incl = false;
   excl.range.hi = Row({Value::Int(5)});
   excl.range.hi_unbounded = false;
-  ASSERT_OK_AND_ASSIGN(std::vector<RowId> after3, t.RangeLookup(excl));
+  ASSERT_OK_AND_ASSIGN(std::vector<RowId> after3, RangeRids(t, excl));
   EXPECT_EQ(after3.size(), 4u);  // only the a=5 rows
   // No ordered index on (b): NotFound, even though no index exists at all.
   IndexRangeSpec missing;
   missing.columns = {1};
-  EXPECT_FALSE(t.RangeLookup(missing).ok());
+  EXPECT_FALSE(RangeRids(t, missing).ok());
+}
+
+TEST(OrderedIndexTest, LookupsReturnRowIdOrderWhateverTheBuildOrder) {
+  // Lookups emit buckets as stored, so every path that adds a bucket entry
+  // must keep the bucket RowId-sorted: recovery-style inserts at
+  // descending RowIds, a transaction's write moving a low RowId into
+  // buckets of higher ones (and its rollback re-adding the restored
+  // version's keys), and an index backfilled over existing versions.
+  Table t(0, "Nums", Schema({{"a", TypeId::kInt64}, {"b", TypeId::kInt64}}));
+  ASSERT_OK(t.CreateIndexByPositions({0}));  // hash
+  ASSERT_OK(t.CreateIndexByPositions({1}, /*unique=*/false, /*ordered=*/true));
+  for (RowId rid = 12; rid >= 1; --rid) {
+    const int64_t r = static_cast<int64_t>(rid);
+    ASSERT_OK(t.InsertWithId(rid, Row({Value::Int(r % 3), Value::Int(r % 2)})));
+  }
+  // Writer 100 moves row 1 from (1, 1) into the (2, 0) buckets, whose
+  // other entries are all higher; row 3 gets a pushed (0, 1) version.
+  ASSERT_OK(t.Update(1, Row({Value::Int(2), Value::Int(0)}), /*writer=*/100));
+  ASSERT_OK(t.Update(3, Row({Value::Int(1), Value::Int(0)}), /*writer=*/100));
+  // Backfilled over the latest and the pushed versions alike.
+  ASSERT_OK(t.CreateIndexByPositions({0, 1}, /*unique=*/false,
+                                     /*ordered=*/true));
+
+  auto expect_ascending = [](const std::vector<std::pair<RowId, Row>>& rows) {
+    std::vector<RowId> rids = RowIdsOf(rows);
+    EXPECT_TRUE(std::is_sorted(rids.begin(), rids.end()));
+    EXPECT_EQ(std::adjacent_find(rids.begin(), rids.end()), rids.end());
+  };
+  auto check = [&](const std::string& when) {
+    SCOPED_TRACE(when);
+    size_t total = 0;
+    for (int64_t a = 0; a < 3; ++a) {
+      ASSERT_OK_AND_ASSIGN(auto rows,
+                           t.IndexLookup({0}, Row({Value::Int(a)}), kLatest));
+      expect_ascending(rows);
+      total += rows.size();
+    }
+    EXPECT_EQ(total, t.size());
+    for (int64_t b = 0; b < 2; ++b) {
+      ASSERT_OK_AND_ASSIGN(auto rows,
+                           t.IndexLookup({1}, Row({Value::Int(b)}), kLatest));
+      expect_ascending(rows);
+    }
+    // Range reads: keys ascending (descending when reversed), RowIds
+    // ascending within a key (descending when reversed).
+    for (bool reverse : {false, true}) {
+      IndexRangeSpec spec;
+      spec.columns = {0, 1};
+      spec.reverse = reverse;
+      ASSERT_OK_AND_ASSIGN(auto rows, t.RangeLookup(spec, kLatest));
+      EXPECT_EQ(rows.size(), t.size());
+      for (size_t i = 1; i < rows.size(); ++i) {
+        const int c = rows[i - 1].second.Compare(rows[i].second);
+        if (reverse) {
+          EXPECT_TRUE(c > 0 || (c == 0 && rows[i - 1].first > rows[i].first))
+              << "reverse, at " << i;
+        } else {
+          EXPECT_TRUE(c < 0 || (c == 0 && rows[i - 1].first < rows[i].first))
+              << "forward, at " << i;
+        }
+      }
+    }
+  };
+  check("with writer 100's versions latest");
+  ASSERT_OK_AND_ASSIGN(auto moved,
+                       t.IndexLookup({0}, Row({Value::Int(2)}), kLatest));
+  EXPECT_EQ(RowIdsOf(moved), (std::vector<RowId>{1, 2, 5, 8, 11}));
+  t.RollbackWrite(1, /*writer=*/100);
+  t.RollbackWrite(3, /*writer=*/100);
+  check("after the rollback");
+  ASSERT_OK_AND_ASSIGN(auto restored,
+                       t.IndexLookup({0}, Row({Value::Int(1)}), kLatest));
+  EXPECT_EQ(RowIdsOf(restored), (std::vector<RowId>{1, 4, 7, 10}));
 }
 
 TEST(TableTest, NullPrimaryKeyRejected) {
@@ -432,16 +515,16 @@ TEST(OrderedIndexTest, NullKeysSkippedByBoundsAndUniqueness) {
   spec.columns = {0};
   spec.range.hi = Row({Value::Int(5)});
   spec.range.hi_unbounded = false;
-  ASSERT_OK_AND_ASSIGN(std::vector<RowId> rids, t.RangeLookup(spec));
+  ASSERT_OK_AND_ASSIGN(std::vector<RowId> rids, RangeRids(t, spec));
   ASSERT_EQ(rids.size(), 1u);
-  EXPECT_EQ(t.Get(rids[0]).value(), Row({Value::Int(1)}));
+  EXPECT_EQ(t.Get(rids[0], kLatest).value(), Row({Value::Int(1)}));
   // A fully unbounded scan (ORDER BY service) still returns every row,
   // NULLs first.
   IndexRangeSpec all;
   all.columns = {0};
-  ASSERT_OK_AND_ASSIGN(std::vector<RowId> every, t.RangeLookup(all));
+  ASSERT_OK_AND_ASSIGN(std::vector<RowId> every, RangeRids(t, all));
   EXPECT_EQ(every.size(), 3u);
-  EXPECT_TRUE(t.Get(every[0]).value()[0].is_null());
+  EXPECT_TRUE(t.Get(every[0], kLatest).value()[0].is_null());
 }
 
 TEST(OrderedIndexTest, MaintenanceCloneAndEqualityLookup) {
@@ -451,24 +534,24 @@ TEST(OrderedIndexTest, MaintenanceCloneAndEqualityLookup) {
   ASSERT_OK_AND_ASSIGN(RowId r2, t.Insert(Row({Value::Int(20)})));
   (void)r2;
   // Equality lookups work against the tree.
-  EXPECT_EQ(t.IndexLookup({0}, Row({Value::Int(10)})).value().size(), 1u);
+  EXPECT_EQ(LookupRids(t, {0}, Row({Value::Int(10)})).value().size(), 1u);
   // Updates move tree entries.
   ASSERT_OK(t.Update(r1, Row({Value::Int(30)})));
-  EXPECT_TRUE(t.IndexLookup({0}, Row({Value::Int(10)})).value().empty());
+  EXPECT_TRUE(LookupRids(t, {0}, Row({Value::Int(10)})).value().empty());
   IndexRangeSpec spec;
   spec.columns = {0};
   spec.range.lo = Row({Value::Int(25)});
   spec.range.lo_unbounded = false;
-  EXPECT_EQ(t.RangeLookup(spec).value().size(), 1u);
+  EXPECT_EQ(RangeRids(t, spec).value().size(), 1u);
   // Clone carries the ordered index and its flags.
   std::unique_ptr<Table> copy = t.Clone();
   std::vector<IndexInfo> infos = copy->IndexInfos();
   ASSERT_EQ(infos.size(), 1u);
   EXPECT_TRUE(infos[0].ordered);
-  EXPECT_EQ(copy->RangeLookup(spec).value().size(), 1u);
+  EXPECT_EQ(RangeRids(*copy, spec).value().size(), 1u);
   // Deletes shrink the tree.
-  ASSERT_OK(t.Delete(r1));
-  EXPECT_TRUE(t.RangeLookup(spec).value().empty());
+  ASSERT_OK(t.Delete(r1, /*writer=*/0));
+  EXPECT_TRUE(RangeRids(t, spec).value().empty());
 }
 
 TEST(DatabaseTest, CheckpointRoundTripsOrderedAndUniqueFlags) {
@@ -496,7 +579,7 @@ TEST(DatabaseTest, CheckpointRoundTripsOrderedAndUniqueFlags) {
   spec.columns = {0};
   spec.range.lo = Row({Value::Int(2)});
   spec.range.lo_unbounded = false;
-  EXPECT_EQ(lt->RangeLookup(spec).value().size(), 1u);
+  EXPECT_EQ(RangeRids(*lt, spec).value().size(), 1u);
   EXPECT_FALSE(lt->Insert(Row({Value::Int(3), Value::Int(20)})).ok());
 }
 
@@ -522,7 +605,7 @@ TEST(TableTest, ScanChunkCoversHeapInResumableChunks) {
   RowId from = 1;
   std::vector<RowId> seen;
   while (true) {
-    RowId next = t.ScanChunk(from, 4, &chunk);
+    RowId next = t.ScanChunk(kLatest, from, 4, &chunk);
     for (const auto& [rid, row] : chunk) {
       seen.push_back(rid);
       EXPECT_EQ(row.size(), 2u);
@@ -536,10 +619,10 @@ TEST(TableTest, ScanChunkCoversHeapInResumableChunks) {
   EXPECT_EQ(seen, want);
 
   // Past-the-end resume and empty tables produce empty chunks.
-  EXPECT_EQ(t.ScanChunk(11, 4, &chunk), 0u);
+  EXPECT_EQ(t.ScanChunk(kLatest, 11, 4, &chunk), 0u);
   EXPECT_TRUE(chunk.empty());
   Table empty(1, "E", UserSchema());
-  EXPECT_EQ(empty.ScanChunk(1, 4, &chunk), 0u);
+  EXPECT_EQ(empty.ScanChunk(kLatest, 1, 4, &chunk), 0u);
   EXPECT_TRUE(chunk.empty());
 }
 

@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/lock/lock_manager.h"
 #include "src/storage/database.h"
@@ -21,6 +23,31 @@ struct EngineFixture {
     tm = std::make_unique<TransactionManager>(&db, &locks, nullptr, options);
   }
 };
+
+/// The RowIds, in order, of a (RowId, Row) lookup result — for assertions
+/// on row identity only.
+inline std::vector<RowId> RowIdsOf(
+    const std::vector<std::pair<RowId, Row>>& rows) {
+  std::vector<RowId> out;
+  out.reserve(rows.size());
+  for (const auto& [rid, row] : rows) out.push_back(rid);
+  return out;
+}
+
+/// RowIds of the latest rows an index lookup on `t` finds.
+inline StatusOr<std::vector<RowId>> LookupRids(
+    const Table& t, const std::vector<size_t>& columns, const Row& key) {
+  YT_ASSIGN_OR_RETURN(auto rows,
+                      t.IndexLookup(columns, key, ReadView::Latest()));
+  return RowIdsOf(rows);
+}
+
+/// RowIds of the latest rows a range lookup on `t` finds.
+inline StatusOr<std::vector<RowId>> RangeRids(const Table& t,
+                                              const IndexRangeSpec& spec) {
+  YT_ASSIGN_OR_RETURN(auto rows, t.RangeLookup(spec, ReadView::Latest()));
+  return RowIdsOf(rows);
+}
 
 /// Shorthand for gtest assertions on Status / StatusOr.
 #define ASSERT_OK(expr)                                          \

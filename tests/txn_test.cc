@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <limits>
 
 #include "src/wal/recovery.h"
 #include "tests/test_util.h"
@@ -12,6 +13,8 @@ namespace youtopia {
 namespace {
 
 using testing::EngineFixture;
+using testing::LookupRids;
+using testing::RangeRids;
 
 Schema KV() {
   return Schema({{"k", TypeId::kInt64}, {"v", TypeId::kString}});
@@ -215,12 +218,12 @@ TEST(TxnIndexTest, RollbackRestoresIndexEntries) {
 
   // The index reflects the pre-transaction world again.
   Table* table = fix.db.GetTable("T").value();
-  EXPECT_EQ(table->IndexLookup({0}, Row({Value::Int(1)})).value(),
+  EXPECT_EQ(LookupRids(*table, {0}, Row({Value::Int(1)})).value(),
             std::vector<RowId>{moved});
-  EXPECT_EQ(table->IndexLookup({0}, Row({Value::Int(2)})).value(),
+  EXPECT_EQ(LookupRids(*table, {0}, Row({Value::Int(2)})).value(),
             std::vector<RowId>{doomed});
-  EXPECT_TRUE(table->IndexLookup({0}, Row({Value::Int(10)})).value().empty());
-  EXPECT_TRUE(table->IndexLookup({0}, Row({Value::Int(3)})).value().empty());
+  EXPECT_TRUE(LookupRids(*table, {0}, Row({Value::Int(10)})).value().empty());
+  EXPECT_TRUE(LookupRids(*table, {0}, Row({Value::Int(3)})).value().empty());
   // And indexed reads agree with the restored heap.
   auto check = fix.tm->Begin();
   size_t n = 0;
@@ -255,7 +258,7 @@ TEST(TxnIndexTest, RowGranularLocksAllowWritersOnOtherKeys) {
   // update would have blocked.
   auto writer = fix.tm->Begin();
   Table* table = fix.db.GetTable("T").value();
-  RowId r2 = table->IndexLookup({0}, Row({Value::Int(2)})).value()[0];
+  RowId r2 = LookupRids(*table, {0}, Row({Value::Int(2)})).value()[0];
   ASSERT_OK(fix.tm->Update(writer.get(), "T", r2,
                            Row({Value::Int(2), Value::Str("b2")})));
   ASSERT_OK(fix.tm->Commit(writer.get()));
@@ -554,7 +557,7 @@ TEST(TxnIndexTest, ConcurrentIndexedReadersAndWritersStayConsistent) {
   Table* table = fix.db.GetTable("T").value();
   size_t live = 0;
   table->Scan([&](RowId rid, const Row& row) {
-    auto hit = table->IndexLookup({0}, Row({row[0]}));
+    auto hit = LookupRids(*table, {0}, Row({row[0]}));
     EXPECT_EQ(hit.value(), std::vector<RowId>{rid});
     ++live;
     return true;
@@ -602,7 +605,7 @@ TEST_F(WalRecoveryTest, CommittedTransactionsSurviveCrash) {
   EXPECT_EQ(r.discarded.size(), 1u);
   Table* t = r.db->GetTable("T").value();
   EXPECT_EQ(t->size(), 1u);
-  EXPECT_EQ(t->Get(1).value()[1], Value::Str("a"));
+  EXPECT_EQ(t->Get(1, ReadView::Latest()).value()[1], Value::Str("a"));
 }
 
 TEST_F(WalRecoveryTest, IndexesSurviveCrash) {
@@ -625,7 +628,7 @@ TEST_F(WalRecoveryTest, IndexesSurviveCrash) {
   // PK index rebuilt from the schema, secondary index from its WAL record.
   EXPECT_TRUE(t->HasIndexOn({0}));
   EXPECT_TRUE(t->HasIndexOn({1}));
-  EXPECT_EQ(t->IndexLookup({1}, Row({Value::Str("a")})).value().size(), 1u);
+  EXPECT_EQ(LookupRids(*t, {1}, Row({Value::Str("a")})).value().size(), 1u);
   EXPECT_FALSE(t->Insert(Row({Value::Int(1), Value::Str("dup")})).ok());
 }
 
@@ -658,10 +661,10 @@ TEST_F(WalRecoveryTest, OrderedAndUniqueIndexFlagsSurviveCrash) {
   EXPECT_TRUE(infos[1].unique);
   // Range access works on the recovered PK tree, in key order.
   ASSERT_OK_AND_ASSIGN(std::vector<RowId> rids,
-                       t->RangeLookup(IntRangeSpec(1, 2)));
+                       RangeRids(*t, IntRangeSpec(1, 2)));
   std::vector<int64_t> keys;
   for (RowId rid : rids) {
-    keys.push_back(t->Get(rid).value()[0].as_int());
+    keys.push_back(t->Get(rid, ReadView::Latest()).value()[0].as_int());
   }
   EXPECT_EQ(keys, (std::vector<int64_t>{1, 2}));
   // The recovered secondary is still unique.
@@ -1246,6 +1249,8 @@ TEST(BatchCursorTest, OverlappingScansBatchIdentically) {
 TEST(HeapScanTest, AllPullMethodsAgreeUnderLocksAndSnapshots) {
   EngineFixture fix;
   ASSERT_OK(fix.tm->CreateTable("T", KV()).status());
+  ASSERT_OK(fix.tm->CreateIndex("T", {"k"}, /*unique=*/false,
+                                /*ordered=*/true));
   auto setup = fix.tm->Begin();
   std::vector<RowId> rids;
   for (int i = 0; i < 900; ++i) {
@@ -1272,7 +1277,10 @@ TEST(HeapScanTest, AllPullMethodsAgreeUnderLocksAndSnapshots) {
   ASSERT_EQ(at_snapshot.size(), rids.size() - RowBatch::kDefaultRows);
 
   // The snapshot is taken after those writes; a whole chunk of rows
-  // inserted after it lands at the heap's tail, invisible to it.
+  // inserted after it lands at the heap's tail, invisible to it. The same
+  // commit moves row 1's indexed key 1 -> 7777, so the index holds an entry
+  // stale at each view: key 1 for the latest rows, key 7777 for the
+  // snapshot.
   auto snap = fix.tm->Begin(IsolationLevel::kSnapshot);
   auto late = fix.tm->Begin();
   for (size_t i = 0; i < RowBatch::kDefaultRows + 10; ++i) {
@@ -1280,6 +1288,8 @@ TEST(HeapScanTest, AllPullMethodsAgreeUnderLocksAndSnapshots) {
                              Row({Value::Int(5000), Value::Str("late")}))
                   .status());
   }
+  ASSERT_OK(fix.tm->Update(late.get(), "T", rids[1],
+                           Row({Value::Int(7777), Value::Str("moved")})));
   ASSERT_OK(fix.tm->Commit(late.get()));
   const RowSet latest = HeapSnapshot(table);
   ASSERT_EQ(latest.size(), at_snapshot.size() + RowBatch::kDefaultRows + 10);
@@ -1335,7 +1345,190 @@ TEST(HeapScanTest, AllPullMethodsAgreeUnderLocksAndSnapshots) {
                               LockMode::kS));
   EXPECT_EQ(fix.locks.HeldCount(snap->id()), 0u);
   ASSERT_OK(fix.tm->Commit(locking.get()));
+
+  // Index lookups and range reads, through every pull method: the latest
+  // matching rows at kSerializable (row S held on each), the snapshot's
+  // matching rows at kSnapshot (no locks). Stale index entries are
+  // filtered on both paths.
+  auto matching = [](const RowSet& rows, int64_t lo, int64_t hi) {
+    RowSet out;
+    for (const auto& [rid, row] : rows) {
+      const int64_t k = row[0].as_int();
+      if (k >= lo && k <= hi) out.emplace_back(rid, row);
+    }
+    // Key order, then RowId order within a key (`rows` is RowId-ordered).
+    std::stable_sort(out.begin(), out.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.second[0].as_int() < b.second[0].as_int();
+                     });
+    return out;
+  };
+  IndexRangeSpec everything;
+  everything.columns = {0};
+  const struct {
+    const char* name;
+    AccessPlan plan;
+    int64_t lo, hi;
+  } probes[] = {
+      {"lookup of the moved-away key",
+       AccessPlan::Lookup({0}, Row({Value::Int(1)})), 1, 1},
+      {"lookup of the moved-to key",
+       AccessPlan::Lookup({0}, Row({Value::Int(7777)})), 7777, 7777},
+      {"lookup of the late key",
+       AccessPlan::Lookup({0}, Row({Value::Int(5000)})), 5000, 5000},
+      {"bounded range", AccessPlan::Range(IntRangeSpec(0, 400)), 0, 400},
+      {"unbounded range", AccessPlan::Range(everything),
+       std::numeric_limits<int64_t>::min(),
+       std::numeric_limits<int64_t>::max()},
+  };
+  EXPECT_TRUE(matching(latest, 1, 1).empty());
+  EXPECT_EQ(matching(at_snapshot, 1, 1).size(), 1u);
+  EXPECT_EQ(matching(latest, 7777, 7777).size(), 1u);
+  EXPECT_TRUE(matching(at_snapshot, 7777, 7777).empty());
+  EXPECT_GT(matching(latest, 5000, 5000).size(), RowBatch::kDefaultRows);
+  auto prober = fix.tm->Begin(IsolationLevel::kSerializable);
+  for (const auto& probe : probes) {
+    const RowSet want_latest = matching(latest, probe.lo, probe.hi);
+    const RowSet want_snapshot = matching(at_snapshot, probe.lo, probe.hi);
+    for (const auto& [name, pull] : methods) {
+      ASSERT_OK_AND_ASSIGN(auto locked,
+                           fix.tm->OpenCursor(prober.get(), table, probe.plan,
+                                              ReadOrigin::kStatement));
+      EXPECT_EQ(pull(locked.get()), want_latest)
+          << "locking " << probe.name << " " << name;
+      ASSERT_OK_AND_ASSIGN(auto snapshot,
+                           fix.tm->OpenCursor(snap.get(), table, probe.plan,
+                                              ReadOrigin::kStatement));
+      EXPECT_EQ(pull(snapshot.get()), want_snapshot)
+          << "snapshot " << probe.name << " " << name;
+    }
+    for (const auto& [rid, row] : want_latest) {
+      EXPECT_TRUE(fix.locks.Holds(prober->id(),
+                                  LockKey::RowOf(table->id(), rid),
+                                  LockMode::kS))
+          << probe.name << " row " << rid;
+    }
+  }
+  EXPECT_EQ(fix.locks.HeldCount(snap->id()), 0u);
+  EXPECT_EQ(fix.locks.HeldRangeCount(snap->id()), 0u);
+  ASSERT_OK(fix.tm->Commit(prober.get()));
   ASSERT_OK(fix.tm->Commit(snap.get()));
+}
+
+TEST(LookupCursorTest, ReadCommittedCloseReleasesRowAndPredicateLocks) {
+  EngineFixture fix;
+  ASSERT_OK(fix.tm->CreateTable("T", KVOrderedPk()).status());
+  auto setup = fix.tm->Begin();
+  std::vector<RowId> rids;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_OK_AND_ASSIGN(RowId rid,
+                         fix.tm->Insert(setup.get(), "T",
+                                        Row({Value::Int(i), Value::Str("v")})));
+    rids.push_back(rid);
+  }
+  ASSERT_OK(fix.tm->Commit(setup.get()));
+  Table* table = fix.db.GetTable("T").value();
+  const LockKey table_lock = LockKey::Table(table->id());
+  const RangeSpaceKey space{table->id(), Table::IndexColumnsHash({0})};
+  auto key_lock = [&](int64_t k) {
+    return LockKey::IndexKey(table->id(),
+                             Table::IndexKeyHash({0}, Row({Value::Int(k)})));
+  };
+  auto row_lock = [&](int64_t k) {
+    return LockKey::RowOf(table->id(), rids[k]);
+  };
+  auto keys_of = [](const RowSet& rows) {
+    std::vector<int64_t> keys;
+    for (const auto& [rid, row] : rows) keys.push_back(row[0].as_int());
+    return keys;
+  };
+
+  // kReadCommitted on the locking path (snapshot reads disabled): a lookup
+  // or range cursor holds row S on every row it pulled plus its predicate
+  // lock (index key S, range S, or table S for a fully unbounded range)
+  // while open, and its close releases them all.
+  fix.tm->set_mvcc_reads_enabled(false);
+  const IndexRangeSpec bounded = IntRangeSpec(2, 6);
+  IndexRangeSpec unbounded;
+  unbounded.columns = {0};
+  auto reader = fix.tm->Begin(IsolationLevel::kReadCommitted);
+  const TxnId id = reader->id();
+  {
+    ASSERT_OK_AND_ASSIGN(
+        auto cursor,
+        fix.tm->OpenCursor(reader.get(), table,
+                           AccessPlan::Lookup({0}, Row({Value::Int(7)})),
+                           ReadOrigin::kStatement));
+    EXPECT_EQ(keys_of(DrainCursor(cursor.get())), std::vector<int64_t>{7});
+    EXPECT_TRUE(fix.locks.Holds(id, row_lock(7), LockMode::kS));
+    EXPECT_TRUE(fix.locks.Holds(id, key_lock(7), LockMode::kS));
+  }
+  EXPECT_FALSE(fix.locks.Holds(id, row_lock(7), LockMode::kS));
+  EXPECT_FALSE(fix.locks.Holds(id, key_lock(7), LockMode::kS));
+  {
+    ASSERT_OK_AND_ASSIGN(auto cursor,
+                         fix.tm->OpenCursor(reader.get(), table,
+                                            AccessPlan::Range(bounded),
+                                            ReadOrigin::kStatement));
+    EXPECT_EQ(keys_of(DrainCursor(cursor.get())),
+              (std::vector<int64_t>{2, 3, 4, 5, 6}));
+    for (int64_t k = 2; k <= 6; ++k) {
+      EXPECT_TRUE(fix.locks.Holds(id, row_lock(k), LockMode::kS)) << k;
+    }
+    EXPECT_TRUE(fix.locks.HoldsRange(id, space, bounded.range, LockMode::kS));
+  }
+  for (int64_t k = 2; k <= 6; ++k) {
+    EXPECT_FALSE(fix.locks.Holds(id, row_lock(k), LockMode::kS)) << k;
+  }
+  EXPECT_FALSE(fix.locks.HoldsRange(id, space, bounded.range, LockMode::kS));
+  EXPECT_EQ(fix.locks.HeldRangeCount(id), 0u);
+  {
+    ASSERT_OK_AND_ASSIGN(auto cursor,
+                         fix.tm->OpenCursor(reader.get(), table,
+                                            AccessPlan::Range(unbounded),
+                                            ReadOrigin::kStatement));
+    EXPECT_EQ(keys_of(DrainCursor(cursor.get())).size(), rids.size());
+    for (int64_t k = 0; k < 10; ++k) {
+      EXPECT_TRUE(fix.locks.Holds(id, row_lock(k), LockMode::kS)) << k;
+    }
+    EXPECT_TRUE(fix.locks.Holds(id, table_lock, LockMode::kS));
+  }
+  for (int64_t k = 0; k < 10; ++k) {
+    EXPECT_FALSE(fix.locks.Holds(id, row_lock(k), LockMode::kS)) << k;
+  }
+  EXPECT_FALSE(fix.locks.Holds(id, table_lock, LockMode::kS));
+  ASSERT_OK(fix.tm->Commit(reader.get()));
+
+  // A transaction reading keys it wrote itself: the close releases the
+  // other rows' S and the range S, but the row X, key X and key-range X
+  // protecting its own uncommitted write survive to commit.
+  auto writer = fix.tm->Begin(IsolationLevel::kReadCommitted);
+  const TxnId wid = writer->id();
+  ASSERT_OK(fix.tm->Update(writer.get(), "T", rids[4],
+                           Row({Value::Int(4), Value::Str("mine")})));
+  const AccessPlan reads[] = {AccessPlan::Lookup({0}, Row({Value::Int(4)})),
+                              AccessPlan::Range(bounded)};
+  for (const AccessPlan& plan : reads) {
+    SCOPED_TRACE(plan.ToString());
+    {
+      ASSERT_OK_AND_ASSIGN(auto cursor,
+                           fix.tm->OpenCursor(writer.get(), table, plan,
+                                              ReadOrigin::kStatement));
+      for (const auto& [rid, row] : DrainCursor(cursor.get())) {
+        EXPECT_EQ(row[1], Value::Str(rid == rids[4] ? "mine" : "v"));
+      }
+    }
+    for (int64_t k = 2; k <= 6; ++k) {
+      EXPECT_EQ(fix.locks.Holds(wid, row_lock(k), LockMode::kS), k == 4) << k;
+    }
+    EXPECT_FALSE(fix.locks.HoldsRange(wid, space, bounded.range,
+                                      LockMode::kS));
+    EXPECT_TRUE(fix.locks.Holds(wid, row_lock(4), LockMode::kX));
+    EXPECT_TRUE(fix.locks.Holds(wid, key_lock(4), LockMode::kX));
+    EXPECT_TRUE(fix.locks.HoldsRange(
+        wid, space, IndexRange::Point(Row({Value::Int(4)})), LockMode::kX));
+  }
+  ASSERT_OK(fix.tm->Commit(writer.get()));
 }
 
 TEST(BatchCursorTest, FetchedRowCursorsBatchWithSizeHints) {
