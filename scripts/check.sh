@@ -19,12 +19,14 @@
 # baseline fails the script (1.3x stays a warning — smoke boxes are noisy).
 # With --tsan, additionally builds a ThreadSanitizer tree (build-tsan) and
 # races the lock/txn/sql/shard/mvcc/storage/eq/torture suites under it
-# (lock_test repeated 20 times, the MvccGc* suite 10 times) — the key-range
+# (lock_test repeated 20 times; the MvccGc*, ProbeDifferentialTest.* and
+# GrounderProbeTest.* suites 10 times each) — the key-range
 # lock conflict paths, concurrent heap scans under writers, the shard
 # router's parallel fanout drains + concurrent-writer differential,
 # the MVCC snapshot-vs-writer races, the inline version-GC drains against
 # snapshot registration, the table's concurrent index maintenance through
-# its one mutation path, locking-level grounding under concurrent writers,
+# its one mutation path, the bind-driven probe fetch shared by SQL joins
+# and grounding, locking-level grounding under concurrent writers,
 # and the fault-injected crash-recover cycles are all exercised by those
 # binaries' concurrent tests.
 # With --torture, runs the long crash-recover torture gate: >= 50 seeded
@@ -238,6 +240,13 @@ if [[ "${tsan}" == 1 ]]; then
   # repeat the GC suite (the registration/horizon race test included).
   echo "== tsan: mvcc_test MvccGc* (x10)"
   ./build-tsan/mvcc_test --gtest_filter='MvccGc*' --gtest_repeat=10
+  # The bind-driven probe fetch shared by SQL joins and grounding runs
+  # against concurrent writers in both differential suites: repeat them.
+  echo "== tsan: sql_test ProbeDifferentialTest.* (x10)"
+  ./build-tsan/sql_test --gtest_filter='ProbeDifferentialTest.*' \
+    --gtest_repeat=10
+  echo "== tsan: eq_test GrounderProbeTest.* (x10)"
+  ./build-tsan/eq_test --gtest_filter='GrounderProbeTest.*' --gtest_repeat=10
   # A short torture slice under tsan: enough cycles to race the fault
   # probes, the crash latch, and recovery against the worker threads.
   echo "== tsan: torture_test (short slice)"

@@ -67,6 +67,37 @@ bool PredHolds(const BodyPredicate& p, const Valuation& val) {
   return false;
 }
 
+/// Whether a fetched `row` can instantiate atom `a`: false on a constant
+/// mismatch (constants an index did not cover), an error on an arity
+/// mismatch.
+StatusOr<bool> MatchesConstants(const Atom& a, const Row& row) {
+  if (row.size() != a.terms.size()) {
+    return Status::InvalidArgument("atom arity mismatch for relation " +
+                                   a.relation);
+  }
+  for (size_t i = 0; i < a.terms.size(); ++i) {
+    if (!a.terms[i].is_var && a.terms[i].constant != row[i]) return false;
+  }
+  return true;
+}
+
+/// Drains `cursor` into `rows`, keeping the rows that can instantiate `a`;
+/// an arity mismatch stops the drain with an error.
+Status CollectMatching(const Atom& a, TableCursor* cursor,
+                       std::vector<Row>* rows) {
+  Status arity_error = Status::Ok();
+  YT_RETURN_IF_ERROR(cursor->Drain([&](RowId, Row&& row) {
+    auto k = MatchesConstants(a, row);
+    if (!k.ok()) {
+      arity_error = k.status();
+      return false;
+    }
+    if (k.value()) rows->push_back(std::move(row));
+    return true;
+  }));
+  return arity_error;
+}
+
 /// True when every variable of `p` is bound in `val`.
 bool PredReady(const BodyPredicate& p, const Valuation& val) {
   if (p.lhs.is_var && !val.count(p.lhs.var)) return false;
@@ -104,13 +135,26 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
   struct AtomAccess {
     std::vector<Row> rows;  ///< eager paths
     Table* table = nullptr;
-    sql::JoinProbePlan plan;  ///< lazy path when plan.is_probe()
-    /// Valuation key per runtime-bound plan part: var_names[part.outer].
-    std::vector<std::string> var_names;
-    sql::ProbeCache cache;
+    sql::JoinProbe probe;  ///< lazy path when probe.plan.is_lazy()
   };
   std::vector<AtomAccess> access(q.body.size());
-  std::unordered_map<std::string, TypeId> bound_vars;  // first-binding type
+  // Where each variable is first bound: the body atom (join depth), its
+  // term position there, and that column's type.
+  struct Binder {
+    size_t depth = 0;
+    size_t column = 0;
+    TypeId type = TypeId::kNull;
+  };
+  std::unordered_map<std::string, Binder> bound_vars;
+  auto bind_source = [&bound_vars](const std::string& var,
+                                   sql::JoinEqCandidate* cand) {
+    auto it = bound_vars.find(var);
+    if (it == bound_vars.end()) return false;
+    cand->outer = it->second.depth;
+    cand->outer_column = it->second.column;
+    cand->bound_type = it->second.type;
+    return true;
+  };
   for (size_t ai = 0; ai < q.body.size(); ++ai) {
     const Atom& a = q.body[ai];
     AtomAccess& acc = access[ai];
@@ -121,7 +165,6 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
     if (acc.table != nullptr) {
       const Schema& schema = acc.table->schema();
       std::vector<sql::JoinEqCandidate> eqs;
-      std::vector<std::string> var_names;
       // Term positions whose variable is *first bound by this atom* — these
       // are the columns a body predicate can range-constrain.
       std::unordered_map<std::string, size_t> fresh_pos;
@@ -132,22 +175,16 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
         if (!a.terms[i].is_var) {
           cand.is_const = true;
           cand.constant = a.terms[i].constant;
-        } else {
-          auto it = bound_vars.find(a.terms[i].var);
-          if (it == bound_vars.end()) {
-            fresh_pos.emplace(a.terms[i].var, i);
-            continue;
-          }
-          cand.outer = var_names.size();
-          cand.bound_type = it->second;
-          var_names.push_back(a.terms[i].var);
+        } else if (!bind_source(a.terms[i].var, &cand)) {
+          fresh_pos.emplace(a.terms[i].var, i);
+          continue;
         }
         eqs.push_back(std::move(cand));
       }
       // Range candidates: body predicates `v OP src` where v is first bound
       // here and src is a constant (eager interval filter below) or an
-      // earlier-bound variable — the PR-2 follow-on shape
-      // `inner.col > outer.col`, driven per binding.
+      // earlier-bound variable — the `inner.col > outer.col` shape, driven
+      // per binding.
       for (const BodyPredicate& p : q.preds) {
         std::string op = p.op;
         const Term* target = &p.lhs;
@@ -165,37 +202,20 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
         if (!source->is_var) {
           cand.is_const = true;
           cand.constant = source->constant;
-        } else {
-          auto it = bound_vars.find(source->var);
-          if (it == bound_vars.end()) continue;  // also fresh: not a bound
-          cand.outer = var_names.size();
-          cand.bound_type = it->second;
-          var_names.push_back(source->var);
+        } else if (!bind_source(source->var, &cand)) {
+          continue;  // also fresh: not a bound
         }
         range_cands.push_back(std::move(cand));
       }
       if (options.use_index_probes) {
-        acc.plan = sql::Planner::PlanJoinProbe(*acc.table, eqs, range_cands);
-        acc.var_names = std::move(var_names);
+        acc.probe.plan =
+            sql::Planner::PlanJoinProbe(*acc.table, eqs, range_cands);
       }
     }
 
-    if (!acc.plan.is_lazy()) {
+    if (!acc.probe.plan.is_lazy()) {
       // Eager snapshot, filtered on constant positions.
       std::vector<Row>& rows = acc.rows;
-      Status arity_error = Status::Ok();
-      auto keep = [&](const Row& row) -> StatusOr<bool> {
-        if (row.size() != a.terms.size()) {
-          return Status::InvalidArgument("atom arity mismatch for relation " +
-                                         a.relation);
-        }
-        for (size_t i = 0; i < a.terms.size(); ++i) {
-          if (!a.terms[i].is_var && a.terms[i].constant != row[i]) {
-            return false;  // constant mismatch: skip row
-          }
-        }
-        return true;
-      };
       sql::AccessPlan plan;
       if (acc.table != nullptr) {
         std::vector<std::pair<size_t, Value>> eqs;
@@ -222,17 +242,10 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
         YT_ASSIGN_OR_RETURN(auto cursor,
                             tm->OpenCursor(txn, acc.table, std::move(plan),
                                            ReadOrigin::kGrounding));
-        YT_RETURN_IF_ERROR(cursor->Drain([&](RowId, Row&& row) {
-          auto k = keep(row);
-          if (!k.ok()) {
-            arity_error = k.status();
-            return false;
-          }
-          if (k.value()) rows.push_back(std::move(row));
-          return true;
-        }));
+        YT_RETURN_IF_ERROR(CollectMatching(a, cursor.get(), &rows));
       } else {
         if (acc.table != nullptr) rows.reserve(acc.table->size());
+        Status arity_error = Status::Ok();
         // Name-based open: a missing relation surfaces as NotFound here.
         // The borrowing drain visits the heap zero-copy, so atoms with
         // constant filters copy only the rows they keep.
@@ -241,7 +254,7 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
                                            AccessPlan::TableScan(),
                                            ReadOrigin::kGrounding));
         YT_RETURN_IF_ERROR(cursor->DrainRef([&](RowId, const Row& row) {
-          auto k = keep(row);
+          auto k = MatchesConstants(a, row);
           if (!k.ok()) {
             arity_error = k.status();
             return false;
@@ -249,8 +262,8 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
           if (k.value()) rows.push_back(row);
           return true;
         }));
+        YT_RETURN_IF_ERROR(arity_error);
       }
-      YT_RETURN_IF_ERROR(arity_error);
     }
 
     // This atom's variables are bound for the deeper atoms that follow.
@@ -259,7 +272,8 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
       for (size_t i = 0; i < a.terms.size() && i < schema.num_columns();
            ++i) {
         if (a.terms[i].is_var) {
-          bound_vars.emplace(a.terms[i].var, schema.column(i).type);
+          bound_vars.emplace(a.terms[i].var,
+                             Binder{ai, i, schema.column(i).type});
         }
       }
     }
@@ -278,6 +292,8 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
   std::unordered_set<size_t, IndexHash, IndexEq> seen(
       16, IndexHash{&out}, IndexEq{&out});
   Valuation val;
+  // The row bound at each depth, read by deeper bind-driven probes.
+  std::vector<const Row*> atom_rows(q.body.size(), nullptr);
 
   // Track which predicates have been applied at which join depth so each
   // fires as soon as its variables are bound.
@@ -314,109 +330,19 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
     AtomAccess& acc = access[depth];
     const std::vector<Row>* depth_rows = &acc.rows;
     std::vector<Row> uncached;  // probe rows when the cache is full
-    if (acc.plan.is_lazy()) {
-      // Assemble the probe key from constants and the valuation built by
-      // shallower atoms. Unlike the SQL executor (where `= NULL` is never
-      // true and a NULL binding short-circuits to zero rows), valuation
-      // unification matches NULL against NULL — and the indexes store
-      // NULL-keyed rows — so a NULL binding probes like any other value on
-      // the equality positions. Range *bounds*, by contrast, come from
-      // predicates, and PredHolds is false on NULL: a NULL bound yields no
-      // rows for this binding.
-      std::vector<Value> kv;
-      kv.reserve(acc.plan.parts.size());
-      for (const sql::JoinProbePlan::KeyPart& part : acc.plan.parts) {
-        if (part.is_const) {
-          kv.push_back(part.constant);
-          continue;
-        }
-        const std::string& var = acc.var_names[part.outer];
-        auto vit = val.find(var);
-        if (vit == val.end()) {
-          return Status::Internal("probe variable " + var +
-                                  " unbound at its join depth");
-        }
-        kv.push_back(vit->second);
-      }
-      // The fetch visitor shared by both probe kinds: arity check plus
-      // pruning on constants the index did not cover.
-      Status arity_error = Status::Ok();
-      auto make_collector = [&](std::vector<Row>* rows) {
-        return [&, rows](RowId, Row&& row) {
-          if (row.size() != atom.terms.size()) {
-            arity_error = Status::InvalidArgument(
-                "atom arity mismatch for relation " + atom.relation);
-            return false;
-          }
-          for (size_t i = 0; i < atom.terms.size(); ++i) {
-            if (!atom.terms[i].is_var && atom.terms[i].constant != row[i]) {
-              return true;  // constant the index did not cover
-            }
-          }
-          rows->push_back(std::move(row));
-          return true;
-        };
+    if (acc.probe.plan.is_lazy()) {
+      // Probe rows get the eager path's arity check and pruning on
+      // constants the index did not cover.
+      auto collect = [&atom](TableCursor* cursor, std::vector<Row>* rows) {
+        return CollectMatching(atom, cursor, rows);
       };
-      if (acc.plan.is_probe()) {
-        YT_ASSIGN_OR_RETURN(
-            depth_rows,
-            acc.cache.GetOrFetch(
-                Row(std::move(kv)),
-                tm->stats().grounding_join_probe_cache_hits, &uncached,
-                [&](const Row& key, std::vector<Row>* rows) -> Status {
-                  YT_ASSIGN_OR_RETURN(
-                      auto cursor,
-                      tm->OpenCursor(txn, acc.table,
-                                     AccessPlan::Lookup(acc.plan.columns, key),
-                                     ReadOrigin::kGroundingJoin));
-                  YT_RETURN_IF_ERROR(cursor->Drain(make_collector(rows)));
-                  return arity_error;
-                }));
-      } else {
-        auto resolve = [&](const sql::JoinProbePlan::RangeBound& b,
-                           Value* out) -> StatusOr<bool> {
-          if (b.is_const) {
-            *out = b.constant;
-          } else {
-            const std::string& var = acc.var_names[b.outer];
-            auto vit = val.find(var);
-            if (vit == val.end()) {
-              return Status::Internal("range bound variable " + var +
-                                      " unbound at its join depth");
-            }
-            *out = vit->second;
-          }
-          return !out->is_null();
-        };
-        Value lo_v, hi_v;
-        if (acc.plan.lo.present) {
-          YT_ASSIGN_OR_RETURN(bool ok, resolve(acc.plan.lo, &lo_v));
-          if (!ok) return Status::Ok();
-        }
-        if (acc.plan.hi.present) {
-          YT_ASSIGN_OR_RETURN(bool ok, resolve(acc.plan.hi, &hi_v));
-          if (!ok) return Status::Ok();
-        }
-        // null_filter_from = parts.size(): unlike SQL, unification matches
-        // NULL on the eq prefix; only the range column filters NULLs.
-        IndexRangeSpec spec = acc.plan.MakeRangeSpec(
-            kv, lo_v, hi_v, /*null_filter_from=*/acc.plan.parts.size());
-        YT_ASSIGN_OR_RETURN(
-            depth_rows,
-            acc.cache.GetOrFetch(
-                acc.plan.MakeRangeCacheKey(std::move(kv), lo_v, hi_v),
-                tm->stats().grounding_range_probe_cache_hits, &uncached,
-                [&](const Row&, std::vector<Row>* rows) -> Status {
-                  YT_ASSIGN_OR_RETURN(
-                      auto cursor,
-                      tm->OpenCursor(txn, acc.table, AccessPlan::Range(spec),
-                                     ReadOrigin::kGroundingJoin));
-                  YT_RETURN_IF_ERROR(cursor->Drain(make_collector(rows)));
-                  return arity_error;
-                }));
-      }
+      YT_ASSIGN_OR_RETURN(
+          depth_rows,
+          acc.probe.Fetch(tm, txn, acc.table, atom_rows,
+                          ReadOrigin::kGroundingJoin, collect, &uncached));
     }
     for (const Row& row : *depth_rows) {
+      atom_rows[depth] = &row;
       // Try to extend the valuation with this row.
       std::vector<std::string> bound_here;
       bool ok = true;

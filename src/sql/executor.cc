@@ -141,8 +141,7 @@ StatusOr<QueryResult> Executor::ExecuteSelect(const SelectStmt& sel,
     const Schema* schema;
     Table* table;
     std::vector<Row> rows;  ///< eager paths
-    JoinProbePlan probe;    ///< lazy path
-    ProbeCache probe_cache;
+    JoinProbe probe;        ///< lazy path
   };
   std::vector<TableScope> scope;
   std::vector<Table*> tables;
@@ -191,9 +190,10 @@ StatusOr<QueryResult> Executor::ExecuteSelect(const SelectStmt& sel,
     s.table = t;
     if (join_probes_enabled_ && i > 0) {
       YT_ASSIGN_OR_RETURN(
-          s.probe, Planner::PlanJoinProbe(*t, scope, i, sel.where.get(), vars));
+          s.probe.plan,
+          Planner::PlanJoinProbe(*t, scope, i, sel.where.get(), vars));
     }
-    if (!s.probe.is_lazy()) {
+    if (!s.probe.plan.is_lazy()) {
       YT_ASSIGN_OR_RETURN(
           AccessPlan plan,
           Planner::Plan(*t, scope, i, sel.where.get(), vars,
@@ -343,6 +343,12 @@ StatusOr<QueryResult> Executor::ExecuteSelect(const SelectStmt& sel,
   int64_t limit = (sel.limit < 0 || need_sort) ? INT64_MAX : sel.limit;
   std::vector<std::vector<Value>> order_keys;  // parallel to result.rows
 
+  // The row bound at each depth, read by deeper bind-driven probes.
+  std::vector<const Row*> bound_rows(scans.size(), nullptr);
+  const JoinProbe::Drain drain = [this](TableCursor* cursor,
+                                        std::vector<Row>* rows) {
+    return DrainRows(cursor, rows);
+  };
   std::function<Status(size_t)> recurse = [&](size_t depth) -> Status {
     if (static_cast<int64_t>(result.rows.size()) >= limit) return Status::Ok();
     if (depth == scans.size()) {
@@ -367,73 +373,14 @@ StatusOr<QueryResult> Executor::ExecuteSelect(const SelectStmt& sel,
     Scanned& sc = scans[depth];
     const std::vector<Row>* depth_rows = &sc.rows;
     std::vector<Row> uncached;  // probe rows when the cache is full
-    if (sc.probe.is_lazy()) {
-      // Assemble the probe key from plan-time constants and the outer
-      // rows already bound at shallower depths. A NULL outer value can
-      // match nothing under SQL comparison, so the whole depth yields no
-      // rows for this binding.
-      std::vector<Value> kv;
-      kv.reserve(sc.probe.parts.size());
-      for (const JoinProbePlan::KeyPart& part : sc.probe.parts) {
-        if (part.is_const) {
-          kv.push_back(part.constant);
-          continue;
-        }
-        const Row* outer_row = env.tables[part.outer].row;
-        const Value& v = (*outer_row)[part.outer_column];
-        if (v.is_null()) return Status::Ok();
-        kv.push_back(v);
-      }
-      if (sc.probe.is_probe()) {
-        YT_ASSIGN_OR_RETURN(
-            depth_rows,
-            sc.probe_cache.GetOrFetch(
-                Row(std::move(kv)), tm_->stats().join_probe_cache_hits,
-                &uncached, [&](const Row& key, std::vector<Row>* rows) {
-                  auto cursor = tm_->OpenCursor(
-                      txn, sc.table,
-                      AccessPlan::Lookup(sc.probe.columns, key),
-                      ReadOrigin::kJoin);
-                  if (!cursor.ok()) return cursor.status();
-                  return DrainRows(cursor.value().get(), rows);
-                }));
-      } else {
-        // Range probe: the interval's bound values come from the outer
-        // binding (or plan-time constants) per iteration.
-        auto resolve = [&](const JoinProbePlan::RangeBound& b, Value* out) {
-          if (b.is_const) {
-            *out = b.constant;
-          } else {
-            *out = (*env.tables[b.outer].row)[b.outer_column];
-          }
-          return !out->is_null();
-        };
-        Value lo_v, hi_v;
-        if (sc.probe.lo.present && !resolve(sc.probe.lo, &lo_v)) {
-          return Status::Ok();
-        }
-        if (sc.probe.hi.present && !resolve(sc.probe.hi, &hi_v)) {
-          return Status::Ok();
-        }
-        // null_filter_from 0: SQL comparisons with NULL never match.
-        IndexRangeSpec spec =
-            sc.probe.MakeRangeSpec(kv, lo_v, hi_v, /*null_filter_from=*/0);
-        YT_ASSIGN_OR_RETURN(
-            depth_rows,
-            sc.probe_cache.GetOrFetch(
-                sc.probe.MakeRangeCacheKey(std::move(kv), lo_v, hi_v),
-                tm_->stats().range_probe_cache_hits,
-                &uncached, [&](const Row&, std::vector<Row>* rows) {
-                  auto cursor = tm_->OpenCursor(txn, sc.table,
-                                                AccessPlan::Range(spec),
-                                                ReadOrigin::kJoin);
-                  if (!cursor.ok()) return cursor.status();
-                  return DrainRows(cursor.value().get(), rows);
-                }));
-      }
+    if (sc.probe.plan.is_lazy()) {
+      YT_ASSIGN_OR_RETURN(depth_rows,
+                          sc.probe.Fetch(tm_, txn, sc.table, bound_rows,
+                                         ReadOrigin::kJoin, drain, &uncached));
     }
     for (const Row& row : *depth_rows) {
       env.tables[depth] = {sc.alias, sc.schema, &row};
+      bound_rows[depth] = &row;
       bool keep = true;
       for (const Expr* c : conjuncts_at[depth + 1]) {
         YT_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*c, env));
@@ -747,9 +694,9 @@ StatusOr<QueryResult> Executor::ExecuteInsert(const InsertStmt& ins,
   return result;
 }
 
-StatusOr<QueryResult> Executor::ExecuteUpdate(const UpdateStmt& upd,
-                                              Transaction* txn, VarEnv* vars) {
-  YT_ASSIGN_OR_RETURN(Table * t, tm_->db()->GetTable(upd.table));
+StatusOr<std::vector<std::pair<RowId, Row>>> Executor::MatchRowsForWrite(
+    Table* t, const std::string& table, const Expr* where, Transaction* txn,
+    VarEnv* vars) {
   const Schema& schema = t->schema();
 
   // Candidate rows: X row locks up front through the index when an
@@ -761,54 +708,59 @@ StatusOr<QueryResult> Executor::ExecuteUpdate(const UpdateStmt& upd,
   // the subquery scans' S locks for the same reason, and the lock lattice
   // has no SIX to layer row X under a same-table subquery scan.
   std::vector<const Expr*> subqueries;
-  CollectSubqueries(upd.where.get(), &subqueries);
-  std::vector<TableScope> scope{{upd.table, &schema}};
+  CollectSubqueries(where, &subqueries);
+  std::vector<TableScope> scope{{table, &schema}};
   YT_ASSIGN_OR_RETURN(AccessPlan plan,
-                      Planner::Plan(*t, scope, 0, upd.where.get(), vars));
+                      Planner::Plan(*t, scope, 0, where, vars));
   std::vector<std::pair<RowId, Row>> candidates;
   if (plan.is_index() && subqueries.empty()) {
-    YT_ASSIGN_OR_RETURN(
-        candidates,
-        tm_->LockRowsForWrite(txn, upd.table, plan.columns, plan.key));
+    YT_ASSIGN_OR_RETURN(candidates, tm_->LockRowsForWrite(
+                                        txn, table, plan.columns, plan.key));
   } else if (plan.is_range() && !plan.range.fully_unbounded() &&
              subqueries.empty()) {
-    IndexRangeSpec spec;
-    spec.columns = plan.columns;
-    spec.range = plan.range;
-    YT_ASSIGN_OR_RETURN(candidates,
-                        tm_->LockRowsForWriteRange(txn, upd.table, spec));
+    YT_ASSIGN_OR_RETURN(candidates, tm_->LockRowsForWriteRange(
+                                        txn, table, plan.ToRangeSpec()));
   } else {
     // Table X + full collection through the engine (a partitioned engine
     // locks and collects on every shard — the catalog table's heap is not
     // the whole relation there).
     YT_ASSIGN_OR_RETURN(candidates,
-                        tm_->LockTableAndCollectForWrite(txn, upd.table));
+                        tm_->LockTableAndCollectForWrite(txn, table));
   }
 
   std::unordered_map<const Expr*, std::unordered_set<Row, RowHash>> in_sets;
-  YT_RETURN_IF_ERROR(MaterializeSubqueries(upd.where.get(), txn, vars,
-                                           &in_sets));
+  YT_RETURN_IF_ERROR(MaterializeSubqueries(where, txn, vars, &in_sets));
 
   std::vector<std::pair<RowId, Row>> matches;
+  EvalEnv env;
+  env.vars = vars;
+  env.in_sets = &in_sets;
+  env.tables.resize(1);
   for (auto& [rid, row] : candidates) {
-    EvalEnv env;
-    env.vars = vars;
-    env.in_sets = &in_sets;
-    env.tables.push_back({upd.table, &schema, &row});
-    if (upd.where != nullptr) {
-      YT_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*upd.where, env));
+    env.tables[0] = {table, &schema, &row};
+    if (where != nullptr) {
+      YT_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*where, env));
       if (!keep) continue;
     }
     matches.emplace_back(rid, std::move(row));
   }
+  return matches;
+}
 
+StatusOr<QueryResult> Executor::ExecuteUpdate(const UpdateStmt& upd,
+                                              Transaction* txn, VarEnv* vars) {
+  YT_ASSIGN_OR_RETURN(Table * t, tm_->db()->GetTable(upd.table));
+  YT_ASSIGN_OR_RETURN(auto matches, MatchRowsForWrite(t, upd.table,
+                                                     upd.where.get(), txn,
+                                                     vars));
+  const Schema& schema = t->schema();
   QueryResult result;
+  EvalEnv env;
+  env.vars = vars;
+  env.tables.resize(1);
   for (auto& [rid, row] : matches) {
     Row updated = row;
-    EvalEnv env;
-    env.vars = vars;
-    env.in_sets = &in_sets;
-    env.tables.push_back({upd.table, &schema, &row});
+    env.tables[0] = {upd.table, &schema, &row};
     for (const auto& [col, expr] : upd.sets) {
       YT_ASSIGN_OR_RETURN(size_t i, schema.IndexOf(col));
       YT_ASSIGN_OR_RETURN(updated[i], EvalScalar(*expr, env));
@@ -822,52 +774,11 @@ StatusOr<QueryResult> Executor::ExecuteUpdate(const UpdateStmt& upd,
 StatusOr<QueryResult> Executor::ExecuteDelete(const DeleteStmt& del,
                                               Transaction* txn, VarEnv* vars) {
   YT_ASSIGN_OR_RETURN(Table * t, tm_->db()->GetTable(del.table));
-  const Schema& schema = t->schema();
-
-  // Same lock-before-subqueries and X-before-read discipline as
-  // ExecuteUpdate, including the range-covered path.
-  std::vector<const Expr*> subqueries;
-  CollectSubqueries(del.where.get(), &subqueries);
-  std::vector<TableScope> scope{{del.table, &schema}};
-  YT_ASSIGN_OR_RETURN(AccessPlan plan,
-                      Planner::Plan(*t, scope, 0, del.where.get(), vars));
-  std::vector<std::pair<RowId, Row>> candidates;
-  if (plan.is_index() && subqueries.empty()) {
-    YT_ASSIGN_OR_RETURN(
-        candidates,
-        tm_->LockRowsForWrite(txn, del.table, plan.columns, plan.key));
-  } else if (plan.is_range() && !plan.range.fully_unbounded() &&
-             subqueries.empty()) {
-    IndexRangeSpec spec;
-    spec.columns = plan.columns;
-    spec.range = plan.range;
-    YT_ASSIGN_OR_RETURN(candidates,
-                        tm_->LockRowsForWriteRange(txn, del.table, spec));
-  } else {
-    // Same engine-level fallback as ExecuteUpdate.
-    YT_ASSIGN_OR_RETURN(candidates,
-                        tm_->LockTableAndCollectForWrite(txn, del.table));
-  }
-
-  std::unordered_map<const Expr*, std::unordered_set<Row, RowHash>> in_sets;
-  YT_RETURN_IF_ERROR(MaterializeSubqueries(del.where.get(), txn, vars,
-                                           &in_sets));
-
-  std::vector<RowId> matches;
-  for (const auto& [rid, row] : candidates) {
-    EvalEnv env;
-    env.vars = vars;
-    env.in_sets = &in_sets;
-    env.tables.push_back({del.table, &schema, &row});
-    if (del.where != nullptr) {
-      YT_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*del.where, env));
-      if (!keep) continue;
-    }
-    matches.push_back(rid);
-  }
-
+  YT_ASSIGN_OR_RETURN(auto matches, MatchRowsForWrite(t, del.table,
+                                                     del.where.get(), txn,
+                                                     vars));
   QueryResult result;
-  for (RowId rid : matches) {
+  for (const auto& [rid, row] : matches) {
     YT_RETURN_IF_ERROR(tm_->Delete(txn, del.table, rid));
     ++result.affected;
   }

@@ -68,6 +68,14 @@ class Executor {
   /// which runs the scalar Next() loop instead.
   Status DrainRows(TableCursor* cursor, std::vector<Row>* rows);
 
+  /// The rows of `t` (named `table` in the statement) that a write
+  /// statement's `where` selects, as (RowId, Row) pairs. Every candidate is
+  /// X-locked before any row is read and before the WHERE's IN-subqueries
+  /// run.
+  StatusOr<std::vector<std::pair<RowId, Row>>> MatchRowsForWrite(
+      Table* t, const std::string& table, const Expr* where,
+      Transaction* txn, VarEnv* vars);
+
   StatusOr<QueryResult> ExecuteInsert(const InsertStmt& ins, Transaction* txn,
                                       VarEnv* vars);
   StatusOr<QueryResult> ExecuteUpdate(const UpdateStmt& upd, Transaction* txn,

@@ -1,6 +1,7 @@
 #include "src/sql/planner.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/common/strings.h"
 
@@ -144,9 +145,29 @@ void TightenRange(RangeC* rc, const Sarg& s) {
   }
 }
 
+/// The interval of an equality-pinned key `prefix` plus the optional
+/// bounds on the next index column (a prefix-only bound when a side is
+/// open and the prefix is non-empty; unbounded when both are missing).
+IndexRange PrefixInterval(const std::vector<Value>& prefix, const BoundC& lo,
+                          const BoundC& hi) {
+  IndexRange range;
+  auto side = [&prefix](const BoundC& b, Row* bound, bool* unbounded,
+                        bool* incl) {
+    if (!b.present && prefix.empty()) return;
+    std::vector<Value> vals = prefix;
+    if (b.present) vals.push_back(b.value);
+    *bound = Row(std::move(vals));
+    *unbounded = false;
+    *incl = !b.present || b.incl;
+  };
+  side(lo, &range.lo, &range.lo_unbounded, &range.lo_incl);
+  side(hi, &range.hi, &range.hi_unbounded, &range.hi_incl);
+  return range;
+}
+
 /// Builds the kIndexRange plan for one ordered index: interval bounds from
 /// the equality-pinned prefix `cols[0..e)` plus the range constraint on
-/// `cols[e]` (prefix-only bounds when a side is open and e > 0).
+/// `cols[e]`.
 AccessPlan MakeRangePlan(const std::vector<size_t>& cols, size_t e,
                          const std::vector<Value>& eq_val, const RangeC& rc) {
   AccessPlan plan;
@@ -155,28 +176,7 @@ AccessPlan MakeRangePlan(const std::vector<size_t>& cols, size_t e,
   std::vector<Value> prefix;
   prefix.reserve(e + 1);
   for (size_t i = 0; i < e; ++i) prefix.push_back(eq_val[cols[i]]);
-  if (rc.lo.present) {
-    std::vector<Value> lo = prefix;
-    lo.push_back(rc.lo.value);
-    plan.range.lo = Row(std::move(lo));
-    plan.range.lo_unbounded = false;
-    plan.range.lo_incl = rc.lo.incl;
-  } else if (e > 0) {
-    plan.range.lo = Row(prefix);
-    plan.range.lo_unbounded = false;
-    plan.range.lo_incl = true;
-  }
-  if (rc.hi.present) {
-    std::vector<Value> hi = prefix;
-    hi.push_back(rc.hi.value);
-    plan.range.hi = Row(std::move(hi));
-    plan.range.hi_unbounded = false;
-    plan.range.hi_incl = rc.hi.incl;
-  } else if (e > 0) {
-    plan.range.hi = Row(std::move(prefix));
-    plan.range.hi_unbounded = false;
-    plan.range.hi_incl = true;
-  }
+  plan.range = PrefixInterval(prefix, rc.lo, rc.hi);
   return plan;
 }
 
@@ -234,6 +234,82 @@ AccessPlan BestRangePlan(const Table& table, const std::vector<bool>& has_eq,
     best_score = score;
   }
   *score_out = best_score;
+  return best;
+}
+
+/// Validates candidate `c` as a key part or range bound on `c.column`. A
+/// constant is coerced to the column type — with `exact` (range bounds) it
+/// must survive unchanged, since a shifted bound would move the interval
+/// (`col < 0.5` on an INT column is not `col < 0`). A runtime-bound source
+/// must already have the column's type: probe keys must hash and compare
+/// like stored rows, and there is no place to fail a coercion per binding.
+bool UsableSource(const Schema& schema, const JoinEqCandidate& c, bool exact,
+                  JoinProbePlan::KeyPart* out) {
+  if (c.column >= schema.num_columns()) return false;
+  const TypeId type = schema.column(c.column).type;
+  if (!c.is_const) {
+    if (c.bound_type != type) return false;
+    out->outer = c.outer;
+    out->outer_column = c.outer_column;
+    return true;
+  }
+  if (c.constant.is_null()) return false;  // `= NULL` selects nothing
+  auto coerced = c.constant.CoerceTo(type);
+  if (!coerced.ok() || (exact && coerced.value().Compare(c.constant) != 0)) {
+    return false;
+  }
+  out->is_const = true;
+  out->constant = std::move(coerced).value();
+  return true;
+}
+
+/// Per schema column, the first usable equality source (empty: none).
+using EqSources = std::vector<std::optional<JoinProbePlan::KeyPart>>;
+
+EqSources UsableEqSources(const Schema& schema,
+                          const std::vector<JoinEqCandidate>& eqs) {
+  EqSources out(schema.num_columns());
+  for (const JoinEqCandidate& c : eqs) {
+    if (c.column >= out.size() || out[c.column].has_value()) continue;
+    JoinProbePlan::KeyPart part;
+    if (UsableSource(schema, c, /*exact=*/false, &part)) {
+      out[c.column] = std::move(part);
+    }
+  }
+  return out;
+}
+
+/// Constant (column position, value) equality pairs as candidates.
+std::vector<JoinEqCandidate> ConstEqCandidates(
+    const std::vector<std::pair<size_t, Value>>& eqs) {
+  std::vector<JoinEqCandidate> out(eqs.size());
+  for (size_t i = 0; i < eqs.size(); ++i) {
+    out[i].column = eqs[i].first;
+    out[i].is_const = true;
+    out[i].constant = eqs[i].second;
+  }
+  return out;
+}
+
+/// The widest index (more columns = more selective key) whose every column
+/// has an equality source; with `need_bound`, at least one of them must be
+/// runtime-bound. Nullptr when none qualifies.
+const IndexInfo* WidestCoveredIndex(const std::vector<IndexInfo>& infos,
+                                    const EqSources& src, bool need_bound) {
+  const IndexInfo* best = nullptr;
+  for (const IndexInfo& info : infos) {
+    bool covered = !info.columns.empty();
+    bool any_bound = false;
+    for (size_t col : info.columns) {
+      covered &= src[col].has_value();
+      if (!covered) break;
+      any_bound |= !src[col]->is_const;
+    }
+    if (covered && (any_bound || !need_bound) &&
+        (best == nullptr || info.columns.size() > best->columns.size())) {
+      best = &info;
+    }
+  }
   return best;
 }
 
@@ -358,72 +434,90 @@ bool ContainsAggregate(const Expr* e) {
   return false;
 }
 
-IndexRangeSpec JoinProbePlan::MakeRangeSpec(const std::vector<Value>& kv,
-                                            const Value& lo_v,
-                                            const Value& hi_v,
-                                            size_t null_filter_from) const {
-  IndexRangeSpec spec;
-  spec.columns = columns;
-  spec.null_filter_from = null_filter_from;
-  if (lo.present) {
-    std::vector<Value> vals = kv;
-    vals.push_back(lo_v);
-    spec.range.lo = Row(std::move(vals));
-    spec.range.lo_unbounded = false;
-    spec.range.lo_incl = lo.incl;
-  } else if (!kv.empty()) {
-    spec.range.lo = Row(kv);
-    spec.range.lo_unbounded = false;
-    spec.range.lo_incl = true;
-  }
-  if (hi.present) {
-    std::vector<Value> vals = kv;
-    vals.push_back(hi_v);
-    spec.range.hi = Row(std::move(vals));
-    spec.range.hi_unbounded = false;
-    spec.range.hi_incl = hi.incl;
-  } else if (!kv.empty()) {
-    spec.range.hi = Row(kv);
-    spec.range.hi_unbounded = false;
-    spec.range.hi_incl = true;
-  }
-  return spec;
-}
-
-Row JoinProbePlan::MakeRangeCacheKey(std::vector<Value> kv, const Value& lo_v,
-                                     const Value& hi_v) const {
-  if (lo.present) kv.push_back(lo_v);
-  if (hi.present) kv.push_back(hi_v);
-  return Row(std::move(kv));
-}
-
 std::string JoinProbePlan::ToString() const {
   if (kind == Kind::kSnapshot) return "snapshot";
-  auto bound_src = [](const RangeBound& b) {
-    if (b.is_const) return b.constant.ToString();
-    return "$" + std::to_string(b.outer) + "." +
-           std::to_string(b.outer_column);
+  auto src = [](const KeyPart& p) {
+    if (p.is_const) return p.constant.ToString();
+    return "$" + std::to_string(p.outer) + "." +
+           std::to_string(p.outer_column);
   };
   std::string s = kind == Kind::kIndexProbe ? "probe(" : "range-probe(";
   for (size_t i = 0; i < parts.size(); ++i) {
     if (i) s += ",";
-    s += std::to_string(columns[i]) + "=";
-    if (parts[i].is_const) {
-      s += parts[i].constant.ToString();
-    } else {
-      s += "$" + std::to_string(parts[i].outer) + "." +
-           std::to_string(parts[i].outer_column);
-    }
+    s += std::to_string(columns[i]) + "=" + src(parts[i]);
   }
-  if (kind == Kind::kIndexRangeProbe) {
-    if (parts.size() < columns.size()) {
-      if (!parts.empty()) s += ",";
-      s += std::to_string(columns[parts.size()]);
-      if (lo.present) s += (lo.incl ? ">=" : ">") + bound_src(lo);
-      if (hi.present) s += (hi.incl ? "<=" : "<") + bound_src(hi);
-    }
+  if (kind == Kind::kIndexRangeProbe && parts.size() < columns.size()) {
+    if (!parts.empty()) s += ",";
+    s += std::to_string(columns[parts.size()]);
+    if (lo.present) s += (lo.incl ? ">=" : ">") + src(lo);
+    if (hi.present) s += (hi.incl ? "<=" : "<") + src(hi);
   }
   return s + ")";
+}
+
+StatusOr<const std::vector<Row>*> JoinProbe::Fetch(
+    TxnEngine* tm, Transaction* txn, Table* table,
+    const std::vector<const Row*>& outer_rows, ReadOrigin origin,
+    const Drain& drain, std::vector<Row>* overflow) {
+  const bool sql = origin == ReadOrigin::kJoin;
+  auto value_of = [&outer_rows](const JoinProbePlan::KeyPart& p)
+      -> const Value& {
+    return p.is_const ? p.constant : (*outer_rows[p.outer])[p.outer_column];
+  };
+  auto no_rows = [overflow] {
+    overflow->clear();
+    return overflow;
+  };
+  // The cache key: the eq prefix plus whichever bounds exist (their
+  // presence is fixed at plan time, so the layout is unambiguous).
+  std::vector<Value> key;
+  key.reserve(plan.parts.size() + 2);
+  for (const JoinProbePlan::KeyPart& part : plan.parts) {
+    const Value& v = value_of(part);
+    if (sql && v.is_null()) return no_rows();
+    key.push_back(v);
+  }
+  BoundC lo, hi;
+  auto bind = [&](const JoinProbePlan::RangeBound& b, BoundC* out) {
+    if (!b.present) return true;
+    *out = {true, value_of(b), b.incl};
+    key.push_back(out->value);
+    return !out->value.is_null();
+  };
+  if (!bind(plan.lo, &lo) || !bind(plan.hi, &hi)) return no_rows();
+  TxnStats& stats = tm->stats();
+  std::atomic<uint64_t>& hits =
+      plan.is_probe()
+          ? (sql ? stats.join_probe_cache_hits
+                 : stats.grounding_join_probe_cache_hits)
+          : (sql ? stats.range_probe_cache_hits
+                 : stats.grounding_range_probe_cache_hits);
+  Row cache_key(std::move(key));
+  if (const std::vector<Row>* cached = cache.Find(cache_key)) {
+    hits.fetch_add(1, std::memory_order_relaxed);
+    return cached;
+  }
+
+  AccessPlan access;
+  if (plan.is_probe()) {
+    access = AccessPlan::Lookup(plan.columns, cache_key);
+  } else {
+    IndexRangeSpec spec;
+    spec.columns = plan.columns;
+    spec.range = PrefixInterval(
+        std::vector<Value>(cache_key.values().begin(),
+                           cache_key.values().begin() + plan.parts.size()),
+        lo, hi);
+    // SQL comparisons never match NULL; unification matches NULL on the eq
+    // prefix, so grounding NULL-filters the range column only.
+    spec.null_filter_from = sql ? 0 : plan.parts.size();
+    access = AccessPlan::Range(std::move(spec));
+  }
+  YT_ASSIGN_OR_RETURN(auto cursor,
+                      tm->OpenCursor(txn, table, std::move(access), origin));
+  std::vector<Row> rows;
+  YT_RETURN_IF_ERROR(drain(cursor.get(), &rows));
+  return cache.Insert(std::move(cache_key), std::move(rows), overflow);
 }
 
 StatusOr<AccessPlan> Planner::Plan(const Table& table,
@@ -647,51 +741,18 @@ AccessPlan Planner::PlanPointLookup(
     const Table& table, const std::vector<std::pair<size_t, Value>>& eqs) {
   AccessPlan plan;
   if (eqs.empty()) return plan;
-
-  const Schema& schema = table.schema();
   // Coerce to column types so key hashing/equality matches stored rows;
   // NULL keys and failed coercions are not sargable.
-  std::vector<std::pair<size_t, Value>> usable;
-  for (const auto& [col, v] : eqs) {
-    if (col >= schema.num_columns() || v.is_null()) continue;
-    auto coerced = v.CoerceTo(schema.column(col).type);
-    if (!coerced.ok()) continue;
-    bool duplicate = false;
-    for (const auto& [c, _] : usable) duplicate |= (c == col);
-    if (!duplicate) usable.emplace_back(col, std::move(coerced).value());
-  }
-  if (usable.empty()) return plan;
-
-  // Pick the widest index fully covered by the equality columns (more
-  // columns = more selective key).
-  const std::vector<IndexInfo> candidates = table.IndexInfos();
-  const std::vector<size_t>* best = nullptr;
-  for (const IndexInfo& info : candidates) {
-    const std::vector<size_t>& cols = info.columns;
-    bool covered = !cols.empty();
-    for (size_t c : cols) {
-      bool found = false;
-      for (const auto& [uc, _] : usable) found |= (uc == c);
-      covered &= found;
-    }
-    if (covered && (best == nullptr || cols.size() > best->size())) {
-      best = &cols;
-    }
-  }
+  const EqSources src = UsableEqSources(table.schema(), ConstEqCandidates(eqs));
+  const std::vector<IndexInfo> infos = table.IndexInfos();
+  const IndexInfo* best = WidestCoveredIndex(infos, src, /*need_bound=*/false);
   if (best == nullptr) return plan;
 
   plan.kind = AccessPlan::Kind::kIndexLookup;
-  plan.columns = *best;
+  plan.columns = best->columns;
   std::vector<Value> key;
-  key.reserve(best->size());
-  for (size_t c : *best) {
-    for (const auto& [uc, v] : usable) {
-      if (uc == c) {
-        key.push_back(v);
-        break;
-      }
-    }
-  }
+  key.reserve(best->columns.size());
+  for (size_t c : best->columns) key.push_back(src[c]->constant);
   plan.key = Row(std::move(key));
   return plan;
 }
@@ -732,254 +793,115 @@ StatusOr<JoinProbePlan> Planner::PlanJoinProbe(
 
     // The source side: a plan-time constant or an earlier FROM table's
     // column (already iterating when this depth probes).
-    bool is_const = false;
-    Value constant;
-    size_t outer = 0, outer_col = 0;
-    TypeId bound_type = TypeId::kNull;
+    JoinEqCandidate cand;
+    cand.column = pos.value();
     auto folded = ConstFold(*val, vars);
     if (folded.ok()) {
-      is_const = true;
-      constant = std::move(folded).value();
+      cand.is_const = true;
+      cand.constant = std::move(folded).value();
     } else if (val->kind == ExprKind::kColumnRef) {
-      if (!ResolveScopeColumn(*val, scope, &outer, &outer_col)) continue;
-      if (outer >= target) continue;
-      bound_type = scope[outer].schema->column(outer_col).type;
+      if (!ResolveScopeColumn(*val, scope, &cand.outer, &cand.outer_column) ||
+          cand.outer >= target) {
+        continue;
+      }
+      cand.bound_type =
+          scope[cand.outer].schema->column(cand.outer_column).type;
     } else {
       continue;  // expression over outer columns: not probe-able
     }
     if (is_eq) {
-      JoinEqCandidate cand;
-      cand.column = pos.value();
-      cand.is_const = is_const;
-      cand.constant = std::move(constant);
-      cand.outer = outer;
-      cand.outer_column = outer_col;
-      cand.bound_type = bound_type;
       eqs.push_back(std::move(cand));
     } else {
-      JoinRangeCandidate cand;
-      cand.column = pos.value();
-      cand.is_lo = op == ">" || op == ">=";
-      cand.incl = op == ">=" || op == "<=";
-      cand.is_const = is_const;
-      cand.constant = std::move(constant);
-      cand.outer = outer;
-      cand.outer_column = outer_col;
-      cand.bound_type = bound_type;
-      ranges.push_back(std::move(cand));
+      ranges.push_back({std::move(cand), /*is_lo=*/op == ">" || op == ">=",
+                        /*incl=*/op == ">=" || op == "<="});
     }
   }
   return PlanJoinProbe(table, eqs, ranges);
 }
 
-JoinProbePlan Planner::PlanJoinProbe(const Table& table,
-                                     const std::vector<JoinEqCandidate>& eqs) {
-  JoinProbePlan plan;
-  if (eqs.empty()) return plan;
-
-  const Schema& schema = table.schema();
-  // Per-column usable sources, first candidate per column wins. Constants
-  // are coerced to the column type at plan time; runtime-bound parts demand
-  // an exact type match (probe keys must hash/compare like stored rows, and
-  // there is no place to fail a coercion per binding).
-  std::vector<std::pair<size_t, JoinProbePlan::KeyPart>> usable;
-  for (const JoinEqCandidate& c : eqs) {
-    if (c.column >= schema.num_columns()) continue;
-    bool duplicate = false;
-    for (const auto& [uc, _] : usable) duplicate |= (uc == c.column);
-    if (duplicate) continue;
-    JoinProbePlan::KeyPart part;
-    if (c.is_const) {
-      if (c.constant.is_null()) continue;
-      auto coerced = c.constant.CoerceTo(schema.column(c.column).type);
-      if (!coerced.ok()) continue;
-      part.is_const = true;
-      part.constant = std::move(coerced).value();
-    } else {
-      if (c.bound_type != schema.column(c.column).type) continue;
-      part.outer = c.outer;
-      part.outer_column = c.outer_column;
-    }
-    usable.emplace_back(c.column, std::move(part));
-  }
-  if (usable.empty()) return plan;
-
-  // Widest fully covered index wins; it must use at least one runtime-bound
-  // part, otherwise the constant-only AccessPlan path already handles it
-  // with a single eager lookup.
-  const std::vector<IndexInfo> candidates = table.IndexInfos();
-  const std::vector<size_t>* best = nullptr;
-  for (const IndexInfo& info : candidates) {
-    const std::vector<size_t>& cols = info.columns;
-    bool covered = !cols.empty();
-    bool any_bound = false;
-    for (size_t col : cols) {
-      bool found = false;
-      for (const auto& [uc, part] : usable) {
-        if (uc == col) {
-          found = true;
-          any_bound |= !part.is_const;
-        }
-      }
-      covered &= found;
-    }
-    if (covered && any_bound && (best == nullptr || cols.size() > best->size())) {
-      best = &cols;
-    }
-  }
-  if (best == nullptr) return plan;
-
-  plan.kind = JoinProbePlan::Kind::kIndexProbe;
-  plan.columns = *best;
-  plan.parts.reserve(best->size());
-  for (size_t col : *best) {
-    for (const auto& [uc, part] : usable) {
-      if (uc == col) {
-        plan.parts.push_back(part);
-        break;
-      }
-    }
-  }
-  return plan;
-}
-
 AccessPlan Planner::PlanRangeLookup(
     const Table& table, const std::vector<std::pair<size_t, Value>>& eqs,
     const std::vector<JoinRangeCandidate>& ranges) {
-  AccessPlan plan;
   const Schema& schema = table.schema();
+  const EqSources src = UsableEqSources(schema, ConstEqCandidates(eqs));
   std::vector<bool> has_eq(schema.num_columns(), false);
   std::vector<Value> eq_val(schema.num_columns());
-  for (const auto& [col, v] : eqs) {
-    if (col >= schema.num_columns() || v.is_null() || has_eq[col]) continue;
-    auto coerced = v.CoerceTo(schema.column(col).type);
-    if (!coerced.ok()) continue;
+  for (size_t col = 0; col < src.size(); ++col) {
+    if (!src[col].has_value()) continue;
     has_eq[col] = true;
-    eq_val[col] = std::move(coerced).value();
+    eq_val[col] = src[col]->constant;
   }
   std::vector<RangeC> range_c(schema.num_columns());
   for (const JoinRangeCandidate& c : ranges) {
-    if (!c.is_const || c.column >= schema.num_columns() ||
-        c.constant.is_null()) {
+    JoinProbePlan::KeyPart bound;
+    if (!c.is_const || !UsableSource(schema, c, /*exact=*/true, &bound)) {
       continue;
     }
-    auto coerced = c.constant.CoerceTo(schema.column(c.column).type);
-    if (!coerced.ok() || coerced.value().Compare(c.constant) != 0) continue;
     Sarg s;
     s.kind = Sarg::Kind::kRange;
     s.column = c.column;
     s.op = c.is_lo ? (c.incl ? ">=" : ">") : (c.incl ? "<=" : "<");
-    s.value = std::move(coerced).value();
+    s.value = std::move(bound.constant);
     TightenRange(&range_c[c.column], s);
   }
   int score = 0;
-  plan = BestRangePlan(table, has_eq, eq_val, range_c, /*order=*/nullptr,
+  return BestRangePlan(table, has_eq, eq_val, range_c, /*order=*/nullptr,
                        &score);
-  return plan;
 }
 
 JoinProbePlan Planner::PlanJoinProbe(
     const Table& table, const std::vector<JoinEqCandidate>& eqs,
     const std::vector<JoinRangeCandidate>& ranges) {
-  // Full equality coverage is the cheaper probe; try it first.
-  JoinProbePlan plan = PlanJoinProbe(table, eqs);
-  if (plan.is_probe() || ranges.empty()) return plan;
-
   const Schema& schema = table.schema();
-  // Usable eq sources per column, first candidate per column wins (same
-  // validation as the eq path: constants coerce at plan time, runtime-bound
-  // parts demand an exact type match).
-  std::vector<std::pair<size_t, JoinProbePlan::KeyPart>> usable;
-  for (const JoinEqCandidate& c : eqs) {
-    if (c.column >= schema.num_columns()) continue;
-    bool duplicate = false;
-    for (const auto& [uc, _] : usable) duplicate |= (uc == c.column);
-    if (duplicate) continue;
-    JoinProbePlan::KeyPart part;
-    if (c.is_const) {
-      if (c.constant.is_null()) continue;
-      auto coerced = c.constant.CoerceTo(schema.column(c.column).type);
-      if (!coerced.ok()) continue;
-      part.is_const = true;
-      part.constant = std::move(coerced).value();
-    } else {
-      if (c.bound_type != schema.column(c.column).type) continue;
-      part.outer = c.outer;
-      part.outer_column = c.outer_column;
-    }
-    usable.emplace_back(c.column, std::move(part));
+  const EqSources src = UsableEqSources(schema, eqs);
+  const std::vector<IndexInfo> infos = table.IndexInfos();
+
+  // Full equality coverage is the cheaper probe; try it first.
+  JoinProbePlan plan;
+  if (const IndexInfo* best =
+          WidestCoveredIndex(infos, src, /*need_bound=*/true)) {
+    plan.kind = JoinProbePlan::Kind::kIndexProbe;
+    plan.columns = best->columns;
+    plan.parts.reserve(best->columns.size());
+    for (size_t col : best->columns) plan.parts.push_back(*src[col]);
+    return plan;
   }
 
-  // Validates one range candidate as a bound on `column`; constants must
-  // survive coercion exactly (a shifted bound would move the interval).
-  auto make_bound = [&schema](const JoinRangeCandidate& c,
-                              JoinProbePlan::RangeBound* out) {
-    if (c.is_const) {
-      if (c.constant.is_null()) return false;
-      auto coerced = c.constant.CoerceTo(schema.column(c.column).type);
-      if (!coerced.ok() || coerced.value().Compare(c.constant) != 0) {
-        return false;
-      }
-      out->is_const = true;
-      out->constant = std::move(coerced).value();
-    } else {
-      if (c.bound_type != schema.column(c.column).type) return false;
-      out->outer = c.outer;
-      out->outer_column = c.outer_column;
-    }
-    out->present = true;
-    out->incl = c.incl;
-    return true;
-  };
-
   // Best ordered index: longest equality-covered prefix whose next column
-  // has at least one valid bound; the probe must use at least one
-  // runtime-bound source (constant-only coverage is the eager range plan's
-  // job) .
-  const JoinProbePlan empty;
-  JoinProbePlan best = empty;
+  // has at least one valid bound, using at least one runtime-bound source.
   int best_score = -1;
-  for (const IndexInfo& info : table.IndexInfos()) {
+  for (const IndexInfo& info : infos) {
     if (!info.ordered) continue;
     JoinProbePlan cand;
     cand.kind = JoinProbePlan::Kind::kIndexRangeProbe;
     cand.columns = info.columns;
     bool any_bound = false;
     size_t e = 0;
-    for (; e < info.columns.size(); ++e) {
-      bool found = false;
-      for (const auto& [uc, part] : usable) {
-        if (uc == info.columns[e]) {
-          cand.parts.push_back(part);
-          any_bound |= !part.is_const;
-          found = true;
-          break;
-        }
-      }
-      if (!found) break;
+    for (; e < info.columns.size() && src[info.columns[e]].has_value(); ++e) {
+      cand.parts.push_back(*src[info.columns[e]]);
+      any_bound |= !cand.parts.back().is_const;
     }
     if (e == info.columns.size()) continue;  // full eq coverage: eq probe
-    const size_t range_col = info.columns[e];
     for (const JoinRangeCandidate& c : ranges) {
-      if (c.column != range_col) continue;
+      if (c.column != info.columns[e]) continue;
       JoinProbePlan::RangeBound* slot = c.is_lo ? &cand.lo : &cand.hi;
-      if (slot->present) continue;  // first candidate per side wins
+      if (slot->present) continue;  // first usable candidate per side wins
       JoinProbePlan::RangeBound bound;
-      if (!make_bound(c, &bound)) continue;
+      if (!UsableSource(schema, c, /*exact=*/true, &bound)) continue;
+      bound.present = true;
+      bound.incl = c.incl;
       any_bound |= !bound.is_const;
       *slot = std::move(bound);
     }
-    if (!cand.lo.present && !cand.hi.present) continue;
-    if (!any_bound) continue;
+    if ((!cand.lo.present && !cand.hi.present) || !any_bound) continue;
     int score = static_cast<int>(e) * 4 + (cand.lo.present ? 1 : 0) +
                 (cand.hi.present ? 1 : 0);
     if (score > best_score) {
       best_score = score;
-      best = std::move(cand);
+      plan = std::move(cand);
     }
   }
-  if (best_score < 0) return empty;
-  return best;
+  return plan;
 }
 
 }  // namespace youtopia::sql

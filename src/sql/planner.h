@@ -1,7 +1,7 @@
 #ifndef YOUTOPIA_SQL_PLANNER_H_
 #define YOUTOPIA_SQL_PLANNER_H_
 
-#include <atomic>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -12,6 +12,7 @@
 #include "src/storage/aggregate.h"
 #include "src/storage/cursor.h"
 #include "src/storage/table.h"
+#include "src/txn/txn_engine.h"
 
 namespace youtopia::sql {
 
@@ -45,25 +46,24 @@ struct OrderSpec {
 struct JoinProbePlan {
   enum class Kind { kSnapshot, kIndexProbe, kIndexRangeProbe };
 
-  /// One component of the probe key, parallel to `columns`.
+  /// Where one key value or range bound comes from: a plan-time constant
+  /// (already column-typed), or column `outer_column` of the row bound at
+  /// the earlier join depth `outer`. For SQL that depth is the earlier FROM
+  /// entry; for the grounder it is the earlier body atom that first bound
+  /// the variable, and `outer_column` that variable's term position.
   struct KeyPart {
-    bool is_const = false;
-    Value constant;          ///< plan-time constant (already column-typed)
-    size_t outer = 0;        ///< SELECT: earlier FROM index; grounder: the
-                             ///< caller-supplied binding id
-    size_t outer_column = 0; ///< SELECT: column position in `outer`
-  };
-
-  /// One side of a per-binding range (kIndexRangeProbe): absent, a
-  /// plan-time constant, or a value bound by the outer side of the join
-  /// (`inner.col > outer.col` makes the outer value the runtime lo bound).
-  struct RangeBound {
-    bool present = false;
-    bool incl = false;
     bool is_const = false;
     Value constant;
     size_t outer = 0;
     size_t outer_column = 0;
+  };
+
+  /// One side of a per-binding range (kIndexRangeProbe): absent, or a
+  /// source as above (`inner.col > outer.col` makes the outer value the
+  /// runtime lo bound).
+  struct RangeBound : KeyPart {
+    bool present = false;
+    bool incl = false;
   };
 
   Kind kind = Kind::kSnapshot;
@@ -77,21 +77,6 @@ struct JoinProbePlan {
   bool is_probe() const { return kind == Kind::kIndexProbe; }
   bool is_range_probe() const { return kind == Kind::kIndexRangeProbe; }
   bool is_lazy() const { return kind != Kind::kSnapshot; }
-
-  /// Assembles the per-binding range spec for a kIndexRangeProbe from the
-  /// resolved eq-prefix values and bound values (each meaningful only when
-  /// the corresponding bound is present). `null_filter_from` is 0 for SQL
-  /// (NULL never matches any predicate) and parts.size() for the grounder
-  /// (valuation unification matches NULL on the eq prefix) — keep that
-  /// difference explicit at the call site.
-  IndexRangeSpec MakeRangeSpec(const std::vector<Value>& kv, const Value& lo_v,
-                               const Value& hi_v,
-                               size_t null_filter_from) const;
-  /// The probe-cache key for the same binding: eq prefix plus whichever
-  /// bounds exist (their presence is fixed at plan time, so the layout is
-  /// unambiguous).
-  Row MakeRangeCacheKey(std::vector<Value> kv, const Value& lo_v,
-                        const Value& hi_v) const;
 
   std::string ToString() const;
 };
@@ -122,37 +107,43 @@ class ProbeCache {
     return overflow;
   }
 
-  /// The whole per-binding protocol: cached rows for `key` (counting the
-  /// hit in `hits`), or the rows produced by `fetch(key, &rows)` — one
-  /// transaction-manager probe — inserted under the capacity bound.
-  template <typename Fetch>
-  StatusOr<const std::vector<Row>*> GetOrFetch(Row key,
-                                               std::atomic<uint64_t>& hits,
-                                               std::vector<Row>* overflow,
-                                               Fetch&& fetch) {
-    if (const std::vector<Row>* cached = Find(key)) {
-      hits.fetch_add(1, std::memory_order_relaxed);
-      return cached;
-    }
-    std::vector<Row> rows;
-    YT_RETURN_IF_ERROR(fetch(key, &rows));
-    return Insert(std::move(key), std::move(rows), overflow);
-  }
-
  private:
   std::unordered_map<Row, std::vector<Row>, RowHash> map_;
 };
 
+/// One bind-driven join depth at run time: its plan and its per-binding
+/// cache. `Fetch` is the inner step of the nested loop for both the SQL
+/// executor and the entangled-query grounder.
+struct JoinProbe {
+  /// Drains one probe cursor into the rows of one binding (the executor
+  /// honours its batch size; the grounder checks arity and filters
+  /// constants the index did not cover).
+  using Drain = std::function<Status(TableCursor*, std::vector<Row>*)>;
+
+  /// The rows of `table` for the binding `outer_rows` (the row bound at
+  /// each shallower depth; a runtime part reads
+  /// `(*outer_rows[part.outer])[part.outer_column]`): cached, or fetched
+  /// by one `origin` probe cursor drained through `drain` and cached under
+  /// the capacity bound (else parked in `*overflow`). `origin` is
+  /// ReadOrigin::kJoin (SQL) or kGroundingJoin (grounding); it picks the
+  /// cache-hit counter and the NULL rule. SQL `=` never matches NULL, so a
+  /// NULL equality part yields no rows; unification matches NULL with
+  /// NULL, so grounding probes it like any other value. A NULL range bound
+  /// yields no rows for both (comparisons with NULL are false).
+  StatusOr<const std::vector<Row>*> Fetch(
+      TxnEngine* tm, Transaction* txn, Table* table,
+      const std::vector<const Row*>& outer_rows, ReadOrigin origin,
+      const Drain& drain, std::vector<Row>* overflow);
+
+  JoinProbePlan plan;
+  ProbeCache cache;
+};
+
 /// A candidate equality `target.column = <source>` for join-probe planning:
-/// either a plan-time constant or a value that will be bound by an earlier
-/// join level at run time (identified by a caller-defined (outer,
-/// outer_column) pair; `bound_type` is the runtime value's static type).
-struct JoinEqCandidate {
+/// a plan-time constant or a value bound by an earlier join depth at run
+/// time (`bound_type` is the runtime value's static type).
+struct JoinEqCandidate : JoinProbePlan::KeyPart {
   size_t column = 0;
-  bool is_const = false;
-  Value constant;
-  size_t outer = 0;
-  size_t outer_column = 0;
   TypeId bound_type = TypeId::kNull;
 };
 
@@ -160,15 +151,9 @@ struct JoinEqCandidate {
 /// planning (OP in <, <=, >, >=, normalized so the target column is on the
 /// left): `is_lo` says the source bounds the column from below (OP is > or
 /// >=), `incl` whether the bound itself is admitted.
-struct JoinRangeCandidate {
-  size_t column = 0;
+struct JoinRangeCandidate : JoinEqCandidate {
   bool is_lo = false;
   bool incl = false;
-  bool is_const = false;
-  Value constant;
-  size_t outer = 0;
-  size_t outer_column = 0;
-  TypeId bound_type = TypeId::kNull;
 };
 
 /// True when the expression tree contains a COUNT/SUM/MIN/MAX/AVG node —
@@ -256,29 +241,26 @@ class Planner {
       const std::vector<JoinRangeCandidate>& ranges);
 
   /// Plans a bind-driven probe for `scope[target]` at its join depth: join
-  /// conjuncts `target.col = earlier.col` (earlier FROM table, identical
-  /// column type, so no runtime coercion is ever needed) count as key parts
-  /// alongside plan-time constants. Returns kIndexProbe only when a hash
-  /// index is fully covered AND at least one part is runtime-bound —
-  /// constant-only coverage is `Plan`'s job (one eager lookup beats
-  /// per-binding probes there).
+  /// conjuncts `target.col = earlier.col` and `target.col OP earlier.col`
+  /// (earlier FROM table, identical column type, so no runtime coercion is
+  /// ever needed) become candidates alongside plan-time constants, planned
+  /// by the candidate overload below. Constant-only coverage is `Plan`'s
+  /// job (one eager lookup beats per-binding probes there).
   static StatusOr<JoinProbePlan> PlanJoinProbe(
       const Table& table, const std::vector<TableScope>& scope, size_t target,
       const Expr* where, const VarEnv* vars);
 
   /// Core join-probe planning from pre-extracted candidates (the grounder
-  /// derives them from atom terms: constants, plus variables bound by
-  /// earlier body atoms). Constants are coerced to the column types at plan
-  /// time; runtime-bound parts must match the column type exactly. Dropped
-  /// candidates can only demote the plan to kSnapshot.
-  static JoinProbePlan PlanJoinProbe(const Table& table,
-                                     const std::vector<JoinEqCandidate>& eqs);
-
-  /// Same with inequality candidates: when no hash index is fully
-  /// equality-covered but an ordered index has an equality-covered prefix
-  /// followed by a range-candidate column, plans a kIndexRangeProbe — the
-  /// per-binding interval `inner.col > outer.col` fetch with a key-range S
-  /// lock per probe. At least one eq part or bound must be runtime-bound.
+  /// derives them from atom terms and body predicates: constants, plus
+  /// variables bound by earlier body atoms). Constants are coerced to the
+  /// column types at plan time (range bounds must survive exactly);
+  /// runtime-bound sources must match the column type exactly. Dropped
+  /// candidates can only demote the plan to kSnapshot. Plans kIndexProbe
+  /// when an index is fully equality-covered, else kIndexRangeProbe when an
+  /// ordered index has an equality-covered prefix followed by a bounded
+  /// column — the per-binding interval `inner.col > outer.col` fetch with a
+  /// key-range S lock per probe. Either must use at least one runtime-bound
+  /// source (constant-only coverage is the eager plans' job).
   static JoinProbePlan PlanJoinProbe(
       const Table& table, const std::vector<JoinEqCandidate>& eqs,
       const std::vector<JoinRangeCandidate>& ranges);

@@ -108,7 +108,7 @@ class TransactionManager : public TxnEngine {
                                                     AccessPlan plan,
                                                     ReadOrigin origin) override;
 
-  /// GetByIndex for write statements: X-locks the index key and every
+  /// The index lookup of write statements: X-locks the index key and every
   /// matched row (plus table IX) and returns the matched rows. UPDATE/DELETE
   /// with a covering index route here instead of LockTableForWrite, so
   /// writers on different keys no longer serialize on the table lock.
@@ -116,7 +116,7 @@ class TransactionManager : public TxnEngine {
       Transaction* txn, const std::string& table,
       const std::vector<size_t>& columns, const Row& key) override;
 
-  /// GetByIndexRange for write statements: X-locks the scanned interval and
+  /// The range lookup of write statements: X-locks the scanned interval and
   /// every matched row (plus table IX) up front and returns the matched
   /// rows. Range-covered UPDATE/DELETE route here instead of
   /// LockTableForWrite — X row locks are taken before any read, so the

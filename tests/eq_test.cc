@@ -500,6 +500,8 @@ TEST_F(GrounderProbeTest, BindDrivenProbesMatchSnapshotGroundings) {
   auto& stats = fix_.tm->stats();
   uint64_t probes = stats.grounding_join_probes.load();
   uint64_t scans = stats.grounding_scans.load();
+  uint64_t grounding_hits = stats.grounding_join_probe_cache_hits.load();
+  uint64_t sql_hits = stats.join_probe_cache_hits.load();
   Grounder::Options probe_opts;
   ASSERT_OK_AND_ASSIGN(
       std::vector<Grounding> probed,
@@ -508,6 +510,10 @@ TEST_F(GrounderProbeTest, BindDrivenProbesMatchSnapshotGroundings) {
   EXPECT_EQ(stats.grounding_scans.load(), scans + 1);
   EXPECT_GT(stats.grounding_join_probes.load(), probes);
   uint64_t probes_after = stats.grounding_join_probes.load();
+  // 150 edges over 60 users repeat x bindings: the repeats hit the cache,
+  // counted under the grounding origin only.
+  EXPECT_GT(stats.grounding_join_probe_cache_hits.load(), grounding_hits);
+  EXPECT_EQ(stats.join_probe_cache_hits.load(), sql_hits);
 
   Grounder::Options snap_opts;
   snap_opts.use_index_probes = false;
@@ -721,6 +727,56 @@ TEST(GrounderTest, RangeProbesMatchSnapshotGroundings) {
   EXPECT_EQ(eager.size(), 9u);  // y in {42, 49, ..., 98}
   EXPECT_EQ(render(eager), render(eager_snap));
   ASSERT_OK(fix.tm->Commit(txn.get()));
+
+  // NULL on the equality prefix of a range probe: an ordered index on
+  // (a, y), `a` bound to NULL by the earlier atom, and `y > x`. Unification
+  // matches NULL with NULL, so the probe must keep NULL-keyed prefix rows
+  // (only the range column filters NULLs).
+  ASSERT_OK(fix.tm
+                ->CreateTable("CutsN", Schema({{"a", TypeId::kInt64},
+                                               {"x", TypeId::kInt64}}))
+                .status());
+  ASSERT_OK(fix.tm
+                ->CreateTable("ValsN", Schema({{"a", TypeId::kInt64},
+                                               {"y", TypeId::kInt64}}))
+                .status());
+  ASSERT_OK(fix.tm->CreateIndex("ValsN", {"a", "y"}, /*unique=*/false,
+                                /*ordered=*/true));
+  auto setup_n = fix.tm->Begin();
+  for (const auto& [a, x] : std::vector<std::pair<Value, int64_t>>{
+           {Value::Null(), 10}, {Value::Int(1), 10}}) {
+    ASSERT_OK(fix.tm
+                  ->Insert(setup_n.get(), "CutsN", Row({a, Value::Int(x)}))
+                  .status());
+  }
+  for (const auto& [a, y] : std::vector<std::pair<Value, Value>>{
+           {Value::Null(), Value::Int(5)},
+           {Value::Null(), Value::Int(20)},
+           {Value::Null(), Value::Null()},
+           {Value::Int(1), Value::Int(30)},
+           {Value::Int(1), Value::Int(3)},
+           {Value::Int(2), Value::Int(40)}}) {
+    ASSERT_OK(
+        fix.tm->Insert(setup_n.get(), "ValsN", Row({a, y})).status());
+  }
+  ASSERT_OK(fix.tm->Commit(setup_n.get()));
+  EntangledQuerySpec qn;
+  qn.label = "range-probe-null-prefix";
+  qn.body = {{"CutsN", {Term::Var("a"), Term::Var("x")}},
+             {"ValsN", {Term::Var("a"), Term::Var("y")}}};
+  qn.preds = {{Term::Var("y"), ">", Term::Var("x")}};
+  qn.head = {{"R", {Term::Var("a"), Term::Var("y")}}};
+  auto txn_n = fix.tm->Begin();
+  uint64_t range_probes_n = stats.grounding_range_probes.load();
+  ASSERT_OK_AND_ASSIGN(std::vector<Grounding> probed_n,
+                       Grounder::Ground(qn, fix.tm.get(), txn_n.get()));
+  EXPECT_EQ(stats.grounding_range_probes.load(), range_probes_n + 2);
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<Grounding> snapped_n,
+      Grounder::Ground(qn, fix.tm.get(), txn_n.get(), snap_opts));
+  EXPECT_EQ(probed_n.size(), 2u);  // (NULL, 20) and (1, 30)
+  EXPECT_EQ(render(probed_n), render(snapped_n));
+  ASSERT_OK(fix.tm->Commit(txn_n.get()));
 }
 
 TEST(GrounderTest, UnsatisfiableBodyGroundsEmpty) {

@@ -9,6 +9,7 @@
 
 #include "src/sql/lexer.h"
 #include "src/sql/parser.h"
+#include "src/sql/planner.h"
 #include "src/sql/session.h"
 #include "tests/test_util.h"
 
@@ -312,6 +313,9 @@ class PlannerSessionTest : public SessionTest {
   uint64_t JoinProbeCacheHits() {
     return fix_.tm->stats().join_probe_cache_hits.load();
   }
+  uint64_t GroundingJoinProbeCacheHits() {
+    return fix_.tm->stats().grounding_join_probe_cache_hits.load();
+  }
 };
 
 TEST_F(PlannerSessionTest, PointSelectOnPrimaryKeyUsesIndex) {
@@ -496,6 +500,7 @@ TEST_F(PlannerSessionTest, ThreeWayJoinRoutesThroughBindDrivenProbes) {
   ASSERT_OK(session_->Execute("INSERT INTO Friends VALUES (1,4)").status());
   probes = JoinProbes();
   hits = JoinProbeCacheHits();
+  const uint64_t grounding_hits = GroundingJoinProbeCacheHits();
   ASSERT_OK_AND_ASSIGN(
       sql::QueryResult r2,
       session_->Execute(
@@ -505,6 +510,8 @@ TEST_F(PlannerSessionTest, ThreeWayJoinRoutesThroughBindDrivenProbes) {
   EXPECT_EQ(r2.rows.size(), 3u);  // duplicate edge joins twice
   EXPECT_EQ(JoinProbes(), probes + 3);        // keys 2, 3, 4
   EXPECT_EQ(JoinProbeCacheHits(), hits + 1);  // second (1,4) edge
+  // The hit is counted under the SQL origin only.
+  EXPECT_EQ(GroundingJoinProbeCacheHits(), grounding_hits);
 }
 
 TEST_F(PlannerSessionTest, DuplicateAliasSelfJoinDoesNotMisbindPlans) {
@@ -605,6 +612,41 @@ TEST_F(PlannerSessionTest, RandomizedDifferentialProbeVsSnapshotJoin) {
         << "divergence on " << query;
   }
   EXPECT_GT(probe_total, 0u);
+
+  // Past ProbeCache::kMaxKeys distinct keys the probe cache overflows:
+  // 1200 distinct Visits keys, each visited twice. Whatever the scan order,
+  // the first 1024 distinct keys are cached (probed once, hit once) and the
+  // other 176 come back through the overflow vector on both visits.
+  constexpr int kDistinct = 1200;
+  ASSERT_GT(kDistinct, static_cast<int>(sql::ProbeCache::kMaxKeys));
+  ASSERT_OK(session_->Execute("CREATE TABLE Visits (uid INT)").status());
+  for (int base = 0; base < kDistinct; base += 100) {
+    std::string users = "INSERT INTO User VALUES ";
+    std::string visits = "INSERT INTO Visits VALUES ";
+    for (int uid = 1000 + base; uid < 1000 + base + 100; ++uid) {
+      if (uid != 1000 + base) {
+        users += ",";
+        visits += ",";
+      }
+      users += "(" + std::to_string(uid) + ", '" + cities[uid % 5] + "')";
+      visits += "(" + std::to_string(uid) + "),(" + std::to_string(uid) + ")";
+    }
+    ASSERT_OK(session_->Execute(users).status());
+    ASSERT_OK(session_->Execute(visits).status());
+  }
+  const std::string wide =
+      "SELECT u.uid, u.city FROM Visits, User u WHERE Visits.uid = u.uid";
+  const uint64_t probes_before = JoinProbes();
+  const uint64_t hits_before = JoinProbeCacheHits();
+  ASSERT_OK_AND_ASSIGN(sql::QueryResult probed, session_->Execute(wide));
+  const uint64_t kept = sql::ProbeCache::kMaxKeys;
+  EXPECT_EQ(JoinProbes() - probes_before, kept + 2 * (kDistinct - kept));
+  EXPECT_EQ(JoinProbeCacheHits() - hits_before, kept);
+  session_->executor().set_join_probes_enabled(false);
+  ASSERT_OK_AND_ASSIGN(sql::QueryResult snapped, session_->Execute(wide));
+  session_->executor().set_join_probes_enabled(true);
+  EXPECT_EQ(probed.rows.size(), 2u * kDistinct);
+  EXPECT_EQ(sorted_rows(std::move(probed)), sorted_rows(std::move(snapped)));
 }
 
 TEST(ProbeDifferentialTest, DifferentialJoinStableUnderConcurrentWriters) {
