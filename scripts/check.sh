@@ -18,15 +18,18 @@
 # into a gate: any benchmark more than 1.5x slower than the committed
 # baseline fails the script (1.3x stays a warning — smoke boxes are noisy).
 # With --tsan, additionally builds a ThreadSanitizer tree (build-tsan) and
-# races the lock/txn/sql/shard/mvcc/storage/eq/torture suites under it
-# (lock_test repeated 20 times; the MvccGc*, ProbeDifferentialTest.* and
-# GrounderProbeTest.* suites 10 times each) — the key-range
+# races the lock/txn/sql/shard/mvcc/storage/eq/group_commit/etxn/torture
+# suites under it (lock_test repeated 20 times; the MvccGc*,
+# ProbeDifferentialTest.* and GrounderProbeTest.* suites 10 times each) —
+# the key-range
 # lock conflict paths, concurrent heap scans under writers, the shard
 # router's parallel fanout drains + concurrent-writer differential,
 # the MVCC snapshot-vs-writer races, the inline version-GC drains against
 # snapshot registration, the table's concurrent index maintenance through
 # its one mutation path, the bind-driven probe fetch shared by SQL joins
 # and grounding, locking-level grounding under concurrent writers,
+# the one commit path (CommitGroup) under concurrent committers sharing a
+# group-commit flush and under the entangled engine's connection threads,
 # and the fault-injected crash-recover cycles are all exercised by those
 # binaries' concurrent tests.
 # With --torture, runs the long crash-recover torture gate: >= 50 seeded
@@ -228,11 +231,12 @@ if [[ "${tsan}" == 1 ]]; then
         -DYOUTOPIA_BUILD_BENCH=OFF -DYOUTOPIA_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j \
         --target lock_test txn_test sql_test shard_test mvcc_test torture_test \
-                 storage_test eq_test
+                 storage_test eq_test group_commit_test etxn_test
   # The lock manager's grant/wait races are timing-dependent: repeat them.
   echo "== tsan: lock_test (x20)"
   ./build-tsan/lock_test --gtest_repeat=20
-  for t in txn_test sql_test shard_test mvcc_test storage_test eq_test; do
+  for t in txn_test sql_test shard_test mvcc_test storage_test eq_test \
+           group_commit_test etxn_test; do
     echo "== tsan: ${t}"
     ./build-tsan/${t}
   done

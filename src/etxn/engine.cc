@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "src/common/fault.h"
+
 namespace youtopia::etxn {
 
 EntangledTransactionEngine::EntangledTransactionEngine(TxnEngine* tm,
@@ -142,6 +144,16 @@ void EntangledTransactionEngine::RollbackParticipant(Participant* p) {
     (void)tm_->Abort(p->txn.get());
   }
   p->txn.reset();
+}
+
+void EntangledTransactionEngine::ResolveCrashedCommit(Participant* p,
+                                                      const Status& s,
+                                                      RunReport* report) {
+  // Counters before Resolve (see ExecuteRun).
+  ++report->failed;
+  stats_.failed.fetch_add(1, std::memory_order_relaxed);
+  p->entry.handle->Resolve(s, 0, p->vars);
+  p->state = PState::kRunning;  // consumed marker
 }
 
 RunReport EntangledTransactionEngine::ExecuteRun(
@@ -587,8 +599,12 @@ void EntangledTransactionEngine::FinalizeRun(RunState* run,
           }
         }
       } else {
+        const bool crashed = FaultInjector::Global()->crashed();
         for (Participant* p : txn_members) {
-          if (p->state == PState::kReady) {
+          if (p->state != PState::kReady) continue;
+          if (crashed) {
+            ResolveCrashedCommit(p, s, report);
+          } else {
             RollbackParticipant(p);
             p->state = PState::kRetry;
           }
@@ -620,14 +636,14 @@ void EntangledTransactionEngine::FinalizeRun(RunState* run,
         TxnId id = 0;
         if (p->txn != nullptr) {
           id = p->txn->id();
-          s = p->txn->entangled()
-                  ? tm_->CommitGroup({p->txn.get()})
-                  : tm_->Commit(p->txn.get());
+          s = tm_->Commit(p->txn.get());
         }
         if (s.ok()) {
           ++report->committed;
           stats_.committed.fetch_add(1, std::memory_order_relaxed);
           p->entry.handle->Resolve(Status::Ok(), id, p->vars);
+        } else if (FaultInjector::Global()->crashed()) {
+          ResolveCrashedCommit(p, s, report);
         } else {
           RollbackParticipant(p);
           if (now >= p->entry.deadline_micros) {

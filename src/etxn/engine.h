@@ -158,6 +158,12 @@ class EntangledTransactionEngine {
   bool EvaluatePending(RunState* run, RunReport* report);
   void FinalizeRun(RunState* run, RunReport* report);
   void RollbackParticipant(Participant* p);
+  /// Resolves a ready participant whose commit failed with the
+  /// process-wide crash latched. Every WAL is frozen then, so a retry could
+  /// only time out: the client gets the commit's own status, and the
+  /// transaction stays as the crash left it for recovery to decide.
+  void ResolveCrashedCommit(Participant* p, const Status& s,
+                            RunReport* report);
   void SleepLatency();
   int64_t Now() const { return clock_->NowMicros(); }
 

@@ -874,35 +874,21 @@ void Router::AbortBranches(Dtxn* dt) {
 Status Router::TwoPhaseCommit(
     GroupId gtid,
     const std::vector<std::pair<size_t, Transaction*>>& writers,
-    const std::vector<std::pair<size_t, Transaction*>>& readers,
-    bool* crashed) {
+    const std::vector<std::pair<size_t, Transaction*>>& readers) {
   FaultInjector* fi = FaultInjector::Global();
   // Pre-decision probe: a fired kError aborts the attempt (presumed abort
   // is still correct — no decision exists); a fired kCrash additionally
-  // latches the process, and `*crashed` tells the caller to leave state
-  // exactly as the kill would.
+  // latches the process, and the caller leaves state exactly as the kill
+  // would.
   auto probe = [&](const char* site) -> Status {
-    if (!fi->enabled()) return Status::Ok();
-    Status s = fi->Hit(site);
-    if (!s.ok() && fi->crashed()) *crashed = true;
-    return s;
-  };
-  // Any engine failure while the process-wide crash latch is set is part
-  // of the crash, not an abortable error.
-  auto check = [&](Status s) -> Status {
-    if (!s.ok() && fi->enabled() && fi->crashed()) *crashed = true;
-    return s;
+    return fi->enabled() ? fi->Hit(site) : Status::Ok();
   };
   // Post-decision probe: the decision is durable, so an in-memory abort
   // would contradict what recovery replays — every fired fault past the
   // commit point escalates to a full crash.
   auto post = [&](const char* site) -> Status {
-    if (!fi->enabled()) return Status::Ok();
-    Status s = fi->Hit(site);
-    if (!s.ok()) {
-      if (!fi->crashed()) fi->ForceCrash(site);
-      *crashed = true;
-    }
+    Status s = probe(site);
+    if (!s.ok() && !fi->crashed()) fi->ForceCrash(site);
     return s;
   };
 
@@ -913,7 +899,7 @@ Status Router::TwoPhaseCommit(
     ScopedTraceSpan span("2pc.prepare");
     LatencyTimer timer(ShardMetrics().prepare_micros);
     for (const auto& [s, b] : writers) {
-      YT_RETURN_IF_ERROR(check(shards_[s].tm->Prepare(b, gtid)));
+      YT_RETURN_IF_ERROR(shards_[s].tm->Prepare(b, gtid));
       YT_RETURN_IF_ERROR(probe("2pc.after_prepare"));
     }
   }
@@ -942,7 +928,6 @@ Status Router::TwoPhaseCommit(
       // device. Aborting in memory could contradict a decision recovery
       // will read, so stop cold and let recovery arbitrate.
       fi->ForceCrash("coordinator decision write failed: " + st.message());
-      *crashed = true;
       return st;
     }
   }
@@ -979,7 +964,6 @@ Status Router::TwoPhaseCommit(
   if (fi->enabled() && fi->crashed()) {
     // A WAL-layer fault (torn write, frozen log) latched the crash while
     // phase 2 ran; surface it as one.
-    *crashed = true;
     return Status::Internal("simulated crash at " + fi->crash_site());
   }
   if (coord_wal_ != nullptr) {
@@ -1062,52 +1046,6 @@ size_t Router::undelivered_decisions() const {
   return undelivered_.size();
 }
 
-Status Router::Commit(Transaction* txn) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  if (dt->abort_only) {
-    return Status::Aborted(
-        "transaction must abort: a broadcast write applied to only some "
-        "replicas");
-  }
-  std::vector<std::pair<size_t, Transaction*>> writers, readers;
-  SplitBranches(dt, &writers, &readers);
-  if (writers.size() <= 1) {
-    // The one-phase fast path: at most one shard holds writes, so its
-    // local commit record alone decides the transaction — no prepare
-    // round, no decision log entry (asserted via stats().prepares).
-    for (const auto& [s, b] : readers) {
-      YT_RETURN_IF_ERROR(shards_[s].tm->Commit(b));
-    }
-    for (const auto& [s, b] : writers) {
-      YT_RETURN_IF_ERROR(shards_[s].tm->Commit(b));
-    }
-    stats_.single_shard_txns.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    stats_.two_phase_commits.fetch_add(1, std::memory_order_relaxed);
-    // The coordinator's root span: phase spans and every branch's spans
-    // (prepare force-writes, group-commit waits) nest under it, giving one
-    // trace across coordinator and branches.
-    ScopedTraceSpan span("2pc.commit", txn->trace_id());
-    bool crashed = false;
-    Status st = TwoPhaseCommit(txn->id(), writers, readers, &crashed);
-    if (!st.ok()) {
-      if (crashed) return st;  // leave state exactly as a crash would
-      AbortBranches(dt);
-      txn->set_state(TxnState::kAborted);
-      ReleaseCoordinatorSnapshot(txn);
-      EraseDtxn(txn->id());
-      stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-      return st;
-    }
-  }
-  txn->set_state(TxnState::kCommitted);
-  ReleaseCoordinatorSnapshot(txn);
-  EraseDtxn(txn->id());
-  stats_.commits.fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
-}
-
 Status Router::Abort(Transaction* txn) {
   if (txn->state() == TxnState::kAborted) return Status::Ok();
   if (txn->state() == TxnState::kCommitted) {
@@ -1124,74 +1062,58 @@ Status Router::Abort(Transaction* txn) {
 
 Status Router::CommitGroup(const std::vector<Transaction*>& members) {
   if (members.empty()) return Status::Ok();
-  for (Transaction* t : members) {
-    if (!t->active()) {
-      return Status::Aborted("group member " + std::to_string(t->id()) +
-                             " not active");
-    }
-  }
-  std::vector<Dtxn*> dts;
-  dts.reserve(members.size());
   std::vector<std::pair<size_t, Transaction*>> writers, readers;
   for (Transaction* t : members) {
+    if (!t->active()) {
+      return Status::Aborted("transaction " + std::to_string(t->id()) +
+                             " not active");
+    }
     YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(t));
     if (dt->abort_only) {
       return Status::Aborted(
-          "group member " + std::to_string(t->id()) +
+          "transaction " + std::to_string(t->id()) +
           " must abort: a broadcast write applied to only some replicas");
     }
-    dts.push_back(dt);
     SplitBranches(dt, &writers, &readers);
   }
-  std::set<size_t> write_shards;
-  for (const auto& [s, b] : writers) write_shards.insert(s);
-
-  auto abort_all = [&](const Status& why) {
-    for (size_t i = 0; i < members.size(); ++i) {
-      AbortBranches(dts[i]);
-      members[i]->set_state(TxnState::kAborted);
-      ReleaseCoordinatorSnapshot(members[i]);
-      EraseDtxn(members[i]->id());
-      stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-    }
-    return why;
-  };
-
-  if (write_shards.size() <= 1) {
-    // Every member's writes land on one shard (or none): the group commits
-    // through that shard's ENTANGLE + GROUP_COMMIT machinery — atomic via
-    // the group record, no prepare round.
+  bool one_shard = true;
+  for (const auto& [s, b] : writers) one_shard &= s == writers.front().first;
+  Status st;
+  if (one_shard) {
+    // The one-phase path: at most one shard holds writes, so that shard's
+    // own commit decides the group — no prepare round, no decision log
+    // entry (asserted via stats().prepares). Write branches of several
+    // members entangle on the shard first, so its GROUP_COMMIT makes them
+    // atomic; a lone write branch commits with a plain COMMIT.
+    stats_.single_shard_txns.fetch_add(1, std::memory_order_relaxed);
+    for (const auto& [s, b] : readers) (void)shards_[s].tm->Commit(b);
     if (!writers.empty()) {
-      size_t s = *write_shards.begin();
+      TransactionManager* tm = shards_[writers.front().first].tm.get();
       std::vector<Transaction*> branches;
       branches.reserve(writers.size());
-      for (const auto& [ws, b] : writers) branches.push_back(b);
-      if (branches.size() == 1) {
-        Status st = shards_[s].tm->Commit(branches[0]);
-        if (!st.ok()) return abort_all(st);
-      } else {
-        EntanglementId eid = next_txn_id_.fetch_add(1);
-        Status st = shards_[s].tm->LogEntangle(eid, branches);
-        if (st.ok()) st = shards_[s].tm->CommitGroup(branches);
-        if (!st.ok()) return abort_all(st);
+      for (const auto& [s, b] : writers) branches.push_back(b);
+      if (branches.size() > 1) {
+        st = tm->LogEntangle(next_txn_id_.fetch_add(1), branches);
       }
+      if (st.ok()) st = tm->CommitGroup(branches);
     }
-    for (const auto& [s, b] : readers) {
-      (void)shards_[s].tm->Commit(b);
-    }
-    stats_.single_shard_txns.fetch_add(1, std::memory_order_relaxed);
   } else {
-    // Cross-shard group: one 2PC instance covers every member's write
-    // branches under a single gtid — one decision record commits or aborts
-    // the whole entangled group.
+    // One 2PC instance covers every member's write branches under one
+    // gtid, so one decision record commits or aborts the whole group. The
+    // coordinator's root span: phase spans and every branch's spans
+    // (prepare force-writes, group-commit waits) nest under it, giving one
+    // trace across coordinator and branches.
     stats_.two_phase_commits.fetch_add(1, std::memory_order_relaxed);
-    GroupId gtid = next_txn_id_.fetch_add(1);
-    bool crashed = false;
-    Status st = TwoPhaseCommit(gtid, writers, readers, &crashed);
-    if (!st.ok()) {
-      if (crashed) return st;
-      return abort_all(st);
+    ScopedTraceSpan span("2pc.commit", members.front()->trace_id());
+    st = TwoPhaseCommit(members.front()->id(), writers, readers);
+  }
+  if (!st.ok()) {
+    // A crashed commit leaves state exactly as the crash left it; any
+    // other failure decided nothing, so every member aborts.
+    if (!FaultInjector::Global()->crashed()) {
+      for (Transaction* t : members) (void)Abort(t);
     }
+    return st;
   }
   for (Transaction* t : members) {
     t->set_state(TxnState::kCommitted);
@@ -1199,7 +1121,9 @@ Status Router::CommitGroup(const std::vector<Transaction*>& members) {
     EraseDtxn(t->id());
     stats_.commits.fetch_add(1, std::memory_order_relaxed);
   }
-  stats_.group_commits.fetch_add(1, std::memory_order_relaxed);
+  if (members.size() > 1 || members.front()->entangled()) {
+    stats_.group_commits.fetch_add(1, std::memory_order_relaxed);
+  }
   return Status::Ok();
 }
 

@@ -43,17 +43,18 @@ namespace youtopia::shard {
 /// are identical on every replica).
 ///
 /// Transactions: Begin hands out a coordinator-side handle; per-shard
-/// branch transactions enlist lazily on first touch. Commit runs one-phase
-/// when at most one shard holds writes (read-only branches always commit
+/// branch transactions enlist lazily on first touch. A commit is a group of
+/// one: CommitGroup runs one-phase when at most one shard holds writes (read-only branches always commit
 /// locally without voting — the classical read-only optimization) and
 /// classical presumed-abort two-phase commit otherwise: every write branch
 /// force-writes kPrepare(branch, gtid), the coordinator force-writes
 /// kCommitDecision(gtid) to its own decision log — the commit point — and
 /// phase 2 lazily appends per-shard decisions and releases locks. Recovery
 /// (Router::Recover) replays each shard with the coordinator's decisions:
-/// prepared-but-undecided branches abort, decided ones commit. Entangled
-/// group commits whose writes all land on one shard go through that
-/// shard's ENTANGLE + GROUP_COMMIT machinery instead of 2PC.
+/// prepared-but-undecided branches abort, decided ones commit. A one-phase
+/// group with write branches from several members goes through that
+/// shard's ENTANGLE + GROUP_COMMIT machinery instead of 2PC; every 2PC gtid
+/// is the first member's id.
 ///
 /// Cross-shard deadlocks (two transactions locking shards in opposite
 /// orders) are invisible to the per-shard waits-for graphs; the per-shard
@@ -167,7 +168,6 @@ class Router : public TxnEngine {
   StatusOr<std::vector<std::pair<RowId, Row>>> LockTableAndCollectForWrite(
       Transaction* txn, const std::string& table) override;
 
-  Status Commit(Transaction* txn) override;
   Status Abort(Transaction* txn) override;
   Status CommitGroup(const std::vector<Transaction*>& members) override;
   Status LogEntangle(EntanglementId eid,
@@ -306,17 +306,16 @@ class Router : public TxnEngine {
   StatusOr<std::vector<std::pair<RowId, Row>>> CollectForWrite(
       Dtxn* dt, const Transaction* txn, size_t lo, size_t hi,
       PerShard&& per_shard);
-  /// The 2PC core shared by Commit and CommitGroup. `writers` span >= 2
-  /// shards. A fired crash fault (or any failure while the process-wide
-  /// crash latch is set) sets `*crashed` and returns an error with state
-  /// and logs left exactly as a crash would leave them — the caller must
-  /// skip abort cleanup then.
+  /// The 2PC core of CommitGroup. `writers` span >= 2 shards. A failure
+  /// with the process-wide crash latch set (a fired crash fault, a failed
+  /// decision force-write, any fault past the commit point) leaves state
+  /// and logs exactly as a crash would leave them; the caller must then
+  /// skip abort cleanup.
   Status TwoPhaseCommit(GroupId gtid,
                         const std::vector<std::pair<size_t, Transaction*>>&
                             writers,
                         const std::vector<std::pair<size_t, Transaction*>>&
-                            readers,
-                        bool* crashed);
+                            readers);
   /// Aborts every branch (best effort) — failure/abort cleanup.
   void AbortBranches(Dtxn* dt);
   /// The fan-out core of OpenFanout and AggregateTable: enlists every

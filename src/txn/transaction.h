@@ -86,13 +86,6 @@ class Transaction {
   /// registry (so Commit/Abort know to unregister it exactly once).
   bool snapshot_registered() const { return snapshot_registered_; }
   void set_snapshot_registered(bool v) { snapshot_registered_ = v; }
-  /// Whether this transaction's writes already carry their commit timestamp
-  /// (a 2PC coordinator stamps every branch of a distributed commit with
-  /// one timestamp before phase 2; the branch's own commit must not stamp
-  /// again with a fresh one).
-  bool commit_stamped() const { return commit_stamped_; }
-  void set_commit_stamped(bool v) { commit_stamped_ = v; }
-
   /// Trace id this transaction's spans belong to (0 = untraced). Stamped at
   /// Begin when metrics are on; a 2PC coordinator re-uses it so coordinator
   /// and branch spans assemble into one trace.
@@ -121,7 +114,6 @@ class Transaction {
   uint64_t read_ts_ = 0;
   bool external_read_ts_ = false;
   bool snapshot_registered_ = false;
-  bool commit_stamped_ = false;
   uint64_t trace_id_ = 0;
   int open_cursors_ = 0;
   bool entangled_ = false;

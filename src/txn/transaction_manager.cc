@@ -437,23 +437,7 @@ void TransactionManager::MaybeRefreshSnapshot(Transaction* txn,
   }
 }
 
-void TransactionManager::StampWrites(Transaction* txn) {
-  if (txn->undo_log().empty() || txn->commit_stamped()) return;
-  // The [allocate, stamp, publish] window: the timestamp becomes readable
-  // only after every row carrying it is stamped, so no snapshot ever sees
-  // half a commit. Row X locks are still held here (released after).
-  std::lock_guard<std::mutex> g(clock_->commit_mutex());
-  uint64_t ts = clock_->AllocateCommitTs();
-  StampRows(txn, ts);
-  clock_->Publish(ts);
-}
-
 void TransactionManager::StampWritesAt(Transaction* txn, uint64_t ts) {
-  StampRows(txn, ts);
-  txn->set_commit_stamped(true);
-}
-
-void TransactionManager::StampRows(Transaction* txn, uint64_t ts) {
   std::vector<PendingPrune> superseded;
   for (const UndoEntry& e : txn->undo_log()) {
     auto t = db_->GetTable(e.table);
@@ -986,40 +970,6 @@ Status TransactionManager::ApplyUndo(Transaction* txn) {
   return Status::Ok();
 }
 
-Status TransactionManager::Commit(Transaction* txn) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  ScopedTraceSpan span("txn.commit", txn->trace_id());
-  LatencyTimer timer(CommitLatencyHist(txn->isolation_level()));
-  // Read-only commit: nothing was written (every Insert/Update/Delete pushes
-  // an undo entry, and undo clears only on abort), so there is no redo to
-  // make durable — skip the commit record AND the flush. This covers
-  // read-only autocommit statements and the read-only branches of a
-  // cross-shard transaction, which the Router commits locally through here.
-  if (wal_ != nullptr && !txn->undo_log().empty()) {
-    auto lsn = wal_->AppendAndFlush(WalRecord::Commit(txn->id()));
-    if (!lsn.ok()) {
-      // A failed commit-record force-write is unresolvable in place: the
-      // record may or may not have reached the device, so aborting in
-      // memory could contradict a COMMIT that recovery will replay. Stop
-      // cold (every WAL freezes) and let recovery decide — the classical
-      // fsync-failure rule.
-      FaultInjector::Global()->ForceCrash("commit-record write failed: " +
-                                          lsn.status().message());
-      return lsn.status();
-    }
-  }
-  // Stamp while the row X locks are still held; only then release.
-  StampWrites(txn);
-  txn->set_state(TxnState::kCommitted);
-  ReleaseSnapshot(txn);
-  locks_->ReleaseAll(txn->id());
-  stats_.commits.fetch_add(1, std::memory_order_relaxed);
-  if (timer.active()) TxnMetrics().commits->Add();
-  if (options_.observer != nullptr) options_.observer->OnCommit(txn->id());
-  DrainAfterCommit(SupersededRows(*txn));
-  return Status::Ok();
-}
-
 Status TransactionManager::Abort(Transaction* txn) {
   if (txn->state() == TxnState::kAborted) return Status::Ok();
   if (txn->state() == TxnState::kCommitted) {
@@ -1064,7 +1014,8 @@ Status TransactionManager::CommitPrepared(Transaction* txn, GroupId gtid) {
   // the append fails (or the "txn.phase2.append" fault swallows it). The
   // returned status only tells the coordinator whether this participant's
   // own log now resolves the branch: decision-log GC must keep the
-  // coordinator record until that is true everywhere.
+  // coordinator record until that is true everywhere. The coordinator
+  // already stamped the writes (StampWritesAt) before phase 2.
   Status append_st;
   if (wal_ != nullptr) {
     FaultInjector* fi = FaultInjector::Global();
@@ -1074,49 +1025,85 @@ Status TransactionManager::CommitPrepared(Transaction* txn, GroupId gtid) {
           wal_->Append(WalRecord::CommitDecision(txn->id(), gtid)).status();
     }
   }
-  StampWrites(txn);
-  txn->set_state(TxnState::kCommitted);
-  ReleaseSnapshot(txn);
-  locks_->ReleaseAll(txn->id());
-  stats_.commits.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_enabled()) TxnMetrics().commits->Add();
-  if (options_.observer != nullptr) options_.observer->OnCommit(txn->id());
-  DrainAfterCommit(SupersededRows(*txn));
+  FinishCommit({&txn, 1});
   return append_st;
 }
 
 Status TransactionManager::CommitGroup(
     const std::vector<Transaction*>& members) {
+  if (members.empty()) return Status::Ok();
   for (Transaction* t : members) {
     if (!t->active()) {
-      return Status::Aborted("group member " + std::to_string(t->id()) +
+      return Status::Aborted("transaction " + std::to_string(t->id()) +
                              " not active");
     }
   }
-  GroupId gid = next_group_id_.fetch_add(1);
-  std::vector<TxnId> ids;
-  ids.reserve(members.size());
-  for (Transaction* t : members) ids.push_back(t->id());
-  if (wal_ != nullptr) {
-    for (TxnId id : ids) {
-      // Losing a member COMMIT makes the later GROUP_COMMIT unreplayable
-      // for that member; fail before the group record is force-written —
-      // every member is still undoable at this point.
-      YT_RETURN_IF_ERROR(wal_->Append(WalRecord::Commit(id)).status());
+  Transaction* first = members.front();
+  ScopedTraceSpan span("txn.commit", first->trace_id());
+  LatencyTimer timer(CommitLatencyHist(first->isolation_level()));
+  // A plain transaction is decided by its own COMMIT, and a read-only one
+  // has no redo to make durable, so it writes nothing. An entangled
+  // transaction, or any group of several, is decided by GROUP_COMMIT:
+  // recovery replays an entangled member only when a group record names
+  // it.
+  const bool grouped = members.size() > 1 || first->entangled();
+  bool writes = false;
+  for (Transaction* t : members) writes |= !t->undo_log().empty();
+  if (wal_ != nullptr && (grouped || writes)) {
+    Status st = WriteDecision(members, grouped);
+    if (!st.ok()) {
+      // Only a failure before the decision record leaves the outcome
+      // known; past it, WriteDecision has stopped the process cold.
+      if (!FaultInjector::Global()->crashed()) {
+        for (Transaction* t : members) (void)Abort(t);
+      }
+      return st;
     }
-    auto lsn = wal_->AppendAndFlush(WalRecord::GroupCommit(gid, ids));
-    if (!lsn.ok()) return lsn.status();
   }
-  // One commit timestamp for the whole group: an entangled commit is
-  // atomic, so no snapshot may see only part of it.
-  bool any_writes = false;
-  for (Transaction* t : members) any_writes |= !t->undo_log().empty();
-  if (any_writes) {
+  // One commit timestamp for the whole group, stamped while the row X
+  // locks are still held: the timestamp becomes readable only after every
+  // row carrying it is stamped, so no snapshot sees part of a commit.
+  if (writes) {
     std::lock_guard<std::mutex> g(clock_->commit_mutex());
     uint64_t ts = clock_->AllocateCommitTs();
-    for (Transaction* txn : members) StampRows(txn, ts);
+    for (Transaction* t : members) StampWritesAt(t, ts);
     clock_->Publish(ts);
   }
+  if (grouped) stats_.group_commits.fetch_add(1, std::memory_order_relaxed);
+  FinishCommit(members);
+  return Status::Ok();
+}
+
+Status TransactionManager::WriteDecision(
+    const std::vector<Transaction*>& members, bool grouped) {
+  std::vector<TxnId> ids;
+  if (grouped) {
+    ids.reserve(members.size());
+    for (Transaction* t : members) {
+      // Recovery ignores an entangled member's COMMIT until a GROUP_COMMIT
+      // names it, so a failed append here still leaves every member
+      // undoable.
+      YT_RETURN_IF_ERROR(wal_->Append(WalRecord::Commit(t->id())).status());
+      ids.push_back(t->id());
+    }
+  }
+  auto lsn = wal_->AppendAndFlush(
+      grouped ? WalRecord::GroupCommit(next_group_id_.fetch_add(1),
+                                       std::move(ids))
+              : WalRecord::Commit(members.front()->id()));
+  if (lsn.ok()) return Status::Ok();
+  // A failed force-write of the deciding record is unresolvable in place:
+  // the record may or may not have reached the device (and a buffered
+  // frame would ride the next flush), so aborting in memory could
+  // contradict what recovery replays. Stop cold (every WAL freezes) and
+  // let recovery decide — the classical fsync-failure rule.
+  FaultInjector::Global()->ForceCrash("commit-record write failed: " +
+                                      lsn.status().message());
+  return lsn.status();
+}
+
+void TransactionManager::FinishCommit(
+    std::span<Transaction* const> members) {
   size_t superseded = 0;
   for (Transaction* t : members) {
     superseded += SupersededRows(*t);
@@ -1127,9 +1114,7 @@ Status TransactionManager::CommitGroup(
     if (metrics_enabled()) TxnMetrics().commits->Add();
     if (options_.observer != nullptr) options_.observer->OnCommit(t->id());
   }
-  stats_.group_commits.fetch_add(1, std::memory_order_relaxed);
   DrainAfterCommit(superseded);
-  return Status::Ok();
 }
 
 Status TransactionManager::LogEntangle(

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -139,13 +140,17 @@ class TransactionManager : public TxnEngine {
 
   // --- Termination. ---
 
-  Status Commit(Transaction* txn) override;
   Status Abort(Transaction* txn) override;
 
-  /// Atomically commits a set of entangled transactions: per-member COMMIT
-  /// records, then one GROUP_COMMIT record, then a single flush. Durability
-  /// of every member hinges on the group record (entanglement-aware
-  /// recovery).
+  /// The one commit path (Commit(txn) is CommitGroup({txn})). A
+  /// non-entangled group of one force-writes its COMMIT record, or nothing
+  /// when it is read-only; any other group appends one COMMIT per member
+  /// and force-writes a GROUP_COMMIT, on which the durability of every
+  /// member hinges (entanglement-aware recovery). A failed force-write of
+  /// that deciding record latches the process-wide crash
+  /// (FaultInjector::ForceCrash) and leaves every member untouched; a
+  /// failed member COMMIT append before it aborts every member. All
+  /// members share one commit timestamp.
   Status CommitGroup(const std::vector<Transaction*>& members) override;
 
   /// Logs an ENTANGLE record (and marks the members). Called by the
@@ -166,7 +171,8 @@ class TransactionManager : public TxnEngine {
   /// Phase 2 (commit): appends the shard-local COMMIT_DECISION record
   /// (unflushed — the decision is already durable in the coordinator's
   /// log; the local record just lets recovery resolve without consulting
-  /// it) and releases locks. Abort-after-prepare is plain Abort().
+  /// it) and runs the commit tail; the coordinator already stamped the
+  /// writes through StampWritesAt. Abort-after-prepare is plain Abort().
   ///
   /// The in-memory commit always completes; the returned status reports
   /// only whether the advisory local record was appended. A non-OK return
@@ -196,12 +202,13 @@ class TransactionManager : public TxnEngine {
 
   // --- MVCC snapshot management. ---
 
-  /// Stamps `txn`'s writes with an externally allocated commit timestamp —
-  /// the atomic-visibility seam of cross-shard 2PC: the coordinator holds
-  /// the shared clock's commit mutex, stamps every prepared write branch
-  /// with one timestamp, then publishes it, so no snapshot ever sees a
-  /// distributed commit half-applied. The branch's later CommitPrepared
-  /// sees `commit_stamped` and skips its own stamping.
+  /// Stamps `txn`'s written rows with commit timestamp `ts` and queues the
+  /// updated/deleted ones for pruning. The caller holds the shared clock's
+  /// commit mutex between allocating and publishing `ts`, so no snapshot
+  /// ever sees a commit half-applied and the pending-prune list stays in
+  /// commit-timestamp order. CommitGroup stamps its members here; a 2PC
+  /// coordinator stamps every prepared write branch here before phase 2,
+  /// so CommitPrepared never stamps.
   void StampWritesAt(Transaction* txn, uint64_t ts);
 
   /// Pins a coordinator-chosen snapshot timestamp on a (branch) transaction
@@ -235,15 +242,14 @@ class TransactionManager : public TxnEngine {
   /// grounding reads after the first, which all share one cut; suppressed
   /// entirely for adopted coordinator snapshots).
   void MaybeRefreshSnapshot(Transaction* txn, bool grounding);
-  /// Stamps every row this transaction wrote with one freshly allocated
-  /// commit timestamp and publishes it (the [allocate, stamp, publish]
-  /// window under the clock's commit mutex). No-op for read-only
-  /// transactions.
-  void StampWrites(Transaction* txn);
-  /// Stamps `txn`'s written rows with commit timestamp `ts` and queues the
-  /// updated/deleted ones for pruning. Caller holds the commit mutex, so
-  /// the pending-prune list stays in commit-timestamp order.
-  void StampRows(Transaction* txn, uint64_t ts);
+  /// Appends CommitGroup's deciding record — the member COMMITs first when
+  /// `grouped` — and force-writes it; a failed force-write latches the
+  /// process-wide crash.
+  Status WriteDecision(const std::vector<Transaction*>& members,
+                       bool grouped);
+  /// The commit tail every commit path shares: state, snapshot release,
+  /// lock release, counters and metrics, observer, inline GC slice.
+  void FinishCommit(std::span<Transaction* const> members);
   /// Pops up to `max_entries` entries at-or-below the GC horizon off the
   /// front of the pending-prune list and prunes their rows, one exclusive
   /// latch hold per table. Returns versions pruned.

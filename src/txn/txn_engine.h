@@ -33,6 +33,8 @@ struct TxnStats {
   std::atomic<uint64_t> begins{0};
   std::atomic<uint64_t> commits{0};
   std::atomic<uint64_t> aborts{0};
+  /// Commits of more than one member, or of an entangled one. A plain
+  /// commit is a group of one and does not count.
   std::atomic<uint64_t> group_commits{0};
   std::atomic<uint64_t> index_lookups{0};
   std::atomic<uint64_t> table_scans{0};
@@ -200,12 +202,23 @@ class TxnEngine {
 
   // --- Termination. ---
 
-  virtual Status Commit(Transaction* txn) = 0;
+  /// Commits one transaction: a commit is a group of one. Engines
+  /// implement CommitGroup only; this stays virtual so a decorator (the
+  /// perfbench tracing engine) can time plain commits apart from groups.
+  virtual Status Commit(Transaction* txn) { return CommitGroup({txn}); }
   virtual Status Abort(Transaction* txn) = 0;
 
-  /// Atomically commits a set of entangled transactions (durability of
-  /// every member hinges on one record: GROUP_COMMIT on a single node, the
-  /// coordinator's commit decision under cross-shard 2PC).
+  /// Atomically commits `members`. Exactly one force-written record decides
+  /// the outcome: a plain transaction's COMMIT (none at all when it is
+  /// read-only), GROUP_COMMIT for an entangled transaction or a group of
+  /// several on one node, and the coordinator's COMMIT_DECISION under
+  /// cross-shard 2PC. A failed force-write of that record may still reach
+  /// the device, so it latches the process-wide crash
+  /// (FaultInjector::crashed()) and leaves every member as it is for
+  /// recovery to decide. Any other failure of the attempt aborts every
+  /// member; that includes a failed member-COMMIT append before
+  /// GROUP_COMMIT, which recovery ignores without its group record. A
+  /// refused commit (a member not active) changes nothing.
   virtual Status CommitGroup(const std::vector<Transaction*>& members) = 0;
 
   /// Logs an ENTANGLE record (and marks the members). Called by the

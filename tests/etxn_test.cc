@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "src/common/fault.h"
 #include "src/etxn/engine.h"
+#include "src/wal/wal_writer.h"
 #include "src/workload/travel_data.h"
 #include "tests/test_util.h"
 
@@ -20,19 +24,28 @@ using testing::EngineFixture;
 class EngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_OK(workload::TravelData::BuildFigure1Tables(fix_.tm.get()));
-    ASSERT_OK(fix_.tm
-                  ->CreateTable("Bookings",
-                                Schema({{"name", TypeId::kString},
-                                        {"what", TypeId::kString},
-                                        {"ref", TypeId::kInt64}}))
-                  .status());
+    engine_ = OpenEngine(fix_.tm.get());
+    ASSERT_NE(engine_, nullptr);
+  }
+
+  /// The Figure 1 tables plus Bookings on `tm`, and a manual-mode engine
+  /// over it (nullptr when the set-up fails).
+  static std::unique_ptr<EntangledTransactionEngine> OpenEngine(
+      TxnEngine* tm) {
+    Status st = workload::TravelData::BuildFigure1Tables(tm);
+    if (st.ok()) {
+      st = tm->CreateTable("Bookings", Schema({{"name", TypeId::kString},
+                                               {"what", TypeId::kString},
+                                               {"ref", TypeId::kInt64}}))
+               .status();
+    }
+    EXPECT_OK(st);
+    if (!st.ok()) return nullptr;
     EngineOptions opts;
     opts.auto_scheduler = false;
     opts.num_connections = 8;
     opts.default_timeout_micros = 300'000;  // 300 ms
-    engine_ = std::make_unique<EntangledTransactionEngine>(fix_.tm.get(),
-                                                           opts);
+    return std::make_unique<EntangledTransactionEngine>(tm, opts);
   }
 
   /// The Figure 2 travel program for `me` coordinating with `partner`.
@@ -111,6 +124,66 @@ TEST_F(EngineTest, Figure4RunWalkthrough) {
   EXPECT_EQ(BookingCount("Mickey"), 2u);
   EXPECT_EQ(BookingCount("Minnie"), 2u);
   EXPECT_EQ(BookingCount("Donald"), 0u);
+}
+
+TEST_F(EngineTest, FailedGroupRecordFlushResolvesPairWithItsStatus) {
+  // A durable engine whose GROUP_COMMIT flush fails: the commit latches the
+  // crash, every WAL freezes, and a retry could only time out. Both
+  // members must resolve in this run with the fault's own status. A dry
+  // run counts the pair's group flushes (two ENTANGLEs, then the group
+  // record), so the fault lands on the last one.
+  FaultInjector* fi = FaultInjector::Global();
+  fi->Reset();
+  const std::string dir = ::testing::TempDir() + "yt_etxn_" +
+                          std::to_string(reinterpret_cast<uintptr_t>(this));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  uint64_t group_flushes = 0;
+  for (bool dry : {true, false}) {
+    Database db;
+    LockManager locks;
+    WalWriter wal;
+    ASSERT_OK(wal.Open(dir + (dry ? "/dry.log" : "/wal.log"),
+                       WalWriter::Options{}, /*truncate=*/true));
+    TransactionManager tm(&db, &locks, &wal);
+    auto engine = OpenEngine(&tm);
+    ASSERT_NE(engine, nullptr);
+    ASSERT_OK_AND_ASSIGN(EntangledTransactionSpec mickey,
+                         TravelProgram("Mickey", "Minnie"));
+    ASSERT_OK_AND_ASSIGN(EntangledTransactionSpec minnie,
+                         TravelProgram("Minnie", "Mickey"));
+    mickey.timeout_micros = minnie.timeout_micros = 60'000'000;
+    FaultInjector::SiteConfig cfg;
+    cfg.action = FaultInjector::Action::kError;
+    cfg.code = StatusCode::kCorruption;
+    if (dry) {
+      cfg.shots = 0;  // never fires; only counts hits
+    } else {
+      cfg.nth = group_flushes;
+    }
+    fi->Arm("wal.group_flush", cfg);
+    auto hm = engine->Submit(mickey);
+    auto hn = engine->Submit(minnie);
+    RunReport report = engine->RunOnce();
+    ASSERT_TRUE(hm->done());
+    ASSERT_TRUE(hn->done());
+    if (dry) {
+      EXPECT_OK(hm->Wait());
+      EXPECT_OK(hn->Wait());
+      group_flushes = fi->HitCount("wal.group_flush");
+      ASSERT_GE(group_flushes, 1u);
+    } else {
+      EXPECT_TRUE(fi->crashed());
+      EXPECT_EQ(report.failed, 2u);
+      EXPECT_EQ(report.committed, 0u);
+      EXPECT_EQ(report.retried, 0u);
+      EXPECT_EQ(hm->Wait().code(), StatusCode::kCorruption);
+      EXPECT_EQ(hn->Wait().code(), StatusCode::kCorruption);
+    }
+    engine.reset();
+    fi->Reset();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(EngineTest, DonaldEventuallyTimesOut) {

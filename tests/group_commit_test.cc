@@ -15,6 +15,7 @@
 #include "src/sql/session.h"
 #include "src/txn/transaction_manager.h"
 #include "src/wal/group_commit.h"
+#include "src/wal/recovery.h"
 #include "src/wal/wal_reader.h"
 #include "src/wal/wal_writer.h"
 #include "tests/test_util.h"
@@ -50,6 +51,18 @@ std::pair<int64_t, int64_t> CrossShardPair(Router* r, int64_t base) {
       return {base, k};
     }
   }
+}
+
+/// `n` keys that all hash to the shard of key 1.
+std::vector<int64_t> SameShardKeys(Router* r, size_t n) {
+  size_t home = r->shard_map().ShardOfKey(Row({Value::Int(1)}));
+  std::vector<int64_t> keys;
+  for (int64_t k = 1; keys.size() < n; ++k) {
+    if (r->shard_map().ShardOfKey(Row({Value::Int(k)})) == home) {
+      keys.push_back(k);
+    }
+  }
+  return keys;
 }
 
 class GroupCommitTest : public ::testing::Test {
@@ -200,6 +213,320 @@ TEST_F(GroupCommitTest, GroupFlushFaultFailsCommitAndEscalatesToCrash) {
     EXPECT_EQ(fi->FireCount("wal.group_flush"), 1u);
   }
   fi->Reset();
+
+  // An entangled pair on one TransactionManager: the flush that fails is
+  // the GROUP_COMMIT's. The group record may already sit in the log
+  // buffer, so the failure must stop cold exactly like a plain COMMIT's —
+  // otherwise the next commit's flush carries the group to the device
+  // behind the client's back.
+  const std::string pair_wal = dir_ + "/pair.log";
+  {
+    Database db;
+    LockManager locks;
+    WalWriter wal;
+    ASSERT_OK(wal.Open(pair_wal, WalWriter::Options{}, /*truncate=*/true));
+    TransactionManager tm(&db, &locks, &wal);
+    ASSERT_OK(tm.CreateTable("acct", AcctSchema()).status());
+    auto a = tm.Begin();
+    auto b = tm.Begin();
+    auto later = tm.Begin();
+    ASSERT_OK(tm.Insert(a.get(), "acct", Row({Value::Int(1), Value::Int(10)}))
+                  .status());
+    ASSERT_OK(tm.Insert(b.get(), "acct", Row({Value::Int(2), Value::Int(20)}))
+                  .status());
+    ASSERT_OK(
+        tm.Insert(later.get(), "acct", Row({Value::Int(3), Value::Int(30)}))
+            .status());
+    ASSERT_OK(tm.LogEntangle(1, {a.get(), b.get()}));
+
+    FaultInjector::SiteConfig err;
+    err.action = FaultInjector::Action::kError;
+    err.nth = 1;
+    fi->Arm("wal.group_flush", err);
+    EXPECT_FALSE(tm.CommitGroup({a.get(), b.get()}).ok());
+    EXPECT_TRUE(fi->crashed());
+    EXPECT_EQ(fi->FireCount("wal.group_flush"), 1u);
+    EXPECT_FALSE(tm.Commit(later.get()).ok());
+  }
+  fi->Reset();
+  {
+    ASSERT_OK_AND_ASSIGN(RecoveryManager::Result rec,
+                         RecoveryManager::Recover(pair_wal));
+    Table* t = rec.db->GetTable("acct").value();
+    std::vector<int64_t> ids;
+    t->Scan([&](RowId, const Row& row) {
+      ids.push_back(row[0].as_int());
+      return true;
+    });
+    std::sort(ids.begin(), ids.end());
+    EXPECT_TRUE(ids.empty() || ids == std::vector<int64_t>({1, 2}))
+        << "recovered " << ids.size() << " rows";
+  }
+
+  // The same group on a 4-shard Router with every write on one shard: the
+  // one-phase path commits it through that shard's ENTANGLE +
+  // GROUP_COMMIT. A dry run counts the commit's group flushes, so the
+  // fault lands on its last one, the GROUP_COMMIT's.
+  uint64_t group_flushes = 0;
+  std::vector<int64_t> keys;
+  for (bool dry : {true, false}) {
+    Router::Options opts = DurableOptions();
+    if (dry) opts.dir = dir_ + "/dry";
+    {
+      ASSERT_OK_AND_ASSIGN(auto r, Router::Open(opts));
+      ASSERT_OK(r->CreateTable("acct", AcctSchema()).status());
+      keys = SameShardKeys(r.get(), 3);
+      std::vector<std::unique_ptr<Transaction>> txns;
+      for (int64_t k : keys) {
+        txns.push_back(r->Begin());
+        ASSERT_OK(r->Insert(txns.back().get(), "acct",
+                            Row({Value::Int(k), Value::Int(k)}))
+                      .status());
+      }
+      ASSERT_OK(r->LogEntangle(1, {txns[0].get(), txns[1].get()}));
+      FaultInjector::SiteConfig cfg;
+      cfg.action = FaultInjector::Action::kError;
+      if (dry) {
+        cfg.shots = 0;  // never fires; only counts hits
+      } else {
+        cfg.nth = group_flushes;
+      }
+      fi->Arm("wal.group_flush", cfg);
+      Status st = r->CommitGroup({txns[0].get(), txns[1].get()});
+      if (dry) {
+        ASSERT_OK(st);
+        group_flushes = fi->HitCount("wal.group_flush");
+        ASSERT_GE(group_flushes, 1u);
+      } else {
+        EXPECT_FALSE(st.ok());
+        EXPECT_TRUE(fi->crashed());
+        EXPECT_EQ(fi->FireCount("wal.group_flush"), 1u);
+        EXPECT_FALSE(r->Commit(txns[2].get()).ok());
+      }
+    }
+    fi->Reset();
+  }
+  ASSERT_OK_AND_ASSIGN(auto r, Router::Recover(DurableOptions()));
+  std::vector<Row> rows = AllRows(r.get(), "acct");
+  std::vector<Row> group = {Row({Value::Int(keys[0]), Value::Int(keys[0])}),
+                            Row({Value::Int(keys[1]), Value::Int(keys[1])})};
+  std::sort(group.begin(), group.end());
+  EXPECT_TRUE(rows.empty() || rows == group)
+      << "recovered " << rows.size() << " rows";
+}
+
+TEST_F(GroupCommitTest, MemberCommitAppendFaultAbortsGroupWithoutCrash) {
+  // The one failure before the deciding record that may still abort: a
+  // member COMMIT append ahead of GROUP_COMMIT. Recovery ignores an
+  // entangled member's COMMIT without its group record, so the first
+  // member's COMMIT, already in the log, must not bring it back.
+  FaultInjector* fi = FaultInjector::Global();
+  const std::string path = dir_ + "/wal.log";
+  {
+    Database db;
+    LockManager locks;
+    WalWriter wal;
+    ASSERT_OK(wal.Open(path, WalWriter::Options{}, /*truncate=*/true));
+    TransactionManager tm(&db, &locks, &wal);
+    ASSERT_OK(tm.CreateTable("acct", AcctSchema()).status());
+    auto a = tm.Begin();
+    auto b = tm.Begin();
+    ASSERT_OK(tm.Insert(a.get(), "acct", Row({Value::Int(1), Value::Int(10)}))
+                  .status());
+    ASSERT_OK(tm.Insert(b.get(), "acct", Row({Value::Int(2), Value::Int(20)}))
+                  .status());
+    ASSERT_OK(tm.LogEntangle(1, {a.get(), b.get()}));
+
+    FaultInjector::SiteConfig err;
+    err.action = FaultInjector::Action::kError;
+    err.nth = 2;  // the second member's COMMIT
+    fi->Arm("wal.append", err);
+    EXPECT_FALSE(tm.CommitGroup({a.get(), b.get()}).ok());
+    EXPECT_EQ(fi->FireCount("wal.append"), 1u);
+    EXPECT_FALSE(fi->crashed());
+    EXPECT_EQ(a->state(), TxnState::kAborted);
+    EXPECT_EQ(b->state(), TxnState::kAborted);
+    EXPECT_EQ(db.GetTable("acct").value()->size(), 0u);
+    fi->Reset();
+
+    auto later = tm.Begin();
+    ASSERT_OK(
+        tm.Insert(later.get(), "acct", Row({Value::Int(3), Value::Int(30)}))
+            .status());
+    ASSERT_OK(tm.Commit(later.get()));
+  }
+  ASSERT_OK_AND_ASSIGN(RecoveryManager::Result rec,
+                       RecoveryManager::Recover(path));
+  Table* t = rec.db->GetTable("acct").value();
+  std::vector<int64_t> ids;
+  t->Scan([&](RowId, const Row& row) {
+    ids.push_back(row[0].as_int());
+    return true;
+  });
+  EXPECT_EQ(ids, std::vector<int64_t>({3}));
+}
+
+// --- Commit record shape (the wal_bytes_per_txn guard). --------------------
+
+/// COMMIT records naming `id`, and GROUP_COMMIT records listing it (with
+/// their member counts).
+struct DecisionRecords {
+  size_t commits = 0;
+  std::vector<size_t> groups;
+};
+
+DecisionRecords DecisionsOf(const std::vector<WalRecord>& log, TxnId id) {
+  DecisionRecords d;
+  for (const WalRecord& rec : log) {
+    if (rec.type == WalRecordType::kCommit && rec.txn == id) ++d.commits;
+    if (rec.type == WalRecordType::kGroupCommit &&
+        std::count(rec.members.begin(), rec.members.end(), id) > 0) {
+      d.groups.push_back(rec.members.size());
+    }
+  }
+  return d;
+}
+
+TEST_F(GroupCommitTest, EveryCommitWritesExactlyItsDecisionRecord) {
+  const std::string path = dir_ + "/wal.log";
+  Database db;
+  LockManager locks;
+  WalWriter wal;
+  ASSERT_OK(wal.Open(path, WalWriter::Options{}, /*truncate=*/true));
+  TransactionManager tm(&db, &locks, &wal);
+  ASSERT_OK(tm.CreateTable("acct", AcctSchema()).status());
+  auto insert = [&](Transaction* t, int64_t k) {
+    return tm.Insert(t, "acct", Row({Value::Int(k), Value::Int(k)})).status();
+  };
+  auto group_commits = [&] { return tm.stats().group_commits.load(); };
+
+  // A plain writing commit: one COMMIT, no group record, no group count.
+  auto plain = tm.Begin();
+  ASSERT_OK_AND_ASSIGN(
+      RowId rid,
+      tm.Insert(plain.get(), "acct", Row({Value::Int(1), Value::Int(1)})));
+  ASSERT_OK(tm.Commit(plain.get()));
+  EXPECT_EQ(group_commits(), 0u);
+
+  // A read-only commit writes nothing at all, not even a flush.
+  uint64_t flushes = tm.stats().wal_flushes.load();
+  auto reader = tm.Begin();
+  ASSERT_OK(tm.Get(reader.get(), "acct", rid).status());
+  ASSERT_OK(tm.Commit(reader.get()));
+  EXPECT_EQ(tm.stats().wal_flushes.load(), flushes);
+  EXPECT_EQ(group_commits(), 0u);
+
+  // An entangled group of one is decided by its group record.
+  auto single = tm.Begin();
+  ASSERT_OK(insert(single.get(), 2));
+  ASSERT_OK(tm.LogEntangle(1, {single.get()}));
+  ASSERT_OK(tm.Commit(single.get()));
+  EXPECT_EQ(group_commits(), 1u);
+
+  // A pair: one COMMIT per member, then one GROUP_COMMIT naming both.
+  auto a = tm.Begin();
+  auto b = tm.Begin();
+  ASSERT_OK(insert(a.get(), 3));
+  ASSERT_OK(insert(b.get(), 4));
+  ASSERT_OK(tm.LogEntangle(2, {a.get(), b.get()}));
+  ASSERT_OK(tm.CommitGroup({a.get(), b.get()}));
+  EXPECT_EQ(group_commits(), 2u);
+
+  // Several members count as a group even without an entanglement.
+  auto c = tm.Begin();
+  auto d = tm.Begin();
+  ASSERT_OK(insert(c.get(), 5));
+  ASSERT_OK(insert(d.get(), 6));
+  ASSERT_OK(tm.CommitGroup({c.get(), d.get()}));
+  EXPECT_EQ(group_commits(), 3u);
+  EXPECT_EQ(tm.stats().commits.load(), 7u);
+
+  ASSERT_OK(wal.Flush());
+  ASSERT_OK_AND_ASSIGN(WalReader::Result log, WalReader::ReadAll(path));
+  DecisionRecords d_plain = DecisionsOf(log.records, plain->id());
+  EXPECT_EQ(d_plain.commits, 1u);
+  EXPECT_TRUE(d_plain.groups.empty());
+  for (const WalRecord& rec : log.records) {
+    if (rec.txn == reader->id()) {
+      EXPECT_EQ(rec.type, WalRecordType::kBegin);
+    }
+    if (rec.type == WalRecordType::kGroupCommit) {
+      EXPECT_EQ(std::count(rec.members.begin(), rec.members.end(),
+                           reader->id()),
+                0);
+    }
+  }
+  DecisionRecords d_single = DecisionsOf(log.records, single->id());
+  EXPECT_EQ(d_single.commits, 1u);
+  EXPECT_EQ(d_single.groups, std::vector<size_t>({1}));
+  for (Transaction* t : {a.get(), b.get(), c.get(), d.get()}) {
+    DecisionRecords dm = DecisionsOf(log.records, t->id());
+    EXPECT_EQ(dm.commits, 1u) << "txn " << t->id();
+    EXPECT_EQ(dm.groups, std::vector<size_t>({2})) << "txn " << t->id();
+  }
+  size_t group_records = 0;
+  for (const WalRecord& rec : log.records) {
+    group_records += rec.type == WalRecordType::kGroupCommit ? 1 : 0;
+  }
+  EXPECT_EQ(group_records, 3u);
+}
+
+TEST_F(GroupCommitTest, RouterCommitsCountGroupsAndUseTheFirstMemberAsGtid) {
+  ASSERT_OK_AND_ASSIGN(auto r, Router::Open(DurableOptions()));
+  ASSERT_OK(r->CreateTable("acct", AcctSchema()).status());
+  auto group_commits = [&] { return r->stats().group_commits.load(); };
+  auto decision_gtids = [&] {
+    std::vector<GroupId> gtids;
+    auto log = WalReader::ReadAll(r->coord_wal_path());
+    EXPECT_OK(log.status());
+    for (const WalRecord& rec : log.value().records) {
+      if (rec.type == WalRecordType::kCommitDecision) {
+        gtids.push_back(rec.group);
+      }
+    }
+    return gtids;
+  };
+
+  // Plain commits, one-phase and 2PC, are groups of one: no group count,
+  // and the 2PC decision carries the transaction's own id.
+  std::vector<int64_t> same = SameShardKeys(r.get(), 2);
+  auto one = r->Begin();
+  ASSERT_OK(r->Insert(one.get(), "acct", Row({Value::Int(same[0]),
+                                             Value::Int(0)}))
+                .status());
+  ASSERT_OK(r->Commit(one.get()));
+  auto [k1, k2] = CrossShardPair(r.get(), 100);
+  auto cross = r->Begin();
+  ASSERT_OK(r->Insert(cross.get(), "acct", Row({Value::Int(k1), Value::Int(1)}))
+                .status());
+  ASSERT_OK(r->Insert(cross.get(), "acct", Row({Value::Int(k2), Value::Int(2)}))
+                .status());
+  ASSERT_OK(r->Commit(cross.get()));
+  EXPECT_EQ(decision_gtids(), std::vector<GroupId>({cross->id()}));
+  EXPECT_EQ(group_commits(), 0u);
+
+  // An entangled group of one counts, and so does a cross-shard pair,
+  // whose one decision names the first member.
+  auto single = r->Begin();
+  ASSERT_OK(r->Insert(single.get(), "acct",
+                      Row({Value::Int(same[1]), Value::Int(3)}))
+                .status());
+  ASSERT_OK(r->LogEntangle(1, {single.get()}));
+  ASSERT_OK(r->Commit(single.get()));
+  EXPECT_EQ(group_commits(), 1u);
+
+  auto [k3, k4] = CrossShardPair(r.get(), 200);
+  auto a = r->Begin();
+  auto b = r->Begin();
+  ASSERT_OK(r->Insert(a.get(), "acct", Row({Value::Int(k3), Value::Int(4)}))
+                .status());
+  ASSERT_OK(r->Insert(b.get(), "acct", Row({Value::Int(k4), Value::Int(5)}))
+                .status());
+  ASSERT_OK(r->LogEntangle(2, {a.get(), b.get()}));
+  ASSERT_OK(r->CommitGroup({a.get(), b.get()}));
+  EXPECT_EQ(group_commits(), 2u);
+  EXPECT_EQ(decision_gtids(), std::vector<GroupId>({cross->id(), a->id()}));
+  EXPECT_EQ(r->stats().commits.load(), 5u);
 }
 
 // --- Read-only flush skip. ------------------------------------------------
