@@ -18,9 +18,10 @@
 # into a gate: any benchmark more than 1.5x slower than the committed
 # baseline fails the script (1.3x stays a warning — smoke boxes are noisy).
 # With --tsan, additionally builds a ThreadSanitizer tree (build-tsan) and
-# races the lock/txn/sql/shard/mvcc/storage/eq/group_commit/etxn/torture
-# suites under it (lock_test repeated 20 times; the MvccGc*,
-# ProbeDifferentialTest.* and GrounderProbeTest.* suites 10 times each) —
+# races the lock/txn/sql/shard/mvcc/storage/eq/group_commit/etxn/
+# integration/workload/repro_split/torture suites under it (lock_test
+# repeated 20 times; etxn_test and the MvccGc*, ProbeDifferentialTest.* and
+# GrounderProbeTest.* suites 10 times each) —
 # the key-range
 # lock conflict paths, concurrent heap scans under writers, the shard
 # router's parallel fanout drains + concurrent-writer differential,
@@ -30,8 +31,9 @@
 # and grounding, locking-level grounding under concurrent writers,
 # the one commit path (CommitGroup) under concurrent committers sharing a
 # group-commit flush and under the entangled engine's connection threads,
-# and the fault-injected crash-recover cycles are all exercised by those
-# binaries' concurrent tests.
+# the hand-off of parked entangled programs between pool tasks and the
+# run controller, and the fault-injected crash-recover cycles are all
+# exercised by those binaries' concurrent tests.
 # With --torture, runs the long crash-recover torture gate: >= 50 seeded
 # randomized kill/recover cycles under a wall-clock budget. The seed is
 # printed on entry and repeated on failure; --torture-seed N reruns a
@@ -231,15 +233,20 @@ if [[ "${tsan}" == 1 ]]; then
         -DYOUTOPIA_BUILD_BENCH=OFF -DYOUTOPIA_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j \
         --target lock_test txn_test sql_test shard_test mvcc_test torture_test \
-                 storage_test eq_test group_commit_test etxn_test
+                 storage_test eq_test group_commit_test etxn_test \
+                 integration_test workload_test repro_split
   # The lock manager's grant/wait races are timing-dependent: repeat them.
   echo "== tsan: lock_test (x20)"
   ./build-tsan/lock_test --gtest_repeat=20
   for t in txn_test sql_test shard_test mvcc_test storage_test eq_test \
-           group_commit_test etxn_test; do
+           group_commit_test integration_test workload_test repro_split; do
     echo "== tsan: ${t}"
     ./build-tsan/${t}
   done
+  # Entangled runs hand each parked program between its pool task and the
+  # run controller: repeat the engine suite.
+  echo "== tsan: etxn_test (x10)"
+  ./build-tsan/etxn_test --gtest_repeat=10
   # Inline version GC drains race snapshot registration and each other:
   # repeat the GC suite (the registration/horizon race test included).
   echo "== tsan: mvcc_test MvccGc* (x10)"

@@ -1,8 +1,5 @@
 #include "src/etxn/engine.h"
 
-#include <algorithm>
-#include <map>
-
 #include "src/common/fault.h"
 
 namespace youtopia::etxn {
@@ -139,6 +136,11 @@ void EntangledTransactionEngine::SleepLatency() {
   }
 }
 
+size_t EntangledTransactionEngine::RunState::Root(size_t i) {
+  while (group[i] != i) i = group[i] = group[group[i]];
+  return i;
+}
+
 void EntangledTransactionEngine::RollbackParticipant(Participant* p) {
   if (p->txn != nullptr && p->txn->active()) {
     (void)tm_->Abort(p->txn.get());
@@ -146,14 +148,47 @@ void EntangledTransactionEngine::RollbackParticipant(Participant* p) {
   p->txn.reset();
 }
 
-void EntangledTransactionEngine::ResolveCrashedCommit(Participant* p,
-                                                      const Status& s,
-                                                      RunReport* report) {
-  // Counters before Resolve (see ExecuteRun).
-  ++report->failed;
-  stats_.failed.fetch_add(1, std::memory_order_relaxed);
-  p->entry.handle->Resolve(s, 0, p->vars);
-  p->state = PState::kRunning;  // consumed marker
+void EntangledTransactionEngine::Retry(Participant* p) {
+  RollbackParticipant(p);
+  if (p->entry.spec->transactional) {
+    p->entry.resume_index = 0;
+    p->entry.saved_vars.clear();
+  } else {
+    p->entry.resume_index = p->stmt_index;
+    p->entry.saved_vars = p->vars;
+  }
+  p->state = PState::kRetry;
+}
+
+void EntangledTransactionEngine::Resolve(const PoolEntry& e, Outcome o,
+                                         RunReport* report, Status s,
+                                         TxnId txn, sql::VarEnv vars) {
+  // Counters before Resolve: a client woken by Wait() must already see its
+  // own outcome in stats().
+  switch (o) {
+    case Outcome::kCommitted:
+      ++report->committed;
+      stats_.committed.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case Outcome::kFailed:
+      ++report->failed;
+      stats_.failed.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case Outcome::kTimedOut:
+      ++report->timed_out;
+      stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
+      break;
+  }
+  e.handle->Resolve(std::move(s), txn, std::move(vars));
+}
+
+bool EntangledTransactionEngine::ExpireIfDue(const PoolEntry& e, int64_t now,
+                                             RunReport* report) {
+  if (now < e.deadline_micros) return false;
+  Resolve(e, Outcome::kTimedOut, report,
+          Status::TimedOut("entangled transaction '" + e.spec->name +
+                           "' timed out waiting for partners"));
+  return true;
 }
 
 RunReport EntangledTransactionEngine::ExecuteRun(
@@ -166,278 +201,117 @@ RunReport EntangledTransactionEngine::ExecuteRun(
   stats_.runs.fetch_add(1, std::memory_order_relaxed);
 
   RunState run;
-  int64_t now = Now();
+  const int64_t now = Now();
   for (PoolEntry& e : entries) {
-    if (now >= e.deadline_micros) {
-      // Counters before Resolve: a client woken by Wait() must already
-      // see its own outcome in stats().
-      ++report.timed_out;
-      stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
-      e.handle->Resolve(
-          Status::TimedOut("entangled transaction '" + e.spec->name +
-                           "' timed out waiting for partners"),
-          0, {});
-      continue;
-    }
+    if (ExpireIfDue(e, now, &report)) continue;
     auto p = std::make_unique<Participant>();
+    p->index = run.participants.size();
+    p->vars = e.saved_vars;
+    p->stmt_index = e.resume_index;
     p->entry = std::move(e);
     p->entry.handle->BumpAttempts();
+    run.group.push_back(p->index);
     run.participants.push_back(std::move(p));
   }
   report.participants = run.participants.size();
-  if (run.participants.empty()) return report;
 
-  for (auto& p : run.participants) {
-    Participant* raw = p.get();
-    RunState* run_ptr = &run;
-    connections_->Submit([this, run_ptr, raw] { RunParticipant(run_ptr, raw); });
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    for (auto& p : run.participants) run.admission.push_back(p.get());
+    run.free_slots = options_.num_connections;
+    Admit(&run);
   }
-
-  // Controller loop: wait for quiescence, evaluate pending entangled
-  // queries jointly, repeat until no progress; then finalize.
-  std::unique_lock<std::mutex> l(mu_);
-  for (;;) {
-    controller_cv_.wait_for(l, std::chrono::milliseconds(2));
-    if (run.running > 0) continue;
-    size_t queued = 0;
-    size_t parked = 0;     // any participant still inside the eq wait,
-                           // whether or not its decision was delivered —
-                           // its worker thread may still be waking up and
-                           // touching participant state
-    size_t undecided = 0;  // parked and awaiting a decision
-    for (auto& p : run.participants) {
-      if (p->state == PState::kQueued) ++queued;
-      if (p->state == PState::kWaitingEq) {
-        ++parked;
-        if (p->decision == EqDecision::kNone) ++undecided;
-      }
-    }
-    if (queued > 0 && parked < options_.num_connections) {
-      continue;  // free connections exist: the pool will start them
-    }
-    // Only evaluate once every parked participant's previous decision has
-    // been consumed (parked == undecided), so a delivered-but-not-yet-awake
-    // worker is never raced.
-    if (undecided > 0 && undecided == parked) {
-      l.unlock();
-      bool progress = EvaluatePending(&run, &report);
-      l.lock();
-      if (!progress) {
-        // Nothing can be answered in this wave: abort the blocked
-        // transactions back to the pool (paper §4).
-        for (auto& p : run.participants) {
-          if (p->state == PState::kWaitingEq &&
-              p->decision == EqDecision::kNone) {
-            p->decision = EqDecision::kRetryRun;
-            p->cv.notify_all();
-          }
-        }
-      }
-      continue;
-    }
-    // Exit only when no worker can still be inside RunParticipant: nothing
-    // running, nothing queued, and nobody parked (even with a delivered
-    // decision — those workers are mid-wakeup).
-    if (queued == 0 && parked == 0 && run.running == 0) break;
-  }
-  l.unlock();
+  // Figure 5's barrier: once no task is in flight, every started program
+  // is parked, ready, retrying or failed, and nothing more can be admitted.
+  do {
+    std::unique_lock<std::mutex> l(mu_);
+    controller_cv_.wait(l, [&run] { return run.in_flight == 0; });
+  } while (EvaluatePending(&run, &report));
 
   FinalizeRun(&run, &report);
   return report;
 }
 
-bool EntangledTransactionEngine::EvaluatePending(RunState* run,
-                                                 RunReport* report) {
-  // Snapshot parked participants with undelivered decisions.
-  std::vector<Participant*> pending;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    for (auto& p : run->participants) {
-      if (p->state == PState::kWaitingEq && p->decision == EqDecision::kNone &&
-          p->pending_eq.has_value()) {
-        pending.push_back(p.get());
-      }
-    }
-  }
-  if (pending.empty()) return false;
-  ++report->eval_rounds;
-  stats_.eval_rounds.fetch_add(1, std::memory_order_relaxed);
-
-  // Ground every pending query on the current database, each under its own
-  // transaction's locks (non-transactional programs ground in a short
-  // read-only transaction).
-  std::vector<eq::EvalItem> items;
-  std::vector<std::unique_ptr<Transaction>> temp_txns(pending.size());
-  std::vector<Participant*> item_owner;
-  std::vector<Participant*> ground_failures;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    Participant* p = pending[i];
-    Transaction* gtxn = p->txn.get();
-    if (gtxn == nullptr) {
-      temp_txns[i] = tm_->Begin(p->entry.spec->isolation);
-      gtxn = temp_txns[i].get();
-    }
-    auto groundings = eq::Grounder::Ground(*p->pending_eq, tm_, gtxn);
-    if (!groundings.ok()) {
-      ground_failures.push_back(p);
-      continue;
-    }
-    eq::EvalItem item;
-    item.spec = &*p->pending_eq;
-    item.txn = gtxn->id();
-    item.groundings = std::move(groundings).value();
-    items.push_back(std::move(item));
-    item_owner.push_back(p);
-  }
-
-  eq::EvalResult result;
-  if (!items.empty()) {
-    EntanglementId first =
-        next_eid_.fetch_add(items.size(), std::memory_order_relaxed);
-    result = eq::Coordinator::Evaluate(items, first);
-    // Make the entanglement persistent (ENTANGLE WAL record) and visible to
-    // the schedule recorder.
-    for (const auto& [eid, idxs] : result.operations) {
-      std::vector<Transaction*> members;
-      for (size_t idx : idxs) {
-        Participant* p = item_owner[idx];
-        Transaction* t = p->txn != nullptr ? p->txn.get() : nullptr;
-        if (t == nullptr) {
-          // Non-transactional: the grounding transaction stands in.
-          for (size_t k = 0; k < pending.size(); ++k) {
-            if (pending[k] == p && temp_txns[k] != nullptr) {
-              t = temp_txns[k].get();
-            }
-          }
-        }
-        if (t != nullptr) members.push_back(t);
-      }
-      if (members.size() >= 2) {
-        (void)tm_->LogEntangle(eid, members);
-      }
-      ++report->entangle_ops;
-      stats_.entangle_ops.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Release the short grounding transactions (-Q path).
-  for (auto& t : temp_txns) {
-    if (t != nullptr && t->active()) (void)tm_->Commit(t.get());
-  }
-
-  // Deliver decisions.
-  bool progress = false;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    for (size_t i = 0; i < items.size(); ++i) {
-      Participant* p = item_owner[i];
-      const eq::Outcome& o = result.outcomes[i];
-      switch (o.kind) {
-        case eq::OutcomeKind::kAnswered:
-          p->decision = EqDecision::kAnswered;
-          p->answer = o.answers;
-          progress = true;
-          if (o.eid != 0) {
-            p->entangled = true;
-            for (size_t j : o.partners) {
-              Participant* q = item_owner[j];
-              if (std::find(p->partners.begin(), p->partners.end(), q) ==
-                  p->partners.end()) {
-                p->partners.push_back(q);
-              }
-            }
-          }
-          break;
-        case eq::OutcomeKind::kEmptySuccess:
-          p->decision = EqDecision::kEmpty;
-          progress = true;
-          break;
-        case eq::OutcomeKind::kNoPartner:
-          break;  // stays parked; retried next round or retired
-      }
-      if (p->decision != EqDecision::kNone) p->cv.notify_all();
-    }
-    for (Participant* p : ground_failures) {
-      p->decision = EqDecision::kRetryRun;
-      p->cv.notify_all();
-    }
-  }
-  return progress;
+void EntangledTransactionEngine::Start(RunState* run, Participant* p) {
+  ++run->in_flight;
+  connections_->Submit([this, run, p] { Advance(run, p); });
 }
 
-void EntangledTransactionEngine::RunParticipant(RunState* run,
-                                                Participant* p) {
-  const EntangledTransactionSpec& spec = *p->entry.spec;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    p->state = PState::kRunning;
-    ++run->running;
+void EntangledTransactionEngine::Admit(RunState* run) {
+  while (run->free_slots > 0 && !run->admission.empty()) {
+    --run->free_slots;
+    Start(run, run->admission.front());
+    run->admission.pop_front();
   }
-  p->vars = p->entry.saved_vars;
-  p->stmt_index = p->entry.resume_index;
+}
 
-  if (spec.transactional) {
+void EntangledTransactionEngine::Advance(RunState* run, Participant* p) {
+  const EntangledTransactionSpec& spec = *p->entry.spec;
+  if (p->state == PState::kQueued && spec.transactional) {
     SleepLatency();  // BEGIN round trip
     p->txn = tm_->Begin(spec.isolation);
   }
-
-  StepResult r = StepResult::kContinue;
-  while (p->stmt_index < spec.statements.size()) {
-    r = ExecuteStatement(run, p, spec.statements[p->stmt_index]);
-    if (r != StepResult::kContinue) break;
-    ++p->stmt_index;
+  PState next = PState::kRunning;
+  while (next == PState::kRunning && p->stmt_index < spec.statements.size()) {
+    next = ExecuteStatement(p, spec.statements[p->stmt_index]);
+    if (next == PState::kRunning) ++p->stmt_index;
   }
-  if (r == StepResult::kContinue) {
-    if (spec.transactional) SleepLatency();  // COMMIT round trip
-    r = StepResult::kReadyToCommit;
-  }
-
-  PState final_state;
-  switch (r) {
-    case StepResult::kReadyToCommit:
-      final_state = PState::kReady;
+  switch (next) {
+    case PState::kRunning:
+      if (spec.transactional) SleepLatency();  // COMMIT round trip
+      p->state = PState::kReady;
       break;
-    case StepResult::kRetry:
+    case PState::kRetry:
+      Retry(p);
+      break;
+    case PState::kFailed:
       RollbackParticipant(p);
-      final_state = PState::kRetry;
+      p->state = PState::kFailed;
       break;
-    case StepResult::kFail:
     default:
-      RollbackParticipant(p);
-      final_state = PState::kFailed;
+      p->state = next;  // parked: keeps its slot
       break;
   }
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    p->state = final_state;
-    --run->running;
+  std::lock_guard<std::mutex> g(mu_);
+  if (p->state != PState::kWaitingEq) {
+    ++run->free_slots;
+    Admit(run);
   }
-  controller_cv_.notify_all();
+  if (--run->in_flight == 0) controller_cv_.notify_all();
 }
 
-EntangledTransactionEngine::StepResult
-EntangledTransactionEngine::ExecuteStatement(RunState* run, Participant* p,
+EntangledTransactionEngine::PState
+EntangledTransactionEngine::ExecuteStatement(Participant* p,
                                              const Statement& stmt) {
   SleepLatency();
   if (stmt.kind == Statement::Kind::kNative) {
     ExecContext ctx(&executor_, p->txn.get(), &p->vars);
     Status s = stmt.native(ctx);
-    if (s.ok()) return StepResult::kContinue;
+    if (s.ok()) return PState::kRunning;
     p->final_status = s;  // native failures are application-level: permanent
-    return StepResult::kFail;
+    return PState::kFailed;
   }
 
   const sql::ParsedStatement& parsed = *stmt.parsed;
   switch (parsed.kind) {
-    case sql::StatementKind::kEntangledSelect:
-      return HandleEntangledQuery(run, p, *parsed.entangled);
+    case sql::StatementKind::kEntangledSelect: {
+      auto compiled = eq::Compiler::Compile(
+          *parsed.entangled, p->vars, *tm_->db(),
+          p->entry.spec->name + "#q" + std::to_string(p->stmt_index));
+      if (!compiled.ok()) {
+        p->final_status = compiled.status();
+        return PState::kFailed;
+      }
+      p->pending_eq = std::move(compiled).value();
+      return PState::kWaitingEq;
+    }
     case sql::StatementKind::kRollback:
       p->final_status = Status::Aborted("explicit ROLLBACK in program '" +
                                         p->entry.spec->name + "'");
-      return StepResult::kFail;
+      return PState::kFailed;
     case sql::StatementKind::kBegin:
     case sql::StatementKind::kCommit:
-      return StepResult::kContinue;  // stripped by FromScript normally
+      return PState::kRunning;  // stripped by FromScript normally
     default:
       break;
   }
@@ -455,235 +329,184 @@ EntangledTransactionEngine::ExecuteStatement(RunState* run, Participant* p,
       (void)tm_->Abort(txn.get());
     }
   }
-  if (result.ok()) return StepResult::kContinue;
+  if (result.ok()) return PState::kRunning;
 
   const Status& s = result.status();
   if (s.code() == StatusCode::kAborted || s.code() == StatusCode::kTimedOut) {
     // Deadlock victim / lock-wait timeout: transient, retry in a later run.
-    if (!p->entry.spec->transactional) {
-      p->entry.resume_index = p->stmt_index;  // resume at this statement
-      p->entry.saved_vars = p->vars;
-    } else {
-      p->entry.resume_index = 0;
-      p->entry.saved_vars.clear();
-    }
-    return StepResult::kRetry;
+    return PState::kRetry;
   }
   p->final_status = s;
-  return StepResult::kFail;
+  return PState::kFailed;
 }
 
-EntangledTransactionEngine::StepResult
-EntangledTransactionEngine::HandleEntangledQuery(
-    RunState* run, Participant* p, const sql::EntangledSelectStmt& stmt) {
-  auto compiled = eq::Compiler::Compile(
-      stmt, p->vars, *tm_->db(),
-      p->entry.spec->name + "#q" + std::to_string(p->stmt_index));
-  if (!compiled.ok()) {
-    p->final_status = compiled.status();
-    return StepResult::kFail;
+bool EntangledTransactionEngine::EvaluatePending(RunState* run,
+                                                 RunReport* report) {
+  std::vector<Participant*> parked;
+  for (auto& p : run->participants) {
+    if (p->state == PState::kWaitingEq) parked.push_back(p.get());
   }
-  eq::EntangledQuerySpec spec_copy = compiled.value();
+  if (parked.empty()) return false;
+  ++report->eval_rounds;
+  stats_.eval_rounds.fetch_add(1, std::memory_order_relaxed);
 
-  EqDecision decision;
-  std::vector<std::pair<std::string, Row>> answer;
-  {
-    std::unique_lock<std::mutex> l(mu_);
-    p->pending_eq = std::move(compiled).value();
-    p->decision = EqDecision::kNone;
-    p->answer.clear();
-    p->state = PState::kWaitingEq;
-    --run->running;
-    controller_cv_.notify_all();
-    p->cv.wait(l, [p] { return p->decision != EqDecision::kNone; });
-    decision = p->decision;
-    p->decision = EqDecision::kNone;
-    answer = std::move(p->answer);
-    p->pending_eq.reset();
-    p->state = PState::kRunning;
-    ++run->running;
-  }
-
-  switch (decision) {
-    case EqDecision::kAnswered: {
-      // Bind AS @var positions from the answer tuple(s).
-      for (const auto& b : spec_copy.answer_bindings) {
-        if (b.head_index < answer.size() &&
-            b.term_index < answer[b.head_index].second.size()) {
-          p->vars[b.var] = answer[b.head_index].second[b.term_index];
-        }
-      }
-      return StepResult::kContinue;
+  // Ground every parked query on the current database, each under its own
+  // transaction's locks (non-transactional programs ground in a short
+  // read-only transaction).
+  std::vector<eq::EvalItem> items;
+  std::vector<Participant*> item_owner;
+  std::vector<Transaction*> item_txn;
+  std::vector<std::unique_ptr<Transaction>> temp_txns;
+  for (Participant* p : parked) {
+    Transaction* gtxn = p->txn.get();
+    if (gtxn == nullptr) {
+      temp_txns.push_back(tm_->Begin(p->entry.spec->isolation));
+      gtxn = temp_txns.back().get();
     }
-    case EqDecision::kEmpty: {
-      // Combined query formulated but evaluation was empty: proceed with
-      // NULL bindings (Appendix B success-with-empty-answer).
-      for (const auto& b : spec_copy.answer_bindings) {
+    auto groundings = eq::Grounder::Ground(*p->pending_eq, tm_, gtxn);
+    if (!groundings.ok()) {
+      Retry(p);
+      continue;
+    }
+    eq::EvalItem item;
+    item.spec = &*p->pending_eq;
+    item.txn = gtxn->id();
+    item.groundings = std::move(groundings).value();
+    items.push_back(std::move(item));
+    item_owner.push_back(p);
+    item_txn.push_back(gtxn);
+  }
+
+  eq::EvalResult result;
+  if (!items.empty()) {
+    EntanglementId first =
+        next_eid_.fetch_add(items.size(), std::memory_order_relaxed);
+    result = eq::Coordinator::Evaluate(items, first);
+    // Make the entanglement persistent (ENTANGLE WAL record) and visible to
+    // the schedule recorder. A non-transactional member's grounding
+    // transaction stands in for it.
+    for (const auto& [eid, idxs] : result.operations) {
+      std::vector<Transaction*> members;
+      for (size_t idx : idxs) members.push_back(item_txn[idx]);
+      if (members.size() >= 2) {
+        (void)tm_->LogEntangle(eid, members);
+      }
+      ++report->entangle_ops;
+      stats_.entangle_ops.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  for (auto& t : temp_txns) {
+    if (t->active()) (void)tm_->Commit(t.get());
+  }
+
+  // Answered and empty-success queries resume past the query; the rest
+  // stay parked for the next barrier.
+  bool progress = false;
+  for (size_t i = 0; i < items.size(); ++i) {
+    Participant* p = item_owner[i];
+    const eq::Outcome& o = result.outcomes[i];
+    if (o.kind == eq::OutcomeKind::kNoPartner) continue;
+    for (const auto& b : p->pending_eq->answer_bindings) {
+      if (o.kind == eq::OutcomeKind::kEmptySuccess) {
+        // Combined query formulated but evaluation was empty: proceed with
+        // NULL bindings (Appendix B success-with-empty-answer).
         p->vars[b.var] = Value::Null();
+      } else if (b.head_index < o.answers.size() &&
+                 b.term_index < o.answers[b.head_index].second.size()) {
+        p->vars[b.var] = o.answers[b.head_index].second[b.term_index];
       }
-      return StepResult::kContinue;
     }
-    case EqDecision::kRetryRun:
-    default: {
-      if (!p->entry.spec->transactional) {
-        p->entry.resume_index = p->stmt_index;  // resume at this query
-        p->entry.saved_vars = p->vars;
-      } else {
-        p->entry.resume_index = 0;
-        p->entry.saved_vars.clear();
-      }
-      return StepResult::kRetry;
+    for (size_t j : o.partners) {
+      run->group[run->Root(p->index)] = run->Root(item_owner[j]->index);
+    }
+    p->pending_eq.reset();
+    ++p->stmt_index;
+    p->state = PState::kRunning;
+    progress = true;
+  }
+  if (!progress) {
+    // Nothing can be answered in this wave: abort the blocked transactions
+    // back to the pool (paper §4).
+    for (Participant* p : parked) {
+      if (p->state == PState::kWaitingEq) Retry(p);
     }
   }
+
+  std::lock_guard<std::mutex> g(mu_);
+  for (Participant* p : parked) {
+    if (p->state == PState::kRetry) {
+      ++run->free_slots;
+    } else if (p->state == PState::kRunning) {
+      Start(run, p);  // its task owns it from here
+    }
+  }
+  Admit(run);
+  return true;
 }
 
 void EntangledTransactionEngine::FinalizeRun(RunState* run,
                                              RunReport* report) {
-  auto& parts = run->participants;
-  const size_t n = parts.size();
-
-  // Union-find over participants along entanglement partner edges.
-  std::vector<size_t> dsu(n);
-  for (size_t i = 0; i < n; ++i) dsu[i] = i;
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (dsu[x] != x) {
-      dsu[x] = dsu[dsu[x]];
-      x = dsu[x];
-    }
-    return x;
-  };
-  std::map<Participant*, size_t> index_of;
-  for (size_t i = 0; i < n; ++i) index_of[parts[i].get()] = i;
-  for (size_t i = 0; i < n; ++i) {
-    for (Participant* q : parts[i]->partners) {
-      auto it = index_of.find(q);
-      if (it != index_of.end()) dsu[find(i)] = find(it->second);
-    }
-  }
-  std::map<size_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < n; ++i) groups[find(i)].push_back(i);
-
-  for (auto& [root, members] : groups) {
-    (void)root;
-    // A group commits iff every *transactional* member is ready. (Singleton
-    // non-entangled groups degrade to plain commit.)
+  // One group per union-find root; a plain program is a group of one. A
+  // group commits iff every transactional member is ready.
+  struct Group {
+    size_t size = 0;
     bool all_ready = true;
-    bool any_entangled = false;
-    std::vector<Participant*> txn_members;
-    for (size_t i : members) {
-      Participant* p = parts[i].get();
-      if (p->entangled) any_entangled = true;
-      if (p->entry.spec->transactional) {
-        txn_members.push_back(p);
-        if (p->state != PState::kReady) all_ready = false;
-      }
-    }
-
-    if (all_ready && any_entangled && !txn_members.empty()) {
-      std::vector<Transaction*> txns;
-      for (Participant* p : txn_members) {
-        if (p->txn != nullptr) txns.push_back(p->txn.get());
-      }
-      Status s = txns.empty() ? Status::Ok() : tm_->CommitGroup(txns);
-      if (s.ok()) {
-        ++report->group_commits;
-        for (size_t i : members) {
-          Participant* p = parts[i].get();
-          if (p->state == PState::kReady) {
-            // Counters before Resolve (see ExecuteRun).
-            ++report->committed;
-            stats_.committed.fetch_add(1, std::memory_order_relaxed);
-            p->entry.handle->Resolve(
-                Status::Ok(), p->txn != nullptr ? p->txn->id() : 0, p->vars);
-            p->state = PState::kRunning;  // consumed marker
-          }
-        }
-      } else {
-        const bool crashed = FaultInjector::Global()->crashed();
-        for (Participant* p : txn_members) {
-          if (p->state != PState::kReady) continue;
-          if (crashed) {
-            ResolveCrashedCommit(p, s, report);
-          } else {
-            RollbackParticipant(p);
-            p->state = PState::kRetry;
-          }
-        }
-      }
-    } else if (any_entangled) {
-      // Widow prevention: some member aborted/blocked — every ready
-      // transactional partner must abort too and retry later.
-      for (Participant* p : txn_members) {
-        if (p->state == PState::kReady) {
-          RollbackParticipant(p);
-          p->entry.resume_index = 0;
-          p->entry.saved_vars.clear();
-          p->state = PState::kRetry;
-        }
-      }
+    std::vector<Transaction*> txns;
+    Status status;  ///< the commit's, once attempted
+  };
+  auto& parts = run->participants;
+  std::vector<Group> groups(parts.size());
+  for (auto& p : parts) {
+    Group& g = groups[run->Root(p->index)];
+    ++g.size;
+    if (!p->entry.spec->transactional) continue;
+    if (p->state == PState::kReady) {
+      g.txns.push_back(p->txn.get());
+    } else {
+      g.all_ready = false;
     }
   }
+  for (Group& g : groups) {
+    if (!g.all_ready || g.txns.empty()) continue;
+    g.status = tm_->CommitGroup(g.txns);
+    if (g.status.ok() && g.size > 1) ++report->group_commits;
+  }
 
-  // Second pass: everything not consumed above.
+  // Resolve in run order, so retried programs keep their relative order.
+  const bool crashed = FaultInjector::Global()->crashed();
+  const int64_t now = Now();
   std::vector<PoolEntry> requeue;
-  int64_t now = Now();
   for (auto& up : parts) {
     Participant* p = up.get();
-    switch (p->state) {
-      case PState::kReady: {
-        // Non-entangled (or non-transactional) completion.
-        Status s = Status::Ok();
-        TxnId id = 0;
-        if (p->txn != nullptr) {
-          id = p->txn->id();
-          s = tm_->Commit(p->txn.get());
-        }
-        if (s.ok()) {
-          ++report->committed;
-          stats_.committed.fetch_add(1, std::memory_order_relaxed);
-          p->entry.handle->Resolve(Status::Ok(), id, p->vars);
-        } else if (FaultInjector::Global()->crashed()) {
-          ResolveCrashedCommit(p, s, report);
-        } else {
-          RollbackParticipant(p);
-          if (now >= p->entry.deadline_micros) {
-            ++report->timed_out;
-            stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
-            p->entry.handle->Resolve(
-                Status::TimedOut("timed out after commit failure"), 0, {});
-          } else {
-            requeue.push_back(std::move(p->entry));
-            ++report->retried;
-            stats_.retried.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        break;
+    const Group& g = groups[run->Root(p->index)];
+    if (p->state == PState::kReady) {
+      // A non-transactional program's statements committed as they ran.
+      if (!p->entry.spec->transactional || (g.all_ready && g.status.ok())) {
+        Resolve(p->entry, Outcome::kCommitted, report, Status::Ok(),
+                p->txn != nullptr ? p->txn->id() : 0, p->vars);
+        continue;
       }
-      case PState::kRetry: {
-        if (now >= p->entry.deadline_micros) {
-          ++report->timed_out;
-          stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
-          p->entry.handle->Resolve(
-              Status::TimedOut("entangled transaction '" +
-                               p->entry.spec->name +
-                               "' timed out waiting for partners"),
-              0, {});
-        } else {
-          requeue.push_back(std::move(p->entry));
-          ++report->retried;
-          stats_.retried.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
+      if (g.all_ready && crashed) {
+        // The commit failed with the process-wide crash latched. Every WAL
+        // is frozen, so a retry could only time out: the client gets the
+        // commit's own status, and the transaction stays as the crash left
+        // it for recovery to decide.
+        Resolve(p->entry, Outcome::kFailed, report, g.status, 0, p->vars);
+        continue;
       }
-      case PState::kFailed: {
-        RollbackParticipant(p);
-        ++report->failed;
-        stats_.failed.fetch_add(1, std::memory_order_relaxed);
-        p->entry.handle->Resolve(p->final_status, 0, p->vars);
-        break;
+      // Widow prevention (a partner aborted or is blocked), or a commit
+      // that failed and aborted the group: roll back and retry later.
+      Retry(p);
+    }
+    if (p->state == PState::kRetry) {
+      if (!ExpireIfDue(p->entry, now, report)) {
+        requeue.push_back(std::move(p->entry));
+        ++report->retried;
+        stats_.retried.fetch_add(1, std::memory_order_relaxed);
       }
-      default:
-        break;  // consumed by a group commit above
+    } else if (p->state == PState::kFailed) {
+      Resolve(p->entry, Outcome::kFailed, report, p->final_status, 0,
+              p->vars);
     }
   }
   if (!requeue.empty()) {

@@ -65,18 +65,22 @@ struct EngineStats {
 ///
 ///  * Submit() places a program in the dormant pool; the scheduler starts a
 ///    run every `run_frequency` arrivals (or on an idle kick).
-///  * A run executes every dormant program on the connection pool. Each
-///    program runs until it blocks on an entangled query, fails, or reaches
-///    ready-to-commit. When all started programs are parked, the engine
-///    grounds every pending entangled query (grounding reads under the
-///    posing transaction's locks) and evaluates them jointly; answered
-///    programs resume. Rounds repeat until none makes progress — the
-///    Figure 4 walkthrough is this loop verbatim.
-///  * Finalization enforces group commits: transitively entangled
-///    transactions commit together through a WAL GROUP_COMMIT record or
-///    abort together (widowed-transaction prevention, Requirement C.4).
-///    Blocked programs are aborted back to the dormant pool; expired ones
-///    resolve kTimedOut.
+///  * A run admits its programs onto `num_connections` connection slots in
+///    FIFO order. A pool task advances one program until it poses an
+///    entangled query (it parks, keeping its slot but no thread), reaches
+///    ready-to-commit, retries or fails (each of which frees the slot for
+///    the next admitted program).
+///  * When no task is in flight, the controller grounds every parked
+///    query (grounding reads under the posing transaction's locks) and
+///    evaluates them jointly; answered programs resume on the pool. A
+///    barrier that answers nothing retires the parked programs to the
+///    dormant pool. The Figure 4 walkthrough is this loop verbatim.
+///  * Finalization commits each group of transitively entangled programs
+///    whose transactional members are all ready through one CommitGroup (a
+///    plain program is a group of one), or aborts its ready members
+///    (widowed-transaction prevention, Requirement C.4). Retried programs
+///    return to the front of the dormant pool; expired ones resolve
+///    kTimedOut.
 class EntangledTransactionEngine {
  public:
   EntangledTransactionEngine(TxnEngine* tm, EngineOptions options);
@@ -110,6 +114,9 @@ class EntangledTransactionEngine {
     sql::VarEnv saved_vars;   ///< for non-transactional retries
   };
 
+  /// Where a participant stands. kWaitingEq keeps the connection slot
+  /// (until the controller resumes or retires it); kReady, kRetry and
+  /// kFailed have given it up.
   enum class PState {
     kQueued,
     kRunning,
@@ -119,51 +126,62 @@ class EntangledTransactionEngine {
     kFailed,
   };
 
-  enum class EqDecision { kNone, kAnswered, kEmpty, kRetryRun };
-
+  /// One program in a run. Touched by one thread at a time: its own pool
+  /// task while kRunning, otherwise the controller at the barrier.
   struct Participant {
     PoolEntry entry;
+    size_t index = 0;  ///< position in the run
     PState state = PState::kQueued;
     std::unique_ptr<Transaction> txn;
     sql::VarEnv vars;
     size_t stmt_index = 0;
-    // Pending entangled query (set while kWaitingEq).
-    std::optional<eq::EntangledQuerySpec> pending_eq;
-    EqDecision decision = EqDecision::kNone;
-    std::vector<std::pair<std::string, Row>> answer;
+    std::optional<eq::EntangledQuerySpec> pending_eq;  ///< set while parked
     Status final_status;
-    std::condition_variable cv;
-    // Entanglement partners among this run's participants, accumulated
-    // across evaluation rounds; drives group commit + widow prevention.
-    std::vector<Participant*> partners;
-    bool entangled = false;
   };
 
   struct RunState {
     std::vector<std::unique_ptr<Participant>> participants;
-    size_t running = 0;
+    /// Union-find parents over participant indexes, joined along
+    /// entanglement edges; written by the controller only.
+    std::vector<size_t> group;
+    // Guarded by mu_.
+    std::deque<Participant*> admission;
+    size_t free_slots = 0;
+    size_t in_flight = 0;
+
+    size_t Root(size_t i);
   };
+
+  enum class Outcome { kCommitted, kFailed, kTimedOut };
 
   void SchedulerLoop();
   RunReport ExecuteRun(std::vector<PoolEntry> entries);
-  void RunParticipant(RunState* run, Participant* p);
-  /// Executes one program statement; returns the loop action.
-  enum class StepResult { kContinue, kReadyToCommit, kRetry, kFail };
-  StepResult ExecuteStatement(RunState* run, Participant* p,
-                              const Statement& stmt);
-  StepResult HandleEntangledQuery(RunState* run, Participant* p,
-                                  const sql::EntangledSelectStmt& stmt);
-  /// Grounds + jointly evaluates all pending eqs; returns true if any
-  /// participant received an answer or empty-success (progress).
+  /// Submits `p`'s pool task. Requires mu_.
+  void Start(RunState* run, Participant* p);
+  /// Starts queued participants while connection slots are free. Requires
+  /// mu_.
+  void Admit(RunState* run);
+  /// The pool task: runs `p` until it parks, is ready, retries or fails.
+  void Advance(RunState* run, Participant* p);
+  /// Executes one program statement; returns kRunning to go on, or the
+  /// state the statement leaves the participant in.
+  PState ExecuteStatement(Participant* p, const Statement& stmt);
+  /// The barrier: grounds and jointly evaluates every parked query, resumes
+  /// the answered participants, and retires every parked one when nothing
+  /// was answered. Returns false when nobody was parked: the run is over.
   bool EvaluatePending(RunState* run, RunReport* report);
   void FinalizeRun(RunState* run, RunReport* report);
   void RollbackParticipant(Participant* p);
-  /// Resolves a ready participant whose commit failed with the
-  /// process-wide crash latched. Every WAL is frozen then, so a retry could
-  /// only time out: the client gets the commit's own status, and the
-  /// transaction stays as the crash left it for recovery to decide.
-  void ResolveCrashedCommit(Participant* p, const Status& s,
-                            RunReport* report);
+  /// Rolls `p` back for a later run (a non-transactional program resumes
+  /// at its current statement).
+  void Retry(Participant* p);
+  /// Counts one final outcome in the run report and stats(), then resolves
+  /// the handle.
+  void Resolve(const PoolEntry& e, Outcome o, RunReport* report, Status s,
+               TxnId txn = 0, sql::VarEnv vars = {});
+  /// Resolves `e` kTimedOut if its deadline has passed; returns whether it
+  /// did.
+  bool ExpireIfDue(const PoolEntry& e, int64_t now, RunReport* report);
   void SleepLatency();
   int64_t Now() const { return clock_->NowMicros(); }
 
@@ -172,6 +190,8 @@ class EntangledTransactionEngine {
   Clock* clock_;
   sql::Executor executor_;
 
+  /// Guards the dormant pool and scheduler flags, and each run's admission
+  /// queue, free slots and in-flight count.
   mutable std::mutex mu_;
   std::condition_variable controller_cv_;
   std::deque<PoolEntry> dormant_;

@@ -1050,15 +1050,9 @@ Status TransactionManager::CommitGroup(
   bool writes = false;
   for (Transaction* t : members) writes |= !t->undo_log().empty();
   if (wal_ != nullptr && (grouped || writes)) {
-    Status st = WriteDecision(members, grouped);
-    if (!st.ok()) {
-      // Only a failure before the decision record leaves the outcome
-      // known; past it, WriteDecision has stopped the process cold.
-      if (!FaultInjector::Global()->crashed()) {
-        for (Transaction* t : members) (void)Abort(t);
-      }
-      return st;
-    }
+    // A failure here has stopped the process cold: every member stays as
+    // it is for recovery to decide.
+    YT_RETURN_IF_ERROR(WriteDecision(members, grouped));
   }
   // One commit timestamp for the whole group, stamped while the row X
   // locks are still held: the timestamp becomes readable only after every
@@ -1079,13 +1073,7 @@ Status TransactionManager::WriteDecision(
   std::vector<TxnId> ids;
   if (grouped) {
     ids.reserve(members.size());
-    for (Transaction* t : members) {
-      // Recovery ignores an entangled member's COMMIT until a GROUP_COMMIT
-      // names it, so a failed append here still leaves every member
-      // undoable.
-      YT_RETURN_IF_ERROR(wal_->Append(WalRecord::Commit(t->id())).status());
-      ids.push_back(t->id());
-    }
+    for (Transaction* t : members) ids.push_back(t->id());
   }
   auto lsn = wal_->AppendAndFlush(
       grouped ? WalRecord::GroupCommit(next_group_id_.fetch_add(1),

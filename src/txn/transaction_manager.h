@@ -144,13 +144,11 @@ class TransactionManager : public TxnEngine {
 
   /// The one commit path (Commit(txn) is CommitGroup({txn})). A
   /// non-entangled group of one force-writes its COMMIT record, or nothing
-  /// when it is read-only; any other group appends one COMMIT per member
-  /// and force-writes a GROUP_COMMIT, on which the durability of every
-  /// member hinges (entanglement-aware recovery). A failed force-write of
-  /// that deciding record latches the process-wide crash
-  /// (FaultInjector::ForceCrash) and leaves every member untouched; a
-  /// failed member COMMIT append before it aborts every member. All
-  /// members share one commit timestamp.
+  /// when it is read-only; any other group force-writes one GROUP_COMMIT
+  /// naming every member, on which the durability of every member hinges.
+  /// A failed force-write of that deciding record latches the process-wide
+  /// crash (FaultInjector::ForceCrash) and leaves every member untouched.
+  /// All members share one commit timestamp.
   Status CommitGroup(const std::vector<Transaction*>& members) override;
 
   /// Logs an ENTANGLE record (and marks the members). Called by the
@@ -242,9 +240,9 @@ class TransactionManager : public TxnEngine {
   /// grounding reads after the first, which all share one cut; suppressed
   /// entirely for adopted coordinator snapshots).
   void MaybeRefreshSnapshot(Transaction* txn, bool grounding);
-  /// Appends CommitGroup's deciding record — the member COMMITs first when
-  /// `grouped` — and force-writes it; a failed force-write latches the
-  /// process-wide crash.
+  /// Appends CommitGroup's deciding record (GROUP_COMMIT when `grouped`,
+  /// else COMMIT) and force-writes it; a failure latches the process-wide
+  /// crash.
   Status WriteDecision(const std::vector<Transaction*>& members,
                        bool grouped);
   /// The commit tail every commit path shares: state, snapshot release,

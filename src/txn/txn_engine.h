@@ -215,10 +215,9 @@ class TxnEngine {
   /// cross-shard 2PC. A failed force-write of that record may still reach
   /// the device, so it latches the process-wide crash
   /// (FaultInjector::crashed()) and leaves every member as it is for
-  /// recovery to decide. Any other failure of the attempt aborts every
-  /// member; that includes a failed member-COMMIT append before
-  /// GROUP_COMMIT, which recovery ignores without its group record. A
-  /// refused commit (a member not active) changes nothing.
+  /// recovery to decide. Any other failure of the attempt (a failed 2PC
+  /// prepare) aborts every member. A refused commit (a member not active)
+  /// changes nothing.
   virtual Status CommitGroup(const std::vector<Transaction*>& members) = 0;
 
   /// Logs an ENTANGLE record (and marks the members). Called by the

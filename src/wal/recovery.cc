@@ -116,12 +116,15 @@ StatusOr<RecoveryManager::Result> RecoveryManager::Recover(
     }
   }
   for (TxnId t : seen) {
-    bool durable;
-    if (entangled.count(t)) {
-      durable = group_committed.count(t) > 0;
-      if (!durable && has_commit.count(t)) result.rolled_back.insert(t);
-    } else {
-      durable = has_commit.count(t) > 0;
+    // GROUP_COMMIT decides its members; a bare COMMIT decides only a
+    // transaction that was never entangled.
+    bool durable = group_committed.count(t) > 0;
+    if (!durable && has_commit.count(t)) {
+      if (entangled.count(t)) {
+        result.rolled_back.insert(t);
+      } else {
+        durable = true;
+      }
     }
     if (durable) {
       result.committed.insert(t);

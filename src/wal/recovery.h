@@ -13,8 +13,9 @@ namespace youtopia {
 
 /// Entanglement-aware crash recovery (paper §4, "Persistence and Recovery").
 ///
-/// Analysis: a classical transaction is durably committed iff its COMMIT
-/// record is in the log. An *entangled* transaction (one that appears in any
+/// Analysis: a transaction is durably committed iff a GROUP_COMMIT record
+/// naming it is in the log, or (when it was never entangled) its COMMIT
+/// record is. An *entangled* transaction (one that appears in any
 /// ENTANGLE record) is durably committed iff a GROUP_COMMIT record naming it
 /// is in the log — a bare COMMIT is NOT enough. This implements the paper's
 /// rule: "if two transactions entangle and only one manages to commit prior

@@ -351,6 +351,34 @@ TEST_F(EngineTest, SynchronizationPointSemantics) {
   EXPECT_TRUE(saw_flight_booking);
 }
 
+TEST_F(EngineTest, AdmissionHoldsTheConnectionBound) {
+  // Three adjacent travel pairs on two connection slots. A pair holds both
+  // slots while it is parked, frees them once ready, and the next pair is
+  // admitted at once, so one run commits all three with two barriers
+  // (flight, hotel) per pair and no retry.
+  EngineOptions opts;
+  opts.auto_scheduler = false;
+  opts.num_connections = 2;
+  opts.default_timeout_micros = 300'000;
+  EntangledTransactionEngine engine(fix_.tm.get(), opts);
+  std::vector<std::shared_ptr<TxnHandle>> handles;
+  for (const char* pair : {"1", "2", "3"}) {
+    const std::string a = std::string("A") + pair;
+    const std::string b = std::string("B") + pair;
+    ASSERT_OK_AND_ASSIGN(EntangledTransactionSpec pa, TravelProgram(a, b));
+    ASSERT_OK_AND_ASSIGN(EntangledTransactionSpec pb, TravelProgram(b, a));
+    handles.push_back(engine.Submit(pa));
+    handles.push_back(engine.Submit(pb));
+  }
+  RunReport report = engine.RunOnce();
+  EXPECT_EQ(report.participants, 6u);
+  EXPECT_EQ(report.committed, 6u);
+  EXPECT_EQ(report.group_commits, 3u);
+  EXPECT_EQ(report.retried, 0u);
+  EXPECT_EQ(report.eval_rounds, 6u);
+  for (const auto& h : handles) EXPECT_OK(h->Wait());
+}
+
 TEST_F(EngineTest, RunFrequencyBatchesArrivalsInAutoMode) {
   EngineOptions opts;
   opts.auto_scheduler = true;

@@ -315,55 +315,73 @@ TEST_F(GroupCommitTest, GroupFlushFaultFailsCommitAndEscalatesToCrash) {
       << "recovered " << rows.size() << " rows";
 }
 
-TEST_F(GroupCommitTest, MemberCommitAppendFaultAbortsGroupWithoutCrash) {
-  // The one failure before the deciding record that may still abort: a
-  // member COMMIT append ahead of GROUP_COMMIT. Recovery ignores an
-  // entangled member's COMMIT without its group record, so the first
-  // member's COMMIT, already in the log, must not bring it back.
+TEST_F(GroupCommitTest, AppendFaultSweepLeavesEachPairAllOrNoneAsReported) {
+  // A `wal.append` fault on each of the first three appends of a pair's
+  // CommitGroup, entangled or not. After recovery the pair must be
+  // all-or-none and agree with what the caller was told: acked means both
+  // rows, an error without a crash means neither, and an error with the
+  // crash latched leaves the outcome to recovery. After a clean outcome a
+  // later commit flushes whatever the attempt left in the log buffer, and
+  // must survive itself.
   FaultInjector* fi = FaultInjector::Global();
   const std::string path = dir_ + "/wal.log";
-  {
-    Database db;
-    LockManager locks;
-    WalWriter wal;
-    ASSERT_OK(wal.Open(path, WalWriter::Options{}, /*truncate=*/true));
-    TransactionManager tm(&db, &locks, &wal);
-    ASSERT_OK(tm.CreateTable("acct", AcctSchema()).status());
-    auto a = tm.Begin();
-    auto b = tm.Begin();
-    ASSERT_OK(tm.Insert(a.get(), "acct", Row({Value::Int(1), Value::Int(10)}))
-                  .status());
-    ASSERT_OK(tm.Insert(b.get(), "acct", Row({Value::Int(2), Value::Int(20)}))
-                  .status());
-    ASSERT_OK(tm.LogEntangle(1, {a.get(), b.get()}));
+  for (bool entangle : {true, false}) {
+    for (uint64_t nth : {1u, 2u, 3u}) {
+      SCOPED_TRACE("entangle=" + std::to_string(entangle) +
+                   " nth=" + std::to_string(nth));
+      Status st;
+      bool crashed = false;
+      {
+        Database db;
+        LockManager locks;
+        WalWriter wal;
+        ASSERT_OK(wal.Open(path, WalWriter::Options{}, /*truncate=*/true));
+        TransactionManager tm(&db, &locks, &wal);
+        ASSERT_OK(tm.CreateTable("acct", AcctSchema()).status());
+        auto a = tm.Begin();
+        auto b = tm.Begin();
+        ASSERT_OK(
+            tm.Insert(a.get(), "acct", Row({Value::Int(1), Value::Int(10)}))
+                .status());
+        ASSERT_OK(
+            tm.Insert(b.get(), "acct", Row({Value::Int(2), Value::Int(20)}))
+                .status());
+        if (entangle) ASSERT_OK(tm.LogEntangle(1, {a.get(), b.get()}));
 
-    FaultInjector::SiteConfig err;
-    err.action = FaultInjector::Action::kError;
-    err.nth = 2;  // the second member's COMMIT
-    fi->Arm("wal.append", err);
-    EXPECT_FALSE(tm.CommitGroup({a.get(), b.get()}).ok());
-    EXPECT_EQ(fi->FireCount("wal.append"), 1u);
-    EXPECT_FALSE(fi->crashed());
-    EXPECT_EQ(a->state(), TxnState::kAborted);
-    EXPECT_EQ(b->state(), TxnState::kAborted);
-    EXPECT_EQ(db.GetTable("acct").value()->size(), 0u);
-    fi->Reset();
-
-    auto later = tm.Begin();
-    ASSERT_OK(
-        tm.Insert(later.get(), "acct", Row({Value::Int(3), Value::Int(30)}))
-            .status());
-    ASSERT_OK(tm.Commit(later.get()));
+        FaultInjector::SiteConfig err;
+        err.action = FaultInjector::Action::kError;
+        err.nth = nth;
+        fi->Arm("wal.append", err);
+        st = tm.CommitGroup({a.get(), b.get()});
+        crashed = fi->crashed();
+        if (!crashed) {
+          fi->Reset();
+          auto later = tm.Begin();
+          ASSERT_OK(tm.Insert(later.get(), "acct",
+                              Row({Value::Int(3), Value::Int(30)}))
+                        .status());
+          ASSERT_OK(tm.Commit(later.get()));
+        }
+      }
+      fi->Reset();
+      ASSERT_OK_AND_ASSIGN(RecoveryManager::Result rec,
+                           RecoveryManager::Recover(path));
+      std::vector<int64_t> ids;
+      rec.db->GetTable("acct").value()->Scan([&](RowId, const Row& row) {
+        ids.push_back(row[0].as_int());
+        return true;
+      });
+      std::sort(ids.begin(), ids.end());
+      if (st.ok()) {
+        EXPECT_EQ(ids, std::vector<int64_t>({1, 2, 3}));
+      } else if (!crashed) {
+        EXPECT_EQ(ids, std::vector<int64_t>({3}));
+      } else {
+        EXPECT_TRUE(ids.empty() || ids == std::vector<int64_t>({1, 2}))
+            << "recovered " << ids.size() << " rows";
+      }
+    }
   }
-  ASSERT_OK_AND_ASSIGN(RecoveryManager::Result rec,
-                       RecoveryManager::Recover(path));
-  Table* t = rec.db->GetTable("acct").value();
-  std::vector<int64_t> ids;
-  t->Scan([&](RowId, const Row& row) {
-    ids.push_back(row[0].as_int());
-    return true;
-  });
-  EXPECT_EQ(ids, std::vector<int64_t>({3}));
 }
 
 // --- Commit record shape (the wal_bytes_per_txn guard). --------------------
@@ -416,14 +434,14 @@ TEST_F(GroupCommitTest, EveryCommitWritesExactlyItsDecisionRecord) {
   EXPECT_EQ(tm.stats().wal_flushes.load(), flushes);
   EXPECT_EQ(group_commits(), 0u);
 
-  // An entangled group of one is decided by its group record.
+  // An entangled group of one is decided by its group record alone.
   auto single = tm.Begin();
   ASSERT_OK(insert(single.get(), 2));
   ASSERT_OK(tm.LogEntangle(1, {single.get()}));
   ASSERT_OK(tm.Commit(single.get()));
   EXPECT_EQ(group_commits(), 1u);
 
-  // A pair: one COMMIT per member, then one GROUP_COMMIT naming both.
+  // A pair: one GROUP_COMMIT naming both, and no member COMMIT.
   auto a = tm.Begin();
   auto b = tm.Begin();
   ASSERT_OK(insert(a.get(), 3));
@@ -457,11 +475,11 @@ TEST_F(GroupCommitTest, EveryCommitWritesExactlyItsDecisionRecord) {
     }
   }
   DecisionRecords d_single = DecisionsOf(log.records, single->id());
-  EXPECT_EQ(d_single.commits, 1u);
+  EXPECT_EQ(d_single.commits, 0u);
   EXPECT_EQ(d_single.groups, std::vector<size_t>({1}));
   for (Transaction* t : {a.get(), b.get(), c.get(), d.get()}) {
     DecisionRecords dm = DecisionsOf(log.records, t->id());
-    EXPECT_EQ(dm.commits, 1u) << "txn " << t->id();
+    EXPECT_EQ(dm.commits, 0u) << "txn " << t->id();
     EXPECT_EQ(dm.groups, std::vector<size_t>({2})) << "txn " << t->id();
   }
   size_t group_records = 0;
