@@ -30,10 +30,10 @@
 # its one mutation path, the bind-driven probe fetch shared by SQL joins
 # and grounding, locking-level grounding under concurrent writers,
 # the one commit path (CommitGroup) under concurrent committers sharing a
-# group-commit flush and under the entangled engine's connection threads,
-# the hand-off of parked entangled programs between pool tasks and the
-# run controller, and the fault-injected crash-recover cycles are all
-# exercised by those binaries' concurrent tests.
+# group-commit flush, the entangled engine's cross-thread edges (a run is
+# single-threaded; Submit and handle waits race the scheduler thread, and
+# RunOnce races the auto scheduler), and the fault-injected crash-recover
+# cycles are all exercised by those binaries' concurrent tests.
 # With --torture, runs the long crash-recover torture gate: >= 50 seeded
 # randomized kill/recover cycles under a wall-clock budget. The seed is
 # printed on entry and repeated on failure; --torture-seed N reruns a
@@ -243,8 +243,9 @@ if [[ "${tsan}" == 1 ]]; then
     echo "== tsan: ${t}"
     ./build-tsan/${t}
   done
-  # Entangled runs hand each parked program between its pool task and the
-  # run controller: repeat the engine suite.
+  # A run executes on one thread, but Submit and handle waits race the
+  # scheduler thread, and RunOnce races the auto scheduler: repeat the
+  # engine suite.
   echo "== tsan: etxn_test (x10)"
   ./build-tsan/etxn_test --gtest_repeat=10
   # Inline version GC drains race snapshot registration and each other:

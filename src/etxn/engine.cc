@@ -13,7 +13,6 @@ EntangledTransactionEngine::EntangledTransactionEngine(TxnEngine* tm,
       executor_(tm) {
   if (options_.num_connections == 0) options_.num_connections = 1;
   if (options_.run_frequency < 1) options_.run_frequency = 1;
-  connections_ = std::make_unique<ThreadPool>(options_.num_connections);
   if (options_.auto_scheduler) {
     scheduler_ = std::make_unique<std::thread>([this] { SchedulerLoop(); });
   }
@@ -36,7 +35,6 @@ EntangledTransactionEngine::~EntangledTransactionEngine() {
   for (PoolEntry& e : leftovers) {
     e.handle->Resolve(Status::Aborted("engine shut down"), 0, {});
   }
-  connections_.reset();
 }
 
 std::shared_ptr<TxnHandle> EntangledTransactionEngine::Submit(
@@ -122,17 +120,12 @@ void EntangledTransactionEngine::WaitAll(
     }
     if (all_done) return;
     RunReport r = RunOnce();
-    if (r.participants == 0) {
-      // Pool momentarily empty but handles unresolved: let time pass so
-      // deadlines can expire (advances ManualClock in tests).
+    if (r.committed + r.failed + r.timed_out == 0) {
+      // Nothing resolved (the pool is empty, or every program waits for a
+      // partner that has not come): let time pass so deadlines can expire
+      // (advances ManualClock in tests) instead of re-running at once.
       clock_->SleepMicros(1000);
     }
-  }
-}
-
-void EntangledTransactionEngine::SleepLatency() {
-  if (options_.statement_latency_micros > 0) {
-    clock_->SleepMicros(options_.statement_latency_micros);
   }
 }
 
@@ -215,52 +208,67 @@ RunReport EntangledTransactionEngine::ExecuteRun(
   }
   report.participants = run.participants.size();
 
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    for (auto& p : run.participants) run.admission.push_back(p.get());
-    run.free_slots = options_.num_connections;
-    Admit(&run);
-  }
-  // Figure 5's barrier: once no task is in flight, every started program
-  // is parked, ready, retrying or failed, and nothing more can be admitted.
+  for (auto& p : run.participants) run.admission.push_back(p.get());
+  run.free_slots = options_.num_connections;
+  Admit(&run);
+  // Figure 5's barrier: once no round trip is due, every admitted program
+  // is parked, ready, retrying or failed, and no slot is free for a queued
+  // one.
   do {
-    std::unique_lock<std::mutex> l(mu_);
-    controller_cv_.wait(l, [&run] { return run.in_flight == 0; });
+    while (!run.due.empty()) {
+      auto [lands, p] = run.due.front();
+      run.due.pop_front();
+      const int64_t wait = lands - Now();
+      if (wait > 0) clock_->SleepMicros(wait);
+      Step(&run, p);
+    }
   } while (EvaluatePending(&run, &report));
 
   FinalizeRun(&run, &report);
   return report;
 }
 
-void EntangledTransactionEngine::Start(RunState* run, Participant* p) {
-  ++run->in_flight;
-  connections_->Submit([this, run, p] { Advance(run, p); });
+void EntangledTransactionEngine::Send(RunState* run, Participant* p) {
+  p->state = PState::kRunning;
+  run->due.emplace_back(Now() + options_.statement_latency_micros, p);
 }
 
 void EntangledTransactionEngine::Admit(RunState* run) {
   while (run->free_slots > 0 && !run->admission.empty()) {
     --run->free_slots;
-    Start(run, run->admission.front());
+    Send(run, run->admission.front());
     run->admission.pop_front();
   }
 }
 
-void EntangledTransactionEngine::Advance(RunState* run, Participant* p) {
+void EntangledTransactionEngine::Step(RunState* run, Participant* p) {
   const EntangledTransactionSpec& spec = *p->entry.spec;
-  if (p->state == PState::kQueued && spec.transactional) {
-    SleepLatency();  // BEGIN round trip
-    p->txn = tm_->Begin(spec.isolation);
-  }
   PState next = PState::kRunning;
-  while (next == PState::kRunning && p->stmt_index < spec.statements.size()) {
+  if (spec.transactional && p->txn == nullptr) {
+    p->txn = tm_->Begin(spec.isolation);  // BEGIN
+  } else if (p->stmt_index < spec.statements.size()) {
     next = ExecuteStatement(p, spec.statements[p->stmt_index]);
     if (next == PState::kRunning) ++p->stmt_index;
+  } else {
+    next = PState::kReady;  // COMMIT: FinalizeRun commits the group
+  }
+  Settle(run, p, next);
+}
+
+void EntangledTransactionEngine::Settle(RunState* run, Participant* p,
+                                        PState next) {
+  // A non-transactional program has no COMMIT round trip.
+  if (next == PState::kRunning && !p->entry.spec->transactional &&
+      p->stmt_index == p->entry.spec->statements.size()) {
+    next = PState::kReady;
   }
   switch (next) {
     case PState::kRunning:
-      if (spec.transactional) SleepLatency();  // COMMIT round trip
-      p->state = PState::kReady;
-      break;
+      Send(run, p);
+      return;
+    case PState::kWaitingEq:
+      p->state = next;  // parked: keeps its slot
+      return;
     case PState::kRetry:
       Retry(p);
       break;
@@ -269,21 +277,16 @@ void EntangledTransactionEngine::Advance(RunState* run, Participant* p) {
       p->state = PState::kFailed;
       break;
     default:
-      p->state = next;  // parked: keeps its slot
+      p->state = next;
       break;
   }
-  std::lock_guard<std::mutex> g(mu_);
-  if (p->state != PState::kWaitingEq) {
-    ++run->free_slots;
-    Admit(run);
-  }
-  if (--run->in_flight == 0) controller_cv_.notify_all();
+  ++run->free_slots;
+  Admit(run);
 }
 
 EntangledTransactionEngine::PState
 EntangledTransactionEngine::ExecuteStatement(Participant* p,
                                              const Statement& stmt) {
-  SleepLatency();
   if (stmt.kind == Statement::Kind::kNative) {
     ExecContext ctx(&executor_, p->txn.get(), &p->vars);
     Status s = stmt.native(ctx);
@@ -432,12 +435,11 @@ bool EntangledTransactionEngine::EvaluatePending(RunState* run,
     }
   }
 
-  std::lock_guard<std::mutex> g(mu_);
   for (Participant* p : parked) {
     if (p->state == PState::kRetry) {
       ++run->free_slots;
     } else if (p->state == PState::kRunning) {
-      Start(run, p);  // its task owns it from here
+      Settle(run, p, PState::kRunning);
     }
   }
   Admit(run);

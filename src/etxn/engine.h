@@ -8,10 +8,10 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
-#include "src/common/thread_pool.h"
 #include "src/eq/compiler.h"
 #include "src/eq/coordinator.h"
 #include "src/eq/grounder.h"
@@ -65,22 +65,30 @@ struct EngineStats {
 ///
 ///  * Submit() places a program in the dormant pool; the scheduler starts a
 ///    run every `run_frequency` arrivals (or on an idle kick).
-///  * A run admits its programs onto `num_connections` connection slots in
-///    FIFO order. A pool task advances one program until it poses an
-///    entangled query (it parks, keeping its slot but no thread), reaches
-///    ready-to-commit, retries or fails (each of which frees the slot for
-///    the next admitted program).
-///  * When no task is in flight, the controller grounds every parked
-///    query (grounding reads under the posing transaction's locks) and
-///    evaluates them jointly; answered programs resume on the pool. A
-///    barrier that answers nothing retires the parked programs to the
-///    dormant pool. The Figure 4 walkthrough is this loop verbatim.
+///  * A run executes on the thread that starts it. It admits its programs
+///    onto `num_connections` connection slots in FIFO order. To send a
+///    program is to queue its next round trip (BEGIN, one statement, or
+///    COMMIT) to land `statement_latency_micros` later; the run pops round
+///    trips in landing order, sleeping only until the front one lands, so
+///    the round trips of different connections overlap in time.
+///  * After a round trip a program is sent again, parks on an entangled
+///    query (keeping its slot), or is ready, retries or fails (each of
+///    which frees the slot for the next admitted program).
+///  * When no round trip is left, the barrier grounds every parked query
+///    (grounding reads under the posing transaction's locks) and evaluates
+///    them jointly; answered programs are sent again. A barrier that
+///    answers nothing retires the parked programs to the dormant pool. The
+///    Figure 4 walkthrough is this loop verbatim.
 ///  * Finalization commits each group of transitively entangled programs
 ///    whose transactional members are all ready through one CommitGroup (a
 ///    plain program is a group of one), or aborts its ready members
 ///    (widowed-transaction prevention, Requirement C.4). Retried programs
 ///    return to the front of the dormant pool; expired ones resolve
 ///    kTimedOut.
+///
+/// A lock wait inside a run blocks the run's one thread, so a participant
+/// that needs a lock held by another (parked or ready) participant waits
+/// out the lock timeout and retries.
 class EntangledTransactionEngine {
  public:
   EntangledTransactionEngine(TxnEngine* tm, EngineOptions options);
@@ -98,7 +106,8 @@ class EntangledTransactionEngine {
   RunReport RunOnce();
 
   /// Blocks until every handle is resolved. In auto mode the scheduler keeps
-  /// issuing runs; in manual mode this loops RunOnce until the pool drains.
+  /// issuing runs; in manual mode this loops RunOnce until the pool drains,
+  /// letting 1 ms pass after each run that resolved nothing.
   void WaitAll(const std::vector<std::shared_ptr<TxnHandle>>& handles);
 
   size_t dormant_count() const;
@@ -114,9 +123,9 @@ class EntangledTransactionEngine {
     sql::VarEnv saved_vars;   ///< for non-transactional retries
   };
 
-  /// Where a participant stands. kWaitingEq keeps the connection slot
-  /// (until the controller resumes or retires it); kReady, kRetry and
-  /// kFailed have given it up.
+  /// Where a participant stands. kQueued waits for a connection slot;
+  /// kRunning (a round trip in flight) and kWaitingEq hold one; kReady,
+  /// kRetry and kFailed have given it up.
   enum class PState {
     kQueued,
     kRunning,
@@ -126,8 +135,7 @@ class EntangledTransactionEngine {
     kFailed,
   };
 
-  /// One program in a run. Touched by one thread at a time: its own pool
-  /// task while kRunning, otherwise the controller at the barrier.
+  /// One program in a run.
   struct Participant {
     PoolEntry entry;
     size_t index = 0;  ///< position in the run
@@ -142,12 +150,13 @@ class EntangledTransactionEngine {
   struct RunState {
     std::vector<std::unique_ptr<Participant>> participants;
     /// Union-find parents over participant indexes, joined along
-    /// entanglement edges; written by the controller only.
+    /// entanglement edges.
     std::vector<size_t> group;
-    // Guarded by mu_.
     std::deque<Participant*> admission;
     size_t free_slots = 0;
-    size_t in_flight = 0;
+    /// Sent participants with their landing times. Every send adds the same
+    /// latency to the current time, so the deque is in landing order.
+    std::deque<std::pair<int64_t, Participant*>> due;
 
     size_t Root(size_t i);
   };
@@ -156,19 +165,22 @@ class EntangledTransactionEngine {
 
   void SchedulerLoop();
   RunReport ExecuteRun(std::vector<PoolEntry> entries);
-  /// Submits `p`'s pool task. Requires mu_.
-  void Start(RunState* run, Participant* p);
-  /// Starts queued participants while connection slots are free. Requires
-  /// mu_.
+  /// Queues `p`'s next round trip to land one statement latency from now.
+  void Send(RunState* run, Participant* p);
+  /// Sends queued participants while connection slots are free.
   void Admit(RunState* run);
-  /// The pool task: runs `p` until it parks, is ready, retries or fails.
-  void Advance(RunState* run, Participant* p);
+  /// Runs `p`'s landed round trip (BEGIN, one statement, or COMMIT) and
+  /// settles it.
+  void Step(RunState* run, Participant* p);
+  /// Moves `p` on to `next` after a round trip or an answer: sends it
+  /// again, parks it, or frees its slot for the next queued participant.
+  void Settle(RunState* run, Participant* p, PState next);
   /// Executes one program statement; returns kRunning to go on, or the
   /// state the statement leaves the participant in.
   PState ExecuteStatement(Participant* p, const Statement& stmt);
-  /// The barrier: grounds and jointly evaluates every parked query, resumes
-  /// the answered participants, and retires every parked one when nothing
-  /// was answered. Returns false when nobody was parked: the run is over.
+  /// The barrier: grounds and jointly evaluates every parked query, sends
+  /// the answered participants again, and retires every parked one when
+  /// nothing was answered. Returns false when nobody was parked: the run is over.
   bool EvaluatePending(RunState* run, RunReport* report);
   void FinalizeRun(RunState* run, RunReport* report);
   void RollbackParticipant(Participant* p);
@@ -182,7 +194,6 @@ class EntangledTransactionEngine {
   /// Resolves `e` kTimedOut if its deadline has passed; returns whether it
   /// did.
   bool ExpireIfDue(const PoolEntry& e, int64_t now, RunReport* report);
-  void SleepLatency();
   int64_t Now() const { return clock_->NowMicros(); }
 
   TxnEngine* tm_;
@@ -190,8 +201,8 @@ class EntangledTransactionEngine {
   Clock* clock_;
   sql::Executor executor_;
 
-  /// Guards the dormant pool and scheduler flags, and each run's admission
-  /// queue, free slots and in-flight count.
+  /// Guards the dormant pool, the scheduler flags and next_run_id_. A run's
+  /// own state belongs to the thread executing it.
   mutable std::mutex mu_;
   std::condition_variable controller_cv_;
   std::deque<PoolEntry> dormant_;
@@ -201,7 +212,6 @@ class EntangledTransactionEngine {
   uint64_t next_run_id_ = 1;
   std::atomic<EntanglementId> next_eid_{1};
 
-  std::unique_ptr<ThreadPool> connections_;
   std::unique_ptr<std::thread> scheduler_;
   std::condition_variable scheduler_cv_;
   EngineStats stats_;

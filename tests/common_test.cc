@@ -9,7 +9,6 @@
 #include "src/common/status.h"
 #include "src/common/statusor.h"
 #include "src/common/strings.h"
-#include "src/common/thread_pool.h"
 #include "src/common/value.h"
 #include "tests/test_util.h"
 
@@ -228,38 +227,6 @@ TEST(ClockTest, ManualClockAdvances) {
   Stopwatch sw(&clock);
   clock.Advance(1000);
   EXPECT_EQ(sw.ElapsedMicros(), 1000);
-}
-
-TEST(ThreadPoolTest, RunsAllTasksAndWaits) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, TasksMayBlockEachOtherAcrossThreads) {
-  // A parked task (like a blocked entangled query) must not prevent another
-  // thread from running the task that unblocks it.
-  ThreadPool pool(2);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool go = false;
-  bool parked_done = false;
-  pool.Submit([&] {
-    std::unique_lock<std::mutex> l(mu);
-    cv.wait(l, [&] { return go; });
-    parked_done = true;
-  });
-  pool.Submit([&] {
-    std::lock_guard<std::mutex> g(mu);
-    go = true;
-    cv.notify_all();
-  });
-  pool.Wait();
-  EXPECT_TRUE(parked_done);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include "src/common/fault.h"
+#include "src/common/rng.h"
 #include "src/etxn/engine.h"
 #include "src/wal/wal_writer.h"
 #include "src/workload/travel_data.h"
@@ -28,10 +29,19 @@ class EngineTest : public ::testing::Test {
     ASSERT_NE(engine_, nullptr);
   }
 
-  /// The Figure 1 tables plus Bookings on `tm`, and a manual-mode engine
+  /// Manual mode, 8 connections, 300 ms default timeout.
+  static EngineOptions ManualOptions() {
+    EngineOptions opts;
+    opts.auto_scheduler = false;
+    opts.num_connections = 8;
+    opts.default_timeout_micros = 300'000;
+    return opts;
+  }
+
+  /// The Figure 1 tables plus Bookings on `tm`, and an engine with `opts`
   /// over it (nullptr when the set-up fails).
   static std::unique_ptr<EntangledTransactionEngine> OpenEngine(
-      TxnEngine* tm) {
+      TxnEngine* tm, EngineOptions opts = ManualOptions()) {
     Status st = workload::TravelData::BuildFigure1Tables(tm);
     if (st.ok()) {
       st = tm->CreateTable("Bookings", Schema({{"name", TypeId::kString},
@@ -41,17 +51,13 @@ class EngineTest : public ::testing::Test {
     }
     EXPECT_OK(st);
     if (!st.ok()) return nullptr;
-    EngineOptions opts;
-    opts.auto_scheduler = false;
-    opts.num_connections = 8;
-    opts.default_timeout_micros = 300'000;  // 300 ms
     return std::make_unique<EntangledTransactionEngine>(tm, opts);
   }
 
   /// The Figure 2 travel program for `me` coordinating with `partner`.
   /// Departure day is 506; @StayLength = 506 - @ArrivalDay.
-  StatusOr<EntangledTransactionSpec> TravelProgram(const std::string& me,
-                                                   const std::string& partner) {
+  static StatusOr<EntangledTransactionSpec> TravelProgram(
+      const std::string& me, const std::string& partner) {
     std::string script =
         "BEGIN TRANSACTION;"
         "SELECT '" + me + "', fno, fdate AS @ArrivalDay "
@@ -73,9 +79,25 @@ class EngineTest : public ::testing::Test {
     return EntangledTransactionSpec::FromScript(me, script);
   }
 
+  /// A classical transaction of `inserts` Bookings INSERTs for `me`.
+  static StatusOr<EntangledTransactionSpec> ClassicalProgram(
+      const std::string& me, int inserts) {
+    std::string script = "BEGIN TRANSACTION;";
+    for (int i = 0; i < inserts; ++i) {
+      script += "INSERT INTO Bookings (name, what, ref) VALUES ('" + me +
+                "', 'flight', " + std::to_string(i) + ");";
+    }
+    script += "COMMIT;";
+    return EntangledTransactionSpec::FromScript(me, script);
+  }
+
   size_t BookingCount(const std::string& name) {
+    return BookingCount(fix_.db, name);
+  }
+
+  static size_t BookingCount(Database& db, const std::string& name) {
     size_t n = 0;
-    auto t = fix_.db.GetTable("Bookings");
+    auto t = db.GetTable("Bookings");
     if (!t.ok()) return 0;
     t.value()->Scan([&](RowId, const Row& row) {
       if (row[0] == Value::Str(name)) ++n;
@@ -397,6 +419,141 @@ TEST_F(EngineTest, RunFrequencyBatchesArrivalsInAutoMode) {
   EXPECT_OK(hn->Wait());
   EXPECT_GE(engine.stats().runs.load(), 1u);
   EXPECT_EQ(engine.stats().committed.load(), 2u);
+}
+
+TEST_F(EngineTest, ModelledLatencyIsATimedPark) {
+  // Four classical programs of three INSERTs make five round trips each
+  // (BEGIN, three statements, COMMIT). The round trips of different
+  // connections overlap, so a run lasts five latencies per admission wave.
+  for (const auto& [connections, micros] :
+       {std::pair<size_t, int64_t>{4, 5'000}, {2, 10'000}}) {
+    SCOPED_TRACE("num_connections " + std::to_string(connections));
+    EngineFixture fix;
+    ManualClock clock;
+    EngineOptions opts = ManualOptions();
+    opts.clock = &clock;
+    opts.num_connections = connections;
+    opts.statement_latency_micros = 1'000;
+    auto engine = OpenEngine(fix.tm.get(), opts);
+    ASSERT_NE(engine, nullptr);
+    std::vector<std::shared_ptr<TxnHandle>> handles;
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_OK_AND_ASSIGN(EntangledTransactionSpec spec,
+                           ClassicalProgram("c" + std::to_string(i), 3));
+      handles.push_back(engine->Submit(spec));
+    }
+    const int64_t start = clock.NowMicros();
+    RunReport report = engine->RunOnce();
+    EXPECT_EQ(clock.NowMicros() - start, micros);
+    EXPECT_EQ(report.committed, 4u);
+    for (const auto& h : handles) EXPECT_OK(h->Wait());
+  }
+}
+
+TEST_F(EngineTest, ManualWaitAllLetsALoneProgramTimeOut) {
+  // Donald's partner never comes, so no run resolves anything until the
+  // deadline passes. WaitAll lets time pass between such runs instead of
+  // re-running back to back.
+  ASSERT_OK_AND_ASSIGN(EntangledTransactionSpec donald,
+                       TravelProgram("Donald", "Daffy"));
+  donald.timeout_micros = 50'000;  // 50 ms
+  auto hd = engine_->Submit(donald);
+  engine_->WaitAll({hd});
+  EXPECT_EQ(hd->Wait().code(), StatusCode::kTimedOut);
+  EXPECT_LE(engine_->stats().runs.load(), 100u);
+}
+
+/// What one seeded schedule of the sweep leaves behind, per program.
+struct SweepOutcome {
+  std::vector<StatusCode> codes;
+  std::vector<TxnId> txns;
+  std::vector<sql::VarEnv> vars;
+  std::vector<size_t> bookings;
+  /// The engine's cumulative counters: the sum of every run's report.
+  std::vector<uint64_t> totals;
+};
+
+/// Programs 2k and 2k+1 (k < 3) are travel partners; 6 waits for a partner
+/// that never comes; 7 is classical. The seed shuffles their submission
+/// and picks the connection bound.
+constexpr size_t kSweepPairs = 3;
+constexpr size_t kSweepLoner = 2 * kSweepPairs;
+constexpr size_t kSweepClassical = kSweepLoner + 1;
+
+TEST_F(EngineTest, SeededScheduleSweepReplaysAndKeepsGroupsWhole) {
+  // A run is single-threaded and a ManualClock is the only time source, so
+  // a seed fixes the whole schedule: the same seed on a fresh database gives
+  // the same outcome, down to transaction ids. A pair may still time out
+  // (the loner holds a slot while parked), but never by halves (C.4).
+  auto run_schedule = [](uint64_t seed) {
+    SweepOutcome out;
+    EngineFixture fix;
+    ManualClock clock;
+    Rng rng(seed);
+    EngineOptions opts;
+    opts.auto_scheduler = false;
+    opts.clock = &clock;
+    opts.statement_latency_micros = 100;
+    opts.default_timeout_micros = 20'000;
+    const size_t kConnections[] = {2, 3, 4, 8};
+    opts.num_connections = kConnections[rng.Index(4)];
+    auto engine = EngineTest::OpenEngine(fix.tm.get(), opts);
+    EXPECT_NE(engine, nullptr);
+    if (engine == nullptr) return out;
+
+    std::vector<EntangledTransactionSpec> specs;
+    for (size_t k = 0; k < kSweepPairs; ++k) {
+      const std::string a = "A" + std::to_string(k);
+      const std::string b = "B" + std::to_string(k);
+      specs.push_back(EngineTest::TravelProgram(a, b).value());
+      specs.push_back(EngineTest::TravelProgram(b, a).value());
+    }
+    specs.push_back(EngineTest::TravelProgram("Loner", "Nobody").value());
+    specs.push_back(EngineTest::ClassicalProgram("Classic", 2).value());
+    std::vector<size_t> order(specs.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    rng.Shuffle(&order);
+
+    std::vector<std::shared_ptr<TxnHandle>> handles(specs.size());
+    for (size_t i : order) handles[i] = engine->Submit(specs[i]);
+    engine->WaitAll(handles);
+
+    for (size_t i = 0; i < specs.size(); ++i) {
+      out.codes.push_back(handles[i]->Wait().code());
+      out.txns.push_back(handles[i]->committed_txn_id());
+      out.vars.push_back(handles[i]->final_vars());
+      out.bookings.push_back(EngineTest::BookingCount(fix.db, specs[i].name));
+    }
+    const etxn::EngineStats& st = engine->stats();
+    out.totals = {st.runs.load(),      st.committed.load(),
+                  st.retried.load(),   st.failed.load(),
+                  st.timed_out.load(), st.eval_rounds.load(),
+                  st.entangle_ops.load()};
+    return out;
+  };
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const SweepOutcome first = run_schedule(seed);
+    const SweepOutcome second = run_schedule(seed);
+    ASSERT_EQ(first.codes.size(), kSweepClassical + 1);
+    EXPECT_EQ(first.codes, second.codes);
+    EXPECT_EQ(first.txns, second.txns);
+    EXPECT_EQ(first.vars, second.vars);
+    EXPECT_EQ(first.bookings, second.bookings);
+    EXPECT_EQ(first.totals, second.totals);
+    for (size_t k = 0; k < kSweepPairs; ++k) {
+      EXPECT_EQ(first.codes[2 * k] == StatusCode::kOk,
+                first.codes[2 * k + 1] == StatusCode::kOk)
+          << "pair " << k;
+    }
+    EXPECT_EQ(first.codes[kSweepLoner], StatusCode::kTimedOut);
+    EXPECT_EQ(first.codes[kSweepClassical], StatusCode::kOk);
+    for (size_t i = 0; i < first.codes.size(); ++i) {
+      EXPECT_EQ(first.bookings[i],
+                first.codes[i] == StatusCode::kOk ? 2u : 0u)
+          << "program " << i;
+    }
+  }
 }
 
 TEST_F(EngineTest, ManualWaitAllDrainsPool) {
