@@ -295,17 +295,14 @@ void BM_ConcurrentScans(benchmark::State& state) {
     }
     size_t rows = 0;
     int64_t sum = 0;
-    RowId rid = 0;
-    const Row* row = nullptr;
-    while (true) {
-      auto more = cursor.value()->NextRef(&rid, &row);
-      if (!more.ok()) {
-        state.SkipWithError(more.status().ToString().c_str());
-        return;
-      }
-      if (!more.value()) break;
+    Status drained = cursor.value()->Drain([&](RowId, Row&& row) {
       ++rows;
-      sum += (*row)[0].as_int();
+      sum += row[0].as_int();
+      return true;
+    });
+    if (!drained.ok()) {
+      state.SkipWithError(drained.ToString().c_str());
+      return;
     }
     benchmark::DoNotOptimize(sum);
     cursor.value().reset();
@@ -384,10 +381,13 @@ void ReadMostlyMixedBody(benchmark::State& state, bool mvcc_reads) {
         return;
       }
       int64_t sum = 0;
-      RowId rid = 0;
-      const Row* row = nullptr;
-      while (cursor.value()->NextRef(&rid, &row).value()) {
-        sum += (*row)[1].as_int();
+      Status drained = cursor.value()->Drain([&](RowId, Row&& row) {
+        sum += row[1].as_int();
+        return true;
+      });
+      if (!drained.ok()) {
+        state.SkipWithError(drained.ToString().c_str());
+        return;
       }
       benchmark::DoNotOptimize(sum);
       cursor.value().reset();
@@ -454,10 +454,15 @@ void SnapshotScanUnderWritersBody(benchmark::State& state, bool mvcc_reads) {
       return;
     }
     int64_t sum = 0;
-    RowId rid = 0;
-    const Row* row = nullptr;
-    while (cursor.value()->NextRef(&rid, &row).value()) {
-      sum += (*row)[1].as_int();
+    Status drained = cursor.value()->Drain([&](RowId, Row&& row) {
+      sum += row[1].as_int();
+      return true;
+    });
+    if (!drained.ok()) {
+      state.SkipWithError(drained.ToString().c_str());
+      stop.store(true);
+      writer.join();
+      return;
     }
     benchmark::DoNotOptimize(sum);
     cursor.value().reset();
@@ -582,11 +587,14 @@ void BM_ShardedScanFanout(benchmark::State& state) {
       return;
     }
     int64_t rows = 0, sum = 0;
-    RowId rid = 0;
-    const Row* row = nullptr;
-    while (cursor.value()->NextRef(&rid, &row).value()) {
+    Status drained = cursor.value()->Drain([&](RowId, Row&& row) {
       ++rows;
-      sum += (*row)[1].as_int();
+      sum += row[1].as_int();
+      return true;
+    });
+    if (!drained.ok()) {
+      state.SkipWithError(drained.ToString().c_str());
+      return;
     }
     benchmark::DoNotOptimize(sum);
     cursor.value().reset();
@@ -610,9 +618,9 @@ BENCHMARK(BM_ShardedScanFanout)
 
 void BM_ShardedScanBatchSweep(benchmark::State& state) {
   // Consumer-side pacing sweep over the 4-shard fanout scan: max_rows = 1
-  // is the scalar row-at-a-time pull loop (one virtual call per row);
-  // larger targets move whole merged chunks across the cursor seam per
-  // call, so per-row cost falls as the batch grows.
+  // pulls one row per virtual call; larger batches move up to max_rows
+  // merged rows across the cursor seam per call, so per-row cost falls as
+  // the batch grows.
   const size_t batch = static_cast<size_t>(state.range(0));
   auto router = MakeWideRouter(4);
   for (auto _ : state) {
@@ -625,19 +633,10 @@ void BM_ShardedScanBatchSweep(benchmark::State& state) {
       return;
     }
     int64_t rows = 0, sum = 0;
-    if (batch <= 1) {
-      RowId rid = 0;
-      Row row;
-      while (cursor.value()->Next(&rid, &row).value()) {
-        ++rows;
-        sum += row[1].as_int();
-      }
-    } else {
-      RowBatch rb;
-      while (cursor.value()->NextBatch(&rb, batch).value()) {
-        rows += static_cast<int64_t>(rb.size());
-        for (const auto& [rid, row] : rb.rows) sum += row[1].as_int();
-      }
+    RowBatch rb;
+    while (cursor.value()->NextBatch(&rb, batch).value()) {
+      rows += static_cast<int64_t>(rb.size());
+      for (const auto& [rid, row] : rb.rows) sum += row[1].as_int();
     }
     benchmark::DoNotOptimize(sum);
     cursor.value().reset();

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure + build + ctest, exactly as ROADMAP.md
-# specifies. Every suite runs under a ctest per-test timeout (set in
+# specifies, then a build (no run) of the perfbench binary into
+# build-perfbench. Every suite runs under a ctest per-test timeout (set in
 # CMakeLists.txt) so a hung test — e.g. a fan-out drain thread wedged in
 # a lock wait — fails fast instead of stalling the whole run; on failure
 # this script names the suites that timed out.
@@ -82,6 +83,12 @@ if ! (cd build && ctest --output-on-failure -j 2>&1 | tee "${ctest_log}"); then
   exit 1
 fi
 rm -f "${ctest_log}"
+
+# The end-to-end benchmark wraps TxnEngine and TableCursor in decorators
+# that override their virtuals: build it (never run it here) so a src/
+# change that breaks those overrides fails now, not at benchmark time.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j --target perfbench
 
 if [[ "${bench_smoke}" == 1 ]]; then
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release \

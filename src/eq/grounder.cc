@@ -235,35 +235,17 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
           plan = sql::Planner::PlanRangeLookup(*acc.table, eqs, range_cands);
         }
       }
-      if (plan.is_index() || plan.is_range()) {
-        // Eager indexed/interval fetch as a grounding read (R^G), via the
-        // same cursor seam as every other access path.
-        plan.limit = -1;  // grounding never caps the fetch
-        YT_ASSIGN_OR_RETURN(auto cursor,
-                            tm->OpenCursor(txn, acc.table, std::move(plan),
-                                           ReadOrigin::kGrounding));
-        YT_RETURN_IF_ERROR(CollectMatching(a, cursor.get(), &rows));
-      } else {
-        if (acc.table != nullptr) rows.reserve(acc.table->size());
-        Status arity_error = Status::Ok();
-        // Name-based open: a missing relation surfaces as NotFound here.
-        // The borrowing drain visits the heap zero-copy, so atoms with
-        // constant filters copy only the rows they keep.
-        YT_ASSIGN_OR_RETURN(auto cursor,
-                            tm->OpenCursor(txn, a.relation,
-                                           AccessPlan::TableScan(),
-                                           ReadOrigin::kGrounding));
-        YT_RETURN_IF_ERROR(cursor->DrainRef([&](RowId, const Row& row) {
-          auto k = MatchesConstants(a, row);
-          if (!k.ok()) {
-            arity_error = k.status();
-            return false;
-          }
-          if (k.value()) rows.push_back(row);
-          return true;
-        }));
-        YT_RETURN_IF_ERROR(arity_error);
+      // Eager indexed/interval fetch or scan as a grounding read (R^G), via
+      // the same cursor seam as every other access path. Name-based open:
+      // a missing relation surfaces as NotFound here.
+      if (plan.is_scan() && acc.table != nullptr) {
+        rows.reserve(acc.table->size());
       }
+      plan.limit = -1;  // grounding never caps the fetch
+      YT_ASSIGN_OR_RETURN(auto cursor,
+                          tm->OpenCursor(txn, a.relation, std::move(plan),
+                                         ReadOrigin::kGrounding));
+      YT_RETURN_IF_ERROR(CollectMatching(a, cursor.get(), &rows));
     }
 
     // This atom's variables are bound for the deeper atoms that follow.

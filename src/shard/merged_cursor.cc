@@ -17,32 +17,19 @@ int MergedCursor::Advance() {
   if (limit_ >= 0 && emitted_ >= limit_) return -1;
   int best = -1;
   for (size_t s = 0; s < sources_.size(); ++s) {
-    if (sources_[s].pos >= sources_[s].rows.size()) continue;
-    if (best < 0) {
-      best = static_cast<int>(s);
-      // Unordered mode concatenates: the first non-empty source wins.
-      if (!ordered_) break;
-      continue;
+    const Source& cand = sources_[s];
+    if (cand.pos >= cand.rows.size()) continue;
+    if (best >= 0) {
+      const Source& cur = sources_[static_cast<size_t>(best)];
+      if (CompareKeys(cand.rows[cand.pos].second,
+                      cur.rows[cur.pos].second) >= 0) {
+        continue;
+      }
     }
-    const Row& cand = sources_[s].rows[sources_[s].pos].second;
-    const Row& cur =
-        sources_[static_cast<size_t>(best)]
-            .rows[sources_[static_cast<size_t>(best)].pos]
-            .second;
-    if (CompareKeys(cand, cur) < 0) best = static_cast<int>(s);
+    best = static_cast<int>(s);
   }
   if (best >= 0) ++emitted_;
   return best;
-}
-
-StatusOr<bool> MergedCursor::NextRef(RowId* rid, const Row** row) {
-  int s = Advance();
-  if (s < 0) return false;
-  Source& src = sources_[static_cast<size_t>(s)];
-  *rid = src.rows[src.pos].first;
-  *row = &src.rows[src.pos].second;
-  ++src.pos;
-  return true;
 }
 
 StatusOr<bool> MergedCursor::NextBatch(RowBatch* batch, size_t max_rows) {
@@ -57,9 +44,9 @@ StatusOr<bool> MergedCursor::NextBatch(RowBatch* batch, size_t max_rows) {
         if (lim_left <= 0) break;
         left = std::min(left, static_cast<size_t>(lim_left));
       }
-      if (batch->rows.empty() && src.pos == 0 && left == src.rows.size()) {
-        // Whole untouched source: hand the buffer over by swap (max_rows
-        // is a pacing target, not a cap).
+      if (batch->rows.empty() && src.pos == 0 && left == src.rows.size() &&
+          left <= max_rows) {
+        // Whole untouched source that fits: hand the buffer over by swap.
         batch->rows.swap(src.rows);
         src.rows.clear();
         src.pos = 0;
@@ -67,7 +54,6 @@ StatusOr<bool> MergedCursor::NextBatch(RowBatch* batch, size_t max_rows) {
         return true;
       }
       size_t take = std::min(left, max_rows - batch->rows.size());
-      if (take == 0) break;
       batch->reserve(batch->rows.size() + take);
       std::move(src.rows.begin() + static_cast<int64_t>(src.pos),
                 src.rows.begin() + static_cast<int64_t>(src.pos + take),
@@ -98,16 +84,6 @@ size_t MergedCursor::size_hint() const {
     left = std::min(left, static_cast<size_t>(std::max<int64_t>(0, lim_left)));
   }
   return left;
-}
-
-StatusOr<bool> MergedCursor::Next(RowId* rid, Row* row) {
-  int s = Advance();
-  if (s < 0) return false;
-  Source& src = sources_[static_cast<size_t>(s)];
-  *rid = src.rows[src.pos].first;
-  *row = std::move(src.rows[src.pos].second);
-  ++src.pos;
-  return true;
 }
 
 }  // namespace youtopia::shard

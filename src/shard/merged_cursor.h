@@ -43,19 +43,17 @@ class MergedCursor : public TableCursor {
         limit_(limit),
         ordered_(ordered) {}
 
-  StatusOr<bool> NextRef(RowId* rid, const Row** row) override;
-  StatusOr<bool> Next(RowId* rid, Row* row) override;
-
-  /// Batched pull. Unordered mode hands an untouched source buffer over by
-  /// swap (zero row moves for the common whole-shard case) and otherwise
-  /// bulk-moves source remainders; ordered mode runs the k-way merge loop
-  /// once per batch instead of once per row.
+  /// Unordered mode hands an untouched source buffer that fits in
+  /// `max_rows` over by swap (zero row moves for the common whole-shard
+  /// case) and otherwise bulk-moves source remainders; ordered mode runs
+  /// the k-way merge loop once per batch instead of once per row.
   StatusOr<bool> NextBatch(RowBatch* batch, size_t max_rows) override;
 
   size_t size_hint() const override;
 
  private:
-  /// Advances to the next row; returns its source index or -1 at end.
+  /// Ordered mode: advances to the source holding the next row in key
+  /// order; returns its index or -1 at end (or at the limit).
   int Advance();
   /// -1 / 0 / +1 between the key projections of two rows.
   int CompareKeys(const Row& a, const Row& b) const;

@@ -37,30 +37,15 @@ const ShardMetricHandles& ShardMetrics() {
 }
 
 /// Streams a single routed shard's cursor, tagging every RowId with the
-/// owning shard so Update/Delete by RowId can route back. DrainRef/Drain
-/// go through NextRef/Next (the base implementations), so tags are never
-/// skipped.
+/// owning shard so Update/Delete by RowId can route back. Every pull and
+/// drain rides NextBatch, so tags are never skipped.
 class TaggingCursor : public TableCursor {
  public:
   TaggingCursor(std::unique_ptr<TableCursor> inner, size_t shard)
       : inner_(std::move(inner)), shard_(shard) {}
 
-  StatusOr<bool> NextRef(RowId* rid, const Row** row) override {
-    YT_ASSIGN_OR_RETURN(bool more, inner_->NextRef(rid, row));
-    if (!more) return false;
-    *rid = Router::TagRid(shard_, *rid);
-    return true;
-  }
-
-  StatusOr<bool> Next(RowId* rid, Row* row) override {
-    YT_ASSIGN_OR_RETURN(bool more, inner_->Next(rid, row));
-    if (!more) return false;
-    *rid = Router::TagRid(shard_, *rid);
-    return true;
-  }
-
-  /// Batched pull: the inner cursor's chunks flow through untouched except
-  /// for an in-place RowId tag per element.
+  /// The inner cursor's batches flow through untouched except for an
+  /// in-place RowId tag per element.
   StatusOr<bool> NextBatch(RowBatch* batch, size_t max_rows) override {
     YT_ASSIGN_OR_RETURN(bool more, inner_->NextBatch(batch, max_rows));
     if (!more) return false;
@@ -89,12 +74,6 @@ class CoordCursor : public TableCursor {
   }
   ~CoordCursor() override { coord_->cursor_closed(); }
 
-  StatusOr<bool> NextRef(RowId* rid, const Row** row) override {
-    return inner_->NextRef(rid, row);
-  }
-  StatusOr<bool> Next(RowId* rid, Row* row) override {
-    return inner_->Next(rid, row);
-  }
   StatusOr<bool> NextBatch(RowBatch* batch, size_t max_rows) override {
     return inner_->NextBatch(batch, max_rows);
   }

@@ -63,17 +63,6 @@ StatusOr<QueryResult> Executor::Execute(const ParsedStatement& stmt,
 }
 
 Status Executor::DrainRows(TableCursor* cursor, std::vector<Row>* rows) {
-  if (batch_size_ <= 1) {
-    // Row-at-a-time ablation: the scalar pull loop (NextBatch's swap paths
-    // may exceed any max_rows, so this is the only true size-1 drain).
-    RowId rid;
-    Row row;
-    while (true) {
-      YT_ASSIGN_OR_RETURN(bool more, cursor->Next(&rid, &row));
-      if (!more) return Status::Ok();
-      rows->push_back(std::move(row));
-    }
-  }
   if (size_t hint = cursor->size_hint(); hint > 0) {
     rows->reserve(rows->size() + hint);
   }
@@ -510,22 +499,12 @@ StatusOr<QueryResult> Executor::ExecuteSelectAggregate(const SelectStmt& sel,
       agg.Accumulate(row);
       return Status::Ok();
     };
-    if (batch_size_ <= 1) {
-      RowId rid;
-      Row row;
-      while (true) {
-        YT_ASSIGN_OR_RETURN(bool more, cursor->Next(&rid, &row));
-        if (!more) break;
+    RowBatch batch;
+    while (true) {
+      YT_ASSIGN_OR_RETURN(bool more, cursor->NextBatch(&batch, batch_size_));
+      if (!more) break;
+      for (const auto& [rid, row] : batch.rows) {
         YT_RETURN_IF_ERROR(fold(row));
-      }
-    } else {
-      RowBatch batch;
-      while (true) {
-        YT_ASSIGN_OR_RETURN(bool more, cursor->NextBatch(&batch, batch_size_));
-        if (!more) break;
-        for (const auto& [rid, row] : batch.rows) {
-          YT_RETURN_IF_ERROR(fold(row));
-        }
       }
     }
     YT_RETURN_IF_ERROR(agg.Finish());

@@ -42,10 +42,9 @@ class Executor {
   void set_join_probes_enabled(bool on) { join_probes_enabled_ = on; }
   bool join_probes_enabled() const { return join_probes_enabled_; }
 
-  /// Batch pacing for cursor drains; <= 1 switches to the row-at-a-time
-  /// Next() loop (differential-test ablation — NextBatch's swap paths may
-  /// legitimately exceed any max_rows, so true row-at-a-time needs the
-  /// scalar entry point). Results must be identical at any size.
+  /// The `max_rows` of every NextBatch pull in cursor drains; 1 pulls row
+  /// at a time (a differential-test ablation). Results must be identical
+  /// at any size.
   void set_batch_size(size_t n) { batch_size_ = n; }
   size_t batch_size() const { return batch_size_; }
 
@@ -63,9 +62,9 @@ class Executor {
   StatusOr<QueryResult> ExecuteSelectAggregate(const SelectStmt& sel,
                                                Transaction* txn, VarEnv* vars);
 
-  /// Drains `cursor` into `rows`, appending. Batched (reusing one RowBatch
-  /// and reserving from the cursor's size hint) unless batch_size_ <= 1,
-  /// which runs the scalar Next() loop instead.
+  /// Drains `cursor` into `rows`, appending, in NextBatch pulls of
+  /// batch_size_ rows (reusing one RowBatch and reserving from the cursor's
+  /// size hint).
   Status DrainRows(TableCursor* cursor, std::vector<Row>* rows);
 
   /// The rows of `t` (named `table` in the statement) that a write

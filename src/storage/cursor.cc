@@ -46,26 +46,20 @@ std::string AccessPlan::ToString() const {
   return s;
 }
 
-StatusOr<bool> TableCursor::Next(RowId* rid, Row* row) {
-  const Row* view = nullptr;
-  YT_ASSIGN_OR_RETURN(bool more, NextRef(rid, &view));
+StatusOr<bool> TableCursor::NextRef(RowId* rid, const Row** row) {
+  YT_ASSIGN_OR_RETURN(bool more, NextBatch(&one_, 1));
   if (!more) return false;
-  *row = *view;
+  *rid = one_.rows[0].first;
+  *row = &one_.rows[0].second;
   return true;
 }
 
-StatusOr<bool> TableCursor::NextBatch(RowBatch* batch, size_t max_rows) {
-  batch->clear();
-  if (max_rows == 0) max_rows = 1;
-  batch->reserve(max_rows);
-  RowId rid = 0;
-  Row row;
-  while (batch->rows.size() < max_rows) {
-    YT_ASSIGN_OR_RETURN(bool more, Next(&rid, &row));
-    if (!more) break;
-    batch->rows.emplace_back(rid, std::move(row));
-  }
-  return !batch->rows.empty();
+StatusOr<bool> TableCursor::Next(RowId* rid, Row* row) {
+  YT_ASSIGN_OR_RETURN(bool more, NextBatch(&one_, 1));
+  if (!more) return false;
+  *rid = one_.rows[0].first;
+  *row = std::move(one_.rows[0].second);
+  return true;
 }
 
 Status TableCursor::Drain(const std::function<bool(RowId, Row&&)>& visitor) {
@@ -81,13 +75,7 @@ Status TableCursor::Drain(const std::function<bool(RowId, Row&&)>& visitor) {
 
 Status TableCursor::DrainRef(
     const std::function<bool(RowId, const Row&)>& visitor) {
-  RowId rid = 0;
-  const Row* row = nullptr;
-  while (true) {
-    YT_ASSIGN_OR_RETURN(bool more, NextRef(&rid, &row));
-    if (!more) return Status::Ok();
-    if (!visitor(rid, *row)) return Status::Ok();
-  }
+  return Drain([&](RowId rid, Row&& row) { return visitor(rid, row); });
 }
 
 }  // namespace youtopia

@@ -56,8 +56,8 @@ struct AccessPlan {
 /// Column-agnostic: rows keep their Row shape, so any cursor type can fill
 /// one. The (RowId, Row) pair layout deliberately matches every internal
 /// materialization buffer in the engine (heap-scan chunks, merged fan-out
-/// sources), which lets native NextBatch overrides hand whole chunks over
-/// by swap/move instead of element-wise push_back.
+/// sources), which lets NextBatch hand whole chunks over by swap/move
+/// instead of element-wise push_back.
 /// Consumers move rows out and reuse the batch object across pulls — the
 /// vector's capacity then ping-pongs between producer and consumer with no
 /// steady-state allocation.
@@ -76,34 +76,42 @@ struct RowBatch {
 
 /// Pull-based cursor over one table read — every read access path (heap
 /// scan, hash lookup, range lookup) produces one. Row locks are acquired as
-/// rows are pulled, so lock acquisition can fail mid-read: Next returns a
-/// Status for that, or false/true for end/row. Destroying a cursor closes
+/// rows are pulled, so lock acquisition can fail mid-read: a pull returns a
+/// Status for that, or false/true for end/rows. Destroying a cursor closes
 /// it (performs the isolation level's early lock release); a consumer that
 /// stops early just drops the cursor.
+///
+/// A cursor implements one pull, NextBatch. The row-at-a-time pulls
+/// (NextRef, Next) and DrainRef are defaults over it; they stay virtual only
+/// so a decorator that wraps a cursor (a tracing layer timing every pull)
+/// can intercept each entry point and forward it unchanged.
+///
+/// Exhaustion contract (all cursor types): once a cursor has reported
+/// end-of-rows — through pulls or a drain that ran to completion — every
+/// further pull returns false and every further drain visits nothing and
+/// returns Ok. A drain whose *visitor* stopped early may have consumed the
+/// rest of the current batch — callers must not resume a drain they cut
+/// short; drop the cursor instead.
 class TableCursor {
  public:
   virtual ~TableCursor() = default;
 
-  /// Pulls the next row as a borrowed view: `*row` stays valid until the
-  /// next pull or the cursor's destruction. Returns false at end.
-  virtual StatusOr<bool> NextRef(RowId* rid, const Row** row) = 0;
-
-  /// Pulls the next row into `*row`, by move where the cursor owns its
-  /// buffer (heap scans, index fetches). Returns false at end.
-  virtual StatusOr<bool> Next(RowId* rid, Row* row);
-
   /// Pulls the next batch of rows into `*batch` (cleared first), by move
-  /// where the cursor owns its buffer — the batched form of Next. Returns
-  /// false only at end, with the batch left empty; a true return carries
-  /// at least one row. `max_rows` is a
-  /// pacing target, not a hard cap: a cursor that can hand over a whole
-  /// already-materialized chunk by swap may exceed it rather than split
-  /// the chunk. The base implementation is a row-looping fallback over
-  /// Next; heap-scan, fetched-row, shard-merge, and shard-tagging cursors
-  /// override it natively so chunks cross the seam without per-row virtual
-  /// calls.
-  virtual StatusOr<bool> NextBatch(RowBatch* batch,
-                                   size_t max_rows = RowBatch::kDefaultRows);
+  /// where the cursor owns its buffer. Returns at most `max_rows` rows (0
+  /// counts as 1); a cursor holding an already-materialized chunk that fits
+  /// hands it over whole by swap. Returns false only at end, with the batch
+  /// left empty; a true return carries at least one row.
+  virtual StatusOr<bool> NextBatch(
+      RowBatch* batch, size_t max_rows = RowBatch::kDefaultRows) = 0;
+
+  /// Pulls the next row as a borrowed view: `*row` stays valid until the
+  /// next pull or the cursor's destruction. Returns false at end. Lends
+  /// from a one-row NextBatch.
+  virtual StatusOr<bool> NextRef(RowId* rid, const Row** row);
+
+  /// Pulls the next row into `*row` by move, through a one-row NextBatch.
+  /// Returns false at end.
+  virtual StatusOr<bool> Next(RowId* rid, Row* row);
 
   /// Approximate number of rows left to pull (0 = unknown). A sizing hint
   /// for result-vector reserves, never a contract: filters and concurrent
@@ -111,27 +119,15 @@ class TableCursor {
   virtual size_t size_hint() const { return 0; }
 
   /// Drains the cursor through a move-taking visitor (returns false to
-  /// stop early). Rides NextBatch, so native batch overrides amortize the
-  /// per-row virtual call here too.
-  ///
-  /// Exhaustion contract (all cursor types, including merged shard
-  /// cursors, which are built on it): once a cursor has reported
-  /// end-of-rows — through pulls or a drain that ran to completion —
-  /// every further Next/NextRef returns false and every further
-  /// Drain/DrainRef visits nothing and returns Ok. A drain whose
-  /// *visitor* stopped early leaves the cursor mid-stream on pull-based
-  /// cursors but may have consumed the remainder on batched or zero-copy
-  /// fast paths — callers must not resume a drain they cut short; drop
-  /// the cursor instead.
+  /// stop early), one default-sized NextBatch at a time.
   Status Drain(const std::function<bool(RowId, Row&&)>& visitor);
 
   /// Drains the cursor through a borrowing visitor (returns false to stop
-  /// early; same exhaustion contract as Drain). Virtual so a cursor can
-  /// skip intermediate buffering for visit-only consumers (a fresh locking
-  /// heap scan drains zero-copy, straight off the heap — selective filters
-  /// then copy only what they keep). Stays on the borrowing NextRef loop:
-  /// batching here would force copies on cursors that only lend views.
+  /// early); the same batched walk as Drain.
   virtual Status DrainRef(const std::function<bool(RowId, const Row&)>& visitor);
+
+ private:
+  RowBatch one_;  ///< the one-row batch NextRef lends from and Next moves from
 };
 
 }  // namespace youtopia

@@ -112,69 +112,26 @@ class HeapScanCursor : public TableCursor {
     }
   }
 
-  /// Visit-only drain of a fresh cursor skips the pull loop. A Latest-view
-  /// read walks the heap directly under the latch (the table S lock
-  /// already excludes writers; selective consumers copy only what they
-  /// keep). A snapshot read walks chunk by chunk so concurrent writers
-  /// never wait on the latch for a whole scan.
-  Status DrainRef(
-      const std::function<bool(RowId, const Row&)>& visitor) override {
-    if (started_) return TableCursor::DrainRef(visitor);
-    started_ = done_ = true;
-    if (view_.latest()) {
-      table_->Scan(visitor);
-      return Status::Ok();
-    }
-    bool more = true;
-    for (RowId from = 1; more && from != 0;) {
-      from = table_->ScanChunk(view_, from, kChunkRows, &buf_);
-      for (size_t i = 0; more && i < buf_.size(); ++i) {
-        more = visitor(buf_[i].first, buf_[i].second);
-      }
-    }
-    buf_.clear();  // drained: later pulls must find nothing buffered
-    return Status::Ok();
-  }
-
-  StatusOr<bool> NextRef(RowId* rid, const Row** row) override {
-    started_ = true;
-    if (!Refill()) return false;
-    *rid = buf_[pos_].first;
-    *row = &buf_[pos_].second;
-    ++pos_;
-    return true;
-  }
-
-  StatusOr<bool> Next(RowId* rid, Row* row) override {
-    started_ = true;
-    if (!Refill()) return false;
-    *rid = buf_[pos_].first;
-    *row = std::move(buf_[pos_].second);
-    ++pos_;
-    return true;
-  }
-
-  /// Batched pull: a whole chunk moves over by swap — the chunk buffer and
-  /// the caller's batch then ping-pong, so a full scan costs one virtual
-  /// call and zero row copies per chunk.
+  /// A whole chunk that fits in `max_rows` moves over by swap — the chunk
+  /// buffer and the caller's batch then ping-pong, so a full scan at the
+  /// default size costs one virtual call and zero row copies per chunk.
+  /// A smaller `max_rows` moves that many rows out of the chunk.
   StatusOr<bool> NextBatch(RowBatch* batch, size_t max_rows) override {
-    started_ = true;
     batch->clear();
     if (max_rows == 0) max_rows = 1;
     if (!Refill()) return false;
-    if (pos_ == 0) {
-      // Whole chunk (a smaller max_rows still takes the chunk wholesale —
-      // the target is pacing, not a cap).
+    const size_t left = buf_.size() - pos_;
+    if (pos_ == 0 && left <= max_rows) {
       batch->rows.swap(buf_);
       buf_.clear();  // keep the swapped-in capacity for the next chunk
-    } else {
-      size_t take = buf_.size() - pos_;
-      batch->reserve(take);
-      std::move(buf_.begin() + pos_, buf_.end(),
-                std::back_inserter(batch->rows));
-      buf_.clear();
-      pos_ = 0;
+      return true;
     }
+    const size_t take = std::min(left, max_rows);
+    batch->reserve(take);
+    auto from = buf_.begin() + static_cast<std::ptrdiff_t>(pos_);
+    std::move(from, from + static_cast<std::ptrdiff_t>(take),
+              std::back_inserter(batch->rows));
+    pos_ += take;
     return true;
   }
 
@@ -210,7 +167,6 @@ class HeapScanCursor : public TableCursor {
   RowId next_from_ = 1;
   size_t pos_ = 0;  ///< next unreturned row in buf_
   bool done_ = false;
-  bool started_ = false;
 };
 
 /// The predicate S lock a locking lookup cursor holds over its matched
@@ -269,24 +225,6 @@ class FetchedRowsCursor : public TableCursor {
     } else {
       ReleaseUnlessWriteHeld(locks_, txn_->id(), predicate_.key);
     }
-  }
-
-  StatusOr<bool> NextRef(RowId* rid, const Row** row) override {
-    if (idx_ >= rows_.size()) return false;
-    YT_RETURN_IF_ERROR(Visit(rows_[idx_].first));
-    *rid = rows_[idx_].first;
-    *row = &rows_[idx_].second;
-    ++idx_;
-    return true;
-  }
-
-  StatusOr<bool> Next(RowId* rid, Row* row) override {
-    if (idx_ >= rows_.size()) return false;
-    YT_RETURN_IF_ERROR(Visit(rows_[idx_].first));
-    *rid = rows_[idx_].first;
-    *row = std::move(rows_[idx_].second);
-    ++idx_;
-    return true;
   }
 
   /// Batched pull: one virtual call per batch, but the per-row S lock

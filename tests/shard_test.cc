@@ -32,6 +32,8 @@ namespace {
 using shard::MergedCursor;
 using shard::Router;
 using shard::ShardMap;
+using testing::PullMethods;
+using testing::RowSet;
 
 std::unique_ptr<Router> OpenVolatile(size_t num_shards) {
   Router::Options opts;
@@ -170,6 +172,124 @@ TEST(MergedCursorTest, UnorderedModeConcatenatesInShardOrder) {
   // Pulling past the end keeps returning false.
   EXPECT_FALSE(c.Next(&rid, &row).value());
   EXPECT_FALSE(c.Next(&rid, &row).value());
+}
+
+// --- Router cursors: every pull method on every cursor type. -------------
+
+// The Router wraps shard cursors in its own cursor types: a TaggingCursor
+// over one routed shard, a MergedCursor (unordered or key-ordered) over a
+// fan-out, and a CoordCursor around either under snapshot reads. Each must
+// return the same rows through every pull method, with every batch within
+// its max_rows.
+TEST(RouterCursorTest, AllPullMethodsAgreeOnEveryRouterCursor) {
+  auto r = OpenVolatile(4);
+  // Keyless, partitioned by grp: a grp lookup routes to one shard and
+  // returns that group's 300 rows, more than one default batch.
+  ASSERT_OK(r->SetPartitioning("Grp", {"grp"}));
+  ASSERT_OK(r->CreateTable("Grp", Schema({{"grp", TypeId::kInt64},
+                                          {"id", TypeId::kInt64},
+                                          {"v", TypeId::kString}}))
+                .status());
+  ASSERT_OK(r->CreateIndex("Grp", {"grp"}));
+  ASSERT_OK(r->CreateIndex("Grp", {"id"}, /*unique=*/false,
+                           /*ordered=*/true));
+  constexpr int64_t kGroups = 8, kPerGroup = 300;
+  auto setup = r->Begin();
+  for (int64_t i = 0; i < kGroups * kPerGroup; ++i) {
+    ASSERT_OK(r->Insert(setup.get(), "Grp",
+                        Row({Value::Int(i % kGroups), Value::Int(i),
+                             Value::Str("v" + std::to_string(i))}))
+                  .status());
+  }
+  ASSERT_OK(r->Commit(setup.get()));
+
+  // The expected rows of each plan, read off the shard heaps with tagged
+  // RowIds: RowId order for the unordered plans, id order for the range.
+  auto expect = [&](const std::function<bool(const Row&)>& keep,
+                    bool by_id) {
+    RowSet out;
+    for (size_t s = 0; s < r->num_shards(); ++s) {
+      r->shard_db(s)->GetTable("Grp").value()->Scan(
+          [&](RowId rid, const Row& row) {
+            if (keep(row)) out.emplace_back(Router::TagRid(s, rid), row);
+            return true;
+          });
+    }
+    std::sort(out.begin(), out.end(), [&](const auto& a, const auto& b) {
+      return by_id ? a.second[1].as_int() < b.second[1].as_int()
+                   : a.first < b.first;
+    });
+    return out;
+  };
+  auto by_rid = [](RowSet rows) {
+    std::sort(rows.begin(), rows.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return rows;
+  };
+  IndexRangeSpec ids;
+  ids.columns = {1};
+  ids.range.lo = Row({Value::Int(100)});
+  ids.range.hi = Row({Value::Int(2000)});
+  ids.range.lo_unbounded = ids.range.hi_unbounded = false;
+  const struct {
+    const char* name;
+    AccessPlan plan;
+    bool routed;  ///< one shard (TaggingCursor), else a fan-out
+    bool ordered;
+    RowSet want;
+  } plans[] = {
+      {"single-shard lookup", AccessPlan::Lookup({0}, Row({Value::Int(3)})),
+       true, false,
+       expect([](const Row& row) { return row[0].as_int() == 3; }, false)},
+      {"unordered fan-out scan", AccessPlan::TableScan(), false, false,
+       expect([](const Row&) { return true; }, false)},
+      {"ordered fan-out range", AccessPlan::Range(ids), false, true,
+       expect(
+           [](const Row& row) {
+             return row[1].as_int() >= 100 && row[1].as_int() <= 2000;
+           },
+           true)},
+  };
+  ASSERT_EQ(plans[0].want.size(), static_cast<size_t>(kPerGroup));
+
+  for (IsolationLevel level :
+       {IsolationLevel::kSerializable, IsolationLevel::kSnapshot}) {
+    SCOPED_TRACE(IsolationLevelName(level));
+    auto txn = r->Begin(level);
+    for (const auto& p : plans) {
+      RowSet first;
+      for (const auto& [name, pull] : PullMethods()) {
+        const uint64_t routed = r->stats().shard_routed_lookups.load();
+        const uint64_t fanout = r->stats().fanout_cursors.load();
+        const uint64_t snap = r->stats().snapshot_reads.load();
+        RowSet got;
+        {
+          ASSERT_OK_AND_ASSIGN(auto cursor,
+                               r->OpenCursor(txn.get(), "Grp", p.plan,
+                                             ReadOrigin::kStatement));
+          got = pull(cursor.get());
+        }
+        EXPECT_EQ(r->stats().shard_routed_lookups.load() - routed,
+                  p.routed ? 1u : 0u)
+            << p.name << " " << name;
+        EXPECT_EQ(r->stats().fanout_cursors.load() - fanout,
+                  p.routed ? 0u : 1u)
+            << p.name << " " << name;
+        EXPECT_EQ(r->stats().snapshot_reads.load() - snap,
+                  level == IsolationLevel::kSnapshot ? 1u : 0u)
+            << p.name << " " << name;
+        EXPECT_EQ(p.ordered ? got : by_rid(got), p.want)
+            << p.name << " " << name;
+        // Every method hands the rows out in the same order.
+        if (first.empty()) {
+          first = std::move(got);
+        } else {
+          EXPECT_EQ(got, first) << p.name << " " << name;
+        }
+      }
+    }
+    ASSERT_OK(r->Commit(txn.get()));
+  }
 }
 
 // --- Router basics (volatile). --------------------------------------------

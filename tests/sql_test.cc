@@ -1439,10 +1439,11 @@ TEST_F(AggregateSessionTest, AggregatesMatchScanAndFoldReference) {
 }
 
 TEST(BatchDifferentialTest, RandomizedWorkloadMatchesRowAtATime) {
-  // The batched drain (NextBatch chunk handoff, default pacing) and the
-  // scalar Next() loop (set_batch_size(1)) must produce identical results
-  // on every query shape: point lookups, residual WHERE scans, ORDER BY
-  // with and without an ordered index, joins, and aggregates.
+  // Drains at the default batch size (whole-chunk handoff) and at
+  // max_rows 1 (set_batch_size(1), one row per NextBatch) must produce
+  // identical results on every query shape: point lookups, residual WHERE
+  // scans, ORDER BY with and without an ordered index, joins, and
+  // aggregates.
   EngineFixture fix;
   Session session(fix.tm.get());
   ASSERT_OK(session.Execute("CREATE TABLE R (k INT PRIMARY KEY, a INT, "
@@ -1518,7 +1519,7 @@ TEST(BatchDifferentialTest, RandomizedWorkloadMatchesRowAtATime) {
 }
 
 TEST(BatchDifferentialTest, StableUnderConcurrentWriters) {
-  // Inside one reader transaction the batched and scalar drains must agree
+  // Inside one reader transaction drains at batch size 256 and 1 must agree
   // exactly even while writers churn disjoint keys: Strict 2PL pins the
   // read set between the paired executions. Short lock timeout — failures
   // just retry the round.

@@ -1,6 +1,9 @@
 #ifndef YOUTOPIA_TESTS_TEST_UTIL_H_
 #define YOUTOPIA_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -47,6 +50,68 @@ inline StatusOr<std::vector<RowId>> RangeRids(const Table& t,
                                               const IndexRangeSpec& spec) {
   YT_ASSIGN_OR_RETURN(auto rows, t.RangeLookup(spec, ReadView::Latest()));
   return RowIdsOf(rows);
+}
+
+/// (RowId, Row) pairs in the order a cursor handed them out.
+using RowSet = std::vector<std::pair<RowId, Row>>;
+
+/// Drains `cursor` through NextBatch(max_rows), checking the batch contract
+/// on every pull: a true return carries 1..max_rows rows; the end is false
+/// with an empty batch.
+inline RowSet BatchDrain(TableCursor* cursor, size_t max_rows) {
+  RowSet out;
+  RowBatch batch;
+  while (true) {
+    StatusOr<bool> more = cursor->NextBatch(&batch, max_rows);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !more.value()) {
+      EXPECT_TRUE(batch.empty());
+      break;
+    }
+    EXPECT_FALSE(batch.empty());  // true carries at least one row
+    EXPECT_LE(batch.size(), max_rows);
+    for (auto& [rid, row] : batch.rows) out.emplace_back(rid, std::move(row));
+  }
+  return out;
+}
+
+/// Every way to pull a cursor dry, by name: the row-at-a-time NextRef and
+/// Next, NextBatch at 1, 3 and the default 256 rows, and DrainRef. On any
+/// cursor type each must return the same rows in the same order.
+inline std::vector<std::pair<std::string, std::function<RowSet(TableCursor*)>>>
+PullMethods() {
+  return {
+      {"NextRef",
+       [](TableCursor* c) {
+         RowSet out;
+         RowId rid = 0;
+         const Row* row = nullptr;
+         while (c->NextRef(&rid, &row).value()) out.emplace_back(rid, *row);
+         return out;
+       }},
+      {"Next",
+       [](TableCursor* c) {
+         RowSet out;
+         RowId rid = 0;
+         Row row;
+         while (c->Next(&rid, &row).value()) out.emplace_back(rid, row);
+         return out;
+       }},
+      {"NextBatch(1)", [](TableCursor* c) { return BatchDrain(c, 1); }},
+      {"NextBatch(3)", [](TableCursor* c) { return BatchDrain(c, 3); }},
+      {"NextBatch(default)",
+       [](TableCursor* c) { return BatchDrain(c, RowBatch::kDefaultRows); }},
+      {"DrainRef",
+       [](TableCursor* c) {
+         RowSet out;
+         Status st = c->DrainRef([&](RowId rid, const Row& row) {
+           out.emplace_back(rid, row);
+           return true;
+         });
+         EXPECT_TRUE(st.ok()) << st.ToString();
+         return out;
+       }},
+  };
 }
 
 /// Shorthand for gtest assertions on Status / StatusOr.

@@ -12,9 +12,12 @@
 namespace youtopia {
 namespace {
 
+using testing::BatchDrain;
 using testing::EngineFixture;
 using testing::LookupRids;
+using testing::PullMethods;
 using testing::RangeRids;
+using testing::RowSet;
 
 Schema KV() {
   return Schema({{"k", TypeId::kInt64}, {"v", TypeId::kString}});
@@ -833,8 +836,6 @@ TEST(WalRecordTest, EncodeDecodeRoundTripAllTypes) {
 // --- read-committed early release, and the differential guarantee under
 // --- concurrent writers.
 
-using RowSet = std::vector<std::pair<RowId, Row>>;
-
 RowSet HeapSnapshot(Table* t) {
   RowSet out;
   t->Scan([&](RowId rid, const Row& row) {
@@ -1038,8 +1039,7 @@ TEST(CursorDrainTest, ScanCursorSecondDrainIsEmpty) {
        {IsolationLevel::kFullEntangled, IsolationLevel::kSnapshot}) {
     SCOPED_TRACE(IsolationLevelName(level));
     auto txn = fix.tm->Begin(level);
-    // DrainRef fast path first (zero-copy when locking, chunked on a
-    // snapshot).
+    // DrainRef first, then pulls on the drained cursor.
     ASSERT_OK_AND_ASSIGN(auto c1,
                          fix.tm->OpenCursor(txn.get(), "T",
                                             AccessPlan::TableScan(),
@@ -1131,25 +1131,9 @@ TEST(CursorDrainTest, IndexAndRangeCursorsSecondDrainIsEmpty) {
   ASSERT_OK(fix.tm->Commit(txn.get()));
 }
 
-// --- NextBatch: the batched pull must agree exactly with the scalar pull
-// on every cursor type, at any pacing, and honor the batch contract (a
-// true return carries rows; exhaustion is false + empty, repeatably).
-
-RowSet BatchDrain(TableCursor* cursor, size_t max_rows) {
-  RowSet out;
-  RowBatch batch;
-  while (true) {
-    StatusOr<bool> more = cursor->NextBatch(&batch, max_rows);
-    EXPECT_OK(more.status());
-    if (!more.ok() || !more.value()) {
-      EXPECT_TRUE(batch.empty());
-      break;
-    }
-    EXPECT_FALSE(batch.empty());  // true carries at least one row
-    for (auto& [rid, row] : batch.rows) out.emplace_back(rid, std::move(row));
-  }
-  return out;
-}
+// --- NextBatch: the one pull every cursor implements must return every row
+// at any max_rows and honor the batch contract (a true return carries
+// 1..max_rows rows; exhaustion is false + empty, repeatably).
 
 TEST(BatchCursorTest, HeapScanBatchesMatchScalarPulls) {
   EngineFixture fix;
@@ -1180,10 +1164,10 @@ TEST(BatchCursorTest, HeapScanBatchesMatchScalarPulls) {
   ASSERT_OK(fix.tm->Commit(txn.get()));
 }
 
-TEST(BatchCursorTest, MaxRowsIsAPacingTargetNotACap) {
-  // Tiny max_rows: a cursor holding an already-materialized chunk may hand
-  // it over whole rather than split it, so per-batch sizes can exceed the
-  // target — only the union is contractual.
+TEST(BatchCursorTest, MaxRowsIsAHardCap) {
+  // A max_rows below the chunk size splits the heap scan's materialized
+  // 256-row chunks; one above it gets chunks whole. Every size returns the
+  // whole heap, and BatchDrain checks every batch against the cap.
   EngineFixture fix;
   ASSERT_OK(fix.tm->CreateTable("T", KV()).status());
   auto setup = fix.tm->Begin();
@@ -1294,40 +1278,7 @@ TEST(HeapScanTest, AllPullMethodsAgreeUnderLocksAndSnapshots) {
   const RowSet latest = HeapSnapshot(table);
   ASSERT_EQ(latest.size(), at_snapshot.size() + RowBatch::kDefaultRows + 10);
 
-  const std::vector<
-      std::pair<const char*, std::function<RowSet(TableCursor*)>>>
-      methods = {
-          {"NextRef",
-           [](TableCursor* c) {
-             RowSet out;
-             RowId rid = 0;
-             const Row* row = nullptr;
-             while (c->NextRef(&rid, &row).value()) out.emplace_back(rid, *row);
-             return out;
-           }},
-          {"Next",
-           [](TableCursor* c) {
-             RowSet out;
-             RowId rid = 0;
-             Row row;
-             while (c->Next(&rid, &row).value()) out.emplace_back(rid, row);
-             return out;
-           }},
-          {"NextBatch(1)", [](TableCursor* c) { return BatchDrain(c, 1); }},
-          {"NextBatch(default)",
-           [](TableCursor* c) {
-             return BatchDrain(c, RowBatch::kDefaultRows);
-           }},
-          {"DrainRef",
-           [](TableCursor* c) {
-             RowSet out;
-             EXPECT_OK(c->DrainRef([&](RowId rid, const Row& row) {
-               out.emplace_back(rid, row);
-               return true;
-             }));
-             return out;
-           }},
-      };
+  const auto methods = PullMethods();
   auto locking = fix.tm->Begin(IsolationLevel::kSerializable);
   for (const auto& [name, pull] : methods) {
     ASSERT_OK_AND_ASSIGN(auto locked,
