@@ -760,7 +760,7 @@ struct GroupCommitStack {
   uint64_t commits0 = 0, flushes0 = 0;
   HistogramSnapshot commit_hist0;
 
-  explicit GroupCommitStack(bool group_commit) {
+  explicit GroupCommitStack(bool group_commit, bool sync_on_flush = false) {
     static std::atomic<int> seq{0};
     dir = (std::filesystem::temp_directory_path() /
            ("yt_bench_gc_" + std::to_string(::getpid()) + "_" +
@@ -770,6 +770,7 @@ struct GroupCommitStack {
     shard::Router::Options opts;
     opts.num_shards = 4;
     opts.dir = dir;
+    opts.sync_on_flush = sync_on_flush;
     router = shard::Router::Open(opts).value();
     Schema schema({{"id", TypeId::kInt64}, {"v", TypeId::kInt64}});
     schema.set_primary_key({0});
@@ -789,16 +790,14 @@ struct GroupCommitStack {
 std::unique_ptr<GroupCommitStack> g_gc_stack;  // NOLINT
 
 /// N threads each run autocommit single-row inserts against the durable
-/// router. With group commit on, concurrent committers ride one WAL flush
-/// — leader pacing (100 us) holds the batch window open, so throughput
-/// scales with committers while flushes_per_commit falls toward 1/N. The
+/// router. With group commit on, committers that arrive during a flush ride
+/// the next one, so flushes_per_commit falls as committers contend. The
 /// Solo ablation performs a flush per commit at any thread count. (The
 /// smoke tree runs fflush-only; under sync_on_flush the flush dominates
 /// and the counter gap becomes the wall-clock gap.)
 void GroupCommitBody(benchmark::State& state, bool group_commit) {
   if (state.thread_index() == 0) {
     g_gc_stack = std::make_unique<GroupCommitStack>(group_commit);
-    if (group_commit) g_gc_stack->router->set_group_commit_delay_micros(100);
   }
   for (auto _ : state) {
     GroupCommitStack& s = *g_gc_stack;
@@ -876,14 +875,15 @@ BENCHMARK(BM_GroupCommitSolo)
     ->Unit(benchmark::kMicrosecond);
 
 /// Arg(0) sessions of autocommit inserts through the SessionServer. The
-/// multiplexed variant serves them all on 2 worker threads (a blocked commit
-/// parks its ticket and the worker drives another session); the ThreadPer
-/// baseline spends one thread per session. Leader pacing is on (100 us) so
-/// the batch window is real in both.
-void ManySessionsBody(benchmark::State& state, bool thread_per_session) {
+/// multiplexed variant serves them all on 2 worker threads; the ThreadPer
+/// baseline spends one thread per session. A worker waits on its own
+/// commit's ticket, so batching comes from the workers that commit at once.
+/// The Sync variants fsync every flush (sync_on_flush): committers append
+/// while a leader's fsync runs, and the next flush covers them all.
+void ManySessionsBody(benchmark::State& state, bool thread_per_session,
+                      bool sync_on_flush) {
   const size_t sessions = static_cast<size_t>(state.range(0));
-  GroupCommitStack s(/*group_commit=*/true);
-  s.router->set_group_commit_delay_micros(100);
+  GroupCommitStack s(/*group_commit=*/true, sync_on_flush);
   sql::SessionServer server(
       s.router.get(),
       sql::SessionServer::Options{thread_per_session ? sessions : 2});
@@ -900,14 +900,18 @@ void ManySessionsBody(benchmark::State& state, bool thread_per_session) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(sessions));
-  state.counters["server_threads"] = static_cast<double>(server.num_threads());
-  state.counters["parked_runs"] = static_cast<double>(server.parked_runs());
-  state.counters["wal_flushes"] =
+  const double commits =
+      static_cast<double>(s.router->stats().commits.load() - s.commits0);
+  const double flushes =
       static_cast<double>(s.router->stats().wal_flushes.load() - s.flushes0);
+  state.counters["server_threads"] = static_cast<double>(server.num_threads());
+  state.counters["wal_flushes"] = flushes;
+  state.counters["flushes_per_commit"] = commits > 0 ? flushes / commits : 0.0;
 }
 
 void BM_ManySessions(benchmark::State& state) {
-  ManySessionsBody(state, /*thread_per_session=*/false);
+  ManySessionsBody(state, /*thread_per_session=*/false,
+                   /*sync_on_flush=*/false);
 }
 BENCHMARK(BM_ManySessions)
     ->Arg(8)
@@ -916,10 +920,29 @@ BENCHMARK(BM_ManySessions)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_ManySessionsThreadPer(benchmark::State& state) {
-  ManySessionsBody(state, /*thread_per_session=*/true);
+  ManySessionsBody(state, /*thread_per_session=*/true,
+                   /*sync_on_flush=*/false);
 }
 BENCHMARK(BM_ManySessionsThreadPer)
     ->Arg(8)
+    ->Arg(32)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_ManySessionsSync(benchmark::State& state) {
+  ManySessionsBody(state, /*thread_per_session=*/false,
+                   /*sync_on_flush=*/true);
+}
+BENCHMARK(BM_ManySessionsSync)
+    ->Arg(32)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_ManySessionsThreadPerSync(benchmark::State& state) {
+  ManySessionsBody(state, /*thread_per_session=*/true,
+                   /*sync_on_flush=*/true);
+}
+BENCHMARK(BM_ManySessionsThreadPerSync)
     ->Arg(32)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);

@@ -20,9 +20,10 @@
 # baseline fails the script (1.3x stays a warning — smoke boxes are noisy).
 # With --tsan, additionally builds a ThreadSanitizer tree (build-tsan) and
 # races the lock/txn/sql/shard/mvcc/storage/eq/group_commit/etxn/
-# integration/workload/repro_split/torture suites under it (lock_test
-# repeated 20 times; etxn_test and the MvccGc*, ProbeDifferentialTest.* and
-# GrounderProbeTest.* suites 10 times each) —
+# session_server/integration/workload/repro_split/torture suites under it
+# (lock_test repeated 20 times; etxn_test, session_server_test and the
+# MvccGc*, ProbeDifferentialTest.* and GrounderProbeTest.* suites 10 times
+# each) —
 # the key-range
 # lock conflict paths, concurrent heap scans under writers, the shard
 # router's parallel fanout drains + concurrent-writer differential,
@@ -31,7 +32,8 @@
 # its one mutation path, the bind-driven probe fetch shared by SQL joins
 # and grounding, locking-level grounding under concurrent writers,
 # the one commit path (CommitGroup) under concurrent committers sharing a
-# group-commit flush, the entangled engine's cross-thread edges (a run is
+# group-commit flush (appends racing the leader's fsync, and session-server
+# workers each waiting on their own commit's ticket), the entangled engine's cross-thread edges (a run is
 # single-threaded; Submit and handle waits race the scheduler thread, and
 # RunOnce races the auto scheduler), and the fault-injected crash-recover
 # cycles are all exercised by those binaries' concurrent tests.
@@ -241,7 +243,8 @@ if [[ "${tsan}" == 1 ]]; then
   cmake --build build-tsan -j \
         --target lock_test txn_test sql_test shard_test mvcc_test torture_test \
                  storage_test eq_test group_commit_test etxn_test \
-                 integration_test workload_test repro_split
+                 session_server_test integration_test workload_test \
+                 repro_split
   # The lock manager's grant/wait races are timing-dependent: repeat them.
   echo "== tsan: lock_test (x20)"
   ./build-tsan/lock_test --gtest_repeat=20
@@ -255,6 +258,10 @@ if [[ "${tsan}" == 1 ]]; then
   # engine suite.
   echo "== tsan: etxn_test (x10)"
   ./build-tsan/etxn_test --gtest_repeat=10
+  # Session-server workers commit concurrently into shared group-commit
+  # flushes, with appends racing the leader's fsync: repeat the suite.
+  echo "== tsan: session_server_test (x10)"
+  ./build-tsan/session_server_test --gtest_repeat=10
   # Inline version GC drains race snapshot registration and each other:
   # repeat the GC suite (the registration/horizon race test included).
   echo "== tsan: mvcc_test MvccGc* (x10)"

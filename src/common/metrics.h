@@ -136,10 +136,8 @@ class Histogram {
 
 /// Monotonic per-thread accumulators the blocking layers bump (lock waits,
 /// flush waits). A statement snapshots them on entry and reads the delta on
-/// exit to attribute where its latency went. Monotonic on purpose: a parked
-/// worker running ANOTHER session's statement mid-wait adds that statement's
-/// waits to the same thread totals — deltas may over-attribute under
-/// park-don't-block, never lose or reset each other.
+/// exit to attribute where its latency went. Monotonic on purpose: a delta
+/// never resets what another snapshot on the same thread will read.
 struct ThreadOpStats {
   int64_t lock_wait_micros = 0;
   int64_t flush_wait_micros = 0;

@@ -329,17 +329,6 @@ void Router::set_group_commit_enabled(bool on) {
   if (coord_wal_ != nullptr) coord_wal_->set_group_commit_enabled(on);
 }
 
-void Router::set_group_commit_delay_micros(int64_t micros) {
-  for (Shard& sh : shards_) {
-    if (sh.wal != nullptr) {
-      sh.wal->group_commit()->set_max_batch_delay_micros(micros);
-    }
-  }
-  if (coord_wal_ != nullptr) {
-    coord_wal_->group_commit()->set_max_batch_delay_micros(micros);
-  }
-}
-
 bool Router::group_commit_enabled() const {
   if (coord_wal_ != nullptr) return coord_wal_->group_commit_enabled();
   for (const Shard& sh : shards_) {

@@ -138,11 +138,6 @@ class Router : public TxnEngine {
   void set_group_commit_enabled(bool on);
   bool group_commit_enabled() const;
 
-  /// Group-commit pacing: the leader lingers up to `micros` before its batch
-  /// flush so more concurrent committers can ride it. Fans to every shard
-  /// WAL and the coordinator decision log. 0 (the default) = no lingering.
-  void set_group_commit_delay_micros(int64_t micros);
-
   /// MVCC ablation: toggles snapshot reads on the coordinator and on every
   /// shard manager at once, so a cross-shard read either uses one
   /// timestamped cut per shard (on) or the classical locking path (off).

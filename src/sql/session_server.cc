@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/metrics.h"
-#include "src/wal/group_commit.h"
 
 namespace youtopia::sql {
 
@@ -11,7 +10,6 @@ namespace {
 
 struct ServerMetricHandles {
   Gauge* queue_depth;  ///< submitted-not-finished statements (+ high water)
-  Counter* park_runs;
   Counter* served;
 };
 
@@ -19,18 +17,10 @@ const ServerMetricHandles& ServerMetrics() {
   static const ServerMetricHandles h = [] {
     MetricsRegistry* r = MetricsRegistry::Global();
     return ServerMetricHandles{r->gauge("sql.server.queue_depth"),
-                               r->counter("sql.server.park_runs"),
                                r->counter("sql.server.statements_served")};
   }();
   return h;
 }
-
-/// Re-entrancy bound for park work: a parked commit may run a statement
-/// whose own commit parks again. Each level pins a suspended statement's
-/// stack frame, so cap it well before anything interesting happens to the
-/// thread's stack.
-constexpr int kMaxParkDepth = 8;
-thread_local int park_depth = 0;
 
 }  // namespace
 
@@ -76,9 +66,10 @@ size_t SessionServer::num_sessions() const {
 void SessionServer::Submit(SessionId id, std::string sql,
                            ResultCallback done) {
   {
-    std::lock_guard<std::mutex> g(mu_);
+    std::unique_lock<std::mutex> g(mu_);
     auto it = states_.find(id);
     if (it == states_.end()) {
+      g.unlock();  // the callback may call back into the server
       if (done) {
         done(Status::InvalidArgument("unknown session " + std::to_string(id)));
       }
@@ -147,31 +138,13 @@ void SessionServer::RunNext(std::unique_lock<std::mutex>& g) {
   if (--pending_ == 0) drain_cv_.notify_all();
 }
 
-bool SessionServer::ParkWork() {
-  if (park_depth >= kMaxParkDepth) return false;
-  // try_to_lock: the hook runs deep inside a commit — never risk waiting on
-  // a server that is busy; the caller falls back to a bounded cv wait.
-  std::unique_lock<std::mutex> g(mu_, std::try_to_lock);
-  if (!g.owns_lock() || stop_ || ready_.empty()) return false;
-  ++park_depth;
-  parked_runs_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_enabled()) ServerMetrics().park_runs->Add();
-  RunNext(g);
-  --park_depth;
-  return true;
-}
-
 void SessionServer::WorkerLoop() {
-  std::function<bool()> park = [this] { return ParkWork(); };
-  GroupCommitQueue::SetThreadParkWork(&park);
   std::unique_lock<std::mutex> g(mu_);
   while (true) {
     cv_.wait(g, [&] { return stop_ || !ready_.empty(); });
     if (stop_) break;
     RunNext(g);
   }
-  g.unlock();
-  GroupCommitQueue::SetThreadParkWork(nullptr);
 }
 
 }  // namespace youtopia::sql

@@ -27,20 +27,19 @@ namespace youtopia::sql {
 /// host variables, and (through the pull-based cursor seam) any suspended
 /// statement is an open TableCursor waiting for its next pull.
 ///
-/// Park-don't-block: each worker installs a GroupCommitQueue park-work hook.
-/// When a session's commit ticket waits for the group flush, the worker runs
-/// OTHER ready sessions' statements instead of sleeping — their commits pile
-/// into the very batch the first ticket is waiting on. Nesting is depth-
-/// capped, and a nested statement that blocks on the parked transaction's
-/// locks is broken by the ordinary lock timeout.
+/// A worker whose statement commits waits on that commit's own durability
+/// ticket; it runs no other statement meanwhile. Commits from the other
+/// workers pile into the same group-commit batch, so batching grows with the
+/// number of workers that commit at once.
 class SessionServer {
  public:
   struct Options {
     size_t num_threads = 2;
   };
   using SessionId = uint64_t;
-  /// Invoked (on a worker thread, no server lock held) when the statement
-  /// finishes. Must not call Drain() or ExecuteSync() on this server.
+  /// Invoked with no server lock held when the statement finishes: on a
+  /// worker thread, or on the submitting thread for an unknown session.
+  /// Must not call Drain() or ExecuteSync() on this server.
   using ResultCallback = std::function<void(const StatusOr<QueryResult>&)>;
 
   SessionServer(TxnEngine* engine, Options options);
@@ -72,11 +71,6 @@ class SessionServer {
   uint64_t statements_served() const {
     return served_.load(std::memory_order_relaxed);
   }
-  /// Statements run by a worker while one of its commits was parked in the
-  /// group-commit queue — the park-don't-block rule observable.
-  uint64_t parked_runs() const {
-    return parked_runs_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct SessionState {
@@ -91,8 +85,6 @@ class SessionServer {
   /// Pops the front ready session and runs its next statement. Caller holds
   /// `g` (released during execution, re-held on return).
   void RunNext(std::unique_lock<std::mutex>& g);
-  /// Park-work hook body: runs one ready statement if any, non-blocking.
-  bool ParkWork();
 
   TxnEngine* engine_;
   mutable std::mutex mu_;
@@ -104,7 +96,6 @@ class SessionServer {
   uint64_t pending_ = 0;  ///< submitted, not yet finished
   bool stop_ = false;
   std::atomic<uint64_t> served_{0};
-  std::atomic<uint64_t> parked_runs_{0};
   std::vector<std::thread> threads_;
 };
 

@@ -12,15 +12,9 @@ namespace youtopia {
 
 namespace {
 
-/// The park-work hook is per serving thread: a SessionServer worker installs
-/// its own closure on entry and clears it on exit, so a follower blocked in
-/// WaitForDurable on THIS thread can drive other sessions of the same server.
-thread_local std::function<bool()>* tls_park_work = nullptr;
-
 struct GroupCommitMetricHandles {
   Histogram* wait_micros;     ///< full WaitForDurable (ticket to resolution)
   Histogram* batch_records;   ///< LSNs covered per leader flush
-  Histogram* linger_micros;   ///< pacing leader's linger before flushing
 };
 
 const GroupCommitMetricHandles& GcMetrics() {
@@ -28,8 +22,7 @@ const GroupCommitMetricHandles& GcMetrics() {
     MetricsRegistry* r = MetricsRegistry::Global();
     return GroupCommitMetricHandles{
         r->histogram("wal.group_commit_wait_micros"),
-        r->histogram("wal.batch_records"),
-        r->histogram("wal.leader_linger_micros")};
+        r->histogram("wal.batch_records")};
   }();
   return h;
 }
@@ -67,10 +60,6 @@ class FlushWaitRecorder {
 
 }  // namespace
 
-void GroupCommitQueue::SetThreadParkWork(std::function<bool()>* work) {
-  tls_park_work = work;
-}
-
 void GroupCommitQueue::ResetHorizon() {
   {
     std::lock_guard<std::mutex> g(mu_);
@@ -97,11 +86,8 @@ Status GroupCommitQueue::FlushBatch() {
 Status GroupCommitQueue::WaitForDurable(uint64_t lsn) {
   waits_.fetch_add(1, std::memory_order_relaxed);
   FlushWaitRecorder wait_recorder;
-  std::function<bool()>* park = tls_park_work;
   std::unique_lock<std::mutex> g(mu_);
   const uint64_t entry_epoch = epoch_;
-  ++waiters_;
-  cv_.notify_all();  // a pacing leader counts waiters toward its batch
   for (;;) {
     // Epoch first: a re-anchor (decision-log GC rewrite, recovery reopen)
     // happened while we waited. Our LSN means nothing in the new sequence
@@ -109,105 +95,47 @@ Status GroupCommitQueue::WaitForDurable(uint64_t lsn) {
     // the old log was made durable before the reset, so the ticket IS
     // durable. Waiting any longer would hang forever against a horizon
     // that restarted below us.
-    if (epoch_ != entry_epoch) {
-      --waiters_;
-      return Status::Ok();
-    }
+    if (epoch_ != entry_epoch) return Status::Ok();
     // Failure next: if a flush attempt covered our LSN and failed, our
     // durability is unknowable — report it even if a later retry succeeded
     // (conservative: the caller never acked, recovery replays or drops).
-    if (lsn <= failed_lsn_) {
-      --waiters_;
-      return failed_status_;
+    if (lsn <= failed_lsn_) return failed_status_;
+    if (lsn <= durable_lsn_) return Status::Ok();
+    if (leader_active_) {
+      // Follower: the leader's notify wakes us. The bounded wait doubles as
+      // a safety net against a wedged leader under the crash latch.
+      cv_.wait_for(g, std::chrono::milliseconds(1));
+      continue;
     }
-    if (lsn <= durable_lsn_) {
-      --waiters_;
-      return Status::Ok();
-    }
-    if (!leader_active_) {
-      // Leader election: first un-durable waiter with no flush in flight.
-      leader_active_ = true;
-      int64_t delay = max_delay_micros_.load(std::memory_order_relaxed);
-      bool lost_leadership = false;
-      int64_t linger_start = -1;
-      if (delay > 0) {
-        if (metrics_enabled()) {
-          linger_start = SystemClock::Default()->NowMicros();
+    // Leader election: first un-durable waiter with no flush in flight.
+    // Everything appended up to here is in the stdio buffer; one flush
+    // covers it all. Read the target before unlocking so we never claim
+    // durability for records appended during the flush itself.
+    leader_active_ = true;
+    const uint64_t target = wal_->last_lsn();
+    const uint64_t flush_epoch = epoch_;
+    g.unlock();
+    Status st = FlushBatch();
+    g.lock();
+    leader_active_ = false;
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    if (epoch_ == flush_epoch) {
+      // A re-anchor during the flush makes `target` meaningless in the
+      // new LSN sequence — recording it would mark unflushed new-epoch
+      // records durable. Discard; stale tickets resolve via the epoch.
+      if (st.ok()) {
+        if (metrics_enabled() && target > durable_lsn_) {
+          GcMetrics().batch_records->Record(
+              static_cast<int64_t>(target - durable_lsn_));
         }
-        // Pacing: linger so concurrent committers can append and enqueue —
-        // their records ride this flush instead of forcing their own. The
-        // lingering leader is idle capacity: run park work while waiting —
-        // but a parked statement may block indefinitely on ANOTHER queue's
-        // flush, and a blocked thread must never hold this queue's flush
-        // token (two queues whose leaders park into each other would
-        // deadlock). So hand leadership back before parking and re-elect
-        // after; if another waiter took over meanwhile, fall back to the
-        // outer loop and follow them.
-        auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::microseconds(delay);
-        uint64_t batch = max_batch_.load(std::memory_order_relaxed);
-        while (waiters_ < batch && std::chrono::steady_clock::now() < deadline) {
-          if (park != nullptr && *park) {
-            leader_active_ = false;
-            cv_.notify_all();
-            g.unlock();
-            bool did_work = (*park)();
-            g.lock();
-            if (lsn <= failed_lsn_ || lsn <= durable_lsn_ || leader_active_ ||
-                epoch_ != entry_epoch) {
-              lost_leadership = true;
-              break;
-            }
-            leader_active_ = true;
-            if (did_work) continue;
-          }
-          cv_.wait_until(g, deadline);
-        }
+        durable_lsn_ = std::max(durable_lsn_, target);
+      } else {
+        failed_lsn_ = std::max(failed_lsn_, target);
+        failed_status_ = st;
       }
-      if (lost_leadership) continue;  // outer loop rechecks our ticket
-      if (linger_start >= 0) {
-        GcMetrics().linger_micros->Record(
-            SystemClock::Default()->NowMicros() - linger_start);
-      }
-      // Everything appended up to here is in the stdio buffer; one flush
-      // covers it all. Read the target before unlocking so we never claim
-      // durability for records appended during the flush itself.
-      uint64_t target = wal_->last_lsn();
-      const uint64_t flush_epoch = epoch_;
-      g.unlock();
-      Status st = FlushBatch();
-      g.lock();
-      leader_active_ = false;
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      if (epoch_ == flush_epoch) {
-        // A re-anchor during the flush makes `target` meaningless in the
-        // new LSN sequence — recording it would mark unflushed new-epoch
-        // records durable. Discard; stale tickets resolve via the epoch.
-        if (st.ok()) {
-          if (metrics_enabled() && target > durable_lsn_) {
-            GcMetrics().batch_records->Record(
-                static_cast<int64_t>(target - durable_lsn_));
-          }
-          durable_lsn_ = std::max(durable_lsn_, target);
-        } else {
-          failed_lsn_ = std::max(failed_lsn_, target);
-          failed_status_ = st;
-        }
-      }
-      cv_.notify_all();
-      continue;  // loop re-checks durable/failed for our own ticket
     }
-    // Follower: park the ticket, not the thread. If the serving layer
-    // installed park work, run another session's statement; otherwise (or
-    // when no work is ready) sleep briefly. The bounded wait doubles as a
-    // safety net against a wedged leader under the crash latch.
-    if (park != nullptr && *park) {
-      g.unlock();
-      bool did_work = (*park)();
-      g.lock();
-      if (did_work) continue;
-    }
-    cv_.wait_for(g, std::chrono::milliseconds(1));
+    cv_.notify_all();
+    // Loop: re-check durable/failed for our own ticket.
   }
 }
 

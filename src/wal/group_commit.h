@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 
 #include "src/common/status.h"
@@ -18,23 +17,12 @@ class WalWriter;
 /// flush is in flight becomes the leader, performs ONE flush covering every
 /// record appended so far, and wakes everyone at-or-below the flushed LSN.
 /// Followers that pile up during a flush share the next one — batching is
-/// driven by contention, so the idle-path latency stays one flush deep.
-///
-/// Pacing knobs: `set_max_batch_delay_micros` makes the leader linger that
-/// long (or until `max_batch_size` tickets queue up) before flushing, trading
-/// latency for larger batches. The default delay is 0: no waiting, natural
-/// batching only.
-///
-/// Park-don't-block: a serving thread (sql::SessionServer) can install a
-/// thread-local park-work hook. A follower whose ticket is not yet durable
-/// runs the hook — e.g. executes another session's statement — instead of
-/// sleeping on the condition variable, and a PACING leader does the same
-/// while it lingers, so one thread keeps many sessions moving while their
-/// commits ride the same fsync. Parked work may itself commit, possibly on a
-/// different queue, and block there — so a thread NEVER holds leadership
-/// while parked: the lingering leader hands the token back before running
-/// the hook and re-elects (or follows the new leader) afterwards. A blocked
-/// thread holding the flush token is the one shape that deadlocks.
+/// driven by contention alone, so the idle-path latency stays one flush
+/// deep. WalWriter::Flush holds its append lock only for the fflush, not
+/// across the fsync, so under `sync_on_flush` committers keep appending
+/// while the leader's fsync runs and the next leader covers them all. A
+/// waiter only ever waits on its own ticket: the queue runs no other work
+/// inside a wait, so no thread holds the flush token while blocked elsewhere.
 ///
 /// Failure semantics: a failed batch flush (including the injected
 /// "wal.group_flush" fault site) marks every LSN the attempt covered as
@@ -66,26 +54,10 @@ class GroupCommitQueue {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  void set_max_batch_delay_micros(int64_t micros) {
-    max_delay_micros_.store(micros, std::memory_order_relaxed);
-  }
-  int64_t max_batch_delay_micros() const {
-    return max_delay_micros_.load(std::memory_order_relaxed);
-  }
-  void set_max_batch_size(uint64_t n) {
-    max_batch_.store(n, std::memory_order_relaxed);
-  }
-
   /// Leader flushes performed / tickets served — batching visibility
   /// (batches() << waits() means the fsync is being shared).
   uint64_t batches() const { return batches_.load(std::memory_order_relaxed); }
   uint64_t waits() const { return waits_.load(std::memory_order_relaxed); }
-
-  /// Installs (or clears, with nullptr) the calling thread's park-work hook.
-  /// The hook should run one unit of useful work and return true, or return
-  /// false immediately when none is available. It is invoked without any
-  /// queue lock held and may itself commit (re-entering WaitForDurable).
-  static void SetThreadParkWork(std::function<bool()>* work);
 
  private:
   Status FlushBatch();
@@ -97,11 +69,8 @@ class GroupCommitQueue {
   uint64_t failed_lsn_ = 0;   ///< highest LSN covered by a failed flush
   Status failed_status_ = Status::Ok();
   uint64_t epoch_ = 0;  ///< bumped by ResetHorizon; horizons don't cross it
-  bool leader_active_ = false;  ///< a leader is lingering or flushing
-  uint64_t waiters_ = 0;
+  bool leader_active_ = false;  ///< a leader's flush is in flight
   std::atomic<bool> enabled_{true};
-  std::atomic<int64_t> max_delay_micros_{0};
-  std::atomic<uint64_t> max_batch_{64};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> waits_{0};
 };

@@ -121,7 +121,8 @@ uint64_t WalWriter::last_lsn() const {
 }
 
 Status WalWriter::Flush() {
-  std::lock_guard<std::mutex> g(mu_);
+  std::lock_guard<std::mutex> sync(sync_mu_);
+  std::unique_lock<std::mutex> g(mu_);
   if (file_ == nullptr) return Status::Internal("WAL not open");
   FaultInjector* fi = FaultInjector::Global();
   if (fi->enabled()) {
@@ -133,10 +134,12 @@ Status WalWriter::Flush() {
   }
   LatencyTimer timer(FlushLatencyHist());
   if (std::fflush(file_) != 0) return Status::Corruption("WAL flush failed");
-  if (options_.sync_on_flush) {
-    if (fsync(fileno(file_)) != 0) {
-      return Status::Corruption("WAL fsync failed");
-    }
+  const bool sync_on_flush = options_.sync_on_flush;
+  const int fd = fileno(file_);
+  // Appends may proceed during the fsync; sync_mu_ keeps the file open.
+  g.unlock();
+  if (sync_on_flush && fsync(fd) != 0) {
+    return Status::Corruption("WAL fsync failed");
   }
   if (timer.active()) FlushesCounter()->Add();
   if (auto* counter = flush_counter_.load(std::memory_order_acquire)) {
@@ -146,6 +149,7 @@ Status WalWriter::Flush() {
 }
 
 Status WalWriter::Close() {
+  std::lock_guard<std::mutex> sync(sync_mu_);
   std::lock_guard<std::mutex> g(mu_);
   if (file_ == nullptr) return Status::Ok();
   if (FaultInjector::Global()->crashed()) {
@@ -163,6 +167,7 @@ Status WalWriter::Close() {
 Status WalWriter::ResetWithCheckpoint(const std::string& checkpoint_path) {
   uint64_t lsn_snapshot;
   {
+    std::lock_guard<std::mutex> sync(sync_mu_);
     std::lock_guard<std::mutex> g(mu_);
     if (file_ == nullptr) return Status::Internal("WAL not open");
     std::fflush(file_);

@@ -15,6 +15,9 @@ namespace youtopia {
 /// [u32 payload_len][u32 crc32(payload)][payload]. Appends buffer in
 /// userspace; Flush() pushes to the OS (and fsyncs when `sync_on_flush`).
 /// Thread-safe: the transaction manager appends from many connections.
+/// Appends and the fflush share one lock; the fsync runs under a separate
+/// sync lock, so appends proceed while the device syncs (lock order: sync,
+/// then append).
 ///
 /// Fault-injection sites (src/common/fault.h): "wal.append" (append
 /// failure before any byte is written), "wal.append.torn" (short write — a
@@ -92,6 +95,7 @@ class WalWriter {
   }
 
  private:
+  std::mutex sync_mu_;  ///< serialises flushes; held to close or swap file_
   mutable std::mutex mu_;
   std::FILE* file_ = nullptr;
   std::string path_;

@@ -1,6 +1,6 @@
-// WAL group commit: ticket/leader protocol, pacing, park-work, the
-// read-only flush skip, fault-site coverage, and the durability contract —
-// an acked commit survives a crash latch dropped immediately after the ack.
+// WAL group commit: ticket/leader protocol, the read-only flush skip,
+// fault-site coverage, and the durability contract — an acked commit
+// survives a crash latch dropped immediately after the ack.
 
 #include <gtest/gtest.h>
 
@@ -91,16 +91,14 @@ class GroupCommitTest : public ::testing::Test {
 
 // --- Queue-level protocol. ------------------------------------------------
 
-TEST_F(GroupCommitTest, PacedLeaderCoversConcurrentAppendsWithOneFlush) {
+TEST_F(GroupCommitTest, LeaderCoversEveryEarlierAppendWithOneFlush) {
   WalWriter wal;
   ASSERT_OK(wal.Open(dir_ + "/wal.log", WalWriter::Options{},
                      /*truncate=*/true));
   GroupCommitQueue* q = wal.group_commit();
-  q->set_max_batch_delay_micros(500'000);  // generous: never flaky, only slow
-  q->set_max_batch_size(4);
 
   // All four append BEFORE anyone waits, so the elected leader's one flush
-  // must cover every ticket (pacing holds it until all 4 are queued).
+  // must cover every ticket: its target is the last LSN at election.
   constexpr int kThreads = 4;
   std::vector<uint64_t> lsns(kThreads);
   for (int i = 0; i < kThreads; ++i) {
@@ -125,64 +123,36 @@ TEST_F(GroupCommitTest, PacedLeaderCoversConcurrentAppendsWithOneFlush) {
 }
 
 TEST_F(GroupCommitTest, ManyCommittersAllDurableFlushesShared) {
-  WalWriter wal;
-  ASSERT_OK(wal.Open(dir_ + "/wal.log", WalWriter::Options{},
-                     /*truncate=*/true));
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 200;
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        TxnId id = static_cast<TxnId>(t * kPerThread + i + 1);
-        if (!wal.AppendAndFlush(WalRecord::Commit(id)).ok()) {
-          failures.fetch_add(1);
+  // Also under fsync: committers append while the leader's fsync runs.
+  for (bool sync_on_flush : {false, true}) {
+    SCOPED_TRACE("sync_on_flush=" + std::to_string(sync_on_flush));
+    WalWriter wal;
+    ASSERT_OK(wal.Open(dir_ + "/wal.log", WalWriter::Options{sync_on_flush},
+                       /*truncate=*/true));
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 200;
+    std::vector<std::thread> threads;
+    std::atomic<int> failures{0};
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          TxnId id = static_cast<TxnId>(t * kPerThread + i + 1);
+          if (!wal.AppendAndFlush(WalRecord::Commit(id)).ok()) {
+            failures.fetch_add(1);
+          }
         }
-      }
-    });
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    GroupCommitQueue* q = wal.group_commit();
+    EXPECT_EQ(q->waits(), static_cast<uint64_t>(kThreads * kPerThread));
+    EXPECT_LE(q->batches(), q->waits());
+    ASSERT_OK(wal.Close());
+    ASSERT_OK_AND_ASSIGN(WalReader::Result log,
+                         WalReader::ReadAll(dir_ + "/wal.log"));
+    EXPECT_EQ(log.records.size(), static_cast<size_t>(kThreads * kPerThread));
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  GroupCommitQueue* q = wal.group_commit();
-  EXPECT_EQ(q->waits(), static_cast<uint64_t>(kThreads * kPerThread));
-  EXPECT_LE(q->batches(), q->waits());
-  ASSERT_OK(wal.Close());
-  ASSERT_OK_AND_ASSIGN(WalReader::Result log,
-                       WalReader::ReadAll(dir_ + "/wal.log"));
-  EXPECT_EQ(log.records.size(), static_cast<size_t>(kThreads * kPerThread));
-}
-
-TEST_F(GroupCommitTest, FollowerRunsParkWorkInsteadOfSleeping) {
-  WalWriter wal;
-  ASSERT_OK(wal.Open(dir_ + "/wal.log", WalWriter::Options{},
-                     /*truncate=*/true));
-  GroupCommitQueue* q = wal.group_commit();
-  q->set_max_batch_delay_micros(300'000);
-  q->set_max_batch_size(1000);  // only the delay ends the leader's pacing
-
-  ASSERT_OK_AND_ASSIGN(uint64_t lsn1, wal.Append(WalRecord::Commit(1)));
-  std::thread leader([&] { ASSERT_OK(wal.SyncToLsn(lsn1)); });
-  // Give the leader time to take leadership and start pacing.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  std::atomic<uint64_t> park_calls{0};
-  std::thread follower([&] {
-    std::function<bool()> park = [&] {
-      park_calls.fetch_add(1);
-      return false;  // "no ready work": the follower falls back to waiting
-    };
-    GroupCommitQueue::SetThreadParkWork(&park);
-    auto lsn2 = wal.Append(WalRecord::Commit(2));
-    ASSERT_OK(lsn2.status());
-    ASSERT_OK(wal.SyncToLsn(lsn2.value()));
-    GroupCommitQueue::SetThreadParkWork(nullptr);
-  });
-  leader.join();
-  follower.join();
-  // The follower was blocked behind the pacing leader and offered its
-  // cycles to the park hook instead of only sleeping.
-  EXPECT_GE(park_calls.load(), 1u);
 }
 
 // --- Fault site + failure semantics. --------------------------------------

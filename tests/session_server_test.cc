@@ -1,7 +1,6 @@
 // SessionServer: a small thread pool drives many sql::Sessions. Statements
 // of one session run in submission order; sessions far outnumber threads;
-// a session blocked in group commit parks its ticket and the worker drives
-// other sessions meanwhile.
+// workers that commit at once share group-commit flushes.
 
 #include <gtest/gtest.h>
 
@@ -125,20 +124,39 @@ TEST_F(SessionServerTest, UnknownSessionReportsError) {
   EXPECT_FALSE(out.ok());
 }
 
-TEST_F(SessionServerTest, CommitsParkAndRideSharedFlushes) {
-  // Durable sharded engine, sessions >> threads, every statement a write
-  // commit: workers blocked in group commit must keep serving (parked runs),
-  // and the flush count lands well under the commit count.
+TEST_F(SessionServerTest, UnknownSessionCallbackMayCallIntoServer) {
+  // The error callback runs with no server lock held, so it may call back
+  // into the server without deadlocking.
+  Database db;
+  LockManager locks;
+  TransactionManager tm(&db, &locks, /*wal=*/nullptr);
+  SessionServer server(&tm, SessionServer::Options{/*num_threads=*/1});
+  server.OpenSession();
+  bool failed = false;
+  size_t sessions_seen = 0;
+  server.Submit(999, "SELECT 1", [&](const StatusOr<sql::QueryResult>& r) {
+    failed = !r.ok();
+    sessions_seen = server.num_sessions();
+  });
+  EXPECT_TRUE(failed);
+  EXPECT_EQ(sessions_seen, 1u);
+}
+
+TEST_F(SessionServerTest, WorkerPerSessionCommitsShareFsyncs) {
+  // Durable sharded engine with a real fsync per flush, a worker per
+  // session, every statement a write commit: committers append while a
+  // leader's fsync runs, so the flush count lands well under the commit
+  // count.
   Router::Options opts;
   opts.num_shards = 4;
   opts.dir = dir_ + "/router";
+  opts.sync_on_flush = true;
   ASSERT_OK_AND_ASSIGN(auto r, Router::Open(opts));
   ASSERT_OK(r->CreateTable("acct", AcctSchema()).status());
-  r->set_group_commit_delay_micros(200);
 
   constexpr int kSessions = 16;
   constexpr int kPerSession = 6;
-  SessionServer server(r.get(), SessionServer::Options{/*num_threads=*/2});
+  SessionServer server(r.get(), SessionServer::Options{kSessions});
   std::vector<SessionServer::SessionId> ids;
   for (int s = 0; s < kSessions; ++s) ids.push_back(server.OpenSession());
 
@@ -159,7 +177,7 @@ TEST_F(SessionServerTest, CommitsParkAndRideSharedFlushes) {
   EXPECT_EQ(failures.load(), 0);
   uint64_t commits = static_cast<uint64_t>(kSessions * kPerSession);
   EXPECT_EQ(server.statements_served(), commits);
-  // With 2 threads and pacing, concurrent committers must share flushes.
+  // Concurrent committers must share flushes.
   EXPECT_LT(r->stats().wal_flushes.load() - flushes_before, commits);
 
   ASSERT_OK_AND_ASSIGN(

@@ -21,8 +21,10 @@
 //   YT_TORTURE_BUDGET_S  wall-clock budget; the cycle loop stops early
 //   YT_TORTURE_GROUP_COMMIT  1/0 forces WAL group commit on/off for every
 //                        cycle; unset = per-cycle coin flip (both paths get
-//                        torn/killed in a default run), with random leader
-//                        pacing delays layered on the enabled cycles
+//                        torn/killed in a default run). Group-commit cycles
+//                        flip another coin for sync_on_flush: a real fsync
+//                        holds the multi-waiter batch window open while the
+//                        other workers append. Each cycle prints its choice.
 
 #include <gtest/gtest.h>
 
@@ -451,8 +453,19 @@ class TortureHarness {
     // per-shard waits-for graphs; the timeout is what breaks them, and
     // the torture loop needs it to break them fast.
     opts.lock_timeout_micros = 50'000;
+    opts.sync_on_flush = sync_on_flush_;
     return opts;
   }
+
+  /// Draws the next cycle's WAL policy. Call it before opening or
+  /// recovering the router that runs the cycle: sync_on_flush is fixed when
+  /// the WALs open. `forced_gc` is YT_TORTURE_GROUP_COMMIT (<0: coin flip).
+  void PlanCycle(int forced_gc) {
+    gc_on_ = forced_gc < 0 ? rng_.Bernoulli(0.5) : forced_gc != 0;
+    sync_on_flush_ = gc_on_ && rng_.Bernoulli(0.5);
+  }
+  bool gc_on() const { return gc_on_; }
+  bool sync_on_flush() const { return sync_on_flush_; }
 
   /// Cycle 0: fresh engine, schema, initial balances (no faults armed).
   std::unique_ptr<Router> OpenFresh() {
@@ -728,6 +741,8 @@ class TortureHarness {
   Rng rng_;
   int threads_;
   int txns_;
+  bool gc_on_ = true;
+  bool sync_on_flush_ = false;
   std::atomic<int64_t> next_tid_{1};
   std::set<int64_t> committed_;
   std::set<int64_t> aborted_;
@@ -758,6 +773,7 @@ TEST(TortureTest, RandomizedCrashRecoverCycles) {
   TortureHarness h(dir, seed, threads, txns);
 
   const auto start = std::chrono::steady_clock::now();
+  h.PlanCycle(group_commit);
   std::unique_ptr<Router> r = h.OpenFresh();
   int done = 0;
   for (int cycle = 0; cycle < cycles; ++cycle) {
@@ -773,13 +789,11 @@ TEST(TortureTest, RandomizedCrashRecoverCycles) {
 
     // Group commit on/off per cycle (forced via env, coin flip otherwise):
     // both the batched and the flush-per-commit path take every fault and
-    // every kill. Enabled cycles sometimes add leader pacing so the
+    // every kill. Group-commit cycles sometimes fsync every flush, so the
     // multi-waiter batch window is actually open when the crash lands.
-    const bool gc_on =
-        group_commit < 0 ? h.rng().Bernoulli(0.5) : group_commit != 0;
-    r->set_group_commit_enabled(gc_on);
-    r->set_group_commit_delay_micros(
-        gc_on && h.rng().Bernoulli(0.5) ? h.rng().Uniform(50, 500) : 0);
+    std::printf("torture: cycle %d group_commit=%s sync_on_flush=%s\n", cycle,
+                h.gc_on() ? "on" : "off", h.sync_on_flush() ? "on" : "off");
+    r->set_group_commit_enabled(h.gc_on());
 
     h.ArmCycleFault();
     h.RunWorkers(r.get());
@@ -789,6 +803,7 @@ TEST(TortureTest, RandomizedCrashRecoverCycles) {
     if (!fi->crashed()) fi->ForceCrash("torture.kill");
     r.reset();  // WAL buffers are discarded, not flushed
     fi->Reset();
+    h.PlanCycle(group_commit);  // the next cycle runs on the router below
 
     // Sometimes crash recovery itself before letting it finish.
     if (h.rng().Bernoulli(0.3)) {
