@@ -178,9 +178,11 @@ void EntangledTransactionEngine::Resolve(const PoolEntry& e, Outcome o,
 bool EntangledTransactionEngine::ExpireIfDue(const PoolEntry& e, int64_t now,
                                              RunReport* report) {
   if (now < e.deadline_micros) return false;
+  const char* what = e.spec->NumEntangledQueries() > 0
+                         ? "' timed out waiting for partners"
+                         : "' timed out";
   Resolve(e, Outcome::kTimedOut, report,
-          Status::TimedOut("entangled transaction '" + e.spec->name +
-                           "' timed out waiting for partners"));
+          Status::TimedOut("entangled transaction '" + e.spec->name + what));
   return true;
 }
 
@@ -287,14 +289,6 @@ void EntangledTransactionEngine::Settle(RunState* run, Participant* p,
 EntangledTransactionEngine::PState
 EntangledTransactionEngine::ExecuteStatement(Participant* p,
                                              const Statement& stmt) {
-  if (stmt.kind == Statement::Kind::kNative) {
-    ExecContext ctx(&executor_, p->txn.get(), &p->vars);
-    Status s = stmt.native(ctx);
-    if (s.ok()) return PState::kRunning;
-    p->final_status = s;  // native failures are application-level: permanent
-    return PState::kFailed;
-  }
-
   const sql::ParsedStatement& parsed = *stmt.parsed;
   switch (parsed.kind) {
     case sql::StatementKind::kEntangledSelect: {
@@ -385,9 +379,9 @@ bool EntangledTransactionEngine::EvaluatePending(RunState* run,
     EntanglementId first =
         next_eid_.fetch_add(items.size(), std::memory_order_relaxed);
     result = eq::Coordinator::Evaluate(items, first);
-    // Make the entanglement persistent (ENTANGLE WAL record) and visible to
-    // the schedule recorder. A non-transactional member's grounding
-    // transaction stands in for it.
+    // Report each entanglement to the schedule observer; the group's one
+    // commit decision, not a log record, makes it atomic. A
+    // non-transactional member's grounding transaction stands in for it.
     for (const auto& [eid, idxs] : result.operations) {
       std::vector<Transaction*> members;
       for (size_t idx : idxs) members.push_back(item_txn[idx]);

@@ -17,6 +17,7 @@
 #include "src/eq/grounder.h"
 #include "src/etxn/handle.h"
 #include "src/etxn/spec.h"
+#include "src/sql/executor.h"
 #include "src/txn/txn_engine.h"
 
 namespace youtopia::etxn {

@@ -14,10 +14,11 @@ namespace youtopia::etxn {
 /// Future-like completion handle for a submitted entangled transaction.
 /// Resolution statuses:
 ///   OK         — committed (group-committed when entangled);
-///   kTimedOut  — the WITH TIMEOUT deadline expired while waiting for
-///                entanglement partners (the §3.1 error thrown to the app);
-///   kAborted   — explicit ROLLBACK / native-abort or widow-prevention
-///                cascade that could not be retried;
+///   kTimedOut  — the WITH TIMEOUT deadline expired, for an entangled
+///                program while waiting for partners (the §3.1 error
+///                thrown to the app);
+///   kAborted   — explicit ROLLBACK or a widow-prevention cascade that
+///                could not be retried;
 ///   other      — program error (bad SQL etc.).
 class TxnHandle {
  public:

@@ -1,58 +1,13 @@
 #include "src/etxn/spec.h"
 
-#include "src/common/strings.h"
-
 namespace youtopia::etxn {
-
-StatusOr<sql::QueryResult> ExecContext::Sql(const std::string& text) {
-  YT_ASSIGN_OR_RETURN(sql::ParsedStatement stmt,
-                      sql::Parser::ParseStatement(text));
-  if (stmt.kind == sql::StatementKind::kEntangledSelect ||
-      stmt.kind == sql::StatementKind::kBegin ||
-      stmt.kind == sql::StatementKind::kCommit ||
-      stmt.kind == sql::StatementKind::kRollback) {
-    return Status::InvalidArgument(
-        "native hooks may only run plain SQL statements");
-  }
-  if (txn_ != nullptr) {
-    return executor_->Execute(stmt, txn_, vars_);
-  }
-  // Non-transactional program: autocommit.
-  std::unique_ptr<Transaction> txn = executor_->tm()->Begin();
-  auto result = executor_->Execute(stmt, txn.get(), vars_);
-  if (!result.ok()) {
-    (void)executor_->tm()->Abort(txn.get());
-    return result;
-  }
-  YT_RETURN_IF_ERROR(executor_->tm()->Commit(txn.get()));
-  return result;
-}
-
-Value ExecContext::GetVar(const std::string& name) const {
-  auto it = vars_->find(ToLower(name));
-  return it == vars_->end() ? Value::Null() : it->second;
-}
-
-void ExecContext::SetVar(const std::string& name, Value v) {
-  (*vars_)[ToLower(name)] = std::move(v);
-}
 
 StatusOr<Statement> Statement::Sql(const std::string& text) {
   YT_ASSIGN_OR_RETURN(sql::ParsedStatement parsed,
                       sql::Parser::ParseStatement(text));
   Statement s;
-  s.kind = Kind::kSql;
   s.parsed = std::make_shared<const sql::ParsedStatement>(std::move(parsed));
   s.text = text;
-  return s;
-}
-
-Statement Statement::Native(std::string label,
-                            std::function<Status(ExecContext&)> fn) {
-  Statement s;
-  s.kind = Kind::kNative;
-  s.text = std::move(label);
-  s.native = std::move(fn);
   return s;
 }
 
@@ -83,7 +38,6 @@ StatusOr<EntangledTransactionSpec> EntangledTransactionSpec::FromScript(
       return Status::InvalidArgument("nested BEGIN is not supported");
     }
     Statement s;
-    s.kind = Statement::Kind::kSql;
     s.parsed =
         std::make_shared<const sql::ParsedStatement>(std::move(stmts[i]));
     spec.statements.push_back(std::move(s));
@@ -94,7 +48,7 @@ StatusOr<EntangledTransactionSpec> EntangledTransactionSpec::FromScript(
 size_t EntangledTransactionSpec::NumEntangledQueries() const {
   size_t n = 0;
   for (const Statement& s : statements) {
-    if (s.kind == Statement::Kind::kSql && s.parsed != nullptr &&
+    if (s.parsed != nullptr &&
         s.parsed->kind == sql::StatementKind::kEntangledSelect) {
       ++n;
     }

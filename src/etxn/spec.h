@@ -1,56 +1,22 @@
 #ifndef YOUTOPIA_ETXN_SPEC_H_
 #define YOUTOPIA_ETXN_SPEC_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/sql/executor.h"
 #include "src/sql/parser.h"
 #include "src/txn/isolation_level.h"
 
 namespace youtopia::etxn {
 
-/// Execution context handed to native (C++) statements inside an entangled
-/// transaction program. Native statements let examples/tests inject
-/// application logic — e.g. a hotel-booking step that fails — between SQL
-/// statements, like the "(Code to perform booking omitted)" blocks in the
-/// paper's Figure 2.
-class ExecContext {
- public:
-  ExecContext(sql::Executor* executor, Transaction* txn, sql::VarEnv* vars)
-      : executor_(executor), txn_(txn), vars_(vars) {}
-
-  /// Runs one classical SQL statement inside the surrounding transaction
-  /// (or autocommitted when the program is non-transactional).
-  StatusOr<sql::QueryResult> Sql(const std::string& text);
-
-  Value GetVar(const std::string& name) const;
-  void SetVar(const std::string& name, Value v);
-
-  Transaction* txn() const { return txn_; }
-  sql::VarEnv* vars() const { return vars_; }
-
- private:
-  sql::Executor* executor_;
-  Transaction* txn_;
-  sql::VarEnv* vars_;
-};
-
-/// One program statement: parsed SQL or a native C++ hook. A native hook
-/// returning Status::Aborted(...) is an explicit ROLLBACK (permanent abort);
-/// any other error is a program failure.
+/// One program statement: parsed SQL. A ROLLBACK statement is an explicit,
+/// permanent abort of the program.
 struct Statement {
-  enum class Kind { kSql, kNative };
-  Kind kind = Kind::kSql;
   std::shared_ptr<const sql::ParsedStatement> parsed;
   std::string text;  ///< original SQL (diagnostics)
-  std::function<Status(ExecContext&)> native;
 
   static StatusOr<Statement> Sql(const std::string& text);
-  static Statement Native(std::string label,
-                          std::function<Status(ExecContext&)> fn);
 };
 
 /// A complete entangled transaction program (§3.1 syntax): a statement list

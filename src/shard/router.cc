@@ -1051,8 +1051,8 @@ Status Router::CommitGroup(const std::vector<Transaction*>& members) {
     // The one-phase path: at most one shard holds writes, so that shard's
     // own commit decides the group — no prepare round, no decision log
     // entry (asserted via stats().prepares). Write branches of several
-    // members entangle on the shard first, so its GROUP_COMMIT makes them
-    // atomic; a lone write branch commits with a plain COMMIT.
+    // members share that shard's GROUP_COMMIT, so they are atomic; a lone
+    // write branch commits with a plain COMMIT.
     stats_.single_shard_txns.fetch_add(1, std::memory_order_relaxed);
     for (const auto& [s, b] : readers) (void)shards_[s].tm->Commit(b);
     if (!writers.empty()) {
@@ -1060,10 +1060,7 @@ Status Router::CommitGroup(const std::vector<Transaction*>& members) {
       std::vector<Transaction*> branches;
       branches.reserve(writers.size());
       for (const auto& [s, b] : writers) branches.push_back(b);
-      if (branches.size() > 1) {
-        st = tm->LogEntangle(next_txn_id_.fetch_add(1), branches);
-      }
-      if (st.ok()) st = tm->CommitGroup(branches);
+      st = tm->CommitGroup(branches);
     }
   } else {
     // One 2PC instance covers every member's write branches under one
@@ -1089,29 +1086,8 @@ Status Router::CommitGroup(const std::vector<Transaction*>& members) {
     EraseDtxn(t->id());
     stats_.commits.fetch_add(1, std::memory_order_relaxed);
   }
-  if (members.size() > 1 || members.front()->entangled()) {
+  if (members.size() > 1) {
     stats_.group_commits.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::Ok();
-}
-
-Status Router::LogEntangle(EntanglementId eid,
-                           const std::vector<Transaction*>& members) {
-  std::vector<TxnId> ids;
-  ids.reserve(members.size());
-  for (Transaction* t : members) ids.push_back(t->id());
-  for (Transaction* t : members) {
-    t->MarkEntangled();
-    t->AddPartners(ids);
-  }
-  // Durable narration only: commit-time atomicity of the group comes from
-  // the single-shard ENTANGLE+GROUP_COMMIT path or the 2PC decision record,
-  // both written by CommitGroup. coord_mu_ keeps the append out of a
-  // concurrent decision-log GC rewrite.
-  if (coord_wal_ != nullptr) {
-    std::lock_guard<std::mutex> g(coord_mu_);
-    auto lsn = coord_wal_->AppendAndFlush(WalRecord::Entangle(eid, ids));
-    if (!lsn.ok()) return lsn.status();
   }
   return Status::Ok();
 }

@@ -52,9 +52,9 @@ namespace youtopia::shard {
 /// phase 2 lazily appends per-shard decisions and releases locks. Recovery
 /// (Router::Recover) replays each shard with the coordinator's decisions:
 /// prepared-but-undecided branches abort, decided ones commit. A one-phase
-/// group with write branches from several members goes through that
-/// shard's ENTANGLE + GROUP_COMMIT machinery instead of 2PC; every 2PC gtid
-/// is the first member's id.
+/// group with write branches from several members commits through that
+/// shard's one GROUP_COMMIT instead of 2PC; every 2PC gtid is the first
+/// member's id.
 ///
 /// Cross-shard deadlocks (two transactions locking shards in opposite
 /// orders) are invisible to the per-shard waits-for graphs; the per-shard
@@ -165,8 +165,12 @@ class Router : public TxnEngine {
 
   Status Abort(Transaction* txn) override;
   Status CommitGroup(const std::vector<Transaction*>& members) override;
-  Status LogEntangle(EntanglementId eid,
-                     const std::vector<Transaction*>& members) override;
+  /// Nothing to log: a group's atomicity comes from the one record its
+  /// CommitGroup writes (a shard's GROUP_COMMIT or the 2PC decision).
+  Status LogEntangle(EntanglementId /*eid*/,
+                     const std::vector<Transaction*>& /*members*/) override {
+    return Status::Ok();
+  }
 
   StatusOr<Table*> CreateTable(const std::string& name,
                                const Schema& schema) override;
@@ -233,8 +237,8 @@ class Router : public TxnEngine {
   /// from their own shard logs. Phase-2 per-shard decisions are appended
   /// lazily (unflushed), so GC first flushes every shard WAL — turning
   /// "appended" into "durable", which is what pruning actually requires —
-  /// then rewrites the coordinator log (temp file + rename) keeping DDL,
-  /// ENTANGLE, and the decisions of gtids with an undelivered branch.
+  /// then rewrites the coordinator log (temp file + rename) keeping DDL
+  /// and the decisions of gtids with an undelivered branch.
   /// Runs automatically every kDecisionGcInterval cross-shard commits;
   /// callable directly (tests / operators). Returns records pruned.
   StatusOr<size_t> GcDecisionLog();
@@ -350,7 +354,7 @@ class Router : public TxnEngine {
   /// ablation (mirrored into every shard manager).
   std::atomic<bool> mvcc_reads_{true};
 
-  /// Guards the coordinator log (decision writes, DDL/ENTANGLE appends,
+  /// Guards the coordinator log (decision writes, DDL appends,
   /// the GC rewrite) plus `undelivered_` and the GC cadence counter.
   mutable std::mutex coord_mu_;
   /// Decided gtids with a branch whose local decision append failed (or

@@ -34,8 +34,6 @@ class Executor {
  public:
   explicit Executor(TxnEngine* tm) : tm_(tm) {}
 
-  TxnEngine* tm() const { return tm_; }
-
   /// Ablation switch for bind-driven index nested-loop joins: when off,
   /// every FROM table is snapshotted eagerly (the pre-probe behavior).
   /// Results must be identical either way — only the access path changes.

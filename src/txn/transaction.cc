@@ -1,7 +1,5 @@
 #include "src/txn/transaction.h"
 
-#include <algorithm>
-
 namespace youtopia {
 
 const char* TxnStateName(TxnState s) {
@@ -24,15 +22,6 @@ const char* IsolationLevelName(IsolationLevel l) {
     case IsolationLevel::kSnapshot: return "SNAPSHOT";
   }
   return "?";
-}
-
-void Transaction::AddPartners(const std::vector<TxnId>& ps) {
-  for (TxnId p : ps) {
-    if (p == id_) continue;
-    if (std::find(partners_.begin(), partners_.end(), p) == partners_.end()) {
-      partners_.push_back(p);
-    }
-  }
 }
 
 }  // namespace youtopia

@@ -59,13 +59,6 @@ class Transaction {
     lock_timeout_micros_ = micros;
   }
 
-  /// Entanglement bookkeeping (set when the transaction receives an
-  /// entangled-query answer; drives group commit + widow prevention).
-  bool entangled() const { return entangled_; }
-  void MarkEntangled() { entangled_ = true; }
-  const std::vector<TxnId>& partners() const { return partners_; }
-  void AddPartners(const std::vector<TxnId>& ps);
-
   std::vector<UndoEntry>& undo_log() { return undo_log_; }
   const std::vector<UndoEntry>& undo_log() const { return undo_log_; }
 
@@ -116,8 +109,6 @@ class Transaction {
   bool snapshot_registered_ = false;
   uint64_t trace_id_ = 0;
   int open_cursors_ = 0;
-  bool entangled_ = false;
-  std::vector<TxnId> partners_;
   std::vector<UndoEntry> undo_log_;
   size_t num_writes_ = 0;
 };

@@ -979,18 +979,18 @@ Status TransactionManager::CommitGroup(
   Transaction* first = members.front();
   ScopedTraceSpan span("txn.commit", first->trace_id());
   LatencyTimer timer(CommitLatencyHist(first->isolation_level()));
-  // A plain transaction is decided by its own COMMIT, and a read-only one
-  // has no redo to make durable, so it writes nothing. An entangled
-  // transaction, or any group of several, is decided by GROUP_COMMIT:
-  // recovery replays an entangled member only when a group record names
-  // it.
-  const bool grouped = members.size() > 1 || first->entangled();
-  bool writes = false;
-  for (Transaction* t : members) writes |= !t->undo_log().empty();
-  if (wal_ != nullptr && (grouped || writes)) {
+  // The deciding record names exactly the members that wrote. A read-only
+  // member has no redo to make durable, so no record needs to name it; a
+  // group's writers share one record, so recovery replays all or none.
+  std::vector<TxnId> writers;
+  for (Transaction* t : members) {
+    if (!t->undo_log().empty()) writers.push_back(t->id());
+  }
+  const bool writes = !writers.empty();
+  if (wal_ != nullptr && writes) {
     // A failure here has stopped the process cold: every member stays as
     // it is for recovery to decide.
-    YT_RETURN_IF_ERROR(WriteDecision(members, grouped));
+    YT_RETURN_IF_ERROR(WriteDecision(std::move(writers)));
   }
   // One commit timestamp for the whole group, stamped while the row X
   // locks are still held: the timestamp becomes readable only after every
@@ -1001,22 +1001,19 @@ Status TransactionManager::CommitGroup(
     for (Transaction* t : members) StampWritesAt(t, ts);
     clock_->Publish(ts);
   }
-  if (grouped) stats_.group_commits.fetch_add(1, std::memory_order_relaxed);
+  if (members.size() > 1) {
+    stats_.group_commits.fetch_add(1, std::memory_order_relaxed);
+  }
   FinishCommit(members);
   return Status::Ok();
 }
 
-Status TransactionManager::WriteDecision(
-    const std::vector<Transaction*>& members, bool grouped) {
-  std::vector<TxnId> ids;
-  if (grouped) {
-    ids.reserve(members.size());
-    for (Transaction* t : members) ids.push_back(t->id());
-  }
+Status TransactionManager::WriteDecision(std::vector<TxnId> writers) {
   auto lsn = wal_->AppendAndFlush(
-      grouped ? WalRecord::GroupCommit(next_group_id_.fetch_add(1),
-                                       std::move(ids))
-              : WalRecord::Commit(members.front()->id()));
+      writers.size() > 1
+          ? WalRecord::GroupCommit(next_group_id_.fetch_add(1),
+                                   std::move(writers))
+          : WalRecord::Commit(writers.front()));
   if (lsn.ok()) return Status::Ok();
   // A failed force-write of the deciding record is unresolvable in place:
   // the record may or may not have reached the device (and a buffered
@@ -1045,20 +1042,11 @@ void TransactionManager::FinishCommit(
 
 Status TransactionManager::LogEntangle(
     EntanglementId eid, const std::vector<Transaction*>& members) {
+  if (options_.observer == nullptr) return Status::Ok();
   std::vector<TxnId> ids;
   ids.reserve(members.size());
   for (Transaction* t : members) ids.push_back(t->id());
-  for (Transaction* t : members) {
-    t->MarkEntangled();
-    t->AddPartners(ids);
-  }
-  if (wal_ != nullptr) {
-    auto lsn = wal_->AppendAndFlush(WalRecord::Entangle(eid, ids));
-    if (!lsn.ok()) return lsn.status();
-  }
-  if (options_.observer != nullptr) {
-    options_.observer->OnEntangle(eid, ids);
-  }
+  options_.observer->OnEntangle(eid, ids);
   return Status::Ok();
 }
 

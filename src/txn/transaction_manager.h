@@ -25,9 +25,9 @@ namespace youtopia {
 /// Classical ACID transaction manager over the in-memory engine:
 /// Strict 2PL through the LockManager, redo-only WAL through WalWriter
 /// (optional: pass nullptr for a volatile database), in-memory undo for live
-/// rollback. Exposes the group-commit primitive and the ENTANGLE logging hook
-/// that the entangled layer builds on. Implements the TxnEngine seam the
-/// executor/grounder consume — shard::Router runs one of these per shard and
+/// rollback. Exposes the group-commit primitive that the entangled layer
+/// builds on. Implements the TxnEngine seam the executor/grounder
+/// consume — shard::Router runs one of these per shard and
 /// adds the Prepare/CommitPrepared participant protocol below for
 /// cross-shard two-phase commit.
 class TransactionManager : public TxnEngine {
@@ -142,17 +142,17 @@ class TransactionManager : public TxnEngine {
 
   Status Abort(Transaction* txn) override;
 
-  /// The one commit path (Commit(txn) is CommitGroup({txn})). A
-  /// non-entangled group of one force-writes its COMMIT record, or nothing
-  /// when it is read-only; any other group force-writes one GROUP_COMMIT
-  /// naming every member, on which the durability of every member hinges.
+  /// The one commit path (Commit(txn) is CommitGroup({txn})). The
+  /// deciding record names exactly the members that wrote: none writes
+  /// nothing, one force-writes its COMMIT, several force-write one
+  /// GROUP_COMMIT naming them all, on which the durability of each hinges.
+  /// A read-only member has no redo, so no record needs to name it.
   /// A failed force-write of that deciding record latches the process-wide
   /// crash (FaultInjector::ForceCrash) and leaves every member untouched.
   /// All members share one commit timestamp.
   Status CommitGroup(const std::vector<Transaction*>& members) override;
 
-  /// Logs an ENTANGLE record (and marks the members). Called by the
-  /// entangled-query evaluator when an entanglement operation succeeds.
+  /// Reports the entanglement to the schedule observer; writes nothing.
   Status LogEntangle(EntanglementId eid,
                      const std::vector<Transaction*>& members) override;
 
@@ -240,11 +240,10 @@ class TransactionManager : public TxnEngine {
   /// grounding reads after the first, which all share one cut; suppressed
   /// entirely for adopted coordinator snapshots).
   void MaybeRefreshSnapshot(Transaction* txn, bool grounding);
-  /// Appends CommitGroup's deciding record (GROUP_COMMIT when `grouped`,
-  /// else COMMIT) and force-writes it; a failure latches the process-wide
-  /// crash.
-  Status WriteDecision(const std::vector<Transaction*>& members,
-                       bool grouped);
+  /// Appends CommitGroup's deciding record for `writers` (COMMIT for one,
+  /// GROUP_COMMIT naming all of several) and force-writes it; a failure
+  /// latches the process-wide crash.
+  Status WriteDecision(std::vector<TxnId> writers);
   /// The commit tail every commit path shares: state, snapshot release,
   /// lock release, counters and metrics, observer, inline GC slice.
   void FinishCommit(std::span<Transaction* const> members);

@@ -33,8 +33,8 @@ struct TxnStats {
   std::atomic<uint64_t> begins{0};
   std::atomic<uint64_t> commits{0};
   std::atomic<uint64_t> aborts{0};
-  /// Commits of more than one member, or of an entangled one. A plain
-  /// commit is a group of one and does not count.
+  /// Commits of more than one member. A plain commit is a group of one and
+  /// does not count.
   std::atomic<uint64_t> group_commits{0};
   std::atomic<uint64_t> index_lookups{0};
   std::atomic<uint64_t> table_scans{0};
@@ -208,20 +208,22 @@ class TxnEngine {
   virtual Status Commit(Transaction* txn) { return CommitGroup({txn}); }
   virtual Status Abort(Transaction* txn) = 0;
 
-  /// Atomically commits `members`. Exactly one force-written record decides
-  /// the outcome: a plain transaction's COMMIT (none at all when it is
-  /// read-only), GROUP_COMMIT for an entangled transaction or a group of
-  /// several on one node, and the coordinator's COMMIT_DECISION under
-  /// cross-shard 2PC. A failed force-write of that record may still reach
-  /// the device, so it latches the process-wide crash
+  /// Atomically commits `members`. At most one force-written record decides
+  /// the outcome, and it names exactly the members that wrote: none for a
+  /// read-only group, the one writer's COMMIT, a GROUP_COMMIT naming the
+  /// writers when several on one node wrote, and the coordinator's
+  /// COMMIT_DECISION under cross-shard 2PC. A failed force-write of that
+  /// record may still reach the device, so it latches the process-wide crash
   /// (FaultInjector::crashed()) and leaves every member as it is for
   /// recovery to decide. Any other failure of the attempt (a failed 2PC
   /// prepare) aborts every member. A refused commit (a member not active)
   /// changes nothing.
   virtual Status CommitGroup(const std::vector<Transaction*>& members) = 0;
 
-  /// Logs an ENTANGLE record (and marks the members). Called by the
-  /// entangled-query evaluator when an entanglement operation succeeds.
+  /// Called by the entangled-query evaluator when an entanglement
+  /// operation succeeds. It writes no log record: the group's one commit
+  /// decision (CommitGroup) is what makes its members all-or-none. An
+  /// engine may report the operation to a schedule observer.
   virtual Status LogEntangle(EntanglementId eid,
                              const std::vector<Transaction*>& members) = 0;
 

@@ -13,7 +13,6 @@ const char* WalRecordTypeName(WalRecordType t) {
     case WalRecordType::kDelete: return "DELETE";
     case WalRecordType::kCommit: return "COMMIT";
     case WalRecordType::kAbort: return "ABORT";
-    case WalRecordType::kEntangle: return "ENTANGLE";
     case WalRecordType::kGroupCommit: return "GROUP_COMMIT";
     case WalRecordType::kCreateTable: return "CREATE_TABLE";
     case WalRecordType::kCheckpointRef: return "CHECKPOINT_REF";
@@ -76,14 +75,6 @@ WalRecord WalRecord::Abort(TxnId txn) {
   WalRecord r;
   r.type = WalRecordType::kAbort;
   r.txn = txn;
-  return r;
-}
-
-WalRecord WalRecord::Entangle(EntanglementId eid, std::vector<TxnId> members) {
-  WalRecord r;
-  r.type = WalRecordType::kEntangle;
-  r.eid = eid;
-  r.members = std::move(members);
   return r;
 }
 
@@ -165,7 +156,6 @@ void WalRecord::EncodeTo(std::string* dst) const {
   EncodeRow(dst, before);
   EncodeRow(dst, after);
   EncodeSchema(dst, schema);
-  EncodeU64(dst, eid);
   EncodeU64(dst, group);
   EncodeU32(dst, static_cast<uint32_t>(members.size()));
   for (TxnId m : members) EncodeU64(dst, m);
@@ -190,7 +180,6 @@ StatusOr<WalRecord> WalRecord::Decode(const std::string& payload) {
   YT_RETURN_IF_ERROR(DecodeRow(&p, end, &r.before));
   YT_RETURN_IF_ERROR(DecodeRow(&p, end, &r.after));
   YT_RETURN_IF_ERROR(DecodeSchema(&p, end, &r.schema));
-  YT_RETURN_IF_ERROR(DecodeU64(&p, end, &r.eid));
   YT_RETURN_IF_ERROR(DecodeU64(&p, end, &r.group));
   uint32_t n;
   YT_RETURN_IF_ERROR(DecodeU32(&p, end, &n));

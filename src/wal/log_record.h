@@ -15,10 +15,10 @@ namespace youtopia {
 
 /// WAL record kinds. The log is redo-only: recovery replays the after-images
 /// of durably committed transactions; live rollback uses in-memory undo.
-/// kEntangle and kGroupCommit make coordination state persistent, which is
-/// what enables the paper's entanglement-aware recovery (§4): an entangled
-/// transaction is durable only when its group's kGroupCommit record made it
-/// to the log.
+/// One force-written record decides a commit that wrote: kCommit for a
+/// lone writer, kGroupCommit naming every writer of a group. An entangled
+/// group is therefore durable as a whole or not at all (paper §4: no
+/// widowed transaction survives a crash); entanglement itself logs nothing.
 ///
 /// kPrepare and kCommitDecision are the two-phase-commit records of the
 /// sharded engine. A participant shard force-writes kPrepare(txn, gtid) to
@@ -34,7 +34,6 @@ enum class WalRecordType : uint8_t {
   kDelete,
   kCommit,
   kAbort,
-  kEntangle,        ///< members coordinated in one entanglement operation
   kGroupCommit,     ///< all members of a group are durably committed
   kCreateTable,     ///< DDL (system transaction, txn = 0)
   kCheckpointRef,   ///< first record of a fresh log; points at a checkpoint
@@ -55,7 +54,6 @@ struct WalRecord {
   Row before;  ///< update/delete before-image (debugging / audits)
   Row after;   ///< insert/update after-image (redo)
   Schema schema;
-  EntanglementId eid = 0;
   GroupId group = 0;
   std::vector<TxnId> members;
   std::string aux;  ///< checkpoint path for kCheckpointRef
@@ -67,7 +65,6 @@ struct WalRecord {
   static WalRecord Delete(TxnId txn, std::string table, RowId rid, Row before);
   static WalRecord Commit(TxnId txn);
   static WalRecord Abort(TxnId txn);
-  static WalRecord Entangle(EntanglementId eid, std::vector<TxnId> members);
   static WalRecord GroupCommit(GroupId group, std::vector<TxnId> members);
   static WalRecord Prepare(TxnId txn, GroupId gtid);
   static WalRecord CommitDecision(TxnId txn, GroupId gtid);

@@ -62,10 +62,8 @@ StatusOr<RecoveryManager::Result> RecoveryManager::Recover(
   }
 
   // --- Analysis pass.
-  std::set<TxnId> has_commit;
+  std::set<TxnId> has_commit;  // named by a commit-deciding record
   std::set<TxnId> has_abort;
-  std::set<TxnId> entangled;        // appears in any ENTANGLE record
-  std::set<TxnId> group_committed;  // appears in any GROUP_COMMIT record
   std::map<TxnId, GroupId> prepared;  // 2PC yes-vote -> coordinator gtid
   std::set<TxnId> seen;
   for (const WalRecord& r : log.records) {
@@ -89,15 +87,8 @@ StatusOr<RecoveryManager::Result> RecoveryManager::Recover(
       case WalRecordType::kAbort:
         has_abort.insert(r.txn);
         break;
-      case WalRecordType::kEntangle:
-        for (TxnId m : r.members) {
-          entangled.insert(m);
-          seen.insert(m);
-          result.max_txn_id = std::max(result.max_txn_id, m);
-        }
-        break;
       case WalRecordType::kGroupCommit:
-        for (TxnId m : r.members) group_committed.insert(m);
+        has_commit.insert(r.members.begin(), r.members.end());
         break;
       default:
         break;
@@ -116,19 +107,9 @@ StatusOr<RecoveryManager::Result> RecoveryManager::Recover(
     }
   }
   for (TxnId t : seen) {
-    // GROUP_COMMIT decides its members; a bare COMMIT decides only a
-    // transaction that was never entangled.
-    bool durable = group_committed.count(t) > 0;
-    if (!durable && has_commit.count(t)) {
-      if (entangled.count(t)) {
-        result.rolled_back.insert(t);
-      } else {
-        durable = true;
-      }
-    }
-    if (durable) {
+    if (has_commit.count(t)) {
       result.committed.insert(t);
-    } else if (!result.rolled_back.count(t)) {
+    } else {
       result.discarded.insert(t);
     }
   }

@@ -13,13 +13,12 @@ namespace youtopia {
 
 /// Entanglement-aware crash recovery (paper §4, "Persistence and Recovery").
 ///
-/// Analysis: a transaction is durably committed iff a GROUP_COMMIT record
-/// naming it is in the log, or (when it was never entangled) its COMMIT
-/// record is. An *entangled* transaction (one that appears in any
-/// ENTANGLE record) is durably committed iff a GROUP_COMMIT record naming it
-/// is in the log — a bare COMMIT is NOT enough. This implements the paper's
-/// rule: "if two transactions entangle and only one manages to commit prior
-/// to a crash, both must be rolled back during recovery."
+/// Analysis: a transaction is durably committed iff its COMMIT record or a
+/// GROUP_COMMIT record naming it is in the log. A commit writes exactly one
+/// of them, naming every member that wrote, so the members of an entangled
+/// group are decided by one record. That implements the paper's rule: "if
+/// two transactions entangle and only one manages to commit prior to a
+/// crash, both must be rolled back during recovery."
 ///
 /// A transaction with a PREPARE record but no local COMMIT / ABORT /
 /// COMMIT_DECISION is *in doubt*: it voted yes in a two-phase commit and
@@ -44,8 +43,6 @@ class RecoveryManager {
   struct Result {
     std::unique_ptr<Database> db;
     std::set<TxnId> committed;       ///< durably committed transactions
-    std::set<TxnId> rolled_back;     ///< had COMMIT but lost it to the
-                                     ///< group-commit rule (widow prevention)
     std::set<TxnId> discarded;       ///< in-flight or aborted at crash time
     std::set<TxnId> in_doubt;        ///< prepared, resolved only through the
                                      ///< coordinator's decisions (members of

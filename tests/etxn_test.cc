@@ -152,8 +152,8 @@ TEST_F(EngineTest, FailedGroupRecordFlushResolvesPairWithItsStatus) {
   // A durable engine whose GROUP_COMMIT flush fails: the commit latches the
   // crash, every WAL freezes, and a retry could only time out. Both
   // members must resolve in this run with the fault's own status. A dry
-  // run counts the pair's group flushes (two ENTANGLEs, then the group
-  // record), so the fault lands on the last one.
+  // run counts the pair's group flushes, so the fault lands on the last
+  // one, the group record's (entanglement itself flushes nothing).
   FaultInjector* fi = FaultInjector::Global();
   fi->Reset();
   const std::string dir = ::testing::TempDir() + "yt_etxn_" +
@@ -226,6 +226,45 @@ TEST_F(EngineTest, DonaldEventuallyTimesOut) {
   EXPECT_EQ(BookingCount("Donald"), 0u);
 }
 
+TEST_F(EngineTest, ClassicalProgramTimeoutDoesNotBlamePartners) {
+  // A program with no entangled query keeps losing a lock wait to an
+  // outside transaction until its deadline passes. It times out, and its
+  // message does not claim it was waiting for partners.
+  TransactionManager::Options topts;
+  topts.lock_timeout_micros = 5'000;
+  EngineFixture fix(topts);
+  auto engine = OpenEngine(fix.tm.get());
+  ASSERT_NE(engine, nullptr);
+  const Row held = Row({Value::Str("held"), Value::Str("flight"),
+                        Value::Int(1)});
+  auto setup = fix.tm->Begin();
+  ASSERT_OK_AND_ASSIGN(RowId rid,
+                       fix.tm->Insert(setup.get(), "Bookings", held));
+  ASSERT_OK(fix.tm->Commit(setup.get()));
+  auto holder = fix.tm->Begin();
+  ASSERT_OK(fix.tm->Update(holder.get(), "Bookings", rid, held));
+
+  EntangledTransactionSpec spec;
+  spec.name = "classical";
+  spec.transactional = true;
+  spec.timeout_micros = 20'000;
+  ASSERT_OK_AND_ASSIGN(
+      Statement upd,
+      Statement::Sql("UPDATE Bookings SET ref = 2 WHERE name = 'held'"));
+  spec.statements.push_back(std::move(upd));
+  ASSERT_EQ(spec.NumEntangledQueries(), 0u);
+  auto h = engine->Submit(spec);
+  for (int i = 0; i < 100 && !h->done(); ++i) {
+    engine->RunOnce();
+    SystemClock::Default()->SleepMicros(2'000);
+  }
+  ASSERT_TRUE(h->done());
+  Status s = h->Wait();
+  EXPECT_EQ(s.code(), StatusCode::kTimedOut) << s.ToString();
+  EXPECT_EQ(s.message().find("partner"), std::string::npos) << s.ToString();
+  ASSERT_OK(fix.tm->Abort(holder.get()));
+}
+
 TEST_F(EngineTest, DaffyArrivingLaterRescuesDonald) {
   ASSERT_OK_AND_ASSIGN(EntangledTransactionSpec donald,
                        TravelProgram("Donald", "Daffy"));
@@ -254,11 +293,10 @@ TEST_F(EngineTest, WidowedTransactionPreventedByGroupAbort) {
   ASSERT_OK_AND_ASSIGN(EntangledTransactionSpec minnie,
                        TravelProgram("Minnie", "Mickey"));
   minnie.timeout_micros = 100'000;
-  // Fail Minnie's final (hotel booking) step.
-  minnie.statements.back() = Statement::Native(
-      "hotel booking fails", [](etxn::ExecContext&) {
-        return Status::Aborted("credit card declined");
-      });
+  // Minnie's final (hotel booking) step fails: her program rolls back in
+  // its place.
+  ASSERT_OK_AND_ASSIGN(Statement rollback, Statement::Sql("ROLLBACK"));
+  minnie.statements.back() = std::move(rollback);
   auto hm = engine_->Submit(mickey);
   auto hn = engine_->Submit(minnie);
   RunReport report = engine_->RunOnce();
@@ -347,30 +385,19 @@ TEST_F(EngineTest, NonTransactionalProgramsCoordinate) {
 
 TEST_F(EngineTest, SynchronizationPointSemantics) {
   // §3.1: once Minnie's hotel query is answered, Mickey must already have
-  // executed everything before his hotel query — i.e. his flight booking
-  // insert is visible ordering-wise. We verify via a native probe that runs
-  // after the hotel entanglement and sees Mickey's flight booking.
+  // executed everything before his hotel query. His transaction is still
+  // uncommitted then, so the entanglement answer itself proves the
+  // ordering: Minnie's program ends with @ArrivalDay bound.
   ASSERT_OK_AND_ASSIGN(EntangledTransactionSpec mickey,
                        TravelProgram("Mickey", "Minnie"));
   ASSERT_OK_AND_ASSIGN(EntangledTransactionSpec minnie,
                        TravelProgram("Minnie", "Mickey"));
-  bool saw_flight_booking = false;
-  minnie.statements.push_back(Statement::Native(
-      "probe", [&saw_flight_booking](etxn::ExecContext& ctx) {
-        // Mickey's flight insert happened before his hotel query, which had
-        // to be answered for us to get here. His transaction is still
-        // uncommitted, so we check his *intent* via our own bookkeeping:
-        // the entanglement answer itself proves the ordering. Record that
-        // we reached this point with a bound @ArrivalDay.
-        saw_flight_booking = !ctx.GetVar("ArrivalDay").is_null();
-        return Status::Ok();
-      }));
   auto hm = engine_->Submit(mickey);
   auto hn = engine_->Submit(minnie);
   engine_->RunOnce();
   EXPECT_OK(hm->Wait());
   EXPECT_OK(hn->Wait());
-  EXPECT_TRUE(saw_flight_booking);
+  EXPECT_FALSE(hn->final_vars().at("arrivalday").is_null());
 }
 
 TEST_F(EngineTest, AdmissionHoldsTheConnectionBound) {

@@ -234,9 +234,9 @@ TEST_F(GroupCommitTest, GroupFlushFaultFailsCommitAndEscalatesToCrash) {
   }
 
   // The same group on a 4-shard Router with every write on one shard: the
-  // one-phase path commits it through that shard's ENTANGLE +
-  // GROUP_COMMIT. A dry run counts the commit's group flushes, so the
-  // fault lands on its last one, the GROUP_COMMIT's.
+  // one-phase path commits it through that shard's GROUP_COMMIT. A dry run
+  // counts the commit's group flushes, so the fault lands on its last one,
+  // the GROUP_COMMIT's.
   uint64_t group_flushes = 0;
   std::vector<int64_t> keys;
   for (bool dry : {true, false}) {
@@ -404,12 +404,12 @@ TEST_F(GroupCommitTest, EveryCommitWritesExactlyItsDecisionRecord) {
   EXPECT_EQ(tm.stats().wal_flushes.load(), flushes);
   EXPECT_EQ(group_commits(), 0u);
 
-  // An entangled group of one is decided by its group record alone.
+  // An entangled writer alone is a plain commit: its own COMMIT decides it.
   auto single = tm.Begin();
   ASSERT_OK(insert(single.get(), 2));
   ASSERT_OK(tm.LogEntangle(1, {single.get()}));
   ASSERT_OK(tm.Commit(single.get()));
-  EXPECT_EQ(group_commits(), 1u);
+  EXPECT_EQ(group_commits(), 0u);
 
   // A pair: one GROUP_COMMIT naming both, and no member COMMIT.
   auto a = tm.Begin();
@@ -418,7 +418,7 @@ TEST_F(GroupCommitTest, EveryCommitWritesExactlyItsDecisionRecord) {
   ASSERT_OK(insert(b.get(), 4));
   ASSERT_OK(tm.LogEntangle(2, {a.get(), b.get()}));
   ASSERT_OK(tm.CommitGroup({a.get(), b.get()}));
-  EXPECT_EQ(group_commits(), 2u);
+  EXPECT_EQ(group_commits(), 1u);
 
   // Several members count as a group even without an entanglement.
   auto c = tm.Begin();
@@ -426,27 +426,47 @@ TEST_F(GroupCommitTest, EveryCommitWritesExactlyItsDecisionRecord) {
   ASSERT_OK(insert(c.get(), 5));
   ASSERT_OK(insert(d.get(), 6));
   ASSERT_OK(tm.CommitGroup({c.get(), d.get()}));
+  EXPECT_EQ(group_commits(), 2u);
+
+  // A read-only entangled pair writes nothing and does no flush.
+  flushes = tm.stats().wal_flushes.load();
+  auto e = tm.Begin();
+  auto f = tm.Begin();
+  ASSERT_OK(tm.Get(e.get(), "acct", rid).status());
+  ASSERT_OK(tm.Get(f.get(), "acct", rid).status());
+  ASSERT_OK(tm.LogEntangle(3, {e.get(), f.get()}));
+  ASSERT_OK(tm.CommitGroup({e.get(), f.get()}));
+  EXPECT_EQ(tm.stats().wal_flushes.load(), flushes);
   EXPECT_EQ(group_commits(), 3u);
-  EXPECT_EQ(tm.stats().commits.load(), 7u);
+
+  // An entangled pair with one writer: that writer's COMMIT alone.
+  auto g = tm.Begin();
+  auto h = tm.Begin();
+  ASSERT_OK(insert(g.get(), 7));
+  ASSERT_OK(tm.Get(h.get(), "acct", rid).status());
+  ASSERT_OK(tm.LogEntangle(4, {g.get(), h.get()}));
+  ASSERT_OK(tm.CommitGroup({g.get(), h.get()}));
+  EXPECT_EQ(group_commits(), 4u);
+  EXPECT_EQ(tm.stats().commits.load(), 11u);
 
   ASSERT_OK(wal.Flush());
   ASSERT_OK_AND_ASSIGN(WalReader::Result log, WalReader::ReadAll(path));
-  DecisionRecords d_plain = DecisionsOf(log.records, plain->id());
-  EXPECT_EQ(d_plain.commits, 1u);
-  EXPECT_TRUE(d_plain.groups.empty());
-  for (const WalRecord& rec : log.records) {
-    if (rec.txn == reader->id()) {
-      EXPECT_EQ(rec.type, WalRecordType::kBegin);
-    }
-    if (rec.type == WalRecordType::kGroupCommit) {
-      EXPECT_EQ(std::count(rec.members.begin(), rec.members.end(),
-                           reader->id()),
-                0);
-    }
+  // Writers alone: one COMMIT each, no group record.
+  for (Transaction* t : {plain.get(), single.get(), g.get()}) {
+    DecisionRecords dm = DecisionsOf(log.records, t->id());
+    EXPECT_EQ(dm.commits, 1u) << "txn " << t->id();
+    EXPECT_TRUE(dm.groups.empty()) << "txn " << t->id();
   }
-  DecisionRecords d_single = DecisionsOf(log.records, single->id());
-  EXPECT_EQ(d_single.commits, 0u);
-  EXPECT_EQ(d_single.groups, std::vector<size_t>({1}));
+  // Readers: their BEGIN and nothing else, in no group record.
+  for (Transaction* t : {reader.get(), e.get(), f.get(), h.get()}) {
+    for (const WalRecord& rec : log.records) {
+      if (rec.txn == t->id()) {
+        EXPECT_EQ(rec.type, WalRecordType::kBegin) << "txn " << t->id();
+      }
+    }
+    EXPECT_TRUE(DecisionsOf(log.records, t->id()).groups.empty())
+        << "txn " << t->id();
+  }
   for (Transaction* t : {a.get(), b.get(), c.get(), d.get()}) {
     DecisionRecords dm = DecisionsOf(log.records, t->id());
     EXPECT_EQ(dm.commits, 0u) << "txn " << t->id();
@@ -456,18 +476,21 @@ TEST_F(GroupCommitTest, EveryCommitWritesExactlyItsDecisionRecord) {
   for (const WalRecord& rec : log.records) {
     group_records += rec.type == WalRecordType::kGroupCommit ? 1 : 0;
   }
-  EXPECT_EQ(group_records, 3u);
+  EXPECT_EQ(group_records, 2u);
 }
 
 TEST_F(GroupCommitTest, RouterCommitsCountGroupsAndUseTheFirstMemberAsGtid) {
   ASSERT_OK_AND_ASSIGN(auto r, Router::Open(DurableOptions()));
   ASSERT_OK(r->CreateTable("acct", AcctSchema()).status());
   auto group_commits = [&] { return r->stats().group_commits.load(); };
-  auto decision_gtids = [&] {
-    std::vector<GroupId> gtids;
+  auto coord_log = [&] {
     auto log = WalReader::ReadAll(r->coord_wal_path());
     EXPECT_OK(log.status());
-    for (const WalRecord& rec : log.value().records) {
+    return log.ok() ? log.value().records : std::vector<WalRecord>();
+  };
+  auto decision_gtids = [&] {
+    std::vector<GroupId> gtids;
+    for (const WalRecord& rec : coord_log()) {
       if (rec.type == WalRecordType::kCommitDecision) {
         gtids.push_back(rec.group);
       }
@@ -493,15 +516,18 @@ TEST_F(GroupCommitTest, RouterCommitsCountGroupsAndUseTheFirstMemberAsGtid) {
   EXPECT_EQ(decision_gtids(), std::vector<GroupId>({cross->id()}));
   EXPECT_EQ(group_commits(), 0u);
 
-  // An entangled group of one counts, and so does a cross-shard pair,
-  // whose one decision names the first member.
+  // An entangled group of one is a plain commit and does not count. A
+  // cross-shard pair counts, and its one decision names the first member.
+  // Entanglement adds nothing to the coordinator log.
   auto single = r->Begin();
   ASSERT_OK(r->Insert(single.get(), "acct",
                       Row({Value::Int(same[1]), Value::Int(3)}))
                 .status());
+  const size_t coord_records = coord_log().size();
   ASSERT_OK(r->LogEntangle(1, {single.get()}));
+  EXPECT_EQ(coord_log().size(), coord_records);
   ASSERT_OK(r->Commit(single.get()));
-  EXPECT_EQ(group_commits(), 1u);
+  EXPECT_EQ(group_commits(), 0u);
 
   auto [k3, k4] = CrossShardPair(r.get(), 200);
   auto a = r->Begin();
@@ -511,8 +537,9 @@ TEST_F(GroupCommitTest, RouterCommitsCountGroupsAndUseTheFirstMemberAsGtid) {
   ASSERT_OK(r->Insert(b.get(), "acct", Row({Value::Int(k4), Value::Int(5)}))
                 .status());
   ASSERT_OK(r->LogEntangle(2, {a.get(), b.get()}));
+  EXPECT_EQ(coord_log().size(), coord_records);
   ASSERT_OK(r->CommitGroup({a.get(), b.get()}));
-  EXPECT_EQ(group_commits(), 2u);
+  EXPECT_EQ(group_commits(), 1u);
   EXPECT_EQ(decision_gtids(), std::vector<GroupId>({cross->id(), a->id()}));
   EXPECT_EQ(r->stats().commits.load(), 5u);
 }

@@ -866,7 +866,7 @@ TEST(ShardGroupTest, SingleShardGroupCommitSkipsTwoPhase) {
     }
   }
   // Two entangled transactions whose writes land on the same shard: group
-  // commit goes through that shard's ENTANGLE + GROUP_COMMIT, no prepares.
+  // commit goes through that shard's one GROUP_COMMIT, no prepares.
   auto a = r->Begin();
   auto b = r->Begin();
   ASSERT_OK(r->Insert(a.get(), "Acct",

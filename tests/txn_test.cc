@@ -674,33 +674,6 @@ TEST_F(WalRecoveryTest, OrderedAndUniqueIndexFlagsSurviveCrash) {
   EXPECT_FALSE(t->Insert(Row({Value::Int(9), Value::Str("v1")})).ok());
 }
 
-TEST_F(WalRecoveryTest, EntangledCommitWithoutGroupCommitRollsBackBoth) {
-  // The §4 recovery rule: two transactions entangle; one's COMMIT record
-  // reaches the log but the GROUP_COMMIT does not -> both roll back.
-  {
-    Database db;
-    LockManager locks;
-    WalWriter wal;
-    ASSERT_OK(wal.Open(wal_path_, {}, /*truncate=*/true));
-    TransactionManager tm(&db, &locks, &wal);
-    ASSERT_OK(tm.CreateTable("T", KV()).status());
-    auto a = tm.Begin();
-    auto b = tm.Begin();
-    ASSERT_OK(tm.Insert(a.get(), "T", Row({Value::Int(1), Value::Str("a")}))
-                  .status());
-    ASSERT_OK(tm.Insert(b.get(), "T", Row({Value::Int(2), Value::Str("b")}))
-                  .status());
-    ASSERT_OK(tm.LogEntangle(1, {a.get(), b.get()}));
-    // Simulate the torn group commit: a's COMMIT record only.
-    ASSERT_OK(wal.AppendAndFlush(WalRecord::Commit(a->id())).status());
-  }
-  ASSERT_OK_AND_ASSIGN(RecoveryManager::Result r,
-                       RecoveryManager::Recover(wal_path_));
-  EXPECT_TRUE(r.committed.empty());
-  EXPECT_EQ(r.rolled_back.size(), 1u);  // a had COMMIT but lost it
-  EXPECT_EQ(r.db->GetTable("T").value()->size(), 0u);
-}
-
 TEST_F(WalRecoveryTest, GroupCommitMakesWholeGroupDurable) {
   TxnId ida, idb;
   {
@@ -810,8 +783,9 @@ TEST(WalRecordTest, EncodeDecodeRoundTripAllTypes) {
   records.push_back(WalRecord::Delete(7, "T", 3, Row({Value::Int(2)})));
   records.push_back(WalRecord::Commit(7));
   records.push_back(WalRecord::Abort(8));
-  records.push_back(WalRecord::Entangle(5, {7, 8, 9}));
   records.push_back(WalRecord::GroupCommit(2, {7, 8}));
+  records.push_back(WalRecord::Prepare(7, 9));
+  records.push_back(WalRecord::CommitDecision(0, 9));
   records.push_back(
       WalRecord::CreateTable("T", Schema({{"k", TypeId::kInt64}})));
   records.push_back(WalRecord::CreateIndex("T", {"k", "v"}));
@@ -827,9 +801,17 @@ TEST(WalRecordTest, EncodeDecodeRoundTripAllTypes) {
     EXPECT_EQ(back.txn, r.txn);
     EXPECT_EQ(back.table, r.table);
     EXPECT_EQ(back.row_id, r.row_id);
+    EXPECT_EQ(back.group, r.group);
     EXPECT_EQ(back.members, r.members);
     EXPECT_EQ(back.aux, r.aux);
   }
+  // The type byte follows the 8-byte LSN; one past the last kind is
+  // corruption.
+  std::string buf;
+  WalRecord::Commit(7).EncodeTo(&buf);
+  buf[8] = static_cast<char>(
+      static_cast<uint8_t>(WalRecordType::kCommitDecision) + 1);
+  EXPECT_FALSE(WalRecord::Decode(buf).ok());
 }
 
 // --- Heap scans: every pull method agrees at locking and snapshot levels,
