@@ -15,9 +15,11 @@
 # on exit, and the *MetricsOff ablation pair is diffed into an
 # instrumentation-overhead table (budget: <= 5%). Debug binaries are never benched: the configuration is checked,
 # bench_sql refuses to run without NDEBUG, and the emitted JSON is grepped
-# for the release marker. Adding --bench-strict turns the regression diff
-# into a gate: any benchmark more than 1.5x slower than the committed
-# baseline fails the script (1.3x stays a warning — smoke boxes are noisy).
+# for the release marker. A row more than 1.3x slower than the committed
+# baseline is re-run (5 repetitions) and flagged only when the median is
+# still over the ratio, since one short run per row is noisy. Adding
+# --bench-strict turns the diff into a gate: a median more than 1.5x slower
+# fails the script (1.3x stays a warning).
 # With --tsan, additionally builds a ThreadSanitizer tree (build-tsan) and
 # races the lock/txn/sql/shard/mvcc/storage/eq/group_commit/etxn/
 # session_server/integration/workload/repro_split/torture suites under it
@@ -119,10 +121,12 @@ if [[ "${bench_smoke}" == 1 ]]; then
   fi
   echo "wrote BENCH_sql.json (Release)"
   # Diff the fresh run against the committed trajectory point: a table of
-  # real-time ratios, warning on anything more than 1.3x slower. Under
-  # --bench-strict, >1.5x fails the script.
-  python3 - "${bench_baseline}" BENCH_sql.json "${bench_strict}" <<'PYEOF'
-import json, sys
+  # real-time ratios. A row more than 1.3x slower is re-run alone with 5
+  # repetitions, and only a median still over 1.3x warns; under
+  # --bench-strict, a median over 1.5x fails the script.
+  python3 - "${bench_baseline}" BENCH_sql.json "${bench_strict}" \
+      ./build-bench/bench_sql <<'PYEOF'
+import json, os, re, statistics, subprocess, sys, tempfile
 
 def times(path):
     try:
@@ -133,8 +137,29 @@ def times(path):
     return {b["name"]: b["real_time"] for b in doc.get("benchmarks", [])
             if b.get("run_type") == "iteration"}
 
+def rerun_median(bench, name):
+    """Median real time of 5 fresh repetitions of row `name`, or None."""
+    fd, path = tempfile.mkstemp(suffix=".json")
+    os.close(fd)
+    try:
+        subprocess.run([bench, f"--benchmark_filter=^{re.escape(name)}$",
+                        "--benchmark_repetitions=5",
+                        "--benchmark_min_time=0.1",
+                        f"--benchmark_out={path}",
+                        "--benchmark_out_format=json"],
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        with open(path) as f:
+            runs = [b["real_time"] for b in json.load(f).get("benchmarks", [])
+                    if b.get("run_type") == "iteration"]
+    except (OSError, ValueError):
+        runs = []
+    finally:
+        os.unlink(path)
+    return statistics.median(runs) if runs else None
+
 old, new = times(sys.argv[1]), times(sys.argv[2])
 strict = sys.argv[3] == "1"
+bench = sys.argv[4]
 common = [n for n in new if n in old]
 if not common:
     print("no committed BENCH_sql.json baseline; skipping regression diff")
@@ -145,18 +170,25 @@ print(f"{'benchmark':<{width}}  {'old_us':>10}  {'new_us':>10}  {'ratio':>6}")
 regressed = []
 failed = []
 for name in common:
-    ratio = new[name] / old[name] if old[name] > 0 else float("inf")
-    flag = ""
+    single = new[name] / old[name] if old[name] > 0 else float("inf")
+    ratio, flag = single, ""
+    if single > 1.3:
+        # One short run is noisy: the verdict is the median of a re-run.
+        median = rerun_median(bench, name)
+        if median is None:
+            flag = "  (re-run failed; single-run ratio stands)"
+        else:
+            ratio = median / old[name] if old[name] > 0 else float("inf")
+            flag = f"  re-run median {median:.1f} = {ratio:.2f}x"
     if ratio > 1.5:
-        flag = "  <-- FAIL >1.5x" if strict else "  <-- WARN >1.5x"
+        flag += "  <-- FAIL >1.5x" if strict else "  <-- WARN >1.5x"
+        failed.append(name)
     elif ratio > 1.3:
-        flag = "  <-- WARN >1.3x"
-    print(f"{name:<{width}}  {old[name]:>10.1f}  {new[name]:>10.1f}"
-          f"  {ratio:>6.2f}{flag}")
+        flag += "  <-- WARN >1.3x"
     if ratio > 1.3:
         regressed.append(name)
-    if ratio > 1.5:
-        failed.append(name)
+    print(f"{name:<{width}}  {old[name]:>10.1f}  {new[name]:>10.1f}"
+          f"  {single:>6.2f}{flag}")
 for name in sorted(set(new) - set(old)):
     print(f"{name:<{width}}  {'-':>10}  {new[name]:>10.1f}    new")
 if regressed:

@@ -50,7 +50,6 @@ class Stopwatch {
   explicit Stopwatch(Clock* clock) : clock_(clock), start_(clock->NowMicros()) {}
   int64_t ElapsedMicros() const { return clock_->NowMicros() - start_; }
   double ElapsedSeconds() const { return ElapsedMicros() / 1e6; }
-  void Restart() { start_ = clock_->NowMicros(); }
 
  private:
   Clock* clock_;

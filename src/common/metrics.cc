@@ -136,17 +136,6 @@ std::vector<Tracer::Span> Tracer::Trace(uint64_t trace_id) const {
   return out;
 }
 
-std::vector<Tracer::Span> Tracer::RecentSpans(size_t max) const {
-  std::vector<Span> out;
-  std::lock_guard<std::mutex> g(mu_);
-  out = ring_;
-  std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
-    return a.span_id > b.span_id;
-  });
-  if (out.size() > max) out.resize(max);
-  return out;
-}
-
 void Tracer::Clear() {
   std::lock_guard<std::mutex> g(mu_);
   ring_.clear();

@@ -67,18 +67,9 @@ class Gauge {
   void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void Add(int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
   int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  /// Tracks the high-water mark alongside the level (racy max — fine).
-  void SetMaxHint(int64_t v) {
-    int64_t cur = max_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  int64_t max_value() const { return max_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> v_{0};
-  std::atomic<int64_t> max_{0};
 };
 
 // --- Histogram: log-bucketed latency distribution. -------------------------
@@ -181,7 +172,6 @@ class Tracer {
   void Record(Span span);
   /// All retained spans of `trace_id`, oldest first.
   std::vector<Span> Trace(uint64_t trace_id) const;
-  std::vector<Span> RecentSpans(size_t max) const;
   void Clear();
 
   /// Statement-level traces are sampled (1 in N) so the per-statement hot

@@ -18,7 +18,6 @@ struct ObjectRef {
   std::string table;
   uint64_t row = 0;
 
-  bool whole_table() const { return row == 0; }
   bool Overlaps(const ObjectRef& o) const {
     return table == o.table && (row == 0 || o.row == 0 || row == o.row);
   }

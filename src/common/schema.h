@@ -29,8 +29,6 @@ class Schema {
   StatusOr<size_t> IndexOf(const std::string& name) const;
   bool HasColumn(const std::string& name) const;
 
-  void AddColumn(Column c) { cols_.push_back(std::move(c)); }
-
   /// Primary-key column positions (empty = no declared key). Tables build a
   /// unique index over these columns automatically — a hash index by
   /// default, an ordered one when `pk_ordered` is set (PRIMARY KEY ...

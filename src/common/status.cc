@@ -10,9 +10,7 @@ const char* StatusCodeName(StatusCode code) {
     case StatusCode::kInvalidArgument: return "InvalidArgument";
     case StatusCode::kAborted: return "Aborted";
     case StatusCode::kTimedOut: return "TimedOut";
-    case StatusCode::kBusy: return "Busy";
     case StatusCode::kCorruption: return "Corruption";
-    case StatusCode::kUnanswerable: return "Unanswerable";
     case StatusCode::kInternal: return "Internal";
     case StatusCode::kUnimplemented: return "Unimplemented";
   }

@@ -17,10 +17,7 @@ enum class StatusCode {
   kAborted,          ///< Transaction aborted (deadlock victim, group abort,
                      ///< widowed-prevention cascade, explicit ROLLBACK).
   kTimedOut,         ///< Lock wait or entangled-transaction timeout expired.
-  kBusy,             ///< Resource (connection slot) temporarily unavailable.
   kCorruption,       ///< WAL / checkpoint integrity failure.
-  kUnanswerable,     ///< Entangled query cannot be part of any combined
-                     ///< query (Appendix B failure: transaction must wait).
   kInternal,         ///< Invariant violation inside the library.
   kUnimplemented,    ///< Feature intentionally out of the supported subset.
 };
@@ -49,14 +46,8 @@ class Status {
   static Status TimedOut(std::string m) {
     return Status(StatusCode::kTimedOut, std::move(m));
   }
-  static Status Busy(std::string m) {
-    return Status(StatusCode::kBusy, std::move(m));
-  }
   static Status Corruption(std::string m) {
     return Status(StatusCode::kCorruption, std::move(m));
-  }
-  static Status Unanswerable(std::string m) {
-    return Status(StatusCode::kUnanswerable, std::move(m));
   }
   static Status Internal(std::string m) {
     return Status(StatusCode::kInternal, std::move(m));
@@ -72,7 +63,6 @@ class Status {
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
   bool IsAborted() const { return code_ == StatusCode::kAborted; }
   bool IsTimedOut() const { return code_ == StatusCode::kTimedOut; }
-  bool IsUnanswerable() const { return code_ == StatusCode::kUnanswerable; }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;

@@ -121,17 +121,18 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
   if (q.body_unsatisfiable) return out;
 
   // Access planning per body atom, in atom order (= the join order of the
-  // recursion below). Constant atom positions are plan-time equality keys;
-  // variable positions first bound by an *earlier* atom are runtime keys.
-  // When a hash index covers a key mix that includes at least one
-  // runtime-bound variable, the atom is not snapshotted at all: it is
-  // fetched lazily inside the join loop, one kGroundingJoin probe cursor
-  // per distinct binding (cached per atom), under the same index-key predicate
-  // locks as constant lookups — so phantom safety carries over. Constant-
-  // only coverage keeps the eager indexed snapshot (one lookup beats
-  // per-binding probes) and everything else keeps the grounding scan under
-  // the table S lock. The filters in the fetch visitors and the recursion
-  // stay in place either way, so plans only prune, never change results.
+  // recursion below), through the same chooser as a SQL statement's FROM
+  // tables. Constant atom positions are plan-time equality keys; variable
+  // positions first bound by an *earlier* atom are runtime keys. When an
+  // index plan can use a runtime-bound variable, the atom is not
+  // snapshotted at all: it is fetched lazily inside the join loop, one
+  // kGroundingJoin probe cursor per distinct binding (cached per atom),
+  // under the same index-key or key-range predicate locks as constant
+  // reads — so phantom safety carries over. Otherwise the atom is fetched
+  // eagerly by the statement rule (the higher-scoring of a point lookup and
+  // an interval over constants), else by the grounding scan under the
+  // table S lock. The filters in the fetch visitors and the recursion stay
+  // in place either way, so plans only prune, never change results.
   struct AtomAccess {
     std::vector<Row> rows;  ///< eager paths
     Table* table = nullptr;
@@ -161,10 +162,9 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
     auto table = tm->db()->GetTable(a.relation);
     if (table.ok()) acc.table = table.value();
 
-    std::vector<sql::JoinRangeCandidate> range_cands;
     if (acc.table != nullptr) {
       const Schema& schema = acc.table->schema();
-      std::vector<sql::JoinEqCandidate> eqs;
+      sql::Candidates cands;
       // Term positions whose variable is *first bound by this atom* — these
       // are the columns a body predicate can range-constrain.
       std::unordered_map<std::string, size_t> fresh_pos;
@@ -179,12 +179,16 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
           fresh_pos.emplace(a.terms[i].var, i);
           continue;
         }
-        eqs.push_back(std::move(cand));
+        cands.eqs.push_back(std::move(cand));
       }
       // Range candidates: body predicates `v OP src` where v is first bound
-      // here and src is a constant (eager interval filter below) or an
-      // earlier-bound variable — the `inner.col > outer.col` shape, driven
-      // per binding.
+      // here and src is a constant or an earlier-bound variable — the
+      // `inner.col > outer.col` shape, driven per binding. Constant-only
+      // ones (`Vals(y, p), y <= 60`) can make an eager interval fetch under
+      // a key-range S lock instead of a grounding scan. Sound because every
+      // predicate is re-checked once its variables bind, and a NULL row
+      // value fails the predicate just as it is skipped by the
+      // bound-constrained interval.
       for (const BodyPredicate& p : q.preds) {
         std::string op = p.op;
         const Term* target = &p.lhs;
@@ -205,43 +209,22 @@ StatusOr<std::vector<Grounding>> Grounder::Ground(const EntangledQuerySpec& q,
         } else if (!bind_source(source->var, &cand)) {
           continue;  // also fresh: not a bound
         }
-        range_cands.push_back(std::move(cand));
+        cands.ranges.push_back(std::move(cand));
       }
-      if (options.use_index_probes) {
-        acc.probe.plan =
-            sql::Planner::PlanJoinProbe(*acc.table, eqs, range_cands);
-      }
+      if (!options.use_index_probes) cands.DropRuntime();
+      acc.probe.plan = sql::Planner::Choose(*acc.table, cands);
     }
 
     if (!acc.probe.plan.is_lazy()) {
       // Eager snapshot, filtered on constant positions.
       std::vector<Row>& rows = acc.rows;
-      sql::AccessPlan plan;
-      if (acc.table != nullptr) {
-        std::vector<std::pair<size_t, Value>> eqs;
-        for (size_t i = 0; i < a.terms.size(); ++i) {
-          if (!a.terms[i].is_var && i < acc.table->schema().num_columns()) {
-            eqs.emplace_back(i, a.terms[i].constant);
-          }
-        }
-        plan = sql::Planner::PlanPointLookup(*acc.table, eqs);
-        if (!plan.is_index()) {
-          // Constant range predicates over a variable this atom binds
-          // (`Vals(y, p), y <= 60`) make an eager interval fetch under a
-          // key-range S lock instead of a grounding scan. Sound because
-          // every predicate is re-checked once its variables bind, and a
-          // NULL row value fails the predicate just as it is skipped by
-          // the bound-constrained interval.
-          plan = sql::Planner::PlanRangeLookup(*acc.table, eqs, range_cands);
-        }
-      }
       // Eager indexed/interval fetch or scan as a grounding read (R^G), via
       // the same cursor seam as every other access path. Name-based open:
       // a missing relation surfaces as NotFound here.
+      sql::AccessPlan& plan = acc.probe.plan.eager;
       if (plan.is_scan() && acc.table != nullptr) {
         rows.reserve(acc.table->size());
       }
-      plan.limit = -1;  // grounding never caps the fetch
       YT_ASSIGN_OR_RETURN(auto cursor,
                           tm->OpenCursor(txn, a.relation, std::move(plan),
                                          ReadOrigin::kGrounding));

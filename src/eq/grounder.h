@@ -39,9 +39,10 @@ class Grounder {
  public:
   struct Options {
     size_t max_groundings = 100000;  ///< guardrail against runaway products
-    /// Ablation switch for bind-driven atom probes: when false, every body
-    /// atom is snapshotted eagerly (the pre-probe behavior). Groundings are
-    /// identical either way — only the access path changes.
+    /// Ablation switch for bind-driven atom probes: when false, the
+    /// runtime-bound candidates are dropped before choosing, so every body
+    /// atom is fetched eagerly. Groundings are identical either way — only
+    /// the access path changes.
     bool use_index_probes = true;
   };
 

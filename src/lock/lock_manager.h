@@ -38,7 +38,6 @@ struct LockKey {
   }
 
   bool is_table() const { return row == kWholeTable; }
-  bool is_index_key() const { return (row & kIndexKeyBit) != 0; }
   bool operator==(const LockKey& o) const {
     return table == o.table && row == o.row;
   }

@@ -38,14 +38,4 @@ LockMode Join(LockMode a, LockMode b) {
   return LockMode::kX;
 }
 
-const char* LockModeName(LockMode m) {
-  switch (m) {
-    case LockMode::kIS: return "IS";
-    case LockMode::kIX: return "IX";
-    case LockMode::kS: return "S";
-    case LockMode::kX: return "X";
-  }
-  return "?";
-}
-
 }  // namespace youtopia

@@ -23,8 +23,6 @@ bool Covers(LockMode held, LockMode wanted);
 /// supported).
 LockMode Join(LockMode a, LockMode b);
 
-const char* LockModeName(LockMode m);
-
 }  // namespace youtopia
 
 #endif  // YOUTOPIA_LOCK_LOCK_MODE_H_

@@ -63,7 +63,7 @@ class TaggingCursor : public TableCursor {
 /// Keeps the coordinator transaction's open-cursor count honest across
 /// router cursors: a kReadCommitted coordinator must not advance its
 /// snapshot while a statement's outer cursor is still being consumed (its
-/// join probes read the same cut), which RefreshCoordinatorSnapshot
+/// join probes read the same cut), which TxnEngine::RefreshSnapshot
 /// enforces via open_cursors(). Applied only under snapshot reads — the
 /// locking path's lifetimes belong to the branch cursors.
 class CoordCursor : public TableCursor {
@@ -121,6 +121,20 @@ std::string Router::coord_wal_path() const {
   return options_.dir + "/coord.wal";
 }
 
+void Router::StartShard(Shard* sh) {
+  sh->locks = std::make_unique<LockManager>();
+  TransactionManager::Options to;
+  to.default_isolation = options_.default_isolation;
+  to.lock_timeout_micros = options_.lock_timeout_micros;
+  to.clock = clock_.get();
+  to.snapshots = snapshots_.get();
+  sh->tm = std::make_unique<TransactionManager>(sh->db.get(), sh->locks.get(),
+                                                sh->wal.get(), to);
+  // Physical flushes of every shard WAL count into the router's aggregate
+  // (the TM constructor pointed the counter at its own per-shard stats).
+  if (sh->wal != nullptr) sh->wal->set_flush_counter(&stats_.wal_flushes);
+}
+
 StatusOr<std::unique_ptr<Router>> Router::Open(Options options) {
   if (options.num_shards == 0) {
     return Status::InvalidArgument("num_shards must be >= 1");
@@ -133,7 +147,6 @@ StatusOr<std::unique_ptr<Router>> Router::Open(Options options) {
   for (size_t s = 0; s < r->shards_.size(); ++s) {
     Shard& sh = r->shards_[s];
     sh.db = std::make_unique<Database>();
-    sh.locks = std::make_unique<LockManager>();
     if (durable) {
       std::error_code ec;
       std::filesystem::create_directories(
@@ -146,16 +159,7 @@ StatusOr<std::unique_ptr<Router>> Router::Open(Options options) {
       YT_RETURN_IF_ERROR(sh.wal->Open(r->shard_wal_path(s), wo,
                                       /*truncate=*/true));
     }
-    TransactionManager::Options to;
-    to.default_isolation = r->options_.default_isolation;
-    to.lock_timeout_micros = r->options_.lock_timeout_micros;
-    to.clock = r->clock_.get();
-    to.snapshots = r->snapshots_.get();
-    sh.tm = std::make_unique<TransactionManager>(sh.db.get(), sh.locks.get(),
-                                                 sh.wal.get(), to);
-    // Physical flushes of every shard WAL count into the router's aggregate
-    // (the TM constructor pointed the counter at its own per-shard stats).
-    if (sh.wal != nullptr) sh.wal->set_flush_counter(&r->stats_.wal_flushes);
+    r->StartShard(&sh);
   }
   if (durable) {
     r->coord_wal_ = std::make_unique<WalWriter>();
@@ -184,20 +188,9 @@ StatusOr<std::unique_ptr<Router>> Router::Recover(Options options,
   GroupId max_gtid = 0;
   YT_ASSIGN_OR_RETURN(WalReader::Result coord,
                       WalReader::ReadAll(r->coord_wal_path()));
-  if (coord.torn_tail) {
-    // Same repair RecoveryManager applies to shard logs: drop the partial
-    // trailing record so the append-mode reopen below lands new records
-    // where readers can reach them.
-    std::error_code ec;
-    uint64_t size = std::filesystem::file_size(r->coord_wal_path(), ec);
-    if (!ec && size > coord.valid_bytes) {
-      std::filesystem::resize_file(r->coord_wal_path(), coord.valid_bytes, ec);
-      if (ec) {
-        return Status::Corruption("cannot truncate torn coordinator log " +
-                                  r->coord_wal_path());
-      }
-    }
-  }
+  // Same repair RecoveryManager applies to shard logs, so the append-mode
+  // reopen below lands new records where readers can reach them.
+  YT_RETURN_IF_ERROR(TruncateTornTail(r->coord_wal_path(), coord).status());
   for (const WalRecord& rec : coord.records) {
     switch (rec.type) {
       case WalRecordType::kCommitDecision:
@@ -231,7 +224,6 @@ StatusOr<std::unique_ptr<Router>> Router::Recover(Options options,
     }
     Shard& sh = r->shards_[s];
     sh.db = std::move(res.db);
-    sh.locks = std::make_unique<LockManager>();
     sh.wal = std::make_unique<WalWriter>();
     YT_RETURN_IF_ERROR(sh.wal->Open(r->shard_wal_path(s), wo,
                                     /*truncate=*/false));
@@ -249,15 +241,8 @@ StatusOr<std::unique_ptr<Router>> Router::Recover(Options options,
       appended = true;
     }
     if (appended) YT_RETURN_IF_ERROR(sh.wal->Flush());
-    TransactionManager::Options to;
-    to.default_isolation = r->options_.default_isolation;
-    to.lock_timeout_micros = r->options_.lock_timeout_micros;
-    to.clock = r->clock_.get();
-    to.snapshots = r->snapshots_.get();
-    sh.tm = std::make_unique<TransactionManager>(sh.db.get(), sh.locks.get(),
-                                                 sh.wal.get(), to);
+    r->StartShard(&sh);
     sh.tm->set_next_txn_id(res.max_txn_id + 1);
-    sh.wal->set_flush_counter(&r->stats_.wal_flushes);
     max_gtid = std::max(max_gtid, res.max_gtid);
   }
 
@@ -289,26 +274,11 @@ std::unique_ptr<Transaction> Router::Begin(IsolationLevel level) {
   stats_.begins.fetch_add(1, std::memory_order_relaxed);
   auto txn = std::make_unique<Transaction>(id, level,
                                            options_.lock_timeout_micros);
-  // Sampled tracing (see TransactionManager::Begin): the coordinator's
-  // trace id threads through the 2PC spans so coordinator and branch spans
-  // assemble into one trace; an ambient traced statement is joined rather
-  // than re-drawn.
-  if (metrics_enabled()) {
-    const TraceContext& ctx = CurrentTraceContext();
-    if (ctx.trace_id != 0) {
-      txn->set_trace_id(ctx.trace_id);
-    } else if (Tracer::Global()->ShouldSample()) {
-      txn->set_trace_id(Tracer::Global()->NewTraceId());
-    }
-  }
-  // kSnapshot pins one engine-wide cut for the whole transaction; every
-  // branch it later enlists adopts this timestamp, so a cross-shard scan
-  // reads the same point in commit order on every shard.
-  if (mvcc_reads_.load(std::memory_order_relaxed) &&
-      level == IsolationLevel::kSnapshot) {
-    txn->set_read_ts(snapshots_->RegisterCurrent(*clock_));
-    txn->set_snapshot_registered(true);
-  }
+  // The coordinator's trace id threads through the 2PC spans, so
+  // coordinator and branch spans assemble into one trace; its kSnapshot cut
+  // is engine-wide, since every branch it later enlists adopts it.
+  StartTransaction(txn.get(), mvcc_reads_.load(std::memory_order_relaxed),
+                   snapshots_.get(), *clock_);
   auto dt = std::make_unique<Dtxn>();
   dt->level = level;
   dt->branches.resize(shards_.size());
@@ -335,30 +305,6 @@ bool Router::group_commit_enabled() const {
     if (sh.wal != nullptr) return sh.wal->group_commit_enabled();
   }
   return true;  // volatile mode: nothing to flush either way
-}
-
-void Router::RefreshCoordinatorSnapshot(Transaction* txn, bool grounding) {
-  if (!SnapshotReadsActive(txn)) return;
-  if (txn->isolation_level() == IsolationLevel::kSnapshot &&
-      txn->snapshot_registered()) {
-    return;  // pinned at Begin for the whole transaction
-  }
-  // Same statement-boundary rule as the local manager: a join's probe
-  // cursors and a grounding's later atoms keep the cut the statement
-  // started on.
-  if (txn->read_ts() != 0 && (txn->open_cursors() > 0 || grounding)) return;
-  if (txn->snapshot_registered()) {
-    txn->set_read_ts(snapshots_->RefreshCurrent(txn->read_ts(), *clock_));
-  } else {
-    txn->set_read_ts(snapshots_->RegisterCurrent(*clock_));
-    txn->set_snapshot_registered(true);
-  }
-}
-
-void Router::ReleaseCoordinatorSnapshot(Transaction* txn) {
-  if (!txn->snapshot_registered()) return;
-  snapshots_->Unregister(txn->read_ts());
-  txn->set_snapshot_registered(false);
 }
 
 StatusOr<Router::Dtxn*> Router::FindDtxn(const Transaction* txn) {
@@ -470,8 +416,8 @@ StatusOr<Row> Router::Get(Transaction* txn, const std::string& table,
   if (!txn->active()) return Status::Aborted("transaction not active");
   YT_ASSIGN_OR_RETURN(Table * cat, CatalogTable(table));
   YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  RefreshCoordinatorSnapshot(txn, /*grounding=*/false);
   if (SnapshotReadsActive(txn)) {
+    RefreshSnapshot(txn, /*grounding=*/false, snapshots_.get(), *clock_);
     stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
   }
   const std::string& name = cat->name();
@@ -578,9 +524,9 @@ StatusOr<std::unique_ptr<TableCursor>> Router::OpenCursor(Transaction* txn,
   YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
   const bool grounding = origin == ReadOrigin::kGrounding ||
                          origin == ReadOrigin::kGroundingJoin;
-  RefreshCoordinatorSnapshot(txn, grounding);
   const bool track = SnapshotReadsActive(txn);
   if (track) {
+    RefreshSnapshot(txn, grounding, snapshots_.get(), *clock_);
     stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
   }
   auto tracked = [&](std::unique_ptr<TableCursor> c)
@@ -702,9 +648,10 @@ StatusOr<AggregateGroups> Router::AggregateTable(Transaction* txn, Table* t,
                                                  ReadOrigin origin) {
   if (!txn->active()) return Status::Aborted("transaction not active");
   YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  RefreshCoordinatorSnapshot(txn, origin == ReadOrigin::kGrounding ||
-                                      origin == ReadOrigin::kGroundingJoin);
   if (SnapshotReadsActive(txn)) {
+    RefreshSnapshot(txn, origin == ReadOrigin::kGrounding ||
+                             origin == ReadOrigin::kGroundingJoin,
+                    snapshots_.get(), *clock_);
     stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
   }
   const std::string& name = t->name();
@@ -1022,7 +969,7 @@ Status Router::Abort(Transaction* txn) {
   YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
   AbortBranches(dt);
   txn->set_state(TxnState::kAborted);
-  ReleaseCoordinatorSnapshot(txn);
+  ReleaseSnapshot(txn, snapshots_.get());
   EraseDtxn(txn->id());
   stats_.aborts.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
@@ -1082,7 +1029,7 @@ Status Router::CommitGroup(const std::vector<Transaction*>& members) {
   }
   for (Transaction* t : members) {
     t->set_state(TxnState::kCommitted);
-    ReleaseCoordinatorSnapshot(t);
+    ReleaseSnapshot(t, snapshots_.get());
     EraseDtxn(t->id());
     stats_.commits.fetch_add(1, std::memory_order_relaxed);
   }

@@ -269,6 +269,11 @@ class Router : public TxnEngine {
 
   explicit Router(Options options);
 
+  /// Gives shard `sh` (its db and, when durable, its WAL already set) a
+  /// lock manager and a transaction manager on the router's clock,
+  /// snapshot registry and options.
+  void StartShard(Shard* sh);
+
   StatusOr<Dtxn*> FindDtxn(const Transaction* txn);
   void EraseDtxn(TxnId id);
   /// The branch of `dt` on `shard`, enlisting (shard-level Begin) on first
@@ -282,14 +287,6 @@ class Router : public TxnEngine {
     return mvcc_reads_.load(std::memory_order_relaxed) &&
            UsesSnapshotReads(txn->isolation_level());
   }
-  /// Coordinator-side mirror of TransactionManager::MaybeRefreshSnapshot:
-  /// advances a kReadCommitted coordinator's cut at statement boundaries
-  /// (kSnapshot keeps its Begin-time pin; mid-statement and grounding
-  /// refreshes are suppressed) and keeps the registry pin current so GC
-  /// never prunes under an open coordinator snapshot.
-  void RefreshCoordinatorSnapshot(Transaction* txn, bool grounding);
-  /// Drops the coordinator's registry pin (terminal paths).
-  void ReleaseCoordinatorSnapshot(Transaction* txn);
   /// Resolves `table` to its canonical catalog entry.
   StatusOr<Table*> CatalogTable(const std::string& table) const;
   /// Splits a distributed transaction's branches into writers and readers.

@@ -109,7 +109,8 @@ StatusOr<QueryResult> Executor::ExecuteSelect(const SelectStmt& sel,
   YT_RETURN_IF_ERROR(MaterializeSubqueries(sel.where.get(), txn, vars,
                                            &in_sets));
 
-  // Access-path planning per FROM table. Four shapes come out:
+  // Access-path planning per FROM table: one Planner::Choose over the
+  // WHERE's candidates for it. Four shapes come out:
   //   * constant equality covered by an index -> eager index lookup under
   //     row-granular locks (PR-1 path);
   //   * constant range/prefix conjuncts (and/or a served ORDER BY) covered
@@ -177,16 +178,12 @@ StatusOr<QueryResult> Executor::ExecuteSelect(const SelectStmt& sel,
     s.alias = ref.alias;
     s.schema = &t->schema();
     s.table = t;
-    if (join_probes_enabled_ && i > 0) {
-      YT_ASSIGN_OR_RETURN(
-          s.probe.plan,
-          Planner::PlanJoinProbe(*t, scope, i, sel.where.get(), vars));
-    }
+    Candidates cands = Planner::Extract(scope, i, sel.where.get(), vars);
+    if (!join_probes_enabled_) cands.DropRuntime();
+    s.probe.plan = Planner::Choose(
+        *t, cands, i == 0 && order_spec_ok ? &order_spec : nullptr);
     if (!s.probe.plan.is_lazy()) {
-      YT_ASSIGN_OR_RETURN(
-          AccessPlan plan,
-          Planner::Plan(*t, scope, i, sel.where.get(), vars,
-                        i == 0 && order_spec_ok ? &order_spec : nullptr));
+      AccessPlan plan = std::move(s.probe.plan.eager);
       if (plan.is_range()) {
         // LIMIT pushes into the fetch only when no residual predicate can
         // filter rows away afterwards and the fetch order is the output
@@ -252,11 +249,8 @@ StatusOr<QueryResult> Executor::ExecuteSelect(const SelectStmt& sel,
       [&](const Expr* e) -> Status {
     if (e == nullptr) return Status::Ok();
     if (e->kind == ExprKind::kColumnRef) {
-      for (const Scanned& s : scans) {
-        bool qual_ok = e->qualifier.empty() ||
-                       EqualsIgnoreCase(s.alias, e->qualifier);
-        if (qual_ok && s.schema->HasColumn(e->column)) return Status::Ok();
-      }
+      size_t table = 0, column = 0;
+      if (ResolveScopeColumn(*e, scope, &table, &column)) return Status::Ok();
       return Status::NotFound(
           "unresolved column " +
           (e->qualifier.empty() ? e->column : e->qualifier + "." + e->column));
@@ -280,29 +274,14 @@ StatusOr<QueryResult> Executor::ExecuteSelect(const SelectStmt& sel,
   // conjuncts and evaluate each at the shallowest join depth where all its
   // column references are bound. This turns the paper's three-way §D joins
   // from a cartesian product into an early-pruned loop.
-  std::function<void(const Expr*, std::vector<const Expr*>*)> flatten =
-      [&](const Expr* e, std::vector<const Expr*>* out) {
-        if (e == nullptr) return;
-        if (e->kind == ExprKind::kBinary && e->op == "AND") {
-          flatten(e->lhs.get(), out);
-          flatten(e->rhs.get(), out);
-          return;
-        }
-        out->push_back(e);
-      };
   // Depth needed to evaluate an expression: max over its column refs of the
   // first FROM table that binds them; +inf (scans.size()) when unknown.
   std::function<size_t(const Expr*)> depth_needed = [&](const Expr* e) -> size_t {
     if (e == nullptr) return 0;
     size_t d = 0;
     if (e->kind == ExprKind::kColumnRef) {
-      for (size_t t = 0; t < scans.size(); ++t) {
-        bool qual_ok = e->qualifier.empty() ||
-                       EqualsIgnoreCase(scans[t].alias, e->qualifier);
-        if (qual_ok && scans[t].schema->HasColumn(e->column)) {
-          return t + 1;
-        }
-      }
+      size_t table = 0, column = 0;
+      if (ResolveScopeColumn(*e, scope, &table, &column)) return table + 1;
       return scans.size();  // unknown column: defer to the deepest level
     }
     if (e->lhs) d = std::max(d, depth_needed(e->lhs.get()));
@@ -313,7 +292,7 @@ StatusOr<QueryResult> Executor::ExecuteSelect(const SelectStmt& sel,
   std::vector<std::vector<const Expr*>> conjuncts_at(scans.size() + 1);
   {
     std::vector<const Expr*> conjuncts;
-    flatten(sel.where.get(), &conjuncts);
+    FlattenConjuncts(sel.where.get(), &conjuncts);
     for (const Expr* c : conjuncts) {
       size_t d = std::min(depth_needed(c), scans.size());
       conjuncts_at[d].push_back(c);
@@ -689,8 +668,8 @@ StatusOr<std::vector<std::pair<RowId, Row>>> Executor::MatchRowsForWrite(
   std::vector<const Expr*> subqueries;
   CollectSubqueries(where, &subqueries);
   std::vector<TableScope> scope{{table, &schema}};
-  YT_ASSIGN_OR_RETURN(AccessPlan plan,
-                      Planner::Plan(*t, scope, 0, where, vars));
+  AccessPlan plan =
+      Planner::Choose(*t, Planner::Extract(scope, 0, where, vars)).eager;
   std::vector<std::pair<RowId, Row>> candidates;
   if (plan.is_index() && subqueries.empty()) {
     YT_ASSIGN_OR_RETURN(candidates, tm_->LockRowsForWrite(

@@ -35,10 +35,10 @@ class Executor {
   explicit Executor(TxnEngine* tm) : tm_(tm) {}
 
   /// Ablation switch for bind-driven index nested-loop joins: when off,
-  /// every FROM table is snapshotted eagerly (the pre-probe behavior).
-  /// Results must be identical either way — only the access path changes.
+  /// the runtime-bound candidates are dropped before choosing, so every
+  /// FROM table is fetched eagerly. Results must be identical either way —
+  /// only the access path changes.
   void set_join_probes_enabled(bool on) { join_probes_enabled_ = on; }
-  bool join_probes_enabled() const { return join_probes_enabled_; }
 
   /// The `max_rows` of every NextBatch pull in cursor drains; 1 pulls row
   /// at a time (a differential-test ablation). Results must be identical

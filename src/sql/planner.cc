@@ -9,45 +9,6 @@ namespace youtopia::sql {
 
 namespace {
 
-void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out) {
-  if (e == nullptr) return;
-  if (e->kind == ExprKind::kBinary && e->op == "AND") {
-    FlattenConjuncts(e->lhs.get(), out);
-    FlattenConjuncts(e->rhs.get(), out);
-    return;
-  }
-  out->push_back(e);
-}
-
-/// Resolves a column reference to its (scope index, column position) under
-/// the evaluator's rule (expr_eval ResolveColumn): the FIRST table whose
-/// alias matches the qualifier (any table when unqualified) and that has
-/// the column. False when unresolved.
-bool ResolveScopeColumn(const Expr& col, const std::vector<TableScope>& scope,
-                        size_t* table_out, size_t* column_out) {
-  for (size_t i = 0; i < scope.size(); ++i) {
-    bool qual_ok = col.qualifier.empty() ||
-                   EqualsIgnoreCase(scope[i].alias, col.qualifier);
-    if (!qual_ok) continue;
-    auto pos = scope[i].schema->IndexOf(col.column);
-    if (!pos.ok()) continue;
-    *table_out = i;
-    *column_out = pos.value();
-    return true;
-  }
-  return false;
-}
-
-/// True when `col` (a kColumnRef) binds to scope[target] under the
-/// evaluator's resolution rule. First-match matters even for qualified
-/// refs: with duplicate aliases (FROM User, User), `User.uid` evaluates
-/// against the FIRST User, so a plan for the second must not claim it.
-bool BindsToTarget(const Expr& col, const std::vector<TableScope>& scope,
-                   size_t target) {
-  size_t table = 0, column = 0;
-  return ResolveScopeColumn(col, scope, &table, &column) && table == target;
-}
-
 /// Evaluates `e` using only the variable environment; fails when the
 /// expression touches a table column or a subquery, which is exactly the
 /// non-sargable case.
@@ -57,23 +18,46 @@ StatusOr<Value> ConstFold(const Expr& e, const VarEnv* vars) {
   return EvalScalar(e, env);
 }
 
-/// `const OP col` reads as `col FLIP(OP) const`.
-std::string FlipOp(const std::string& op) {
-  if (op == "<") return ">";
-  if (op == "<=") return ">=";
-  if (op == ">") return "<";
-  if (op == ">=") return "<=";
-  return op;
+bool IsRangeOp(const std::string& op) {
+  return op == "<" || op == "<=" || op == ">" || op == ">=";
 }
 
-/// One sargable conjunct, classified and column-typed.
-struct Sarg {
-  enum class Kind { kOther, kEq, kRange };
-  Kind kind = Kind::kOther;
+/// One top-level comparison read as `scope[target].column OP other`.
+struct Oriented {
   size_t column = 0;
-  std::string op;  ///< kRange: normalized with the column on the left
-  Value value;     ///< coerced to the column type
+  const Expr* other = nullptr;
+  std::string op;
 };
+
+/// Orients comparison conjunct `c` so a column of `scope[target]` is on
+/// the left (`const OP col` reads as `col FLIP(OP) const`); nullopt when
+/// `c` is no comparison or neither side is such a column. A column binds
+/// under the evaluator's resolution rule, and first-match matters even for
+/// qualified refs: with duplicate aliases (FROM User, User), `User.uid`
+/// evaluates against the FIRST User, so a plan for the second must not
+/// claim it.
+std::optional<Oriented> OrientConjunct(const Expr& c,
+                                       const std::vector<TableScope>& scope,
+                                       size_t target) {
+  if (c.kind != ExprKind::kBinary ||
+      !(c.op == "=" || c.op == "<>" || c.op == "!=" || IsRangeOp(c.op))) {
+    return std::nullopt;
+  }
+  Oriented o;
+  auto binds = [&](const Expr* e) {
+    size_t table = 0;
+    return e->kind == ExprKind::kColumnRef &&
+           ResolveScopeColumn(*e, scope, &table, &o.column) && table == target;
+  };
+  o.op = c.op;
+  o.other = c.rhs.get();
+  if (!binds(c.lhs.get())) {
+    o.other = c.lhs.get();
+    if (!binds(c.rhs.get())) return std::nullopt;
+    if (IsRangeOp(o.op)) o.op[0] = o.op[0] == '<' ? '>' : '<';
+  }
+  return o;
+}
 
 /// One side of an accumulated range constraint on a column.
 struct BoundC {
@@ -87,61 +71,18 @@ struct RangeC {
   BoundC lo, hi;
 };
 
-/// Classifies each top-level conjunct of `where` against `scope[target]`.
-/// Range bounds must survive coercion *exactly* (a shifted bound would move
-/// the interval; e.g. `col < 0.5` on an INT column is not `col < 0`), so
-/// lossy coercions demote the conjunct to residual-only.
-std::vector<Sarg> ClassifyConjuncts(const std::vector<const Expr*>& conjuncts,
-                                    const Schema& schema,
-                                    const std::vector<TableScope>& scope,
-                                    size_t target, const VarEnv* vars) {
-  std::vector<Sarg> sargs(conjuncts.size());
-  for (size_t i = 0; i < conjuncts.size(); ++i) {
-    const Expr* c = conjuncts[i];
-    if (c->kind != ExprKind::kBinary) continue;
-    const bool is_eq = c->op == "=";
-    const bool is_range =
-        c->op == "<" || c->op == "<=" || c->op == ">" || c->op == ">=";
-    if (!is_eq && !is_range) continue;
-    const Expr* col = c->lhs.get();
-    const Expr* val = c->rhs.get();
-    std::string op = c->op;
-    if (col->kind != ExprKind::kColumnRef) {
-      std::swap(col, val);
-      op = FlipOp(op);
-    }
-    if (col->kind != ExprKind::kColumnRef) continue;
-    if (val->kind == ExprKind::kColumnRef) continue;  // join predicate
-    if (!BindsToTarget(*col, scope, target)) continue;
-    auto folded = ConstFold(*val, vars);
-    if (!folded.ok() || folded.value().is_null()) continue;
-    auto pos = scope[target].schema->IndexOf(col->column);
-    if (!pos.ok() || pos.value() >= schema.num_columns()) continue;
-    size_t column = pos.value();
-    auto coerced = folded.value().CoerceTo(schema.column(column).type);
-    if (!coerced.ok()) continue;
-    if (is_range && coerced.value().Compare(folded.value()) != 0) continue;
-    sargs[i].kind = is_eq ? Sarg::Kind::kEq : Sarg::Kind::kRange;
-    sargs[i].column = column;
-    sargs[i].op = std::move(op);
-    sargs[i].value = std::move(coerced).value();
-  }
-  return sargs;
-}
-
-/// Folds one range sarg into the per-column constraint (intersection:
-/// tightest bound wins; on a tie the exclusive bound is tighter).
-void TightenRange(RangeC* rc, const Sarg& s) {
-  const bool is_lo = s.op == ">" || s.op == ">=";
-  const bool incl = s.op == ">=" || s.op == "<=";
+/// Folds one constant range bound into the per-column constraint
+/// (intersection: tightest bound wins; on a tie the exclusive bound is
+/// tighter).
+void TightenRange(RangeC* rc, bool is_lo, bool incl, const Value& value) {
   BoundC* b = is_lo ? &rc->lo : &rc->hi;
   if (!b->present) {
-    *b = {true, s.value, incl};
+    *b = {true, value, incl};
     return;
   }
-  int c = s.value.Compare(b->value);
+  int c = value.Compare(b->value);
   if ((is_lo && c > 0) || (!is_lo && c < 0) || (c == 0 && !incl)) {
-    *b = {true, s.value, incl};
+    *b = {true, value, incl};
   }
 }
 
@@ -163,78 +104,6 @@ IndexRange PrefixInterval(const std::vector<Value>& prefix, const BoundC& lo,
   side(lo, &range.lo, &range.lo_unbounded, &range.lo_incl);
   side(hi, &range.hi, &range.hi_unbounded, &range.hi_incl);
   return range;
-}
-
-/// Builds the kIndexRange plan for one ordered index: interval bounds from
-/// the equality-pinned prefix `cols[0..e)` plus the range constraint on
-/// `cols[e]`.
-AccessPlan MakeRangePlan(const std::vector<size_t>& cols, size_t e,
-                         const std::vector<Value>& eq_val, const RangeC& rc) {
-  AccessPlan plan;
-  plan.kind = AccessPlan::Kind::kIndexRange;
-  plan.columns = cols;
-  std::vector<Value> prefix;
-  prefix.reserve(e + 1);
-  for (size_t i = 0; i < e; ++i) prefix.push_back(eq_val[cols[i]]);
-  plan.range = PrefixInterval(prefix, rc.lo, rc.hi);
-  return plan;
-}
-
-/// True when an index's key order (with `eq_cols` pinned to constants)
-/// yields rows already sorted per `order`.
-bool OrderServed(const std::vector<size_t>& index_cols,
-                 const std::vector<bool>& eq_cols, const OrderSpec& order) {
-  size_t ci = 0;
-  for (size_t oi = 0; oi < order.columns.size();) {
-    size_t oc = order.columns[oi];
-    if (oc < eq_cols.size() && eq_cols[oc]) {
-      ++oi;  // equality-pinned: constant in the output, order-neutral
-      continue;
-    }
-    while (ci < index_cols.size() && index_cols[ci] < eq_cols.size() &&
-           eq_cols[index_cols[ci]]) {
-      ++ci;  // equality-pinned index column: does not vary
-    }
-    if (ci < index_cols.size() && index_cols[ci] == oc) {
-      ++ci;
-      ++oi;
-      continue;
-    }
-    return false;
-  }
-  return true;
-}
-
-/// Picks the best ordered-index range plan for the accumulated per-column
-/// equality pins and range constraints — shared by the SQL path (which adds
-/// the ORDER BY-served bonus) and the grounder's eager constant-range path
-/// (order == nullptr). `*score_out` is 0 when nothing qualifies.
-AccessPlan BestRangePlan(const Table& table, const std::vector<bool>& has_eq,
-                         const std::vector<Value>& eq_val,
-                         const std::vector<RangeC>& range_c,
-                         const OrderSpec* order, int* score_out) {
-  AccessPlan best;
-  int best_score = 0;
-  for (const IndexInfo& info : table.IndexInfos()) {
-    if (!info.ordered) continue;
-    size_t e = 0;
-    while (e < info.columns.size() && has_eq[info.columns[e]]) ++e;
-    if (e == info.columns.size()) continue;  // full eq: point territory
-    const RangeC& rc = range_c[info.columns[e]];
-    const bool has_range = rc.lo.present || rc.hi.present;
-    const bool served =
-        order != nullptr && OrderServed(info.columns, has_eq, *order);
-    int score = 100 * static_cast<int>(e) + (has_range ? 70 : 0) +
-                (served ? 10 : 0);
-    if (score <= 0 || score <= best_score) continue;
-    AccessPlan plan = MakeRangePlan(info.columns, e, eq_val, rc);
-    plan.ordered = served;
-    plan.reverse = served && order->desc;
-    best = std::move(plan);
-    best_score = score;
-  }
-  *score_out = best_score;
-  return best;
 }
 
 /// Validates candidate `c` as a key part or range bound on `c.column`. A
@@ -263,30 +132,23 @@ bool UsableSource(const Schema& schema, const JoinEqCandidate& c, bool exact,
   return true;
 }
 
-/// Per schema column, the first usable equality source (empty: none).
+/// Per schema column, the first usable equality source (empty: none);
+/// with `const_only`, the first usable constant.
 using EqSources = std::vector<std::optional<JoinProbePlan::KeyPart>>;
 
 EqSources UsableEqSources(const Schema& schema,
-                          const std::vector<JoinEqCandidate>& eqs) {
+                          const std::vector<JoinEqCandidate>& eqs,
+                          bool const_only) {
   EqSources out(schema.num_columns());
   for (const JoinEqCandidate& c : eqs) {
-    if (c.column >= out.size() || out[c.column].has_value()) continue;
+    if (c.column >= out.size() || out[c.column].has_value() ||
+        (const_only && !c.is_const)) {
+      continue;
+    }
     JoinProbePlan::KeyPart part;
     if (UsableSource(schema, c, /*exact=*/false, &part)) {
       out[c.column] = std::move(part);
     }
-  }
-  return out;
-}
-
-/// Constant (column position, value) equality pairs as candidates.
-std::vector<JoinEqCandidate> ConstEqCandidates(
-    const std::vector<std::pair<size_t, Value>>& eqs) {
-  std::vector<JoinEqCandidate> out(eqs.size());
-  for (size_t i = 0; i < eqs.size(); ++i) {
-    out[i].column = eqs[i].first;
-    out[i].is_const = true;
-    out[i].constant = eqs[i].second;
   }
   return out;
 }
@@ -311,6 +173,161 @@ const IndexInfo* WidestCoveredIndex(const std::vector<IndexInfo>& infos,
     }
   }
   return best;
+}
+
+/// The equality-covered prefix length of `cols`.
+size_t EqPrefix(const std::vector<size_t>& cols, const EqSources& src) {
+  size_t e = 0;
+  while (e < cols.size() && src[cols[e]].has_value()) ++e;
+  return e;
+}
+
+/// True when an index's key order (with the `src` columns pinned to
+/// constants) yields rows already sorted per `order`.
+bool OrderServed(const std::vector<size_t>& index_cols, const EqSources& src,
+                 const OrderSpec& order) {
+  size_t ci = 0;
+  for (size_t oi = 0; oi < order.columns.size();) {
+    size_t oc = order.columns[oi];
+    if (oc < src.size() && src[oc].has_value()) {
+      ++oi;  // equality-pinned: constant in the output, order-neutral
+      continue;
+    }
+    while (ci < index_cols.size() && src[index_cols[ci]].has_value()) {
+      ++ci;  // equality-pinned index column: does not vary
+    }
+    if (ci < index_cols.size() && index_cols[ci] == oc) {
+      ++ci;
+      ++oi;
+      continue;
+    }
+    return false;
+  }
+  return true;
+}
+
+/// The bind-driven plan when one can use a runtime-bound source: full
+/// equality coverage first (the cheaper probe), else the ordered index with
+/// the longest equality-covered prefix whose next column has a usable
+/// bound (first usable candidate per side). kSnapshot when none qualifies.
+JoinProbePlan ChooseProbe(const Schema& schema,
+                          const std::vector<IndexInfo>& infos,
+                          const EqSources& src,
+                          const std::vector<JoinRangeCandidate>& ranges) {
+  JoinProbePlan plan;
+  if (const IndexInfo* best =
+          WidestCoveredIndex(infos, src, /*need_bound=*/true)) {
+    plan.kind = JoinProbePlan::Kind::kIndexProbe;
+    plan.columns = best->columns;
+    plan.parts.reserve(best->columns.size());
+    for (size_t col : best->columns) plan.parts.push_back(*src[col]);
+    return plan;
+  }
+  int best_score = -1;
+  for (const IndexInfo& info : infos) {
+    if (!info.ordered) continue;
+    const size_t e = EqPrefix(info.columns, src);
+    if (e == info.columns.size()) continue;  // full eq coverage: eq probe
+    JoinProbePlan cand;
+    cand.kind = JoinProbePlan::Kind::kIndexRangeProbe;
+    cand.columns = info.columns;
+    bool any_bound = false;
+    for (size_t i = 0; i < e; ++i) {
+      cand.parts.push_back(*src[info.columns[i]]);
+      any_bound |= !cand.parts.back().is_const;
+    }
+    for (const JoinRangeCandidate& c : ranges) {
+      if (c.column != info.columns[e]) continue;
+      JoinProbePlan::RangeBound* slot = c.is_lo ? &cand.lo : &cand.hi;
+      if (slot->present) continue;  // first usable candidate per side wins
+      JoinProbePlan::RangeBound bound;
+      if (!UsableSource(schema, c, /*exact=*/true, &bound)) continue;
+      bound.present = true;
+      bound.incl = c.incl;
+      any_bound |= !bound.is_const;
+      *slot = std::move(bound);
+    }
+    if ((!cand.lo.present && !cand.hi.present) || !any_bound) continue;
+    int score = static_cast<int>(e) * 4 + (cand.lo.present ? 1 : 0) +
+                (cand.hi.present ? 1 : 0);
+    if (score > best_score) {
+      best_score = score;
+      plan = std::move(cand);
+    }
+  }
+  return plan;
+}
+
+/// The eager plan from constant sources only (see Planner::Choose).
+AccessPlan ChooseEager(const Schema& schema,
+                       const std::vector<IndexInfo>& infos,
+                       const Candidates& c, const OrderSpec* order) {
+  const EqSources src = UsableEqSources(schema, c.eqs, /*const_only=*/true);
+  std::vector<RangeC> range_c(schema.num_columns());
+  for (const JoinRangeCandidate& r : c.ranges) {
+    JoinProbePlan::KeyPart bound;
+    if (r.is_const && UsableSource(schema, r, /*exact=*/true, &bound)) {
+      TightenRange(&range_c[r.column], r.is_lo, r.incl, bound.constant);
+    }
+  }
+
+  AccessPlan plan;
+  int best_score = 0;
+  if (const IndexInfo* best =
+          WidestCoveredIndex(infos, src, /*need_bound=*/false)) {
+    std::vector<Value> key;
+    key.reserve(best->columns.size());
+    for (size_t col : best->columns) key.push_back(src[col]->constant);
+    plan = AccessPlan::Lookup(best->columns, Row(std::move(key)));
+    best_score = 100 * static_cast<int>(best->columns.size()) + 60;
+  }
+  for (const IndexInfo& info : infos) {
+    if (!info.ordered) continue;
+    const size_t e = EqPrefix(info.columns, src);
+    if (e == info.columns.size()) continue;  // full eq: point territory
+    const RangeC& rc = range_c[info.columns[e]];
+    const bool served =
+        order != nullptr && OrderServed(info.columns, src, *order);
+    int score = 100 * static_cast<int>(e) +
+                (rc.lo.present || rc.hi.present ? 70 : 0) + (served ? 10 : 0);
+    if (score <= best_score) continue;
+    std::vector<Value> prefix;
+    prefix.reserve(e + 1);
+    for (size_t i = 0; i < e; ++i) {
+      prefix.push_back(src[info.columns[i]]->constant);
+    }
+    plan = AccessPlan();
+    plan.kind = AccessPlan::Kind::kIndexRange;
+    plan.columns = info.columns;
+    plan.range = PrefixInterval(prefix, rc.lo, rc.hi);
+    plan.ordered = served;
+    plan.reverse = served && order->desc;
+    best_score = score;
+  }
+  if (plan.is_scan()) return plan;
+
+  // covers_where: every conjunct absorbed into the plan's key or interval
+  // — only then can a LIMIT be pushed into the fetch (no residual
+  // re-evaluation filters rows away afterwards). An equality is absorbed
+  // when the plan pins its column to the same value, a range when its
+  // column is the interval's (the interval intersects them all).
+  const size_t pinned =
+      plan.is_range() ? EqPrefix(plan.columns, src) : plan.columns.size();
+  const auto pinned_end = plan.columns.begin() + pinned;
+  bool covers = c.all_const;
+  JoinProbePlan::KeyPart v;
+  for (const JoinEqCandidate& e : c.eqs) {
+    covers = covers && UsableSource(schema, e, /*exact=*/false, &v) &&
+             std::find(plan.columns.begin(), pinned_end, e.column) !=
+                 pinned_end &&
+             src[e.column]->constant.Compare(v.constant) == 0;
+  }
+  for (const JoinRangeCandidate& r : c.ranges) {
+    covers = covers && UsableSource(schema, r, /*exact=*/true, &v) &&
+             pinned_end != plan.columns.end() && *pinned_end == r.column;
+  }
+  plan.covers_where = covers;
+  return plan;
 }
 
 /// Compiles one COUNT/SUM/MIN/MAX/AVG call into an engine AggSpec with
@@ -422,6 +439,37 @@ StatusOr<ExprPtr> CompileHaving(const Expr& e, const Schema& schema,
 
 }  // namespace
 
+void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out) {
+  if (e == nullptr) return;
+  if (e->kind == ExprKind::kBinary && e->op == "AND") {
+    FlattenConjuncts(e->lhs.get(), out);
+    FlattenConjuncts(e->rhs.get(), out);
+    return;
+  }
+  out->push_back(e);
+}
+
+bool ResolveScopeColumn(const Expr& col, const std::vector<TableScope>& scope,
+                        size_t* table_out, size_t* column_out) {
+  for (size_t i = 0; i < scope.size(); ++i) {
+    bool qual_ok = col.qualifier.empty() ||
+                   EqualsIgnoreCase(scope[i].alias, col.qualifier);
+    if (!qual_ok) continue;
+    auto pos = scope[i].schema->IndexOf(col.column);
+    if (!pos.ok()) continue;
+    *table_out = i;
+    *column_out = pos.value();
+    return true;
+  }
+  return false;
+}
+
+void Candidates::DropRuntime() {
+  std::erase_if(eqs, [](const JoinEqCandidate& c) { return !c.is_const; });
+  std::erase_if(ranges,
+                [](const JoinRangeCandidate& c) { return !c.is_const; });
+}
+
 bool ContainsAggregate(const Expr* e) {
   if (e == nullptr) return false;
   if (e->kind == ExprKind::kAggregate) return true;
@@ -432,27 +480,6 @@ bool ContainsAggregate(const Expr* e) {
     if (ContainsAggregate(t.get())) return true;
   }
   return false;
-}
-
-std::string JoinProbePlan::ToString() const {
-  if (kind == Kind::kSnapshot) return "snapshot";
-  auto src = [](const KeyPart& p) {
-    if (p.is_const) return p.constant.ToString();
-    return "$" + std::to_string(p.outer) + "." +
-           std::to_string(p.outer_column);
-  };
-  std::string s = kind == Kind::kIndexProbe ? "probe(" : "range-probe(";
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i) s += ",";
-    s += std::to_string(columns[i]) + "=" + src(parts[i]);
-  }
-  if (kind == Kind::kIndexRangeProbe && parts.size() < columns.size()) {
-    if (!parts.empty()) s += ",";
-    s += std::to_string(columns[parts.size()]);
-    if (lo.present) s += (lo.incl ? ">=" : ">") + src(lo);
-    if (hi.present) s += (hi.incl ? "<=" : "<") + src(hi);
-  }
-  return s + ")";
 }
 
 StatusOr<const std::vector<Row>*> JoinProbe::Fetch(
@@ -520,90 +547,56 @@ StatusOr<const std::vector<Row>*> JoinProbe::Fetch(
   return cache.Insert(std::move(cache_key), std::move(rows), overflow);
 }
 
-StatusOr<AccessPlan> Planner::Plan(const Table& table,
-                                   const std::vector<TableScope>& scope,
-                                   size_t target, const Expr* where,
-                                   const VarEnv* vars,
-                                   const OrderSpec* order) {
-  if (target >= scope.size()) {
-    return Status::InvalidArgument("planner target out of scope");
-  }
-  const Schema& schema = table.schema();
+Candidates Planner::Extract(const std::vector<TableScope>& scope,
+                             size_t target, const Expr* where,
+                             const VarEnv* vars) {
+  Candidates out;
   std::vector<const Expr*> conjuncts;
   FlattenConjuncts(where, &conjuncts);
-  std::vector<Sarg> sargs =
-      ClassifyConjuncts(conjuncts, schema, scope, target, vars);
-
-  // First equality value per column wins (a conflicting second stays
-  // residual); range conjuncts intersect per column.
-  std::vector<bool> has_eq(schema.num_columns(), false);
-  std::vector<Value> eq_val(schema.num_columns());
-  std::vector<RangeC> range_c(schema.num_columns());
-  std::vector<std::pair<size_t, Value>> eq_pairs;
-  for (const Sarg& s : sargs) {
-    if (s.kind == Sarg::Kind::kEq) {
-      if (!has_eq[s.column]) {
-        has_eq[s.column] = true;
-        eq_val[s.column] = s.value;
-        eq_pairs.emplace_back(s.column, s.value);
-      }
-    } else if (s.kind == Sarg::Kind::kRange) {
-      TightenRange(&range_c[s.column], s);
+  for (const Expr* c : conjuncts) {
+    std::optional<Oriented> o = OrientConjunct(*c, scope, target);
+    if (!o || !(o->op == "=" || IsRangeOp(o->op))) {
+      out.all_const = false;
+      continue;
+    }
+    // The source side: a plan-time constant or an earlier FROM table's
+    // column (already iterating when this depth probes).
+    JoinEqCandidate cand;
+    cand.column = o->column;
+    auto folded = ConstFold(*o->other, vars);
+    if (folded.ok()) {
+      cand.is_const = true;
+      cand.constant = std::move(folded).value();
+    } else if (o->other->kind == ExprKind::kColumnRef &&
+               ResolveScopeColumn(*o->other, scope, &cand.outer,
+                                  &cand.outer_column) &&
+               cand.outer < target) {
+      cand.bound_type =
+          scope[cand.outer].schema->column(cand.outer_column).type;
+    } else {
+      out.all_const = false;
+      continue;  // expression over columns: not index-servable
+    }
+    out.all_const = out.all_const && cand.is_const;
+    if (o->op == "=") {
+      out.eqs.push_back(std::move(cand));
+    } else {
+      out.ranges.push_back({std::move(cand), /*is_lo=*/o->op[0] == '>',
+                            /*incl=*/o->op.back() == '='});
     }
   }
+  return out;
+}
 
-  // Point candidate: the widest fully equality-covered index (hash or
-  // ordered — equality lookups work on both).
-  AccessPlan point = PlanPointLookup(table, eq_pairs);
-  int point_score = 0;
-  if (point.is_index()) {
-    point_score = 100 * static_cast<int>(point.columns.size()) + 60;
-  }
-
-  // Range candidates: ordered indexes with an equality-covered prefix, an
-  // optional range constraint on the next column, and/or an order match.
-  int range_score = 0;
-  AccessPlan best_range =
-      BestRangePlan(table, has_eq, eq_val, range_c, order, &range_score);
-
-  AccessPlan chosen =
-      range_score > point_score ? std::move(best_range) : std::move(point);
-  if (chosen.kind == AccessPlan::Kind::kTableScan) return chosen;
-
-  // covers_where: every top-level conjunct absorbed into the plan's key or
-  // interval — only then can a LIMIT be pushed into the fetch (no residual
-  // re-evaluation filters rows away afterwards).
-  size_t eq_prefix = 0;
-  if (chosen.is_range()) {
-    while (eq_prefix < chosen.columns.size() &&
-           has_eq[chosen.columns[eq_prefix]]) {
-      ++eq_prefix;
-    }
-  }
-  bool covers = true;
-  for (const Sarg& s : sargs) {
-    bool absorbed = false;
-    if (s.kind == Sarg::Kind::kEq) {
-      // Absorbed when the plan pins this column to the same value.
-      const std::vector<size_t>& cols = chosen.columns;
-      size_t limit = chosen.is_range() ? eq_prefix : cols.size();
-      for (size_t i = 0; i < limit && !absorbed; ++i) {
-        const Value& used = chosen.is_range() ? eq_val[cols[i]] : chosen.key[i];
-        absorbed = cols[i] == s.column && used.Compare(s.value) == 0;
-      }
-    } else if (s.kind == Sarg::Kind::kRange) {
-      // Absorbed when the interval's range column is this one (the interval
-      // is the intersection of every range conjunct on it).
-      absorbed = chosen.is_range() && eq_prefix < chosen.columns.size() &&
-                 chosen.columns[eq_prefix] == s.column;
-    }
-    if (!absorbed) {
-      covers = false;
-      break;
-    }
-  }
-  chosen.covers_where = covers;
-  return chosen;
+JoinProbePlan Planner::Choose(const Table& table, const Candidates& c,
+                              const OrderSpec* order) {
+  const Schema& schema = table.schema();
+  const std::vector<IndexInfo> infos = table.IndexInfos();
+  JoinProbePlan plan = ChooseProbe(
+      schema, infos, UsableEqSources(schema, c.eqs, /*const_only=*/false),
+      c.ranges);
+  if (!plan.is_lazy()) plan.eager = ChooseEager(schema, infos, c, order);
+  return plan;
 }
 
 StatusOr<AggregateQueryPlan> Planner::PlanAggregate(
@@ -679,7 +672,8 @@ StatusOr<AggregateQueryPlan> Planner::PlanAggregate(
 
   // The access plan prunes like any read (an indexed equality/range WHERE
   // narrows what the fold sees); consumers still apply the full predicate.
-  YT_ASSIGN_OR_RETURN(out.access, Plan(table, scope, 0, sel.where.get(), vars));
+  out.access =
+      Choose(table, Extract(scope, 0, sel.where.get(), vars)).eager;
 
   // Pushable when EVERY top-level conjunct compiles to `col OP constant`
   // with engine-level ColumnFilter semantics (which mirror EvalBinary:
@@ -691,217 +685,27 @@ StatusOr<AggregateQueryPlan> Planner::PlanAggregate(
   std::vector<const Expr*> conjuncts;
   FlattenConjuncts(sel.where.get(), &conjuncts);
   for (const Expr* c : conjuncts) {
-    ColumnFilter f;
-    bool compiled = false;
-    if (c->kind == ExprKind::kBinary) {
-      const Expr* col = c->lhs.get();
-      const Expr* val = c->rhs.get();
-      std::string op = c->op;
-      if (col->kind != ExprKind::kColumnRef) {
-        std::swap(col, val);
-        op = FlipOp(op);
-      }
-      if (col->kind == ExprKind::kColumnRef &&
-          val->kind != ExprKind::kColumnRef) {
-        size_t t = 0, pos = 0;
-        auto folded = ConstFold(*val, vars);
-        if (ResolveScopeColumn(*col, scope, &t, &pos) && folded.ok()) {
-          f.column = pos;
-          f.value = std::move(folded).value();
-          if (op == "=") {
-            f.op = ColumnFilter::Op::kEq;
-          } else if (op == "<>" || op == "!=") {
-            f.op = ColumnFilter::Op::kNe;
-          } else if (op == "<") {
-            f.op = ColumnFilter::Op::kLt;
-          } else if (op == "<=") {
-            f.op = ColumnFilter::Op::kLe;
-          } else if (op == ">") {
-            f.op = ColumnFilter::Op::kGt;
-          } else if (op == ">=") {
-            f.op = ColumnFilter::Op::kGe;
-          } else {
-            op.clear();  // arithmetic/AND residue: not a filter
-          }
-          compiled = !op.empty();
-        }
-      }
-    }
-    if (!compiled) {
+    std::optional<Oriented> o = OrientConjunct(*c, scope, 0);
+    StatusOr<Value> folded = Status::InvalidArgument("not a comparison");
+    if (o) folded = ConstFold(*o->other, vars);
+    if (!folded.ok()) {
       out.pushable = false;
       out.spec.filters.clear();
       break;
     }
+    ColumnFilter f;
+    f.column = o->column;
+    f.value = std::move(folded).value();
+    const std::string& op = o->op;
+    f.op = op == "="    ? ColumnFilter::Op::kEq
+           : op == "<"  ? ColumnFilter::Op::kLt
+           : op == "<=" ? ColumnFilter::Op::kLe
+           : op == ">"  ? ColumnFilter::Op::kGt
+           : op == ">=" ? ColumnFilter::Op::kGe
+                        : ColumnFilter::Op::kNe;  // <> or !=
     out.spec.filters.push_back(std::move(f));
   }
   return out;
-}
-
-AccessPlan Planner::PlanPointLookup(
-    const Table& table, const std::vector<std::pair<size_t, Value>>& eqs) {
-  AccessPlan plan;
-  if (eqs.empty()) return plan;
-  // Coerce to column types so key hashing/equality matches stored rows;
-  // NULL keys and failed coercions are not sargable.
-  const EqSources src = UsableEqSources(table.schema(), ConstEqCandidates(eqs));
-  const std::vector<IndexInfo> infos = table.IndexInfos();
-  const IndexInfo* best = WidestCoveredIndex(infos, src, /*need_bound=*/false);
-  if (best == nullptr) return plan;
-
-  plan.kind = AccessPlan::Kind::kIndexLookup;
-  plan.columns = best->columns;
-  std::vector<Value> key;
-  key.reserve(best->columns.size());
-  for (size_t c : best->columns) key.push_back(src[c]->constant);
-  plan.key = Row(std::move(key));
-  return plan;
-}
-
-StatusOr<JoinProbePlan> Planner::PlanJoinProbe(
-    const Table& table, const std::vector<TableScope>& scope, size_t target,
-    const Expr* where, const VarEnv* vars) {
-  if (target >= scope.size()) {
-    return Status::InvalidArgument("planner target out of scope");
-  }
-  std::vector<const Expr*> conjuncts;
-  FlattenConjuncts(where, &conjuncts);
-
-  std::vector<JoinEqCandidate> eqs;
-  std::vector<JoinRangeCandidate> ranges;
-  for (const Expr* c : conjuncts) {
-    if (c->kind != ExprKind::kBinary) continue;
-    const bool is_eq = c->op == "=";
-    const bool is_range =
-        c->op == "<" || c->op == "<=" || c->op == ">" || c->op == ">=";
-    if (!is_eq && !is_range) continue;
-    const Expr* col = c->lhs.get();
-    const Expr* val = c->rhs.get();
-    std::string op = c->op;
-    // Orient so `col` binds to the target; a join conjunct has column refs
-    // on both sides, so try both orientations.
-    if (col->kind != ExprKind::kColumnRef ||
-        !BindsToTarget(*col, scope, target)) {
-      std::swap(col, val);
-      op = FlipOp(op);
-    }
-    if (col->kind != ExprKind::kColumnRef ||
-        !BindsToTarget(*col, scope, target)) {
-      continue;
-    }
-    auto pos = scope[target].schema->IndexOf(col->column);
-    if (!pos.ok()) continue;
-
-    // The source side: a plan-time constant or an earlier FROM table's
-    // column (already iterating when this depth probes).
-    JoinEqCandidate cand;
-    cand.column = pos.value();
-    auto folded = ConstFold(*val, vars);
-    if (folded.ok()) {
-      cand.is_const = true;
-      cand.constant = std::move(folded).value();
-    } else if (val->kind == ExprKind::kColumnRef) {
-      if (!ResolveScopeColumn(*val, scope, &cand.outer, &cand.outer_column) ||
-          cand.outer >= target) {
-        continue;
-      }
-      cand.bound_type =
-          scope[cand.outer].schema->column(cand.outer_column).type;
-    } else {
-      continue;  // expression over outer columns: not probe-able
-    }
-    if (is_eq) {
-      eqs.push_back(std::move(cand));
-    } else {
-      ranges.push_back({std::move(cand), /*is_lo=*/op == ">" || op == ">=",
-                        /*incl=*/op == ">=" || op == "<="});
-    }
-  }
-  return PlanJoinProbe(table, eqs, ranges);
-}
-
-AccessPlan Planner::PlanRangeLookup(
-    const Table& table, const std::vector<std::pair<size_t, Value>>& eqs,
-    const std::vector<JoinRangeCandidate>& ranges) {
-  const Schema& schema = table.schema();
-  const EqSources src = UsableEqSources(schema, ConstEqCandidates(eqs));
-  std::vector<bool> has_eq(schema.num_columns(), false);
-  std::vector<Value> eq_val(schema.num_columns());
-  for (size_t col = 0; col < src.size(); ++col) {
-    if (!src[col].has_value()) continue;
-    has_eq[col] = true;
-    eq_val[col] = src[col]->constant;
-  }
-  std::vector<RangeC> range_c(schema.num_columns());
-  for (const JoinRangeCandidate& c : ranges) {
-    JoinProbePlan::KeyPart bound;
-    if (!c.is_const || !UsableSource(schema, c, /*exact=*/true, &bound)) {
-      continue;
-    }
-    Sarg s;
-    s.kind = Sarg::Kind::kRange;
-    s.column = c.column;
-    s.op = c.is_lo ? (c.incl ? ">=" : ">") : (c.incl ? "<=" : "<");
-    s.value = std::move(bound.constant);
-    TightenRange(&range_c[c.column], s);
-  }
-  int score = 0;
-  return BestRangePlan(table, has_eq, eq_val, range_c, /*order=*/nullptr,
-                       &score);
-}
-
-JoinProbePlan Planner::PlanJoinProbe(
-    const Table& table, const std::vector<JoinEqCandidate>& eqs,
-    const std::vector<JoinRangeCandidate>& ranges) {
-  const Schema& schema = table.schema();
-  const EqSources src = UsableEqSources(schema, eqs);
-  const std::vector<IndexInfo> infos = table.IndexInfos();
-
-  // Full equality coverage is the cheaper probe; try it first.
-  JoinProbePlan plan;
-  if (const IndexInfo* best =
-          WidestCoveredIndex(infos, src, /*need_bound=*/true)) {
-    plan.kind = JoinProbePlan::Kind::kIndexProbe;
-    plan.columns = best->columns;
-    plan.parts.reserve(best->columns.size());
-    for (size_t col : best->columns) plan.parts.push_back(*src[col]);
-    return plan;
-  }
-
-  // Best ordered index: longest equality-covered prefix whose next column
-  // has at least one valid bound, using at least one runtime-bound source.
-  int best_score = -1;
-  for (const IndexInfo& info : infos) {
-    if (!info.ordered) continue;
-    JoinProbePlan cand;
-    cand.kind = JoinProbePlan::Kind::kIndexRangeProbe;
-    cand.columns = info.columns;
-    bool any_bound = false;
-    size_t e = 0;
-    for (; e < info.columns.size() && src[info.columns[e]].has_value(); ++e) {
-      cand.parts.push_back(*src[info.columns[e]]);
-      any_bound |= !cand.parts.back().is_const;
-    }
-    if (e == info.columns.size()) continue;  // full eq coverage: eq probe
-    for (const JoinRangeCandidate& c : ranges) {
-      if (c.column != info.columns[e]) continue;
-      JoinProbePlan::RangeBound* slot = c.is_lo ? &cand.lo : &cand.hi;
-      if (slot->present) continue;  // first usable candidate per side wins
-      JoinProbePlan::RangeBound bound;
-      if (!UsableSource(schema, c, /*exact=*/true, &bound)) continue;
-      bound.present = true;
-      bound.incl = c.incl;
-      any_bound |= !bound.is_const;
-      *slot = std::move(bound);
-    }
-    if ((!cand.lo.present && !cand.hi.present) || !any_bound) continue;
-    int score = static_cast<int>(e) * 4 + (cand.lo.present ? 1 : 0) +
-                (cand.hi.present ? 1 : 0);
-    if (score > best_score) {
-      best_score = score;
-      plan = std::move(cand);
-    }
-  }
-  return plan;
 }
 
 }  // namespace youtopia::sql

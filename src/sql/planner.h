@@ -38,11 +38,12 @@ struct OrderSpec {
   bool desc = false;
 };
 
-/// Bind-driven access plan for one inner join table (or body atom): at each
-/// join depth, the probe key is assembled from plan-time constants and
-/// values bound by the *outer* side of the join, and the table is fetched
-/// lazily through a per-binding index probe instead of being snapshotted up
-/// front. `kSnapshot` means "keep the existing eager path".
+/// The access plan the chooser picks for one table (or body atom). A lazy
+/// plan is bind-driven: at each join depth the probe key is assembled from
+/// plan-time constants and values bound by the *outer* side of the join,
+/// and the table is fetched through a per-binding index probe instead of
+/// being read up front. `kSnapshot` is the eager path: one `eager` fetch
+/// before the join loop runs.
 struct JoinProbePlan {
   enum class Kind { kSnapshot, kIndexProbe, kIndexRangeProbe };
 
@@ -73,12 +74,11 @@ struct JoinProbePlan {
                                 ///< kIndexRangeProbe a prefix of `columns`
   RangeBound lo, hi;            ///< kIndexRangeProbe: bounds on
                                 ///< columns[parts.size()]
+  AccessPlan eager;             ///< kSnapshot: the up-front fetch
 
   bool is_probe() const { return kind == Kind::kIndexProbe; }
   bool is_range_probe() const { return kind == Kind::kIndexRangeProbe; }
   bool is_lazy() const { return kind != Kind::kSnapshot; }
-
-  std::string ToString() const;
 };
 
 /// Per-depth cache for bind-driven join probes, keyed on the bound probe
@@ -139,22 +139,48 @@ struct JoinProbe {
   ProbeCache cache;
 };
 
-/// A candidate equality `target.column = <source>` for join-probe planning:
-/// a plan-time constant or a value bound by an earlier join depth at run
-/// time (`bound_type` is the runtime value's static type).
+/// A candidate equality `target.column = <source>`: a plan-time constant
+/// or a value bound by an earlier join depth at run time (`bound_type` is
+/// the runtime value's static type).
 struct JoinEqCandidate : JoinProbePlan::KeyPart {
   size_t column = 0;
   TypeId bound_type = TypeId::kNull;
 };
 
-/// A candidate inequality `target.column OP <source>` for range-probe
-/// planning (OP in <, <=, >, >=, normalized so the target column is on the
-/// left): `is_lo` says the source bounds the column from below (OP is > or
-/// >=), `incl` whether the bound itself is admitted.
+/// A candidate inequality `target.column OP <source>` (OP in <, <=, >, >=,
+/// normalized so the target column is on the left): `is_lo` says the
+/// source bounds the column from below (OP is > or >=), `incl` whether the
+/// bound itself is admitted.
 struct JoinRangeCandidate : JoinEqCandidate {
   bool is_lo = false;
   bool incl = false;
 };
+
+/// What an index can serve of one table's predicates: the SQL extractor
+/// (Planner::Extract) turns each top-level WHERE conjunct into at most one
+/// candidate; the grounder derives them from atom terms and body
+/// predicates.
+struct Candidates {
+  std::vector<JoinEqCandidate> eqs;
+  std::vector<JoinRangeCandidate> ranges;
+  /// Every conjunct became a constant candidate, so a plan that absorbs
+  /// them all leaves no residual predicate (AccessPlan::covers_where).
+  bool all_const = true;
+
+  /// Drops the runtime-bound candidates: the eager-only reference side of
+  /// the probe differential tests.
+  void DropRuntime();
+};
+
+/// Appends the top-level AND-ed conjuncts of `e` to `out`.
+void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out);
+
+/// Resolves a column reference to its (scope index, column position) under
+/// the evaluator's rule (expr_eval ResolveColumn): the FIRST table whose
+/// alias matches the qualifier (any table when unqualified) and that has
+/// the column. False when unresolved.
+bool ResolveScopeColumn(const Expr& col, const std::vector<TableScope>& scope,
+                        size_t* table_out, size_t* column_out);
 
 /// True when the expression tree contains a COUNT/SUM/MIN/MAX/AVG node —
 /// the executor's routing test for the aggregate SELECT path.
@@ -187,29 +213,43 @@ struct AggregateQueryPlan {
   ExprPtr having;
 };
 
-/// Access-path planning: extracts sargable equality conjuncts from a WHERE
-/// clause and picks an index lookup over a full scan when a hash index
-/// covers them. The residual predicate is NOT represented here — executors
-/// re-evaluate the full WHERE on every returned row, so a plan is always
-/// safe: the index only has to return a superset of the matching rows
-/// restricted to the equality keys it covers.
+/// Access-path planning: one extractor turns predicates into index
+/// candidates, one chooser picks the access path from them. The residual
+/// predicate is NOT represented here — executors re-evaluate the full WHERE
+/// (the grounder every atom constant and predicate) on every returned row,
+/// so a plan is always safe: the index only has to return a superset of
+/// the matching rows.
 class Planner {
  public:
-  /// Plans access for `scope[target]`. Sargable conjuncts are top-level
-  /// AND-ed `col = expr` terms whose column resolves to the target table and
-  /// whose other side evaluates to a non-NULL constant from `vars` alone
-  /// (literals, host variables, arithmetic over them), plus `col OP expr`
-  /// range terms (OP in <, <=, >, >=; BETWEEN arrives pre-desugared) when an
-  /// ordered index has the column right after an equality-covered prefix.
-  /// NULL keys/bounds are never sargable (SQL comparison with NULL selects
-  /// nothing; the scan path's residual predicate handles it). When `order`
-  /// is given, an ordered index whose key order serves it is preferred and
-  /// the plan's `ordered` flag reports whether the sort can be skipped.
-  static StatusOr<AccessPlan> Plan(const Table& table,
-                                   const std::vector<TableScope>& scope,
-                                   size_t target, const Expr* where,
-                                   const VarEnv* vars,
-                                   const OrderSpec* order = nullptr);
+  /// The candidates of `where` for `scope[target]` (target < scope.size()):
+  /// top-level comparisons `col OP src` (OP in =, <, <=, >, >=; BETWEEN
+  /// arrives pre-desugared; either side may hold the column) whose column
+  /// binds to the target and whose source either evaluates to a constant
+  /// from `vars` alone (literals, host variables, arithmetic over them) or
+  /// is a column of an earlier FROM entry.
+  static Candidates Extract(const std::vector<TableScope>& scope,
+                            size_t target, const Expr* where,
+                            const VarEnv* vars);
+
+  /// Chooses the access path for `table` from `c`, reading its indexes
+  /// once. Constants are coerced to the column types (range bounds must
+  /// survive exactly, since a shifted bound moves the interval; NULL never
+  /// keys a plan); runtime-bound sources must match the column type
+  /// exactly. Unusable candidates can only demote the plan.
+  ///
+  /// When a plan can use a runtime-bound source it is a probe: kIndexProbe
+  /// on the widest index every column of which has an equality source,
+  /// else kIndexRangeProbe on the ordered index with the longest
+  /// equality-covered prefix followed by a bounded column. Otherwise the
+  /// plan is eager (kSnapshot) and uses constant sources only: a point
+  /// lookup on the widest equality-covered index (score 100 per column +
+  /// 60) or an ordered-index interval (100 per equality-pinned prefix
+  /// column, + 70 when the next column is bounded, + 10 when the key order
+  /// serves `order`), whichever scores higher, else a scan. The eager plan
+  /// reports `ordered`/`reverse` for a served `order` and `covers_where`
+  /// when `c.all_const` and the plan absorbs every candidate.
+  static JoinProbePlan Choose(const Table& table, const Candidates& c,
+                              const OrderSpec* order = nullptr);
 
   /// Compiles a single-table aggregate SELECT (`scope` must have exactly
   /// one entry, the FROM table). Plan-time validation with clear errors:
@@ -222,48 +262,6 @@ class Planner {
   static StatusOr<AggregateQueryPlan> PlanAggregate(
       const Table& table, const std::vector<TableScope>& scope,
       const SelectStmt& sel, const VarEnv* vars);
-
-  /// Plans from pre-extracted (column position, value) equality pairs — the
-  /// entangled-query grounder's constant atom positions are exactly this.
-  /// Values are coerced to the column types; pairs that cannot coerce (or
-  /// are NULL) are dropped, which can only demote the plan to a scan.
-  static AccessPlan PlanPointLookup(
-      const Table& table, const std::vector<std::pair<size_t, Value>>& eqs);
-
-  /// Plans an eager ordered-index range fetch from equality pairs plus
-  /// *constant* range candidates (the grounder's constant atom positions
-  /// and constant body predicates over variables its atom binds:
-  /// `Vals(y, p), y <= 60`). Bounds must survive coercion exactly; dropped
-  /// candidates can only demote the plan to a scan. Runtime-bound
-  /// candidates are ignored — they are PlanJoinProbe territory.
-  static AccessPlan PlanRangeLookup(
-      const Table& table, const std::vector<std::pair<size_t, Value>>& eqs,
-      const std::vector<JoinRangeCandidate>& ranges);
-
-  /// Plans a bind-driven probe for `scope[target]` at its join depth: join
-  /// conjuncts `target.col = earlier.col` and `target.col OP earlier.col`
-  /// (earlier FROM table, identical column type, so no runtime coercion is
-  /// ever needed) become candidates alongside plan-time constants, planned
-  /// by the candidate overload below. Constant-only coverage is `Plan`'s
-  /// job (one eager lookup beats per-binding probes there).
-  static StatusOr<JoinProbePlan> PlanJoinProbe(
-      const Table& table, const std::vector<TableScope>& scope, size_t target,
-      const Expr* where, const VarEnv* vars);
-
-  /// Core join-probe planning from pre-extracted candidates (the grounder
-  /// derives them from atom terms and body predicates: constants, plus
-  /// variables bound by earlier body atoms). Constants are coerced to the
-  /// column types at plan time (range bounds must survive exactly);
-  /// runtime-bound sources must match the column type exactly. Dropped
-  /// candidates can only demote the plan to kSnapshot. Plans kIndexProbe
-  /// when an index is fully equality-covered, else kIndexRangeProbe when an
-  /// ordered index has an equality-covered prefix followed by a bounded
-  /// column — the per-binding interval `inner.col > outer.col` fetch with a
-  /// key-range S lock per probe. Either must use at least one runtime-bound
-  /// source (constant-only coverage is the eager plans' job).
-  static JoinProbePlan PlanJoinProbe(
-      const Table& table, const std::vector<JoinEqCandidate>& eqs,
-      const std::vector<JoinRangeCandidate>& ranges);
 };
 
 }  // namespace youtopia::sql

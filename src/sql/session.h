@@ -47,7 +47,6 @@ class Session {
 
   VarEnv& vars() { return vars_; }
   Executor& executor() { return exec_; }
-  Transaction* current_txn() { return txn_.get(); }
   bool in_transaction() const { return txn_ != nullptr; }
 
   void set_retry_policy(RetryPolicy p) { retry_policy_ = p; }

@@ -79,9 +79,7 @@ void SessionServer::Submit(SessionId id, std::string sql,
     st->queue.emplace_back(std::move(sql), std::move(done));
     ++pending_;
     if (metrics_enabled()) {
-      Gauge* depth = ServerMetrics().queue_depth;
-      depth->Set(static_cast<int64_t>(pending_));
-      depth->SetMaxHint(static_cast<int64_t>(pending_));
+      ServerMetrics().queue_depth->Set(static_cast<int64_t>(pending_));
     }
     if (!st->scheduled) {
       st->scheduled = true;

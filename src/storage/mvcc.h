@@ -120,13 +120,6 @@ class SnapshotRegistry {
     return active_.begin()->first;
   }
 
-  size_t live_count() const {
-    std::lock_guard<std::mutex> g(mu_);
-    size_t n = 0;
-    for (const auto& [ts, count] : active_) n += count;
-    return n;
-  }
-
  private:
   mutable std::mutex mu_;
   std::map<uint64_t, size_t> active_;  ///< ts -> number of pins

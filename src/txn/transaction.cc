@@ -2,17 +2,6 @@
 
 namespace youtopia {
 
-const char* TxnStateName(TxnState s) {
-  switch (s) {
-    case TxnState::kActive: return "ACTIVE";
-    case TxnState::kBlocked: return "BLOCKED";
-    case TxnState::kReadyToCommit: return "READY_TO_COMMIT";
-    case TxnState::kCommitted: return "COMMITTED";
-    case TxnState::kAborted: return "ABORTED";
-  }
-  return "?";
-}
-
 const char* IsolationLevelName(IsolationLevel l) {
   switch (l) {
     case IsolationLevel::kFullEntangled: return "FULL_ENTANGLED";

@@ -11,19 +11,15 @@
 
 namespace youtopia {
 
-/// Lifecycle states. kBlocked and kReadyToCommit exist for the entangled
-/// execution model (§4): a transaction blocks while its entangled query
-/// waits for evaluation and becomes ready-to-commit when its program ends
+/// Lifecycle states. kReadyToCommit exists for the entangled execution
+/// model (§4): a transaction becomes ready-to-commit when its program ends
 /// but group-commit constraints are still pending.
 enum class TxnState {
   kActive = 0,
-  kBlocked,
   kReadyToCommit,
   kCommitted,
   kAborted,
 };
-
-const char* TxnStateName(TxnState s);
 
 /// One undo action; applied in reverse order on abort. The WAL is redo-only,
 /// so rollback of live transactions is entirely in-memory.
@@ -48,7 +44,7 @@ class Transaction {
   TxnState state() const { return state_; }
   void set_state(TxnState s) { state_ = s; }
   bool active() const {
-    return state_ == TxnState::kActive || state_ == TxnState::kBlocked ||
+    return state_ == TxnState::kActive ||
            state_ == TxnState::kReadyToCommit;
   }
 

@@ -319,60 +319,18 @@ std::unique_ptr<Transaction> TransactionManager::Begin(IsolationLevel level) {
   stats_.begins.fetch_add(1, std::memory_order_relaxed);
   auto txn = std::make_unique<Transaction>(id, level,
                                            options_.lock_timeout_micros);
-  // Sampled tracing: 1 in N transactions carries a trace id, so the
-  // commit-path spans (lock waits, group-commit waits, 2PC phases) assemble
-  // into a trace without taxing every transaction with ring pushes. A
-  // transaction begun inside an already-sampled span (a traced SQL
-  // statement) joins that trace instead of drawing again — its commit
-  // spans then parent under the statement's tree.
-  if (metrics_enabled()) {
-    const TraceContext& ctx = CurrentTraceContext();
-    if (ctx.trace_id != 0) {
-      txn->set_trace_id(ctx.trace_id);
-    } else if (Tracer::Global()->ShouldSample()) {
-      txn->set_trace_id(Tracer::Global()->NewTraceId());
-    }
-  }
+  StartTransaction(txn.get(), options_.enable_mvcc_reads, snapshots_,
+                   *clock_);
   if (wal_ != nullptr) {
     (void)wal_->Append(WalRecord::Begin(id));
-  }
-  // kSnapshot pins its one snapshot for the whole transaction right here;
-  // kReadCommitted acquires a fresh cut lazily at each statement instead.
-  if (options_.enable_mvcc_reads &&
-      level == IsolationLevel::kSnapshot) {
-    txn->set_read_ts(snapshots_->RegisterCurrent(*clock_));
-    txn->set_snapshot_registered(true);
   }
   return txn;
 }
 
 void TransactionManager::AdoptSnapshot(Transaction* txn, uint64_t ts) {
-  if (txn->snapshot_registered()) {
-    snapshots_->Unregister(txn->read_ts());
-    txn->set_snapshot_registered(false);
-  }
+  ReleaseSnapshot(txn, snapshots_);
   txn->set_read_ts(ts);
   txn->set_external_read_ts(true);
-}
-
-void TransactionManager::MaybeRefreshSnapshot(Transaction* txn,
-                                              bool grounding) {
-  if (txn->external_read_ts()) return;  // coordinator owns the snapshot
-  if (txn->isolation_level() == IsolationLevel::kSnapshot &&
-      txn->snapshot_registered()) {
-    return;  // pinned at Begin for the whole transaction
-  }
-  // kReadCommitted: refresh per statement only — never mid-statement (a
-  // join's probe cursors must read the same cut as their outer scan), and
-  // grounding reads after the first keep the cut the grounding started on
-  // (every body atom of an entangled query reads one consistent state).
-  if (txn->read_ts() != 0 && (txn->open_cursors() > 0 || grounding)) return;
-  if (txn->snapshot_registered()) {
-    txn->set_read_ts(snapshots_->RefreshCurrent(txn->read_ts(), *clock_));
-  } else {
-    txn->set_read_ts(snapshots_->RegisterCurrent(*clock_));
-    txn->set_snapshot_registered(true);
-  }
 }
 
 void TransactionManager::StampWritesAt(Transaction* txn, uint64_t ts) {
@@ -389,12 +347,6 @@ void TransactionManager::StampWritesAt(Transaction* txn, uint64_t ts) {
   std::lock_guard<std::mutex> g(prune_mu_);
   pending_prunes_.insert(pending_prunes_.end(), superseded.begin(),
                          superseded.end());
-}
-
-void TransactionManager::ReleaseSnapshot(Transaction* txn) {
-  if (!txn->snapshot_registered()) return;
-  snapshots_->Unregister(txn->read_ts());
-  txn->set_snapshot_registered(false);
 }
 
 size_t TransactionManager::GcVersions() {
@@ -550,7 +502,7 @@ void TransactionManager::ReleaseEarlyReadLocks(Transaction* txn,
 
 ReadView TransactionManager::ReadViewFor(Transaction* txn, bool grounding) {
   if (!SnapshotReadsActive(txn)) return ReadView::Latest();
-  MaybeRefreshSnapshot(txn, grounding);
+  RefreshSnapshot(txn, grounding, snapshots_, *clock_);
   stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
   return ReadView{txn->read_ts(), txn->id()};
 }
@@ -919,7 +871,7 @@ Status TransactionManager::Abort(Transaction* txn) {
     (void)wal_->Append(WalRecord::Abort(txn->id()));
   }
   txn->set_state(TxnState::kAborted);
-  ReleaseSnapshot(txn);
+  ReleaseSnapshot(txn, snapshots_);
   locks_->ReleaseAll(txn->id());
   stats_.aborts.fetch_add(1, std::memory_order_relaxed);
   if (timer.active()) TxnMetrics().aborts->Add();
@@ -1031,7 +983,7 @@ void TransactionManager::FinishCommit(
   for (Transaction* t : members) {
     superseded += SupersededRows(*t);
     t->set_state(TxnState::kCommitted);
-    ReleaseSnapshot(t);
+    ReleaseSnapshot(t, snapshots_);
     locks_->ReleaseAll(t->id());
     stats_.commits.fetch_add(1, std::memory_order_relaxed);
     if (metrics_enabled()) TxnMetrics().commits->Add();

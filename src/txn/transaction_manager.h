@@ -56,7 +56,6 @@ class TransactionManager : public TxnEngine {
   LockManager* locks() const { return locks_; }
   WalWriter* wal() const { return wal_; }
   TxnStats& stats() override { return stats_; }
-  void set_observer(OpObserver* obs) { options_.observer = obs; }
   OpObserver* observer() const { return options_.observer; }
   /// Ablation switch for the versioned read path (benches / differential
   /// tests): off makes snapshot-read levels take locks again.
@@ -234,12 +233,6 @@ class TransactionManager : public TxnEngine {
     return options_.enable_mvcc_reads &&
            UsesSnapshotReads(txn->isolation_level());
   }
-  /// Ensures the transaction has the snapshot its next read should use:
-  /// kSnapshot keeps the Begin-time one; kReadCommitted takes a fresh cut
-  /// per statement (suppressed mid-statement — open cursors — and for
-  /// grounding reads after the first, which all share one cut; suppressed
-  /// entirely for adopted coordinator snapshots).
-  void MaybeRefreshSnapshot(Transaction* txn, bool grounding);
   /// Appends CommitGroup's deciding record for `writers` (COMMIT for one,
   /// GROUP_COMMIT naming all of several) and force-writes it; a failure
   /// latches the process-wide crash.
@@ -254,8 +247,6 @@ class TransactionManager : public TxnEngine {
   /// The inline GC slice after a commit whose `superseded` rows were
   /// queued (no-op when it queued none: read-only and insert-only commits).
   void DrainAfterCommit(size_t superseded);
-  /// Drops the transaction's registry pin, if it holds one.
-  void ReleaseSnapshot(Transaction* txn);
   /// The view a read of `txn` takes: its (refreshed) snapshot when it
   /// reads snapshots, else ReadView::Latest() under locks.
   ReadView ReadViewFor(Transaction* txn, bool grounding);

@@ -12,6 +12,7 @@
 #include "src/storage/aggregate.h"
 #include "src/storage/cursor.h"
 #include "src/storage/database.h"
+#include "src/storage/mvcc.h"
 #include "src/txn/transaction.h"
 
 namespace youtopia {
@@ -234,6 +235,32 @@ class TxnEngine {
   virtual Status CreateIndex(const std::string& table,
                              const std::vector<std::string>& columns,
                              bool unique = false, bool ordered = false) = 0;
+
+ protected:
+  // --- Rules every engine applies to the transactions it begins: the local
+  // TransactionManager to its own, shard::Router to a distributed
+  // transaction's coordinator (whose branches adopt its cut).
+
+  /// Begin-time setup: the transaction joins the trace of an ambient traced
+  /// statement or draws a sampled trace id (1 in N transactions carries
+  /// one, so commit-path spans assemble into a trace without taxing every
+  /// transaction), and — when the engine reads snapshots — a kSnapshot
+  /// transaction pins its one cut for its whole life.
+  static void StartTransaction(Transaction* txn, bool mvcc_reads,
+                               SnapshotRegistry* snapshots,
+                               const VersionClock& clock);
+  /// Ensures a snapshot-reading transaction has the cut its next read
+  /// should use: kSnapshot keeps its Begin-time pin; kReadCommitted takes a
+  /// fresh cut per statement and keeps the registry pin current, so GC
+  /// never prunes under it. The refresh is suppressed mid-statement (a
+  /// join's probe cursors read the cut their outer cursor read), for
+  /// grounding reads after the first (every body atom of an entangled query
+  /// reads one state), and for a snapshot adopted from a coordinator.
+  static void RefreshSnapshot(Transaction* txn, bool grounding,
+                              SnapshotRegistry* snapshots,
+                              const VersionClock& clock);
+  /// Drops the transaction's registry pin, if it holds one.
+  static void ReleaseSnapshot(Transaction* txn, SnapshotRegistry* snapshots);
 };
 
 }  // namespace youtopia

@@ -8,28 +8,18 @@
 
 namespace youtopia {
 
-namespace {
-
-/// Repairs a torn log tail in place: truncates the file to the last intact
-/// record boundary. Without this, the writer's append-mode reopen would
-/// place new records *after* the garbage bytes, where no reader can ever
-/// reach them — every post-recovery commit would be silently unrecoverable.
-/// Idempotent: a re-run recovery sees a clean tail.
-Status TruncateTornTail(const std::string& wal_path,
-                        const WalReader::Result& log,
-                        uint64_t* truncated_bytes) {
+StatusOr<uint64_t> TruncateTornTail(const std::string& wal_path,
+                                    const WalReader::Result& log) {
+  if (!log.torn_tail) return 0;
   std::error_code ec;
   uint64_t size = std::filesystem::file_size(wal_path, ec);
-  if (ec || size <= log.valid_bytes) return Status::Ok();
-  *truncated_bytes = size - log.valid_bytes;
+  if (ec || size <= log.valid_bytes) return 0;
   std::filesystem::resize_file(wal_path, log.valid_bytes, ec);
   if (ec) {
     return Status::Corruption("cannot truncate torn WAL tail of " + wal_path);
   }
-  return Status::Ok();
+  return size - log.valid_bytes;
 }
-
-}  // namespace
 
 StatusOr<RecoveryManager::Result> RecoveryManager::Recover(
     const std::string& wal_path) {
@@ -43,10 +33,7 @@ StatusOr<RecoveryManager::Result> RecoveryManager::Recover(
   Result result;
   result.torn_tail = log.torn_tail;
   result.max_lsn = log.max_lsn;
-  if (log.torn_tail) {
-    YT_RETURN_IF_ERROR(
-        TruncateTornTail(wal_path, log, &result.truncated_bytes));
-  }
+  YT_ASSIGN_OR_RETURN(result.truncated_bytes, TruncateTornTail(wal_path, log));
 
   // --- Load checkpoint base image if the log starts with a reference.
   if (!log.records.empty() &&

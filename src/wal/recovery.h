@@ -11,6 +11,15 @@
 
 namespace youtopia {
 
+/// Repairs a torn log tail in place: truncates the file at `wal_path` to
+/// the last intact record boundary `log` (its ReadAll result) found.
+/// Without this, a writer's append-mode reopen would place new records
+/// *after* the garbage bytes, where no reader can ever reach them — every
+/// later commit would be silently unrecoverable. Returns the bytes removed
+/// (0 for an intact tail). Idempotent: a re-run sees a clean tail.
+StatusOr<uint64_t> TruncateTornTail(const std::string& wal_path,
+                                    const WalReader::Result& log);
+
 /// Entanglement-aware crash recovery (paper §4, "Persistence and Recovery").
 ///
 /// Analysis: a transaction is durably committed iff its COMMIT record or a

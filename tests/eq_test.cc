@@ -779,6 +779,49 @@ TEST(GrounderTest, RangeProbesMatchSnapshotGroundings) {
   ASSERT_OK(fix.tm->Commit(txn_n.get()));
 }
 
+TEST(GrounderTest, EagerFetchFollowsTheStatementScore) {
+  // R has a hash index on a and an ordered index on (a, b). The atom
+  // R(1, y) with `y <= 60` is served both by a point lookup on a (score
+  // 160) and by an interval on (a, b) with a pinned prefix and a bound
+  // (score 170): the grounder picks what a SELECT with the same predicates
+  // would, the interval.
+  EngineFixture fix;
+  ASSERT_OK(fix.tm
+                ->CreateTable("R", Schema({{"a", TypeId::kInt64},
+                                           {"b", TypeId::kInt64}}))
+                .status());
+  ASSERT_OK(fix.tm->CreateIndex("R", {"a"}, /*unique=*/false,
+                                /*ordered=*/false));
+  ASSERT_OK(fix.tm->CreateIndex("R", {"a", "b"}, /*unique=*/false,
+                                /*ordered=*/true));
+  auto setup = fix.tm->Begin();
+  for (int64_t a = 0; a < 3; ++a) {
+    for (int64_t b = 0; b < 100; b += 10) {
+      ASSERT_OK(fix.tm
+                    ->Insert(setup.get(), "R",
+                             Row({Value::Int(a), Value::Int(b)}))
+                    .status());
+    }
+  }
+  ASSERT_OK(fix.tm->Commit(setup.get()));
+
+  EntangledQuerySpec q;
+  q.label = "eager-range";
+  q.body = {{"R", {Term::Const(Value::Int(1)), Term::Var("y")}}};
+  q.preds = {{Term::Var("y"), "<=", Term::Const(Value::Int(60))}};
+  q.head = {{"Out", {Term::Var("y")}}};
+  auto& stats = fix.tm->stats();
+  auto txn = fix.tm->Begin();
+  const uint64_t ranges = stats.grounding_range_lookups.load();
+  const uint64_t lookups = stats.grounding_index_lookups.load();
+  ASSERT_OK_AND_ASSIGN(std::vector<Grounding> g,
+                       Grounder::Ground(q, fix.tm.get(), txn.get()));
+  EXPECT_EQ(g.size(), 7u);  // y in {0, 10, ..., 60}
+  EXPECT_EQ(stats.grounding_range_lookups.load(), ranges + 1);
+  EXPECT_EQ(stats.grounding_index_lookups.load(), lookups);
+  ASSERT_OK(fix.tm->Commit(txn.get()));
+}
+
 TEST(GrounderTest, UnsatisfiableBodyGroundsEmpty) {
   EngineFixture fix;
   EntangledQuerySpec q;

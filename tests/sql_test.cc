@@ -1151,6 +1151,148 @@ TEST_F(RangeSessionTest, RangeJoinProbesMatchSnapshotJoin) {
   EXPECT_GT(fix_.tm->stats().range_probe_cache_hits.load(), hits);
 }
 
+// --- Plan choices, pinned: which access path the planner picks for one
+// --- FROM table of a statement, with its columns and flags.
+
+/// T(k, a, b, c, d) has an ordered primary key on k, a composite ordered
+/// index on (a, b) and a hash index on c; U(x, y, s) is the outer table of
+/// the join cases. Column positions: k=0, a=1, b=2, c=3, d=4.
+class PlannerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Session s(fix_.tm.get());
+    ASSERT_OK(s.Execute("CREATE TABLE T (k INT, a INT, b INT, c VARCHAR, "
+                        "d DOUBLE, PRIMARY KEY (k) USING ORDERED)")
+                  .status());
+    ASSERT_OK(s.Execute("CREATE INDEX ON T (a, b) USING ORDERED").status());
+    ASSERT_OK(s.Execute("CREATE INDEX ON T (c)").status());
+    ASSERT_OK(
+        s.Execute("CREATE TABLE U (x INT, y INT, s VARCHAR)").status());
+  }
+
+  /// The plan the executor would run for FROM entry `target` of `select`
+  /// (the ORDER BY is offered for a single FROM table only), rendered as
+  /// `kind[columns]` plus ` ordered`, ` reverse`, ` covers` flags.
+  std::string PlanOf(const std::string& select, size_t target, bool probes) {
+    auto parsed = Parser::ParseStatement(select);
+    if (!parsed.ok()) return parsed.status().ToString();
+    const sql::SelectStmt& sel = *parsed.value().select;
+    std::vector<sql::TableScope> scope;
+    for (const sql::TableRef& ref : sel.from) {
+      scope.push_back(
+          {ref.alias, &fix_.tm->db()->GetTable(ref.table).value()->schema()});
+    }
+    Table* t = fix_.tm->db()->GetTable(sel.from[target].table).value();
+    sql::OrderSpec order;
+    for (const sql::OrderByItem& item : sel.order_by) {
+      order.columns.push_back(t->schema().IndexOf(item.expr->column).value());
+      order.desc = item.desc;
+    }
+    const bool use_order = !sel.order_by.empty() && sel.from.size() == 1;
+    auto cols = [](const std::vector<size_t>& c) {
+      std::string s = "[";
+      for (size_t i = 0; i < c.size(); ++i) {
+        s += (i ? "," : "") + std::to_string(c[i]);
+      }
+      return s + "]";
+    };
+    sql::Candidates cands =
+        sql::Planner::Extract(scope, target, sel.where.get(), nullptr);
+    if (!probes) cands.DropRuntime();
+    const sql::JoinProbePlan plan =
+        sql::Planner::Choose(*t, cands, use_order ? &order : nullptr);
+    if (plan.is_lazy()) {
+      return (plan.is_probe() ? "probe" : "range-probe") + cols(plan.columns);
+    }
+    const sql::AccessPlan& p = plan.eager;
+    if (p.is_scan()) return "scan";
+    std::string out = (p.is_index() ? "lookup" : "range") + cols(p.columns);
+    if (p.ordered) out += " ordered";
+    if (p.reverse) out += " reverse";
+    if (p.covers_where) out += " covers";
+    return out;
+  }
+
+  EngineFixture fix_;
+};
+
+TEST_F(PlannerTest, ChoicesArePinned) {
+  struct Case {
+    const char* select;
+    size_t target;
+    bool probes;
+    const char* want;
+  };
+  const Case cases[] = {
+      // Point vs range: a point plan scores 100 per key column + 60, a
+      // range plan 100 per equality-pinned prefix column + 70 for a bound
+      // (+ 10 when it serves the ORDER BY).
+      {"SELECT 1 FROM T WHERE k = 3", 0, true, "lookup[0] covers"},
+      {"SELECT 1 FROM T WHERE a = 1 AND b = 2", 0, true, "lookup[1,2] covers"},
+      {"SELECT 1 FROM T WHERE c = 'x' AND a = 1", 0, true, "lookup[3]"},
+      {"SELECT 1 FROM T WHERE c = 'x' AND a = 1 AND b > 5", 0, true,
+       "range[1,2]"},
+      {"SELECT 1 FROM T WHERE c = 'x' AND k > 5 ORDER BY k", 0, true,
+       "lookup[3]"},
+      {"SELECT 1 FROM T WHERE a = 1", 0, true, "range[1,2] covers"},
+      {"SELECT 1 FROM T WHERE b > 5", 0, true, "scan"},
+      // ORDER BY bonus and DESC.
+      {"SELECT 1 FROM T ORDER BY k DESC", 0, true,
+       "range[0] ordered reverse covers"},
+      {"SELECT 1 FROM T WHERE a = 1 ORDER BY b DESC", 0, true,
+       "range[1,2] ordered reverse covers"},
+      {"SELECT 1 FROM T WHERE a > 3 ORDER BY k", 0, true, "range[1,2] covers"},
+      {"SELECT 1 FROM T WHERE a > 3 ORDER BY a", 0, true,
+       "range[1,2] ordered covers"},
+      {"SELECT 1 FROM T, U WHERE a > 3 ORDER BY a", 0, true,
+       "range[1,2] covers"},
+      // covers_where (what lets a LIMIT push into the fetch).
+      {"SELECT 1 FROM T WHERE a = 1 AND b >= 2 AND b < 9 LIMIT 3", 0, true,
+       "range[1,2] covers"},
+      {"SELECT 1 FROM T WHERE a = 1 AND b > 2 AND d = 1.5 LIMIT 3", 0, true,
+       "range[1,2]"},
+      {"SELECT 1 FROM T WHERE a = 1 AND a > 0", 0, true, "range[1,2]"},
+      {"SELECT 1 FROM T WHERE k = 3 AND k = 4", 0, true, "lookup[0]"},
+      // Lossy coercion and NULL demote a conjunct to residual-only.
+      {"SELECT 1 FROM T WHERE k < 2.5", 0, true, "scan"},
+      {"SELECT 1 FROM T WHERE k > '7'", 0, true, "scan"},
+      {"SELECT 1 FROM T WHERE k = '7'", 0, true, "lookup[0] covers"},
+      {"SELECT 1 FROM T WHERE k > 2.0", 0, true, "range[0] covers"},
+      {"SELECT 1 FROM T WHERE k = NULL", 0, true, "scan"},
+      {"SELECT 1 FROM T WHERE k = NULL AND k = 3", 0, true, "lookup[0]"},
+      {"SELECT 1 FROM T WHERE a = NULL AND b > 1", 0, true, "scan"},
+      // Depth > 0: a runtime-bound source makes a probe; constant-only
+      // coverage stays eager.
+      {"SELECT 1 FROM U, T WHERE T.k = U.x", 1, true, "probe[0]"},
+      {"SELECT 1 FROM U, T WHERE T.c = U.s", 1, true, "probe[3]"},
+      {"SELECT 1 FROM U, T WHERE U.x = T.k", 1, true, "probe[0]"},
+      {"SELECT 1 FROM U, T WHERE T.a = U.x AND T.b > U.y", 1, true,
+       "range-probe[1,2]"},
+      {"SELECT 1 FROM U, T WHERE T.a = U.x AND T.b > 3", 1, true,
+       "range-probe[1,2]"},
+      {"SELECT 1 FROM U, T WHERE T.k > U.x", 1, true, "range-probe[0]"},
+      {"SELECT 1 FROM U, T WHERE T.k = 5 AND T.c = U.s", 1, true, "probe[3]"},
+      {"SELECT 1 FROM U, T WHERE T.k = 5 AND T.a = U.x", 1, true,
+       "lookup[0]"},
+      {"SELECT 1 FROM U, T WHERE T.k = 5", 1, true, "lookup[0] covers"},
+      {"SELECT 1 FROM U, T WHERE T.k = U.s", 1, true, "scan"},
+      {"SELECT 1 FROM U, T WHERE T.k = U.x", 0, true, "scan"},
+      {"SELECT 1 FROM T, T WHERE T.k = 1", 1, true, "scan"},
+      // Probes off: runtime-bound sources are dropped before choosing.
+      {"SELECT 1 FROM U, T WHERE T.k = U.x", 1, false, "scan"},
+      {"SELECT 1 FROM U, T WHERE T.k = 5 AND T.c = U.s", 1, false,
+       "lookup[0]"},
+      {"SELECT 1 FROM U, T WHERE T.a = U.x AND T.b > 3", 1, false, "scan"},
+      {"SELECT 1 FROM U, T WHERE T.a = 2 AND T.b > U.y", 1, false,
+       "range[1,2]"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(PlanOf(c.select, c.target, c.probes), c.want)
+        << c.select << " (target " << c.target
+        << (c.probes ? ")" : ", probes off)");
+  }
+}
+
 TEST(SqlConcurrentScanTest, ConcurrentSelectsAgree) {
   EngineFixture fix;
   Session setup(fix.tm.get());
