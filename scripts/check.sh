@@ -23,9 +23,9 @@
 # With --tsan, additionally builds a ThreadSanitizer tree (build-tsan) and
 # races the lock/txn/sql/shard/mvcc/storage/eq/group_commit/etxn/
 # session_server/integration/workload/repro_split/torture suites under it
-# (lock_test repeated 20 times; etxn_test, session_server_test and the
-# MvccGc*, ProbeDifferentialTest.* and GrounderProbeTest.* suites 10 times
-# each) —
+# (lock_test repeated 20 times; etxn_test, session_server_test, the
+# MvccGc*, ProbeDifferentialTest.* and GrounderProbeTest.* suites and the
+# Router concurrency tests 10 times each) —
 # the key-range
 # lock conflict paths, concurrent heap scans under writers, the shard
 # router's parallel fanout drains + concurrent-writer differential,
@@ -305,6 +305,14 @@ if [[ "${tsan}" == 1 ]]; then
     --gtest_repeat=10
   echo "== tsan: eq_test GrounderProbeTest.* (x10)"
   ./build-tsan/eq_test --gtest_filter='GrounderProbeTest.*' --gtest_repeat=10
+  # Router calls share one routing step and one cursor wrapper while
+  # concurrent writers, drain threads and cursor pulls race them: repeat
+  # the Router concurrency tests.
+  echo "== tsan: shard_test Router concurrency (x10)"
+  router_races='ShardDifferentialTest.ConcurrentWritersConvergeToTheSameState'
+  router_races+=':ShardAggregateTest.AggregatesStableUnderConcurrentWriters'
+  router_races+=':FanoutDrainTest.*:RouterCursorTest.*'
+  ./build-tsan/shard_test --gtest_filter="${router_races}" --gtest_repeat=10
   # A short torture slice under tsan: enough cycles to race the fault
   # probes, the crash latch, and recovery against the worker threads.
   echo "== tsan: torture_test (short slice)"

@@ -207,12 +207,10 @@ EvalResult Coordinator::Evaluate(const std::vector<EvalItem>& items,
       dfs(k + 1, count);
     };
     dfs(0, 0);
-    result.search_nodes += nodes;
 
     if (capped && best_count < order.size()) {
       // Sound greedy fallback: choose the first viable grounding everywhere,
       // then iteratively drop any grounding with an unsatisfied post.
-      result.used_greedy_fallback = true;
       std::vector<int> greedy(order.size());
       for (size_t k = 0; k < order.size(); ++k) greedy[k] = viable[order[k]][0];
       bool removed = true;

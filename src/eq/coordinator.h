@@ -44,8 +44,6 @@ struct EvalResult {
   std::vector<std::pair<EntanglementId, std::vector<size_t>>> operations;
   /// Final ANSWER relation contents (set semantics).
   std::map<std::string, std::vector<Row>> answer_relations;
-  size_t search_nodes = 0;
-  bool used_greedy_fallback = false;
 };
 
 /// Finds a coordinating set (Appendix A): at most one grounding per query

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <iterator>
+#include <optional>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -36,20 +37,36 @@ const ShardMetricHandles& ShardMetrics() {
   return h;
 }
 
-/// Streams a single routed shard's cursor, tagging every RowId with the
-/// owning shard so Update/Delete by RowId can route back. Every pull and
-/// drain rides NextBatch, so tags are never skipped.
-class TaggingCursor : public TableCursor {
+/// The one wrapper around a cursor the router hands out. For a pinned
+/// read of a partitioned table it tags every RowId with the owning shard,
+/// so Update/Delete by RowId can route back. Under snapshot reads it keeps
+/// the coordinator transaction's open-cursor count honest: a
+/// kReadCommitted coordinator must not advance its snapshot while a
+/// statement's outer cursor is still being consumed (its join probes read
+/// the same cut), which TxnEngine::RefreshSnapshot enforces via
+/// open_cursors(). The locking path's lifetimes belong to the branch
+/// cursors.
+class RouterCursor : public TableCursor {
  public:
-  TaggingCursor(std::unique_ptr<TableCursor> inner, size_t shard)
-      : inner_(std::move(inner)), shard_(shard) {}
+  static constexpr size_t kUntagged = static_cast<size_t>(-1);
 
-  /// The inner cursor's batches flow through untouched except for an
-  /// in-place RowId tag per element.
+  /// `coord` is null when no snapshot read is tracked.
+  RouterCursor(std::unique_ptr<TableCursor> inner, size_t shard,
+               Transaction* coord)
+      : inner_(std::move(inner)), shard_(shard), coord_(coord) {
+    if (coord_ != nullptr) coord_->cursor_opened();
+  }
+  ~RouterCursor() override {
+    if (coord_ != nullptr) coord_->cursor_closed();
+  }
+
+  /// Every pull and drain rides NextBatch, so tags are never skipped.
   StatusOr<bool> NextBatch(RowBatch* batch, size_t max_rows) override {
     YT_ASSIGN_OR_RETURN(bool more, inner_->NextBatch(batch, max_rows));
     if (!more) return false;
-    for (auto& [rid, row] : batch->rows) rid = Router::TagRid(shard_, rid);
+    if (shard_ != kUntagged) {
+      for (auto& [rid, row] : batch->rows) rid = Router::TagRid(shard_, rid);
+    }
     return true;
   }
 
@@ -58,29 +75,6 @@ class TaggingCursor : public TableCursor {
  private:
   std::unique_ptr<TableCursor> inner_;
   size_t shard_;
-};
-
-/// Keeps the coordinator transaction's open-cursor count honest across
-/// router cursors: a kReadCommitted coordinator must not advance its
-/// snapshot while a statement's outer cursor is still being consumed (its
-/// join probes read the same cut), which TxnEngine::RefreshSnapshot
-/// enforces via open_cursors(). Applied only under snapshot reads — the
-/// locking path's lifetimes belong to the branch cursors.
-class CoordCursor : public TableCursor {
- public:
-  CoordCursor(std::unique_ptr<TableCursor> inner, Transaction* coord)
-      : inner_(std::move(inner)), coord_(coord) {
-    coord_->cursor_opened();
-  }
-  ~CoordCursor() override { coord_->cursor_closed(); }
-
-  StatusOr<bool> NextBatch(RowBatch* batch, size_t max_rows) override {
-    return inner_->NextBatch(batch, max_rows);
-  }
-  size_t size_hint() const override { return inner_->size_hint(); }
-
- private:
-  std::unique_ptr<TableCursor> inner_;
   Transaction* coord_;
 };
 
@@ -339,32 +333,153 @@ Transaction* Router::EnlistBranch(Dtxn* dt, const Transaction* txn,
   return b.get();
 }
 
-StatusOr<Table*> Router::CatalogTable(const std::string& table) const {
-  return db()->GetTable(table);
+/// What a data call names of its rows. On a partitioned table, `rid` (a
+/// shard-tagged RowId), else `row` (a full row), else `plan` pins the call
+/// to one shard; naming none spans every shard. With `rid` and `row` both
+/// set (Update), the row must stay on the RowId's shard. `read` marks the
+/// reads (Get, OpenCursor, AggregateTable): they refresh the coordinator's
+/// snapshot, and a read `plan` counts as a routed or fanned-out read.
+struct Router::Target {
+  const RowId* rid = nullptr;
+  const Row* row = nullptr;
+  const AccessPlan* plan = nullptr;
+  std::optional<ReadOrigin> read = std::nullopt;
+};
+
+/// One data call as RouteCall resolved it.
+struct Router::Route {
+  Dtxn* dt = nullptr;          ///< null without a transaction
+  Table* cat = nullptr;        ///< the catalog (shard 0) table
+  std::vector<size_t> pcols;   ///< partition columns; empty = broadcast
+  /// The branch span [lo, hi): shard 0 for a broadcast table, else the
+  /// pinned shard, or every shard when `fanout`.
+  size_t lo = 0, hi = 0;
+  bool fanout = false;
+  RowId rid = 0;  ///< Target::rid as the shard knows it (untagged)
+  Row row;        ///< Target::row, coerced to the schema
+
+  bool broadcast() const { return pcols.empty(); }
+  /// Shard `s`'s RowId as the router hands it out: tagged with its shard
+  /// for a partitioned table, as-is for a broadcast one (every replica
+  /// assigns the same RowId).
+  RowId Tag(size_t s, RowId local) const {
+    return broadcast() ? local : TagRid(s, local);
+  }
+};
+
+StatusOr<Router::Route> Router::RouteCall(Transaction* txn,
+                                          const std::string& table,
+                                          const Target& target) {
+  Route rt;
+  if (txn != nullptr) {
+    if (!txn->active()) return Status::Aborted("transaction not active");
+    YT_ASSIGN_OR_RETURN(rt.dt, FindDtxn(txn));
+  }
+  YT_ASSIGN_OR_RETURN(rt.cat, db()->GetTable(table));
+  rt.pcols = map_.PartitionColumns(rt.cat->name());
+  if (target.read.has_value() && SnapshotReadsActive(txn)) {
+    RefreshSnapshot(txn,
+                    *target.read == ReadOrigin::kGrounding ||
+                        *target.read == ReadOrigin::kGroundingJoin,
+                    snapshots_.get(), *clock_);
+    stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (target.row != nullptr) {
+    YT_ASSIGN_OR_RETURN(rt.row, rt.cat->Coerce(*target.row));
+  }
+  size_t shard = ShardMap::kAllShards;
+  if (rt.broadcast()) {
+    shard = 0;
+    if (target.rid != nullptr) rt.rid = *target.rid;
+  } else if (target.rid != nullptr) {
+    if (!RidTagged(*target.rid)) {
+      return Status::InvalidArgument("partitioned RowId lacks a shard tag");
+    }
+    shard = RidShard(*target.rid);
+    if (shard >= shards_.size()) {
+      return Status::InvalidArgument("RowId shard tag out of range");
+    }
+    rt.rid = LocalRid(*target.rid);
+    // A partition-key change that re-routes the row would strand it on a
+    // shard routing can no longer find; migration (delete + reinsert) is
+    // a follow-on, so reject it here. Key changes that hash to the same
+    // shard stay findable and are allowed.
+    if (target.row != nullptr && map_.ShardOfRow(rt.pcols, rt.row) != shard) {
+      return Status::Unimplemented(
+          "UPDATE moves a row across shards (partition key changed); "
+          "delete and reinsert instead");
+    }
+  } else if (target.row != nullptr) {
+    shard = map_.ShardOfRow(rt.pcols, rt.row);
+  } else if (target.plan != nullptr) {
+    shard = map_.RouteRead(rt.pcols, *target.plan);
+    if (target.read.has_value()) {
+      (shard == ShardMap::kAllShards ? stats_.fanout_cursors
+                                     : stats_.shard_routed_lookups)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  rt.fanout = shard == ShardMap::kAllShards;
+  rt.lo = rt.fanout ? 0 : shard;
+  rt.hi = rt.fanout ? shards_.size() : shard + 1;
+  return rt;
 }
 
-StatusOr<std::pair<size_t, RowId>> Router::ResolveRid(RowId rid) const {
-  if (!RidTagged(rid)) {
-    return Status::InvalidArgument("partitioned RowId lacks a shard tag");
+StatusOr<Table*> Router::ShardTable(const Route& rt, size_t s) const {
+  if (s == 0) return rt.cat;
+  return shards_[s].db->GetTable(rt.cat->name());
+}
+
+template <typename Write>
+StatusOr<RowId> Router::ApplyWrite(const Route& rt, Transaction* txn,
+                                   Write&& write) {
+  auto branch = [&](size_t s) {
+    return txn == nullptr ? nullptr : EnlistBranch(rt.dt, txn, s);
+  };
+  RowId rid = 0;
+  if (!rt.broadcast()) {
+    YT_ASSIGN_OR_RETURN(rid, write(rt.lo, branch(rt.lo)));
+  } else {
+    // Replica writers serialize on the primary replica's table X lock, so
+    // every replica applies broadcast writes in the same order — which is
+    // what keeps the replicas' RowId assignment aligned.
+    if (txn != nullptr) {
+      YT_RETURN_IF_ERROR(
+          shards_[0].tm->LockTableForWrite(branch(0), rt.cat->name()));
+    }
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      StatusOr<RowId> r = write(s, branch(s));
+      if (r.ok() && (s == 0 || r.value() == rid)) {
+        rid = r.value();
+        continue;
+      }
+      // Some replicas already applied: only Abort can restore them.
+      if (s > 0 && rt.dt != nullptr) rt.dt->abort_only = true;
+      if (!r.ok()) return r.status();
+      return Status::Internal("broadcast replicas diverged on " +
+                              rt.cat->name());
+    }
   }
-  size_t s = RidShard(rid);
-  if (s >= shards_.size()) {
-    return Status::InvalidArgument("RowId shard tag out of range");
-  }
-  return std::make_pair(s, LocalRid(rid));
+  if (txn != nullptr) txn->count_write();
+  return rt.Tag(rt.lo, rid);
 }
 
 template <typename PerShard>
 StatusOr<std::vector<std::pair<RowId, Row>>> Router::CollectForWrite(
-    Dtxn* dt, const Transaction* txn, size_t lo, size_t hi,
-    PerShard&& per_shard) {
+    const Route& rt, const Transaction* txn, PerShard&& per_shard) {
+  if (rt.broadcast()) {
+    YT_RETURN_IF_ERROR(shards_[0].tm->LockTableForWrite(
+        EnlistBranch(rt.dt, txn, 0), rt.cat->name()));
+  }
   std::vector<std::pair<RowId, Row>> out;
-  for (size_t s = lo; s < hi; ++s) {
-    Transaction* b = EnlistBranch(dt, txn, s);
-    YT_ASSIGN_OR_RETURN(auto rows, per_shard(s, b));
-    out.reserve(out.size() + rows.size());
-    for (auto& [rid, row] : rows) {
-      out.emplace_back(TagRid(s, rid), std::move(row));
+  for (size_t s = rt.lo; s < rt.hi; ++s) {
+    YT_ASSIGN_OR_RETURN(auto rows, per_shard(s, EnlistBranch(rt.dt, txn, s)));
+    for (auto& [rid, row] : rows) rid = rt.Tag(s, rid);
+    if (out.empty()) {
+      out = std::move(rows);
+    } else {
+      out.insert(out.end(), std::make_move_iterator(rows.begin()),
+                 std::make_move_iterator(rows.end()));
     }
   }
   return out;
@@ -374,144 +489,49 @@ StatusOr<std::vector<std::pair<RowId, Row>>> Router::CollectForWrite(
 
 StatusOr<RowId> Router::Insert(Transaction* txn, const std::string& table,
                                const Row& row) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  YT_ASSIGN_OR_RETURN(Table * cat, CatalogTable(table));
-  YT_ASSIGN_OR_RETURN(Row coerced, cat->Coerce(row));
-  YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  const std::string& name = cat->name();
-  if (map_.IsBroadcast(name)) {
-    // Replica writers serialize on the primary replica's table X lock, so
-    // every replica applies broadcast writes in the same order — which is
-    // what keeps the replicas' RowId assignment aligned.
-    Transaction* b0 = EnlistBranch(dt, txn, 0);
-    YT_RETURN_IF_ERROR(shards_[0].tm->LockTableForWrite(b0, name));
-    RowId rid = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      Transaction* b = EnlistBranch(dt, txn, s);
-      auto r = shards_[s].tm->Insert(b, name, coerced);
-      if (!r.ok()) {
-        // Some replicas already applied: only Abort can restore them.
-        if (s > 0) dt->abort_only = true;
-        return r.status();
-      }
-      if (s == 0) {
-        rid = r.value();
-      } else if (r.value() != rid) {
-        dt->abort_only = true;
-        return Status::Internal("broadcast replicas diverged on " + name);
-      }
-    }
-    txn->count_write();
-    return rid;
-  }
-  size_t s = map_.ShardOfRow(name, coerced);
-  Transaction* b = EnlistBranch(dt, txn, s);
-  YT_ASSIGN_OR_RETURN(RowId rid, shards_[s].tm->Insert(b, name, coerced));
-  txn->count_write();
-  return TagRid(s, rid);
+  YT_ASSIGN_OR_RETURN(Route rt, RouteCall(txn, table, {.row = &row}));
+  return ApplyWrite(rt, txn, [&](size_t s, Transaction* b) {
+    return shards_[s].tm->Insert(b, rt.cat->name(), rt.row);
+  });
 }
 
 StatusOr<Row> Router::Get(Transaction* txn, const std::string& table,
                           RowId rid) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  YT_ASSIGN_OR_RETURN(Table * cat, CatalogTable(table));
-  YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  if (SnapshotReadsActive(txn)) {
-    RefreshSnapshot(txn, /*grounding=*/false, snapshots_.get(), *clock_);
-    stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
-  }
-  const std::string& name = cat->name();
-  if (map_.IsBroadcast(name)) {
-    return shards_[0].tm->Get(EnlistBranch(dt, txn, 0), name, rid);
-  }
-  YT_ASSIGN_OR_RETURN(auto loc, ResolveRid(rid));
-  return shards_[loc.first].tm->Get(EnlistBranch(dt, txn, loc.first), name,
-                                    loc.second);
+  YT_ASSIGN_OR_RETURN(
+      Route rt,
+      RouteCall(txn, table, {.rid = &rid, .read = ReadOrigin::kStatement}));
+  return shards_[rt.lo].tm->Get(EnlistBranch(rt.dt, txn, rt.lo),
+                                rt.cat->name(), rt.rid);
 }
 
 Status Router::Update(Transaction* txn, const std::string& table, RowId rid,
                       const Row& row) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  YT_ASSIGN_OR_RETURN(Table * cat, CatalogTable(table));
-  YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  const std::string& name = cat->name();
-  if (map_.IsBroadcast(name)) {
-    Transaction* b0 = EnlistBranch(dt, txn, 0);
-    YT_RETURN_IF_ERROR(shards_[0].tm->LockTableForWrite(b0, name));
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      Transaction* b = EnlistBranch(dt, txn, s);
-      Status st = shards_[s].tm->Update(b, name, rid, row);
-      if (!st.ok()) {
-        if (s > 0) dt->abort_only = true;
-        return st;
-      }
-    }
-    txn->count_write();
-    return Status::Ok();
-  }
-  YT_ASSIGN_OR_RETURN(auto loc, ResolveRid(rid));
-  // A partition-key change that re-routes the row would strand it on a
-  // shard routing can no longer find; migration (delete + reinsert) is a
-  // follow-on, so reject it here. Key changes that hash to the same
-  // shard stay findable and are allowed.
-  YT_ASSIGN_OR_RETURN(Row coerced, cat->Coerce(row));
-  if (map_.ShardOfRow(name, coerced) != loc.first) {
-    return Status::Unimplemented(
-        "UPDATE moves a row across shards (partition key changed); "
-        "delete and reinsert instead");
-  }
-  YT_RETURN_IF_ERROR(shards_[loc.first].tm->Update(
-      EnlistBranch(dt, txn, loc.first), name, loc.second, row));
-  txn->count_write();
-  return Status::Ok();
+  YT_ASSIGN_OR_RETURN(Route rt,
+                      RouteCall(txn, table, {.rid = &rid, .row = &row}));
+  auto update = [&](size_t s, Transaction* b) -> StatusOr<RowId> {
+    YT_RETURN_IF_ERROR(shards_[s].tm->Update(b, rt.cat->name(), rt.rid, row));
+    return rt.rid;
+  };
+  return ApplyWrite(rt, txn, update).status();
 }
 
 Status Router::Delete(Transaction* txn, const std::string& table, RowId rid) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  YT_ASSIGN_OR_RETURN(Table * cat, CatalogTable(table));
-  YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  const std::string& name = cat->name();
-  if (map_.IsBroadcast(name)) {
-    Transaction* b0 = EnlistBranch(dt, txn, 0);
-    YT_RETURN_IF_ERROR(shards_[0].tm->LockTableForWrite(b0, name));
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      Transaction* b = EnlistBranch(dt, txn, s);
-      Status st = shards_[s].tm->Delete(b, name, rid);
-      if (!st.ok()) {
-        if (s > 0) dt->abort_only = true;
-        return st;
-      }
-    }
-    txn->count_write();
-    return Status::Ok();
-  }
-  YT_ASSIGN_OR_RETURN(auto loc, ResolveRid(rid));
-  YT_RETURN_IF_ERROR(shards_[loc.first].tm->Delete(
-      EnlistBranch(dt, txn, loc.first), name, loc.second));
-  txn->count_write();
-  return Status::Ok();
+  YT_ASSIGN_OR_RETURN(Route rt, RouteCall(txn, table, {.rid = &rid}));
+  auto erase = [&](size_t s, Transaction* b) -> StatusOr<RowId> {
+    YT_RETURN_IF_ERROR(shards_[s].tm->Delete(b, rt.cat->name(), rt.rid));
+    return rt.rid;
+  };
+  return ApplyWrite(rt, txn, erase).status();
 }
 
 Status Router::Load(const std::string& table, const Row& row) {
-  YT_ASSIGN_OR_RETURN(Table * cat, CatalogTable(table));
-  YT_ASSIGN_OR_RETURN(Row coerced, cat->Coerce(row));
-  const std::string& name = cat->name();
-  if (map_.IsBroadcast(name)) {
-    RowId rid = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      YT_ASSIGN_OR_RETURN(Table * t, shards_[s].db->GetTable(name));
-      YT_ASSIGN_OR_RETURN(RowId r, t->Insert(Row(coerced), /*writer=*/0));
-      if (s == 0) {
-        rid = r;
-      } else if (r != rid) {
-        return Status::Internal("broadcast replicas diverged on " + name);
-      }
-    }
-    return Status::Ok();
-  }
-  size_t s = map_.ShardOfRow(name, coerced);
-  YT_ASSIGN_OR_RETURN(Table * t, shards_[s].db->GetTable(name));
-  return t->Insert(std::move(coerced), /*writer=*/0).status();
+  YT_ASSIGN_OR_RETURN(Route rt,
+                      RouteCall(/*txn=*/nullptr, table, {.row = &row}));
+  auto load = [&](size_t s, Transaction*) -> StatusOr<RowId> {
+    YT_ASSIGN_OR_RETURN(Table * t, ShardTable(rt, s));
+    return t->Insert(Row(rt.row), /*writer=*/0);
+  };
+  return ApplyWrite(rt, /*txn=*/nullptr, load).status();
 }
 
 // --- The read path. -------------------------------------------------------
@@ -520,58 +540,36 @@ StatusOr<std::unique_ptr<TableCursor>> Router::OpenCursor(Transaction* txn,
                                                           Table* t,
                                                           AccessPlan plan,
                                                           ReadOrigin origin) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  const bool grounding = origin == ReadOrigin::kGrounding ||
-                         origin == ReadOrigin::kGroundingJoin;
-  const bool track = SnapshotReadsActive(txn);
-  if (track) {
-    RefreshSnapshot(txn, grounding, snapshots_.get(), *clock_);
-    stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
+  YT_ASSIGN_OR_RETURN(
+      Route rt, RouteCall(txn, t->name(), {.plan = &plan, .read = origin}));
+  std::unique_ptr<TableCursor> cursor;
+  if (rt.fanout) {
+    YT_ASSIGN_OR_RETURN(cursor, OpenFanout(txn, rt, plan, origin));
+  } else {
+    YT_ASSIGN_OR_RETURN(Table * st, ShardTable(rt, rt.lo));
+    YT_ASSIGN_OR_RETURN(
+        cursor, shards_[rt.lo].tm->OpenCursor(EnlistBranch(rt.dt, txn, rt.lo),
+                                              st, std::move(plan), origin));
   }
-  auto tracked = [&](std::unique_ptr<TableCursor> c)
-      -> std::unique_ptr<TableCursor> {
-    if (!track) return c;
-    return std::unique_ptr<TableCursor>(new CoordCursor(std::move(c), txn));
-  };
-  const std::string& name = t->name();
-  if (map_.IsBroadcast(name)) {
-    // Broadcast replicas are read on shard 0 = the catalog database, so
-    // `t` is already the right table. RowIds stay untagged (identical on
-    // every replica).
-    Transaction* b = EnlistBranch(dt, txn, 0);
-    YT_ASSIGN_OR_RETURN(auto cursor,
-                        shards_[0].tm->OpenCursor(b, t, std::move(plan),
-                                                  origin));
-    return tracked(std::move(cursor));
-  }
-  size_t s = map_.RouteRead(name, plan);
-  if (s != ShardMap::kAllShards) {
-    stats_.shard_routed_lookups.fetch_add(1, std::memory_order_relaxed);
-    Transaction* b = EnlistBranch(dt, txn, s);
-    YT_ASSIGN_OR_RETURN(Table * st, shards_[s].db->GetTable(name));
-    YT_ASSIGN_OR_RETURN(auto cursor,
-                        shards_[s].tm->OpenCursor(b, st, std::move(plan),
-                                                  origin));
-    return tracked(std::unique_ptr<TableCursor>(
-        new TaggingCursor(std::move(cursor), s)));
-  }
-  stats_.fanout_cursors.fetch_add(1, std::memory_order_relaxed);
-  YT_ASSIGN_OR_RETURN(auto merged, OpenFanout(txn, dt, name, plan, origin));
-  return tracked(std::move(merged));
+  // A fan-out tags in its merge; a broadcast read's RowIds stay untagged.
+  const size_t tag =
+      rt.fanout || rt.broadcast() ? RouterCursor::kUntagged : rt.lo;
+  Transaction* coord = SnapshotReadsActive(txn) ? txn : nullptr;
+  if (tag == RouterCursor::kUntagged && coord == nullptr) return cursor;
+  return std::unique_ptr<TableCursor>(
+      new RouterCursor(std::move(cursor), tag, coord));
 }
 
 Status Router::DrainShards(
-    const Transaction* txn, Dtxn* dt, const std::string& table,
-    const AccessPlan& plan, ReadOrigin origin,
-    const std::function<void(size_t, RowBatch*)>& sink) {
+    const Transaction* txn, const Route& rt, const AccessPlan& plan,
+    ReadOrigin origin, const std::function<void(size_t, RowBatch*)>& sink) {
   const size_t n = shards_.size();
   // Enlist + open in shard order on the calling thread: lock acquisition
   // order across shards is deterministic for readers.
   std::vector<std::unique_ptr<TableCursor>> cursors(n);
   for (size_t s = 0; s < n; ++s) {
-    Transaction* b = EnlistBranch(dt, txn, s);
-    YT_ASSIGN_OR_RETURN(Table * st, shards_[s].db->GetTable(table));
+    Transaction* b = EnlistBranch(rt.dt, txn, s);
+    YT_ASSIGN_OR_RETURN(Table * st, ShardTable(rt, s));
     YT_ASSIGN_OR_RETURN(cursors[s],
                         shards_[s].tm->OpenCursor(b, st, plan, origin));
   }
@@ -612,18 +610,18 @@ Status Router::DrainShards(
 }
 
 StatusOr<std::unique_ptr<TableCursor>> Router::OpenFanout(
-    const Transaction* txn, Dtxn* dt, const std::string& table,
-    const AccessPlan& plan, ReadOrigin origin) {
+    const Transaction* txn, const Route& rt, const AccessPlan& plan,
+    ReadOrigin origin) {
   const size_t n = shards_.size();
   std::vector<MergedCursor::Source> sources(n);
   if (plan.is_scan()) {
     for (size_t s = 0; s < n; ++s) {
-      auto t = shards_[s].db->GetTable(table);
+      auto t = ShardTable(rt, s);
       if (t.ok()) sources[s].rows.reserve(t.value()->size());
     }
   }
   YT_RETURN_IF_ERROR(DrainShards(
-      txn, dt, table, plan, origin, [&](size_t s, RowBatch* batch) {
+      txn, rt, plan, origin, [&](size_t s, RowBatch* batch) {
         // Per row: one tag write plus one pair move, no visitor call.
         std::vector<std::pair<RowId, Row>>& rows = sources[s].rows;
         for (auto& [rid, row] : batch->rows) rid = TagRid(s, rid);
@@ -646,30 +644,16 @@ StatusOr<AggregateGroups> Router::AggregateTable(Transaction* txn, Table* t,
                                                  AccessPlan plan,
                                                  const AggregateSpec& spec,
                                                  ReadOrigin origin) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  if (SnapshotReadsActive(txn)) {
-    RefreshSnapshot(txn, origin == ReadOrigin::kGrounding ||
-                             origin == ReadOrigin::kGroundingJoin,
-                    snapshots_.get(), *clock_);
-    stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
-  }
-  const std::string& name = t->name();
-  if (map_.IsBroadcast(name)) {
-    // One replica holds every row: fold locally on shard 0.
-    Transaction* b = EnlistBranch(dt, txn, 0);
-    return shards_[0].tm->AggregateTable(b, t, std::move(plan), spec, origin);
-  }
-  size_t pinned = map_.RouteRead(name, plan);
-  if (pinned != ShardMap::kAllShards) {
-    stats_.shard_routed_lookups.fetch_add(1, std::memory_order_relaxed);
-    Transaction* b = EnlistBranch(dt, txn, pinned);
-    YT_ASSIGN_OR_RETURN(Table * st, shards_[pinned].db->GetTable(name));
-    return shards_[pinned].tm->AggregateTable(b, st, std::move(plan), spec,
-                                              origin);
+  YT_ASSIGN_OR_RETURN(
+      Route rt, RouteCall(txn, t->name(), {.plan = &plan, .read = origin}));
+  if (!rt.fanout) {
+    // One replica or the one pinned shard holds every row: fold locally.
+    YT_ASSIGN_OR_RETURN(Table * st, ShardTable(rt, rt.lo));
+    return shards_[rt.lo].tm->AggregateTable(EnlistBranch(rt.dt, txn, rt.lo),
+                                             st, std::move(plan), spec,
+                                             origin);
   }
   stats_.aggregate_pushdowns.fetch_add(1, std::memory_order_relaxed);
-  stats_.fanout_cursors.fetch_add(1, std::memory_order_relaxed);
   // The pushdown: each drain thread folds its shard's rows into a private
   // Aggregator as it pulls them, so rows die inside the thread and only
   // the per-shard group states travel to the coordinator.
@@ -678,7 +662,7 @@ StatusOr<AggregateGroups> Router::AggregateTable(Transaction* txn, Table* t,
   partials.reserve(n);
   for (size_t s = 0; s < n; ++s) partials.emplace_back(spec);
   YT_RETURN_IF_ERROR(DrainShards(
-      txn, dt, name, plan, origin, [&](size_t s, RowBatch* batch) {
+      txn, rt, plan, origin, [&](size_t s, RowBatch* batch) {
         for (const auto& [rid, row] : batch->rows) partials[s].Accumulate(row);
       }));
   Aggregator merged(spec);
@@ -695,56 +679,29 @@ StatusOr<AggregateGroups> Router::AggregateTable(Transaction* txn, Table* t,
 StatusOr<std::vector<std::pair<RowId, Row>>> Router::LockRowsForWrite(
     Transaction* txn, const std::string& table,
     const std::vector<size_t>& columns, const Row& key) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  YT_ASSIGN_OR_RETURN(Table * cat, CatalogTable(table));
-  YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  const std::string& name = cat->name();
-  if (map_.IsBroadcast(name)) {
-    Transaction* b0 = EnlistBranch(dt, txn, 0);
-    YT_RETURN_IF_ERROR(shards_[0].tm->LockTableForWrite(b0, name));
-    return shards_[0].tm->LockRowsForWrite(b0, name, columns, key);
-  }
-  size_t s = map_.RouteLookup(name, columns, key);
-  const size_t lo = (s == ShardMap::kAllShards) ? 0 : s;
-  const size_t hi = (s == ShardMap::kAllShards) ? shards_.size() : s + 1;
-  return CollectForWrite(dt, txn, lo, hi, [&](size_t i, Transaction* b) {
-    return shards_[i].tm->LockRowsForWrite(b, name, columns, key);
+  const AccessPlan lookup = AccessPlan::Lookup(columns, key);
+  YT_ASSIGN_OR_RETURN(Route rt, RouteCall(txn, table, {.plan = &lookup}));
+  return CollectForWrite(rt, txn, [&](size_t s, Transaction* b) {
+    return shards_[s].tm->LockRowsForWrite(b, rt.cat->name(), columns, key);
   });
 }
 
 StatusOr<std::vector<std::pair<RowId, Row>>> Router::LockRowsForWriteRange(
     Transaction* txn, const std::string& table, const IndexRangeSpec& spec) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  YT_ASSIGN_OR_RETURN(Table * cat, CatalogTable(table));
-  YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  const std::string& name = cat->name();
-  if (map_.IsBroadcast(name)) {
-    Transaction* b0 = EnlistBranch(dt, txn, 0);
-    YT_RETURN_IF_ERROR(shards_[0].tm->LockTableForWrite(b0, name));
-    return shards_[0].tm->LockRowsForWriteRange(b0, name, spec);
-  }
   // An equality prefix that pins every partition column routes the write
   // range to one shard (same rule as reads); open ranges fan out.
-  size_t pinned = map_.RouteRead(name, AccessPlan::Range(spec));
-  const size_t lo = (pinned == ShardMap::kAllShards) ? 0 : pinned;
-  const size_t hi = (pinned == ShardMap::kAllShards) ? shards_.size()
-                                                     : pinned + 1;
-  return CollectForWrite(dt, txn, lo, hi, [&](size_t s, Transaction* b) {
-    return shards_[s].tm->LockRowsForWriteRange(b, name, spec);
+  const AccessPlan range = AccessPlan::Range(spec);
+  YT_ASSIGN_OR_RETURN(Route rt, RouteCall(txn, table, {.plan = &range}));
+  return CollectForWrite(rt, txn, [&](size_t s, Transaction* b) {
+    return shards_[s].tm->LockRowsForWriteRange(b, rt.cat->name(), spec);
   });
 }
 
 Status Router::LockTableForWrite(Transaction* txn, const std::string& table) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  YT_ASSIGN_OR_RETURN(Table * cat, CatalogTable(table));
-  YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  const std::string& name = cat->name();
-  if (map_.IsBroadcast(name)) {
-    return shards_[0].tm->LockTableForWrite(EnlistBranch(dt, txn, 0), name);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    YT_RETURN_IF_ERROR(
-        shards_[s].tm->LockTableForWrite(EnlistBranch(dt, txn, s), name));
+  YT_ASSIGN_OR_RETURN(Route rt, RouteCall(txn, table, {}));
+  for (size_t s = rt.lo; s < rt.hi; ++s) {
+    YT_RETURN_IF_ERROR(shards_[s].tm->LockTableForWrite(
+        EnlistBranch(rt.dt, txn, s), rt.cat->name()));
   }
   return Status::Ok();
 }
@@ -752,19 +709,10 @@ Status Router::LockTableForWrite(Transaction* txn, const std::string& table) {
 StatusOr<std::vector<std::pair<RowId, Row>>>
 Router::LockTableAndCollectForWrite(Transaction* txn,
                                     const std::string& table) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  YT_ASSIGN_OR_RETURN(Table * cat, CatalogTable(table));
-  YT_ASSIGN_OR_RETURN(Dtxn * dt, FindDtxn(txn));
-  const std::string& name = cat->name();
-  if (map_.IsBroadcast(name)) {
-    return shards_[0].tm->LockTableAndCollectForWrite(EnlistBranch(dt, txn, 0),
-                                                      name);
-  }
-  return CollectForWrite(dt, txn, 0, shards_.size(),
-                         [&](size_t s, Transaction* b) {
-                           return shards_[s].tm->LockTableAndCollectForWrite(
-                               b, name);
-                         });
+  YT_ASSIGN_OR_RETURN(Route rt, RouteCall(txn, table, {}));
+  return CollectForWrite(rt, txn, [&](size_t s, Transaction* b) {
+    return shards_[s].tm->LockTableAndCollectForWrite(b, rt.cat->name());
+  });
 }
 
 // --- Termination. ---------------------------------------------------------
@@ -1116,21 +1064,19 @@ Status Router::CreateIndex(const std::string& table,
   // logical copy (every replica sees every row), so any unique index
   // works there.
   if (unique) {
-    YT_ASSIGN_OR_RETURN(Table * cat, CatalogTable(table));
-    if (!map_.IsBroadcast(cat->name())) {
-      std::vector<size_t> positions;
-      positions.reserve(columns.size());
-      for (const std::string& cn : columns) {
-        YT_ASSIGN_OR_RETURN(size_t pos, cat->schema().IndexOf(cn));
-        positions.push_back(pos);
-      }
-      for (size_t p : map_.PartitionColumns(cat->name())) {
-        if (std::find(positions.begin(), positions.end(), p) ==
-            positions.end()) {
-          return Status::InvalidArgument(
-              "unique index on a partitioned table must cover the "
-              "partition columns (uniqueness is enforced per shard)");
-        }
+    YT_ASSIGN_OR_RETURN(Route rt, RouteCall(/*txn=*/nullptr, table, {}));
+    std::vector<size_t> positions;
+    positions.reserve(columns.size());
+    for (const std::string& cn : columns) {
+      YT_ASSIGN_OR_RETURN(size_t pos, rt.cat->schema().IndexOf(cn));
+      positions.push_back(pos);
+    }
+    for (size_t p : rt.pcols) {
+      if (std::find(positions.begin(), positions.end(), p) ==
+          positions.end()) {
+        return Status::InvalidArgument(
+            "unique index on a partitioned table must cover the "
+            "partition columns (uniqueness is enforced per shard)");
       }
     }
   }

@@ -42,6 +42,16 @@ namespace youtopia::shard {
 /// route back to the owning shard. Broadcast RowIds stay untagged (they
 /// are identical on every replica).
 ///
+/// Every data call runs one routing step (RouteCall) before it touches a
+/// shard: it checks that the transaction is active, finds its coordinator
+/// state, resolves the catalog table, reads the table's partitioning once
+/// and returns the branch span — shard 0 with untagged RowIds for a
+/// broadcast table, else one pinned shard or all shards with tagged
+/// RowIds. Reads refresh the coordinator's snapshot there too. On top of
+/// the span, broadcast writes go through one replica-write helper, write
+/// candidates through one collection loop, and a cursor is wrapped at most
+/// once (tagging and snapshot tracking share one wrapper).
+///
 /// Transactions: Begin hands out a coordinator-side handle; per-shard
 /// branch transactions enlist lazily on first touch. A commit is a group of
 /// one: CommitGroup runs one-phase when at most one shard holds writes (read-only branches always commit
@@ -274,6 +284,15 @@ class Router : public TxnEngine {
   /// snapshot registry and options.
   void StartShard(Shard* sh);
 
+  /// What a data call names of its rows, and the call as the routing step
+  /// resolved it (both defined in router.cc).
+  struct Target;
+  struct Route;
+
+  /// The routing step (see the class comment). A null `txn` (Load, DDL)
+  /// skips the active check and the coordinator state.
+  StatusOr<Route> RouteCall(Transaction* txn, const std::string& table,
+                            const Target& target);
   StatusOr<Dtxn*> FindDtxn(const Transaction* txn);
   void EraseDtxn(TxnId id);
   /// The branch of `dt` on `shard`, enlisting (shard-level Begin) on first
@@ -287,21 +306,29 @@ class Router : public TxnEngine {
     return mvcc_reads_.load(std::memory_order_relaxed) &&
            UsesSnapshotReads(txn->isolation_level());
   }
-  /// Resolves `table` to its canonical catalog entry.
-  StatusOr<Table*> CatalogTable(const std::string& table) const;
+  /// Shard `s`'s copy of the routed table.
+  StatusOr<Table*> ShardTable(const Route& rt, size_t s) const;
   /// Splits a distributed transaction's branches into writers and readers.
   void SplitBranches(Dtxn* dt,
                      std::vector<std::pair<size_t, Transaction*>>* writers,
                      std::vector<std::pair<size_t, Transaction*>>* readers);
-  /// Decodes a partitioned table's shard-tagged RowId.
-  StatusOr<std::pair<size_t, RowId>> ResolveRid(RowId rid) const;
-  /// Fanout-collect for write-candidate acquisition: runs `per_shard`
-  /// (shard index, branch) -> StatusOr<rows> over [lo, hi) and returns
-  /// the shard-tagged concatenation.
+  /// Applies one routed write: `write(shard, branch)` -> StatusOr<RowId>
+  /// runs on the pinned shard of a partitioned table, or on every replica
+  /// of a broadcast table in shard order under shard 0's table X lock. A
+  /// replica failure past shard 0 makes the transaction abort-only, and
+  /// replicas must assign the same RowId. A null `txn` (Load) takes no lock
+  /// and passes null branches. Returns the written RowId, tagged as
+  /// Route::Tag hands it out.
+  template <typename Write>
+  StatusOr<RowId> ApplyWrite(const Route& rt, Transaction* txn,
+                             Write&& write);
+  /// Write-candidate acquisition over the span: runs `per_shard`
+  /// (shard index, branch) -> StatusOr<rows> on each shard and returns the
+  /// tagged concatenation. A broadcast table's candidates are read on shard
+  /// 0 after its table X lock, which serializes replica writers.
   template <typename PerShard>
   StatusOr<std::vector<std::pair<RowId, Row>>> CollectForWrite(
-      Dtxn* dt, const Transaction* txn, size_t lo, size_t hi,
-      PerShard&& per_shard);
+      const Route& rt, const Transaction* txn, PerShard&& per_shard);
   /// The 2PC core of CommitGroup. `writers` span >= 2 shards. A failure
   /// with the process-wide crash latch set (a fired crash fault, a failed
   /// decision force-write, any fault past the commit point) leaves state
@@ -319,14 +346,12 @@ class Router : public TxnEngine {
   /// cursors in parallel, handing each pulled batch to `sink(shard, batch)`
   /// on that shard's drain thread. Cursors close as their drain ends.
   /// Returns the first failed open or drain.
-  Status DrainShards(const Transaction* txn, Dtxn* dt,
-                     const std::string& table, const AccessPlan& plan,
-                     ReadOrigin origin,
+  Status DrainShards(const Transaction* txn, const Route& rt,
+                     const AccessPlan& plan, ReadOrigin origin,
                      const std::function<void(size_t, RowBatch*)>& sink);
   /// Opens one fanned-out plan: per-shard cursors, parallel drain, merge.
   StatusOr<std::unique_ptr<TableCursor>> OpenFanout(const Transaction* txn,
-                                                    Dtxn* dt,
-                                                    const std::string& table,
+                                                    const Route& rt,
                                                     const AccessPlan& plan,
                                                     ReadOrigin origin);
 

@@ -10,17 +10,6 @@ void ShardMap::SetPartitioning(const std::string& table,
   tables_[table] = std::move(columns);
 }
 
-bool ShardMap::Knows(const std::string& table) const {
-  std::shared_lock lock(mu_);
-  return tables_.count(table) > 0;
-}
-
-bool ShardMap::IsBroadcast(const std::string& table) const {
-  std::shared_lock lock(mu_);
-  auto it = tables_.find(table);
-  return it == tables_.end() || it->second.empty();
-}
-
 std::vector<size_t> ShardMap::PartitionColumns(const std::string& table) const {
   std::shared_lock lock(mu_);
   auto it = tables_.find(table);
@@ -31,8 +20,8 @@ size_t ShardMap::ShardOfKey(const Row& partition_values) const {
   return partition_values.Hash() % num_shards_;
 }
 
-size_t ShardMap::ShardOfRow(const std::string& table, const Row& row) const {
-  std::vector<size_t> pcols = PartitionColumns(table);
+size_t ShardMap::ShardOfRow(const std::vector<size_t>& pcols,
+                            const Row& row) const {
   if (pcols.empty()) return 0;
   std::vector<Value> vals;
   vals.reserve(pcols.size());
@@ -40,59 +29,42 @@ size_t ShardMap::ShardOfRow(const std::string& table, const Row& row) const {
   return ShardOfKey(Row(std::move(vals)));
 }
 
-size_t ShardMap::RouteLookup(const std::string& table,
-                             const std::vector<size_t>& columns,
-                             const Row& key) const {
-  std::vector<size_t> pcols = PartitionColumns(table);
-  if (pcols.empty()) return 0;
-  // The lookup pins `columns[i] = key[i]` for every i; a single shard is
-  // determined iff every partition column is among them.
-  std::vector<Value> vals;
-  vals.reserve(pcols.size());
-  for (size_t p : pcols) {
-    auto it = std::find(columns.begin(), columns.end(), p);
-    if (it == columns.end()) return kAllShards;
-    vals.push_back(key[static_cast<size_t>(it - columns.begin())]);
-  }
-  return ShardOfKey(Row(std::move(vals)));
-}
-
-size_t ShardMap::RouteRead(const std::string& table,
+size_t ShardMap::RouteRead(const std::vector<size_t>& pcols,
                            const AccessPlan& plan) const {
-  std::vector<size_t> pcols = PartitionColumns(table);
   if (pcols.empty()) return 0;
+  // The plan pins `plan.columns[i] = key[i]` for every i < pinned; a single
+  // shard is determined iff every partition column is among them.
+  const Row* key = &plan.key;
+  size_t pinned = plan.columns.size();
   switch (plan.kind) {
     case AccessPlan::Kind::kTableScan:
       return kAllShards;
     case AccessPlan::Kind::kIndexLookup:
-      return RouteLookup(table, plan.columns, plan.key);
+      break;
     case AccessPlan::Kind::kIndexRange: {
       // A range pins a column only on its inclusive equality prefix:
-      // lo[i] == hi[i] with both bounds present. Partition columns wholly
-      // inside that prefix route to one shard; anything else fans out.
-      if (plan.range.lo_unbounded || plan.range.hi_unbounded ||
-          !plan.range.lo_incl || !plan.range.hi_incl) {
+      // lo[i] == hi[i] with both bounds present.
+      const IndexRange& r = plan.range;
+      if (r.lo_unbounded || r.hi_unbounded || !r.lo_incl || !r.hi_incl) {
         return kAllShards;
       }
-      size_t eq_prefix = 0;
-      size_t common = std::min(plan.range.lo.size(), plan.range.hi.size());
-      while (eq_prefix < common &&
-             plan.range.lo[eq_prefix] == plan.range.hi[eq_prefix]) {
-        ++eq_prefix;
-      }
-      std::vector<Value> vals;
-      vals.reserve(pcols.size());
-      for (size_t p : pcols) {
-        auto it = std::find(plan.columns.begin(), plan.columns.end(), p);
-        if (it == plan.columns.end()) return kAllShards;
-        size_t pos = static_cast<size_t>(it - plan.columns.begin());
-        if (pos >= eq_prefix) return kAllShards;
-        vals.push_back(plan.range.lo[pos]);
-      }
-      return ShardOfKey(Row(std::move(vals)));
+      pinned = 0;
+      size_t common = std::min(r.lo.size(), r.hi.size());
+      while (pinned < common && r.lo[pinned] == r.hi[pinned]) ++pinned;
+      key = &r.lo;
+      break;
     }
   }
-  return kAllShards;
+  std::vector<Value> vals;
+  vals.reserve(pcols.size());
+  for (size_t p : pcols) {
+    size_t pos = static_cast<size_t>(
+        std::find(plan.columns.begin(), plan.columns.end(), p) -
+        plan.columns.begin());
+    if (pos >= pinned) return kAllShards;
+    vals.push_back((*key)[pos]);
+  }
+  return ShardOfKey(Row(std::move(vals)));
 }
 
 }  // namespace youtopia::shard

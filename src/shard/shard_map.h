@@ -39,28 +39,35 @@ class ShardMap {
   /// time (re-registering overwrites).
   void SetPartitioning(const std::string& table, std::vector<size_t> columns);
 
-  bool Knows(const std::string& table) const;
-  /// Unregistered tables are treated as broadcast (single replica set —
-  /// with one shard the distinction vanishes anyway).
-  bool IsBroadcast(const std::string& table) const;
-  /// Partition column positions; empty for broadcast/unknown tables.
+  /// Partition column positions; empty for broadcast tables. Unregistered
+  /// tables are treated as broadcast (single replica set — with one shard
+  /// the distinction vanishes anyway).
   std::vector<size_t> PartitionColumns(const std::string& table) const;
-
-  /// Owning shard of a full (schema-ordered, coerced) row of `table`.
-  /// Broadcast tables report shard 0 (the read replica).
-  size_t ShardOfRow(const std::string& table, const Row& row) const;
+  bool IsBroadcast(const std::string& table) const {
+    return PartitionColumns(table).empty();
+  }
 
   /// Owning shard for the projected partition-column values themselves.
   size_t ShardOfKey(const Row& partition_values) const;
 
-  /// The single shard `plan` can touch, or kAllShards when it must fan
-  /// out. Broadcast tables always route to shard 0.
-  size_t RouteRead(const std::string& table, const AccessPlan& plan) const;
+  // Routing over a table's partition columns `pcols`, as PartitionColumns
+  // returns them: a caller that routes several times reads them once. The
+  // table-name forms read them first. Broadcast tables (empty `pcols`)
+  // always route to shard 0, the read replica.
 
-  /// RouteRead for the indexed-write path: the (index columns, key) pair of
-  /// LockRowsForWrite.
-  size_t RouteLookup(const std::string& table,
-                     const std::vector<size_t>& columns, const Row& key) const;
+  /// Owning shard of a full (schema-ordered, coerced) row.
+  size_t ShardOfRow(const std::vector<size_t>& pcols, const Row& row) const;
+  size_t ShardOfRow(const std::string& table, const Row& row) const {
+    return ShardOfRow(PartitionColumns(table), row);
+  }
+
+  /// The single shard `plan` can touch, or kAllShards when it must fan
+  /// out.
+  size_t RouteRead(const std::vector<size_t>& pcols,
+                   const AccessPlan& plan) const;
+  size_t RouteRead(const std::string& table, const AccessPlan& plan) const {
+    return RouteRead(PartitionColumns(table), plan);
+  }
 
  private:
   size_t num_shards_;

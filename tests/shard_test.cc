@@ -176,11 +176,12 @@ TEST(MergedCursorTest, UnorderedModeConcatenatesInShardOrder) {
 
 // --- Router cursors: every pull method on every cursor type. -------------
 
-// The Router wraps shard cursors in its own cursor types: a TaggingCursor
-// over one routed shard, a MergedCursor (unordered or key-ordered) over a
-// fan-out, and a CoordCursor around either under snapshot reads. Each must
-// return the same rows through every pull method, with every batch within
-// its max_rows.
+// The Router hands out a routed shard's cursor or a MergedCursor (unordered
+// or key-ordered) over a fan-out, each wrapped at most once in its one
+// RouterCursor: that wrapper tags a routed shard's RowIds and, under
+// snapshot reads, tracks the coordinator's open cursors. Each must return
+// the same rows through every pull method, with every batch within its
+// max_rows.
 TEST(RouterCursorTest, AllPullMethodsAgreeOnEveryRouterCursor) {
   auto r = OpenVolatile(4);
   // Keyless, partitioned by grp: a grp lookup routes to one shard and
@@ -234,7 +235,7 @@ TEST(RouterCursorTest, AllPullMethodsAgreeOnEveryRouterCursor) {
   const struct {
     const char* name;
     AccessPlan plan;
-    bool routed;  ///< one shard (TaggingCursor), else a fan-out
+    bool routed;  ///< one shard (tagging RouterCursor), else a fan-out
     bool ordered;
     RowSet want;
   } plans[] = {
@@ -535,38 +536,72 @@ TEST(RouterTest, SqlSessionRunsAgainstTheRouter) {
 }
 
 TEST(RouterTest, PartialBroadcastWriteForcesAbort) {
-  auto r = OpenVolatile(3);
-  ASSERT_OK(
-      r->CreateTable("City", Schema({{"name", TypeId::kString},
-                                     {"region", TypeId::kString}}))
-          .status());
-  auto setup = r->Begin();
-  ASSERT_OK_AND_ASSIGN(
-      RowId rid, r->Insert(setup.get(), "City",
-                           Row({Value::Str("LA"), Value::Str("west")})));
-  ASSERT_OK(r->Commit(setup.get()));
-
-  // Sabotage one replica behind the router's back, then attempt a
-  // broadcast update: it applies on shard 0, fails on shard 1, and the
+  // Each case sabotages replica 1 behind the router's back, then attempts a
+  // broadcast write: it applies on shard 0, fails on shard 1, and the
   // transaction may only abort (committing would make the divergence
   // permanent).
-  ASSERT_OK(r->shard_db(1)->GetTable("City").value()->Delete(rid,
-                                                             /*writer=*/0));
-  auto txn = r->Begin();
-  EXPECT_FALSE(r->Update(txn.get(), "City", rid,
-                         Row({Value::Str("LA"), Value::Str("south")}))
-                   .ok());
-  Status commit = r->Commit(txn.get());
-  EXPECT_FALSE(commit.ok());
-  ASSERT_OK(r->Abort(txn.get()));
-  // The undo restored shard 0's replica to the committed value.
-  EXPECT_EQ(
-      r->shard_db(0)
-          ->GetTable("City")
-          .value()
-          ->Get(rid, ReadView::Latest())
-          .value()[1],
-      Value::Str("west"));
+  const Row la({Value::Str("LA"), Value::Str("west")});
+  const struct {
+    const char* name;
+    std::function<void(Table* replica1, RowId rid)> sabotage;
+    std::function<Status(Router*, Transaction*, RowId)> write;
+  } cases[] = {
+      {"update",
+       [](Table* replica1, RowId rid) {
+         ASSERT_OK(replica1->Delete(rid, /*writer=*/0));
+       },
+       [](Router* r, Transaction* txn, RowId rid) {
+         return r->Update(txn, "City", rid,
+                          Row({Value::Str("LA"), Value::Str("south")}));
+       }},
+      // An extra row on replica 1 makes its next RowId diverge.
+      {"insert",
+       [](Table* replica1, RowId) {
+         ASSERT_OK(replica1
+                       ->Insert(Row({Value::Str("SF"), Value::Str("west")}),
+                                /*writer=*/0)
+                       .status());
+       },
+       [](Router* r, Transaction* txn, RowId) {
+         return r->Insert(txn, "City",
+                          Row({Value::Str("NY"), Value::Str("east")}))
+             .status();
+       }},
+      {"delete",
+       [](Table* replica1, RowId rid) {
+         ASSERT_OK(replica1->Delete(rid, /*writer=*/0));
+       },
+       [](Router* r, Transaction* txn, RowId rid) {
+         return r->Delete(txn, "City", rid);
+       }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto r = OpenVolatile(3);
+    ASSERT_OK(
+        r->CreateTable("City", Schema({{"name", TypeId::kString},
+                                       {"region", TypeId::kString}}))
+            .status());
+    auto setup = r->Begin();
+    ASSERT_OK_AND_ASSIGN(RowId rid, r->Insert(setup.get(), "City", la));
+    ASSERT_OK(r->Commit(setup.get()));
+
+    c.sabotage(r->shard_db(1)->GetTable("City").value(), rid);
+    auto txn = r->Begin();
+    EXPECT_FALSE(c.write(r.get(), txn.get(), rid).ok());
+    Status commit = r->Commit(txn.get());
+    EXPECT_FALSE(commit.ok());
+    EXPECT_OK(r->Abort(txn.get()));
+    // The undo restored shard 0's replica to the committed state: the one
+    // committed row, unchanged.
+    RowSet rows;
+    r->shard_db(0)->GetTable("City").value()->Scan(
+        [&](RowId scanned, const Row& row) {
+          rows.emplace_back(scanned, row);
+          return true;
+        });
+    EXPECT_EQ(rows, (RowSet{{rid, la}}));
+  }
 }
 
 TEST(RouterTest, RejectsCrossShardPartitionKeyMoves) {
