@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <sstream>
 #include <string>
 
 #include "src/txn/transaction_manager.h"
@@ -107,6 +108,41 @@ void BM_RecoveryWithCheckpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_RecoveryWithCheckpoint)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
+
+/// Checkpoint load alone: ~100k rows with a unique primary key and one
+/// secondary hash index, saved once and reloaded from memory each
+/// iteration (CRC, decode, heap and index inserts; no WAL, no disk).
+void BM_CheckpointLoad(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Schema schema({{"k", TypeId::kInt64},
+                 {"city", TypeId::kString},
+                 {"v", TypeId::kString}});
+  schema.set_primary_key({0});
+  Database db;
+  Table* t = db.CreateTable("T", schema).value();
+  (void)t->CreateIndex({"city"});
+  for (size_t i = 0; i < n; ++i) {
+    (void)t->Insert(Row({Value::Int(static_cast<int64_t>(i)),
+                         Value::Str("city-" + std::to_string(i % 1000)),
+                         Value::Str("value-" + std::to_string(i))}));
+  }
+  std::stringstream saved;
+  (void)db.SaveTo(&saved);
+  const std::string image = saved.str();
+  for (auto _ : state) {
+    std::istringstream in(image);
+    auto loaded = Database::LoadFrom(&in);
+    if (!loaded.ok() || loaded.value()->GetTable("T").value()->size() != n) {
+      state.SkipWithError("checkpoint load mismatch");
+      return;
+    }
+    benchmark::DoNotOptimize(loaded);
+  }
+  state.counters["rows"] = static_cast<double>(n);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(image.size()));
+}
+BENCHMARK(BM_CheckpointLoad)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace youtopia::bench

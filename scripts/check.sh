@@ -15,11 +15,11 @@
 # on exit, and the *MetricsOff ablation pair is diffed into an
 # instrumentation-overhead table (budget: <= 5%). Debug binaries are never benched: the configuration is checked,
 # bench_sql refuses to run without NDEBUG, and the emitted JSON is grepped
-# for the release marker. A row more than 1.3x slower than the committed
-# baseline is re-run (5 repetitions) and flagged only when the median is
-# still over the ratio, since one short run per row is noisy. Adding
-# --bench-strict turns the diff into a gate: a median more than 1.5x slower
-# fails the script (1.3x stays a warning).
+# for the release marker. bench_sql runs every row 5 times and the diff
+# compares each row's median against the committed baseline's median, since
+# one short run per row is noisy; a median more than 1.3x slower warns.
+# Adding --bench-strict turns the diff into a gate: a median more than 1.5x
+# slower fails the script (1.3x stays a warning).
 # With --tsan, additionally builds a ThreadSanitizer tree (build-tsan) and
 # races the lock/txn/sql/shard/mvcc/storage/eq/group_commit/etxn/
 # session_server/integration/workload/repro_split/torture suites under it
@@ -112,6 +112,7 @@ if [[ "${bench_smoke}" == 1 ]]; then
   ./build-bench/bench_sql \
     --benchmark_filter='BM_PointSelect|BM_PointSelectScan|BM_PointUpdate|BM_ThreeWayJoin|BM_ThreeWayJoinSnapshot|BM_GroundEntangled|BM_GroundEntangledSnapshot|BM_RangeSelect|BM_RangeSelectScan|BM_OrderByLimit|BM_OrderByLimitScan|BM_ConcurrentScans|BM_ShardedPointSelect|BM_ShardedScan|BM_ShardedScanFanout|BM_ShardedScanBatchSweep|BM_GroupByAggregate|BM_ReadMostlyMixed|BM_SnapshotScanUnderWriters|BM_GroupCommit|BM_ManySessions' \
     --benchmark_min_time=0.1 \
+    --benchmark_repetitions=5 \
     --benchmark_out=BENCH_sql.json \
     --benchmark_out_format=json
   if ! grep -q '"youtopia_build_type": "release"' BENCH_sql.json; then
@@ -121,74 +122,49 @@ if [[ "${bench_smoke}" == 1 ]]; then
   fi
   echo "wrote BENCH_sql.json (Release)"
   # Diff the fresh run against the committed trajectory point: a table of
-  # real-time ratios. A row more than 1.3x slower is re-run alone with 5
-  # repetitions, and only a median still over 1.3x warns; under
+  # per-row median real-time ratios (a baseline recorded with one run per
+  # row is its own median). A median more than 1.3x slower warns; under
   # --bench-strict, a median over 1.5x fails the script.
-  python3 - "${bench_baseline}" BENCH_sql.json "${bench_strict}" \
-      ./build-bench/bench_sql <<'PYEOF'
-import json, os, re, statistics, subprocess, sys, tempfile
+  python3 - "${bench_baseline}" BENCH_sql.json "${bench_strict}" <<'PYEOF'
+import json, statistics, sys
 
-def times(path):
+def medians(path):
+    """Median real time of each row's repetitions."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, ValueError):
         return {}
-    return {b["name"]: b["real_time"] for b in doc.get("benchmarks", [])
-            if b.get("run_type") == "iteration"}
+    runs = {}
+    for b in doc.get("benchmarks", []):
+        if b.get("run_type") == "iteration":
+            runs.setdefault(b.get("run_name", b["name"]), []).append(
+                b["real_time"])
+    return {name: statistics.median(ts) for name, ts in runs.items()}
 
-def rerun_median(bench, name):
-    """Median real time of 5 fresh repetitions of row `name`, or None."""
-    fd, path = tempfile.mkstemp(suffix=".json")
-    os.close(fd)
-    try:
-        subprocess.run([bench, f"--benchmark_filter=^{re.escape(name)}$",
-                        "--benchmark_repetitions=5",
-                        "--benchmark_min_time=0.1",
-                        f"--benchmark_out={path}",
-                        "--benchmark_out_format=json"],
-                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        with open(path) as f:
-            runs = [b["real_time"] for b in json.load(f).get("benchmarks", [])
-                    if b.get("run_type") == "iteration"]
-    except (OSError, ValueError):
-        runs = []
-    finally:
-        os.unlink(path)
-    return statistics.median(runs) if runs else None
-
-old, new = times(sys.argv[1]), times(sys.argv[2])
+old, new = medians(sys.argv[1]), medians(sys.argv[2])
 strict = sys.argv[3] == "1"
-bench = sys.argv[4]
 common = [n for n in new if n in old]
 if not common:
     print("no committed BENCH_sql.json baseline; skipping regression diff")
     sys.exit(0)
 width = max(len(n) for n in common)
-print(f"== bench regression table (vs committed BENCH_sql.json)")
+print(f"== bench regression table (medians vs committed BENCH_sql.json)")
 print(f"{'benchmark':<{width}}  {'old_us':>10}  {'new_us':>10}  {'ratio':>6}")
 regressed = []
 failed = []
 for name in common:
-    single = new[name] / old[name] if old[name] > 0 else float("inf")
-    ratio, flag = single, ""
-    if single > 1.3:
-        # One short run is noisy: the verdict is the median of a re-run.
-        median = rerun_median(bench, name)
-        if median is None:
-            flag = "  (re-run failed; single-run ratio stands)"
-        else:
-            ratio = median / old[name] if old[name] > 0 else float("inf")
-            flag = f"  re-run median {median:.1f} = {ratio:.2f}x"
+    ratio = new[name] / old[name] if old[name] > 0 else float("inf")
+    flag = ""
     if ratio > 1.5:
-        flag += "  <-- FAIL >1.5x" if strict else "  <-- WARN >1.5x"
+        flag = "  <-- FAIL >1.5x" if strict else "  <-- WARN >1.5x"
         failed.append(name)
     elif ratio > 1.3:
-        flag += "  <-- WARN >1.3x"
+        flag = "  <-- WARN >1.3x"
     if ratio > 1.3:
         regressed.append(name)
     print(f"{name:<{width}}  {old[name]:>10.1f}  {new[name]:>10.1f}"
-          f"  {single:>6.2f}{flag}")
+          f"  {ratio:>6.2f}{flag}")
 for name in sorted(set(new) - set(old)):
     print(f"{name:<{width}}  {'-':>10}  {new[name]:>10.1f}    new")
 if regressed:
@@ -201,15 +177,19 @@ if strict and failed:
 PYEOF
   rm -f "${bench_baseline}"
   # Instrumentation overhead: each *MetricsOff ablation against its
-  # metrics-on twin. Informational — the enabled path's budget is <= 5%,
-  # but smoke boxes are too noisy to hard-gate single-digit percentages.
+  # metrics-on twin, median against median. Informational — the enabled
+  # path's budget is <= 5%, but smoke boxes are too noisy to hard-gate
+  # single-digit percentages.
   python3 - BENCH_sql.json <<'PYEOF'
-import json, sys
+import json, statistics, sys
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-times = {b["name"]: b["real_time"] for b in doc.get("benchmarks", [])
-         if b.get("run_type") == "iteration"}
+runs = {}
+for b in doc.get("benchmarks", []):
+    if b.get("run_type") == "iteration":
+        runs.setdefault(b.get("run_name", b["name"]), []).append(b["real_time"])
+times = {name: statistics.median(ts) for name, ts in runs.items()}
 pairs = []
 for name, t in times.items():
     if "MetricsOff" in name:

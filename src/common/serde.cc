@@ -1,5 +1,6 @@
 #include "src/common/serde.h"
 
+#include <array>
 #include <cstring>
 
 namespace youtopia {
@@ -202,23 +203,49 @@ Status DecodeSchema(const char** p, const char* end, Schema* out) {
   return Status::Ok();
 }
 
-uint32_t Crc32(const std::string& data) {
-  static uint32_t table[256];
-  static bool init = [] {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    return true;
-  }();
-  (void)init;
-  uint32_t c = 0xFFFFFFFFu;
-  for (unsigned char ch : data) {
-    c = table[(c ^ ch) & 0xFF] ^ (c >> 8);
+namespace {
+
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+/// Table 0 is the bytewise CRC table; table k advances a byte's CRC through
+/// k further zero bytes, so eight bytes fold in with eight lookups.
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
   }
+  for (size_t k = 1; k < 8; ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+uint32_t LoadU32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
+uint32_t Crc32(std::string_view data) {
+  const CrcTables& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
+  uint32_t c = 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadU32(p) ^ c;
+    const uint32_t hi = LoadU32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

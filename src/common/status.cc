@@ -13,6 +13,7 @@ const char* StatusCodeName(StatusCode code) {
     case StatusCode::kCorruption: return "Corruption";
     case StatusCode::kInternal: return "Internal";
     case StatusCode::kUnimplemented: return "Unimplemented";
+    case StatusCode::kIOError: return "IOError";
   }
   return "Unknown";
 }

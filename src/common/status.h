@@ -20,6 +20,7 @@ enum class StatusCode {
   kCorruption,       ///< WAL / checkpoint integrity failure.
   kInternal,         ///< Invariant violation inside the library.
   kUnimplemented,    ///< Feature intentionally out of the supported subset.
+  kIOError,          ///< A file could not be opened, read or written.
 };
 
 /// Plain status object: a code plus a human-readable message.
@@ -54,6 +55,9 @@ class Status {
   }
   static Status Unimplemented(std::string m) {
     return Status(StatusCode::kUnimplemented, std::move(m));
+  }
+  static Status IOError(std::string m) {
+    return Status(StatusCode::kIOError, std::move(m));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

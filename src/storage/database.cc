@@ -1,7 +1,9 @@
 #include "src/storage/database.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
+#include <string_view>
 
 #include "src/common/serde.h"
 
@@ -98,31 +100,42 @@ Status Database::SaveTo(std::ostream* out) const {
       return true;
     });
   }
-  std::string framed;
-  EncodeU32(&framed, Crc32(buf));
-  framed += buf;
-  out->write(framed.data(), static_cast<std::streamsize>(framed.size()));
+  std::string crc;
+  EncodeU32(&crc, Crc32(buf));
+  out->write(crc.data(), static_cast<std::streamsize>(crc.size()));
+  out->write(buf.data(), static_cast<std::streamsize>(buf.size()));
   if (!out->good()) return Status::Corruption("checkpoint write failed");
   return Status::Ok();
 }
 
 StatusOr<std::unique_ptr<Database>> Database::LoadFrom(std::istream* in) {
-  std::string framed((std::istreambuf_iterator<char>(*in)),
-                     std::istreambuf_iterator<char>());
+  // One sized read of the rest of the stream; the CRC and the decoder then
+  // run over that buffer in place.
+  const std::istream::pos_type start = in->tellg();
+  in->seekg(0, std::ios::end);
+  const std::istream::pos_type stop = in->tellg();
+  in->seekg(start);
+  if (start == std::istream::pos_type(-1) ||
+      stop == std::istream::pos_type(-1) || !in->good()) {
+    return Status::IOError("checkpoint stream is not seekable");
+  }
+  std::string framed(static_cast<size_t>(stop - start), '\0');
+  in->read(framed.data(), static_cast<std::streamsize>(framed.size()));
+  if (static_cast<size_t>(in->gcount()) != framed.size()) {
+    return Status::IOError("checkpoint read failed");
+  }
   const char* p = framed.data();
   const char* end = p + framed.size();
   uint32_t crc;
   YT_RETURN_IF_ERROR(DecodeU32(&p, end, &crc));
-  std::string body(p, end);
+  const std::string_view body(p, static_cast<size_t>(end - p));
   if (Crc32(body) != crc) {
     return Status::Corruption("checkpoint checksum mismatch");
   }
-  size_t magic_len = sizeof(kCheckpointMagic) - 1;
-  if (body.size() < magic_len ||
-      body.compare(0, magic_len, kCheckpointMagic) != 0) {
+  if (!body.starts_with(kCheckpointMagic)) {
     return Status::Corruption("bad checkpoint magic");
   }
-  p += magic_len;
+  p += sizeof(kCheckpointMagic) - 1;
   uint32_t num_tables;
   YT_RETURN_IF_ERROR(DecodeU32(&p, end, &num_tables));
   auto db = std::make_unique<Database>();
@@ -164,12 +177,16 @@ StatusOr<std::unique_ptr<Database>> Database::LoadFrom(std::istream* in) {
       YT_RETURN_IF_ERROR(
           t->CreateIndexByPositions(info.columns, info.unique, info.ordered));
     }
+    // Every row costs at least its RowId and arity on disk, so a corrupt
+    // count past that cannot reserve more than the file could hold.
+    t->ReserveRows(static_cast<size_t>(
+        std::min<uint64_t>(num_rows, static_cast<uint64_t>(end - p) / 12)));
     for (uint64_t r = 0; r < num_rows; ++r) {
       uint64_t rid;
       Row row;
       YT_RETURN_IF_ERROR(DecodeU64(&p, end, &rid));
       YT_RETURN_IF_ERROR(DecodeRow(&p, end, &row));
-      YT_RETURN_IF_ERROR(t->InsertWithId(rid, row));
+      YT_RETURN_IF_ERROR(t->InsertWithId(rid, std::move(row)));
     }
   }
   return db;

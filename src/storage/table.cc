@@ -102,28 +102,53 @@ Table::Table(TableId id, std::string name, Schema schema)
   }
 }
 
-StatusOr<Row> Table::CoerceToSchema(const Row& row) const {
+StatusOr<Row> Table::CoerceToSchema(Row row) const {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.size()) + " does not match schema " +
         schema_.ToString() + " of table " + name_);
   }
-  std::vector<Value> vals;
-  vals.reserve(row.size());
   for (size_t i = 0; i < row.size(); ++i) {
-    YT_ASSIGN_OR_RETURN(Value v, row[i].CoerceTo(schema_.column(i).type));
-    vals.push_back(std::move(v));
+    const TypeId want = schema_.column(i).type;
+    if (row[i].is_null() || row[i].type() == want) continue;
+    YT_ASSIGN_OR_RETURN(row[i], row[i].CoerceTo(want));
   }
   // SQL primary keys imply NOT NULL: without this, the UNIQUE NULL
   // exemption would admit any number of NULL-keyed "duplicates".
   for (size_t c : schema_.primary_key()) {
-    if (vals[c].is_null()) {
+    if (row[c].is_null()) {
       return Status::InvalidArgument("NULL in primary-key column " +
                                      schema_.column(c).name + " of table " +
                                      name_);
     }
   }
-  return Row(std::move(vals));
+  return row;
+}
+
+Table::VersionedRow* Table::FindLocked(RowId rid) {
+  return const_cast<VersionedRow*>(std::as_const(*this).FindLocked(rid));
+}
+
+const Table::VersionedRow* Table::FindLocked(RowId rid) const {
+  const size_t page = rid / kPageSlots;
+  if (page >= pages_.size() || pages_[page] == nullptr) return nullptr;
+  const std::optional<VersionedRow>& slot = pages_[page]->slots[rid % kPageSlots];
+  return slot.has_value() ? &*slot : nullptr;
+}
+
+template <typename Fn>
+RowId Table::WalkLocked(RowId from, const Fn& fn) const {
+  for (size_t page = from / kPageSlots; page < pages_.size(); ++page) {
+    if (pages_[page] == nullptr) continue;
+    const auto& slots = pages_[page]->slots;
+    const size_t first = page == from / kPageSlots ? from % kPageSlots : 0;
+    for (size_t i = first; i < kPageSlots; ++i) {
+      if (!slots[i].has_value()) continue;
+      const RowId rid = page * kPageSlots + i;
+      if (!fn(rid, *slots[i])) return rid;
+    }
+  }
+  return 0;
 }
 
 const Row* Table::VisibleVersion(const VersionedRow& vr, const ReadView& view) {
@@ -170,17 +195,16 @@ StatusOr<RowId> Table::Insert(Row coerced, TxnId writer) {
   return rid;
 }
 
-Status Table::InsertWithId(RowId rid, const Row& row) {
-  YT_ASSIGN_OR_RETURN(Row coerced, CoerceToSchema(row));
+Status Table::InsertWithId(RowId rid, Row row) {
+  YT_ASSIGN_OR_RETURN(Row coerced, CoerceToSchema(std::move(row)));
   std::unique_lock g(latch_);
-  auto it = rows_.find(rid);
-  if (it != rows_.end()) {
-    if (!it->second.deleted || it->second.writer != 0) {
+  if (const VersionedRow* vr = FindLocked(rid)) {
+    if (!vr->deleted || vr->writer != 0) {
       return Status::AlreadyExists("row id " + std::to_string(rid) +
                                    " occupied in table " + name_);
     }
     // Committed tombstone: replace in place (recovery-style resurrect).
-    EraseEntryLocked(it);
+    EraseEntryLocked(rid);
   }
   YT_RETURN_IF_ERROR(EmplaceLocked(rid, std::move(coerced), /*writer=*/0));
   next_row_id_ = std::max(next_row_id_, rid + 1);
@@ -188,28 +212,34 @@ Status Table::InsertWithId(RowId rid, const Row& row) {
 }
 
 Status Table::EmplaceLocked(RowId rid, Row coerced, TxnId writer) {
+  if (rid >= kMaxRowId) {
+    return Status::InvalidArgument("row id " + std::to_string(rid) +
+                                   " out of range for table " + name_);
+  }
   YT_RETURN_IF_ERROR(CheckUniqueLocked(coerced, /*self=*/0));
   IndexInsertLocked(rid, coerced);
-  VersionedRow vr;
+  const size_t page = rid / kPageSlots;
+  if (page >= pages_.size()) pages_.resize(page + 1);
+  if (pages_[page] == nullptr) pages_[page] = std::make_unique<Page>();
+  VersionedRow& vr = pages_[page]->slots[rid % kPageSlots].emplace();
   vr.latest = std::move(coerced);
   vr.writer = writer;
-  rows_.emplace(rid, std::move(vr));
+  ++pages_[page]->used;
   ++live_rows_;
   return Status::Ok();
 }
 
 StatusOr<Row> Table::Get(RowId rid, const ReadView& view) const {
   std::shared_lock g(latch_);
-  auto it = rows_.find(rid);
-  if (it != rows_.end()) {
-    const Row* v = VisibleVersion(it->second, view);
+  if (const VersionedRow* vr = FindLocked(rid)) {
+    const Row* v = VisibleVersion(*vr, view);
     if (v != nullptr) return *v;
   }
   return Status::NotFound("row " + std::to_string(rid) + " in table " + name_);
 }
 
-Status Table::Update(RowId rid, const Row& row) {
-  YT_ASSIGN_OR_RETURN(Row coerced, CoerceToSchema(row));
+Status Table::Update(RowId rid, Row row) {
+  YT_ASSIGN_OR_RETURN(Row coerced, CoerceToSchema(std::move(row)));
   return Update(rid, std::move(coerced), /*writer=*/0);
 }
 
@@ -220,13 +250,13 @@ Status Table::Update(RowId rid, Row coerced, TxnId writer, bool* pushed) {
                                    name_);
   }
   std::unique_lock g(latch_);
-  auto it = rows_.find(rid);
-  if (it == rows_.end() || it->second.deleted) {
+  VersionedRow* found = FindLocked(rid);
+  if (found == nullptr || found->deleted) {
     return Status::NotFound("row " + std::to_string(rid) + " in table " +
                             name_);
   }
   YT_RETURN_IF_ERROR(CheckUniqueLocked(coerced, rid));
-  VersionedRow& vr = it->second;
+  VersionedRow& vr = *found;
   if (writer == 0 || vr.writer == writer) {
     // A committed in-place write, or a re-write by the owning transaction
     // (its intermediate states are never visible to anyone): overwrite the
@@ -252,16 +282,16 @@ Status Table::Update(RowId rid, Row coerced, TxnId writer, bool* pushed) {
 Status Table::Delete(RowId rid, TxnId writer, bool* pushed) {
   if (pushed != nullptr) *pushed = false;
   std::unique_lock g(latch_);
-  auto it = rows_.find(rid);
-  if (it == rows_.end() || it->second.deleted) {
+  VersionedRow* found = FindLocked(rid);
+  if (found == nullptr || found->deleted) {
     return Status::NotFound("row " + std::to_string(rid) + " in table " +
                             name_);
   }
   if (writer == 0) {
-    EraseEntryLocked(it);
+    EraseEntryLocked(rid);
     return Status::Ok();
   }
-  VersionedRow& vr = it->second;
+  VersionedRow& vr = *found;
   if (vr.writer != writer) {
     // First write to a committed row: preserve it for older snapshots.
     vr.history.insert(vr.history.begin(),
@@ -278,28 +308,26 @@ Status Table::Delete(RowId rid, TxnId writer, bool* pushed) {
 
 void Table::StampCommit(RowId rid, TxnId writer, uint64_t ts) {
   std::unique_lock g(latch_);
-  auto it = rows_.find(rid);
-  if (it == rows_.end()) return;
-  VersionedRow& vr = it->second;
-  if (vr.writer != writer) return;  // already stamped (redundant undo entry)
-  vr.begin_ts = ts;
-  vr.writer = 0;
+  VersionedRow* vr = FindLocked(rid);
+  if (vr == nullptr) return;
+  if (vr->writer != writer) return;  // already stamped (redundant undo entry)
+  vr->begin_ts = ts;
+  vr->writer = 0;
 }
 
 void Table::RollbackInsert(RowId rid, TxnId writer) {
   std::unique_lock g(latch_);
-  auto it = rows_.find(rid);
-  if (it == rows_.end()) return;
-  VersionedRow& vr = it->second;
-  if (vr.writer != writer || !vr.history.empty()) return;
-  EraseEntryLocked(it);
+  const VersionedRow* vr = FindLocked(rid);
+  if (vr == nullptr) return;
+  if (vr->writer != writer || !vr->history.empty()) return;
+  EraseEntryLocked(rid);
 }
 
 void Table::RollbackWrite(RowId rid, TxnId writer) {
   std::unique_lock g(latch_);
-  auto it = rows_.find(rid);
-  if (it == rows_.end()) return;
-  VersionedRow& vr = it->second;
+  VersionedRow* found = FindLocked(rid);
+  if (found == nullptr) return;
+  VersionedRow& vr = *found;
   // The undo log is processed in reverse, so the *first* rollback touching
   // this row restores the committed version and clears `writer`; later
   // entries for the same row (earlier writes of the same transaction) then
@@ -322,24 +350,23 @@ void Table::RollbackWrite(RowId rid, TxnId writer) {
 
 uint64_t Table::LatestBeginTs(RowId rid) const {
   std::shared_lock g(latch_);
-  auto it = rows_.find(rid);
-  if (it == rows_.end() || it->second.writer != 0) return 0;
-  return it->second.begin_ts;
+  const VersionedRow* vr = FindLocked(rid);
+  if (vr == nullptr || vr->writer != 0) return 0;
+  return vr->begin_ts;
 }
 
 size_t Table::PruneRows(const std::vector<RowId>& rids, uint64_t horizon) {
   std::unique_lock g(latch_);
   size_t pruned = 0;
   for (RowId rid : rids) {
-    auto it = rows_.find(rid);
-    if (it != rows_.end()) pruned += PruneRowLocked(it, horizon);
+    if (VersionedRow* vr = FindLocked(rid)) {
+      pruned += PruneRowLocked(rid, *vr, horizon);
+    }
   }
   return pruned;
 }
 
-size_t Table::PruneRowLocked(std::map<RowId, VersionedRow>::iterator it,
-                             uint64_t horizon) {
-  VersionedRow& vr = it->second;
+size_t Table::PruneRowLocked(RowId rid, VersionedRow& vr, uint64_t horizon) {
   // Find the newest version visible at the horizon; everything older is
   // unreachable by any live or future snapshot. When the latest version
   // itself is committed at-or-below the horizon, the whole chain goes.
@@ -361,7 +388,7 @@ size_t Table::PruneRowLocked(std::map<RowId, VersionedRow>::iterator it,
     vr.history.resize(keep_from);
     pruned = dropped.size();
     for (RowVersion& v : dropped) {
-      if (!v.deleted) ScrubKeysLocked(it->first, v.data);
+      if (!v.deleted) ScrubKeysLocked(rid, v.data);
     }
   }
   // A committed tombstone with no remaining chain is dead weight: no
@@ -369,17 +396,16 @@ size_t Table::PruneRowLocked(std::map<RowId, VersionedRow>::iterator it,
   if (vr.deleted && vr.writer == 0 && vr.begin_ts <= horizon &&
       vr.history.empty()) {
     ++pruned;
-    EraseEntryLocked(it);
+    EraseEntryLocked(rid);
   }
   return pruned;
 }
 
 void Table::Scan(const std::function<bool(RowId, const Row&)>& visitor) const {
   std::shared_lock g(latch_);
-  for (const auto& [rid, vr] : rows_) {
-    if (vr.deleted) continue;
-    if (!visitor(rid, vr.latest)) break;
-  }
+  WalkLocked(0, [&](RowId rid, const VersionedRow& vr) {
+    return vr.deleted || visitor(rid, vr.latest);
+  });
 }
 
 RowId Table::ScanChunk(const ReadView& view, RowId from, size_t max_rows,
@@ -387,13 +413,14 @@ RowId Table::ScanChunk(const ReadView& view, RowId from, size_t max_rows,
   out->clear();
   out->reserve(max_rows);
   std::shared_lock g(latch_);
-  auto it = rows_.lower_bound(from);
-  while (it != rows_.end() && out->size() < max_rows) {
-    const Row* v = VisibleVersion(it->second, view);
-    if (v != nullptr) out->emplace_back(it->first, *v);
-    ++it;
-  }
-  return it == rows_.end() ? 0 : it->first;
+  // Stops on the first entry past a full chunk: that entry is the resume
+  // point, and a walk that runs off the heap returns 0.
+  return WalkLocked(from, [&](RowId rid, const VersionedRow& vr) {
+    if (out->size() >= max_rows) return false;
+    const Row* v = VisibleVersion(vr, view);
+    if (v != nullptr) out->emplace_back(rid, *v);
+    return true;
+  });
 }
 
 Status Table::CreateIndex(const std::vector<std::string>& column_names,
@@ -425,7 +452,8 @@ Status Table::CreateIndexByPositions(const std::vector<size_t>& columns,
   // Backfill from every version of every row, so snapshot readers at older
   // timestamps can still probe the new index. Uniqueness only considers
   // live latest versions.
-  for (const auto& [rid, vr] : rows_) {
+  bool duplicate = false;
+  WalkLocked(0, [&](RowId rid, const VersionedRow& vr) {
     std::vector<Row> keys;
     if (!vr.deleted) keys.push_back(ProjectKey(vr.latest, idx.columns));
     for (const RowVersion& v : vr.history) {
@@ -437,8 +465,8 @@ Status Table::CreateIndexByPositions(const std::vector<size_t>& columns,
       // Keys containing NULL are exempt from uniqueness (SQL UNIQUE).
       if (unique && first && !vr.deleted && !bucket.empty() &&
           !RowHasNullPrefix(key, key.size())) {
-        return Status::AlreadyExists(
-            "duplicate key in unique index on table " + name_);
+        duplicate = true;
+        return false;
       }
       if (std::find(bucket.begin(), bucket.end(), rid) == bucket.end()) {
         bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), rid),
@@ -446,6 +474,11 @@ Status Table::CreateIndexByPositions(const std::vector<size_t>& columns,
       }
       first = false;
     }
+    return true;
+  });
+  if (duplicate) {
+    return Status::AlreadyExists("duplicate key in unique index on table " +
+                                 name_);
   }
   indexes_.push_back(std::move(idx));
   return Status::Ok();
@@ -472,9 +505,9 @@ StatusOr<std::vector<std::pair<RowId, Row>>> Table::IndexLookup(
   const std::vector<RowId>* bucket = IndexFind(*idx, key);
   if (bucket == nullptr) return out;
   for (RowId rid : *bucket) {
-    auto it = rows_.find(rid);
-    if (it == rows_.end()) continue;
-    const Row* v = VisibleVersion(it->second, view);
+    const VersionedRow* vr = FindLocked(rid);
+    if (vr == nullptr) continue;
+    const Row* v = VisibleVersion(*vr, view);
     if (v != nullptr && ProjectKey(*v, columns) == key) {
       out.emplace_back(rid, *v);
     }
@@ -568,9 +601,9 @@ StatusOr<std::vector<std::pair<RowId, Row>>> Table::RangeLookup(
   // version before counting toward the limit.
   auto emit_bucket = [&](const Row& key, const std::vector<RowId>& bucket) {
     auto emit_one = [&](RowId rid) {
-      auto it = rows_.find(rid);
-      if (it == rows_.end()) return false;
-      const Row* v = VisibleVersion(it->second, view);
+      const VersionedRow* vr = FindLocked(rid);
+      if (vr == nullptr) return false;
+      const Row* v = VisibleVersion(*vr, view);
       if (v == nullptr || ProjectKey(*v, spec.columns) != key) return false;
       out.emplace_back(rid, *v);
       return spec.limit >= 0 && out.size() >= static_cast<size_t>(spec.limit);
@@ -593,6 +626,13 @@ StatusOr<std::vector<std::pair<RowId, Row>>> Table::RangeLookup(
 bool Table::HasIndexOn(const std::vector<size_t>& columns) const {
   std::shared_lock g(latch_);
   return FindIndexLocked(columns) != nullptr;
+}
+
+void Table::ReserveRows(size_t rows) {
+  std::unique_lock g(latch_);
+  for (Index& idx : indexes_) {
+    if (!idx.ordered) idx.hash.reserve(idx.hash.size() + rows);
+  }
 }
 
 std::vector<IndexInfo> Table::IndexInfos() const {
@@ -650,14 +690,26 @@ size_t Table::size() const {
 size_t Table::version_count() const {
   std::shared_lock g(latch_);
   size_t n = 0;
-  for (const auto& [rid, vr] : rows_) n += 1 + vr.history.size();
+  WalkLocked(0, [&n](RowId, const VersionedRow& vr) {
+    n += 1 + vr.history.size();
+    return true;
+  });
   return n;
+}
+
+size_t Table::heap_pages() const {
+  std::shared_lock g(latch_);
+  return static_cast<size_t>(std::count_if(
+      pages_.begin(), pages_.end(), [](const auto& p) { return p != nullptr; }));
 }
 
 std::unique_ptr<Table> Table::Clone() const {
   std::shared_lock g(latch_);
   auto copy = std::make_unique<Table>(id_, name_, schema_);
-  copy->rows_ = rows_;
+  copy->pages_.resize(pages_.size());
+  for (size_t i = 0; i < pages_.size(); ++i) {
+    if (pages_[i] != nullptr) copy->pages_[i] = std::make_unique<Page>(*pages_[i]);
+  }
   copy->next_row_id_ = next_row_id_;
   copy->live_rows_ = live_rows_;
   copy->indexes_ = indexes_;
@@ -676,9 +728,9 @@ Status Table::CheckUniqueLocked(const Row& row, RowId self) const {
       if (r == self) continue;
       // Only a *live latest* version that still projects the key collides;
       // stale bucket entries from superseded versions don't.
-      auto it = rows_.find(r);
-      if (it == rows_.end() || it->second.deleted) continue;
-      if (ProjectKey(it->second.latest, idx.columns) != key) continue;
+      const VersionedRow* vr = FindLocked(r);
+      if (vr == nullptr || vr->deleted) continue;
+      if (ProjectKey(vr->latest, idx.columns) != key) continue;
       return Status::AlreadyExists("duplicate key in unique index on table " +
                                    name_);
     }
@@ -701,7 +753,7 @@ void Table::IndexInsertLocked(RowId rid, const Row& row) {
 }
 
 void Table::ScrubKeysLocked(RowId rid, const Row& old_data) {
-  auto it = rows_.find(rid);
+  const VersionedRow* vr = FindLocked(rid);
   // Drops `rid` from `key`'s RowId-sorted bucket, and the bucket once empty.
   auto erase_entry = [rid](auto& buckets, const Row& key) {
     auto kit = buckets.find(key);
@@ -713,8 +765,7 @@ void Table::ScrubKeysLocked(RowId rid, const Row& old_data) {
   };
   for (Index& idx : indexes_) {
     Row key = ProjectKey(old_data, idx.columns);
-    if (it != rows_.end() &&
-        AnyVersionCarriesKey(it->second, idx.columns, key)) {
+    if (vr != nullptr && AnyVersionCarriesKey(*vr, idx.columns, key)) {
       continue;  // some remaining version still needs the entry
     }
     if (idx.ordered) {
@@ -725,11 +776,13 @@ void Table::ScrubKeysLocked(RowId rid, const Row& old_data) {
   }
 }
 
-void Table::EraseEntryLocked(std::map<RowId, VersionedRow>::iterator it) {
-  RowId rid = it->first;
-  VersionedRow vr = std::move(it->second);
+void Table::EraseEntryLocked(RowId rid) {
+  std::unique_ptr<Page>& page = pages_[rid / kPageSlots];
+  std::optional<VersionedRow>& slot = page->slots[rid % kPageSlots];
+  VersionedRow vr = std::move(*slot);
   bool was_live = !vr.deleted;
-  rows_.erase(it);
+  slot.reset();
+  if (--page->used == 0) page.reset();
   // With the entry gone, every key any version carried is unreferenced.
   ScrubKeysLocked(rid, vr.latest);
   for (const RowVersion& v : vr.history) ScrubKeysLocked(rid, v.data);

@@ -1,15 +1,17 @@
 #ifndef YOUTOPIA_STORAGE_TABLE_H_
 #define YOUTOPIA_STORAGE_TABLE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <utility>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -89,7 +91,10 @@ struct IndexInfo {
 };
 
 /// In-memory versioned heap table: RowId -> version chain, with optional
-/// hash or ordered (B-tree) indexes on column subsets. Each entry holds the
+/// hash or ordered (B-tree) indexes on column subsets. The heap is a paged
+/// slot array indexed by RowId (RowIds are allocated densely from 1): page
+/// `rid / kPageSlots`, slot `rid % kPageSlots`. A page is allocated when its
+/// first slot fills and freed when its last slot empties. Each entry holds the
 /// *latest* version in place plus a newest-first chain of committed
 /// overwritten versions, each stamped with the commit timestamp that
 /// created it. Physical access is guarded by a shared_mutex *latch*;
@@ -148,13 +153,14 @@ class Table {
 
   /// Inserts at a specific RowId (recovery redo / checkpoint load). Fails if
   /// the id is occupied by a live row; a committed tombstone at `rid` is
-  /// replaced in place. Bumps the row-id allocator past `rid`.
-  Status InsertWithId(RowId rid, const Row& row);
+  /// replaced in place. Bumps the row-id allocator past `rid`. A RowId at or
+  /// past kMaxRowId is refused before anything is allocated.
+  Status InsertWithId(RowId rid, Row row);
 
   /// Overwrites live `rid` with a coerced row owned by `writer`.
   Status Update(RowId rid, Row coerced, TxnId writer, bool* pushed = nullptr);
   /// Validates/coerces `row` and overwrites `rid` committed (writer 0).
-  Status Update(RowId rid, const Row& row);
+  Status Update(RowId rid, Row row);
 
   /// Deletes live `rid`. A transaction's delete leaves a tombstone, so the
   /// row stays readable to older snapshots; writer 0 erases the entry and
@@ -234,6 +240,10 @@ class Table {
 
   bool HasIndexOn(const std::vector<size_t>& columns) const;
 
+  /// Sizes every hash index for `rows` more keys, so a bulk load (checkpoint
+  /// load knows its row count up front) inserts without rehashing.
+  void ReserveRows(size_t rows);
+
   /// Column set + flags of every index, in creation order (access-path
   /// planning).
   std::vector<IndexInfo> IndexInfos() const;
@@ -266,8 +276,18 @@ class Table {
   /// observability and tests.
   size_t version_count() const;
 
+  /// Heap pages currently allocated (observability and tests).
+  size_t heap_pages() const;
+
   /// Deep copy (used for database snapshots/checkpoints).
   std::unique_ptr<Table> Clone() const;
+
+  /// Slots per heap page.
+  static constexpr size_t kPageSlots = 1024;
+  /// First RowId the heap refuses: the page table is a dense vector over
+  /// RowId / kPageSlots, so this caps it at 4M page pointers (32 MiB) and
+  /// keeps a stray id (a shard-tagged one, say) from ballooning it.
+  static constexpr RowId kMaxRowId = RowId{1} << 32;
 
  private:
   /// One committed, superseded version in a chain.
@@ -298,7 +318,24 @@ class Table {
     std::map<Row, std::vector<RowId>> tree;                     // ordered
   };
 
-  StatusOr<Row> CoerceToSchema(const Row& row) const;
+  /// One fixed-size heap page; `used` counts its occupied slots.
+  struct Page {
+    std::array<std::optional<VersionedRow>, kPageSlots> slots;
+    size_t used = 0;
+  };
+
+  /// Checks arity, coerces each value whose type differs from its column's
+  /// (values already of the right type are left alone) and rejects NULL
+  /// primary-key columns.
+  StatusOr<Row> CoerceToSchema(Row row) const;
+  /// The entry at `rid`, or nullptr when its slot is empty.
+  VersionedRow* FindLocked(RowId rid);
+  const VersionedRow* FindLocked(RowId rid) const;
+  /// Calls `fn(rid, entry)` on each entry with RowId >= `from` in RowId
+  /// order until `fn` returns false. Returns the RowId of the entry that
+  /// stopped the walk, or 0 when the heap past `from` is exhausted.
+  template <typename Fn>
+  RowId WalkLocked(RowId from, const Fn& fn) const;
   /// Rejects rows that would duplicate a unique-index key among *live
   /// latest* versions (`self` excluded, for updates; keys containing NULL
   /// are exempt). Caller holds the latch.
@@ -321,12 +358,13 @@ class Table {
   /// The version of `vr` visible to `view`, or nullptr (tombstone/none).
   static const Row* VisibleVersion(const VersionedRow& vr,
                                    const ReadView& view);
-  /// PruneRows for one entry (caller holds the latch exclusively); may
-  /// erase the entry. Returns the number of versions pruned.
-  size_t PruneRowLocked(std::map<RowId, VersionedRow>::iterator it,
-                        uint64_t horizon);
-  /// Physically erases an entry and every index key its versions carry.
-  void EraseEntryLocked(std::map<RowId, VersionedRow>::iterator it);
+  /// PruneRows for the entry `vr` at `rid` (caller holds the latch
+  /// exclusively); may erase the entry. Returns the number of versions
+  /// pruned.
+  size_t PruneRowLocked(RowId rid, VersionedRow& vr, uint64_t horizon);
+  /// Physically erases the entry at `rid` and every index key its versions
+  /// carry, freeing its page once the page is empty.
+  void EraseEntryLocked(RowId rid);
   const Index* FindIndexLocked(const std::vector<size_t>& columns) const;
   /// RowIds under `key` in `idx`, or nullptr when absent.
   static const std::vector<RowId>* IndexFind(const Index& idx, const Row& key);
@@ -336,7 +374,9 @@ class Table {
   std::string name_;
   Schema schema_;
   mutable std::shared_mutex latch_;
-  std::map<RowId, VersionedRow> rows_;
+  /// The heap's page table: entry i covers RowIds [i, i + 1) * kPageSlots;
+  /// null while that page holds no entry.
+  std::vector<std::unique_ptr<Page>> pages_;
   RowId next_row_id_ = 1;
   size_t live_rows_ = 0;  ///< entries whose latest version is not a tombstone
   std::vector<Index> indexes_;

@@ -162,7 +162,7 @@ void WalRecord::EncodeTo(std::string* dst) const {
   EncodeString(dst, aux);
 }
 
-StatusOr<WalRecord> WalRecord::Decode(const std::string& payload) {
+StatusOr<WalRecord> WalRecord::Decode(std::string_view payload) {
   const char* p = payload.data();
   const char* end = p + payload.size();
   WalRecord r;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -82,7 +83,7 @@ struct WalRecord {
 
   /// Payload encoding (no framing; the writer adds length + CRC).
   void EncodeTo(std::string* dst) const;
-  static StatusOr<WalRecord> Decode(const std::string& payload);
+  static StatusOr<WalRecord> Decode(std::string_view payload);
 
   std::string ToString() const;
 };

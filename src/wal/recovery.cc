@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <unordered_map>
 
 #include "src/common/fault.h"
 
@@ -101,9 +102,19 @@ StatusOr<RecoveryManager::Result> RecoveryManager::Recover(
     }
   }
 
-  // --- Redo pass: DDL always (system txn 0), DML only for winners.
+  // --- Redo pass: DDL always (system txn 0), DML only for winners. Each
+  // table name resolves to its Table* once (tables are never dropped during
+  // redo), and after-images move out of the log into the heap.
   FaultInjector* fi = FaultInjector::Global();
-  for (const WalRecord& r : log.records) {
+  std::unordered_map<std::string, Table*> tables;
+  auto table_of = [&](const std::string& name) -> StatusOr<Table*> {
+    auto it = tables.find(name);
+    if (it != tables.end()) return it->second;
+    YT_ASSIGN_OR_RETURN(Table * t, result.db->GetTable(name));
+    tables.emplace(name, t);
+    return t;
+  };
+  for (WalRecord& r : log.records) {
     // "recovery.redo" fires per replayed record: a kCrash here kills the
     // replay mid-pass, and a re-run must reach the same final state
     // (recovery idempotence — the log is never mutated by redo, only the
@@ -112,14 +123,13 @@ StatusOr<RecoveryManager::Result> RecoveryManager::Recover(
     switch (r.type) {
       case WalRecordType::kCreateTable: {
         if (!result.db->GetTable(r.table).ok()) {
-          YT_ASSIGN_OR_RETURN(Table * t,
-                              result.db->CreateTable(r.table, r.schema));
-          (void)t;
+          YT_RETURN_IF_ERROR(
+              result.db->CreateTable(r.table, r.schema).status());
         }
         break;
       }
       case WalRecordType::kCreateIndex: {
-        YT_ASSIGN_OR_RETURN(Table * t, result.db->GetTable(r.table));
+        YT_ASSIGN_OR_RETURN(Table * t, table_of(r.table));
         Status s =
             t->CreateIndex(r.IndexColumns(), r.IndexUnique(), r.IndexOrdered());
         // AlreadyExists: the index came back with a checkpoint image.
@@ -128,19 +138,19 @@ StatusOr<RecoveryManager::Result> RecoveryManager::Recover(
       }
       case WalRecordType::kInsert: {
         if (!result.committed.count(r.txn)) break;
-        YT_ASSIGN_OR_RETURN(Table * t, result.db->GetTable(r.table));
-        YT_RETURN_IF_ERROR(t->InsertWithId(r.row_id, r.after));
+        YT_ASSIGN_OR_RETURN(Table * t, table_of(r.table));
+        YT_RETURN_IF_ERROR(t->InsertWithId(r.row_id, std::move(r.after)));
         break;
       }
       case WalRecordType::kUpdate: {
         if (!result.committed.count(r.txn)) break;
-        YT_ASSIGN_OR_RETURN(Table * t, result.db->GetTable(r.table));
-        YT_RETURN_IF_ERROR(t->Update(r.row_id, r.after));
+        YT_ASSIGN_OR_RETURN(Table * t, table_of(r.table));
+        YT_RETURN_IF_ERROR(t->Update(r.row_id, std::move(r.after)));
         break;
       }
       case WalRecordType::kDelete: {
         if (!result.committed.count(r.txn)) break;
-        YT_ASSIGN_OR_RETURN(Table * t, result.db->GetTable(r.table));
+        YT_ASSIGN_OR_RETURN(Table * t, table_of(r.table));
         YT_RETURN_IF_ERROR(t->Delete(r.row_id, /*writer=*/0));
         break;
       }

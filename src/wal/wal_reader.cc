@@ -1,22 +1,53 @@
 #include "src/wal/wal_reader.h"
 
+#include <sys/stat.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <string_view>
 
 #include "src/common/serde.h"
 
 namespace youtopia {
 
+namespace {
+
+Status ReadError(const std::string& path, int err) {
+  return Status::IOError("cannot read WAL " + path + ": " +
+                         std::strerror(err));
+}
+
+}  // namespace
+
 StatusOr<WalReader::Result> WalReader::ReadAll(const std::string& path) {
   Result result;
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return result;  // no log yet: fresh database
-  std::string data;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    data.append(buf, n);
+  if (f == nullptr) {
+    if (errno == ENOENT) return result;  // no log yet: fresh database
+    return ReadError(path, errno);
   }
+  // One sized read of the whole log. Only a regular file has a size to
+  // trust (a directory opens fine and fails on read).
+  struct stat st;
+  int err = 0;
+  if (fstat(fileno(f), &st) != 0) {
+    err = errno;
+  } else if (!S_ISREG(st.st_mode)) {
+    err = S_ISDIR(st.st_mode) ? EISDIR : EINVAL;
+  }
+  if (err != 0) {
+    std::fclose(f);
+    return ReadError(path, err);
+  }
+  std::string data(static_cast<size_t>(st.st_size), '\0');
+  data.resize(std::fread(data.data(), 1, data.size(), f));
+  // A read error mid-file must not pass for a torn tail: truncation would
+  // then cut intact records.
+  const bool failed = std::ferror(f) != 0;
+  err = errno;
   std::fclose(f);
+  if (failed) return ReadError(path, err);
 
   const char* p = data.data();
   const char* end = p + data.size();
@@ -27,7 +58,7 @@ StatusOr<WalReader::Result> WalReader::ReadAll(const std::string& path) {
       result.torn_tail = true;
       break;
     }
-    std::string payload(p, len);
+    const std::string_view payload(p, len);
     p += len;
     if (Crc32(payload) != crc) {
       result.torn_tail = true;

@@ -24,7 +24,8 @@ class WalReader {
     uint64_t valid_bytes = 0;
   };
 
-  /// Missing file yields an empty Result (fresh database).
+  /// A missing file (ENOENT) yields an empty Result (fresh database); any
+  /// other open or read failure is an IOError, never a torn tail.
   static StatusOr<Result> ReadAll(const std::string& path);
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
 
 #include "src/common/clock.h"
 #include "src/common/rng.h"
@@ -192,6 +193,30 @@ TEST(SerdeTest, Crc32KnownVector) {
   // CRC32 of "123456789" is the classic check value 0xCBF43926.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
+}
+
+TEST(SerdeTest, Crc32MatchesBytewiseReferenceAtEveryAlignment) {
+  // The plain one-table, one-byte-per-step CRC32 the slice-by-8 loop must
+  // reproduce bit for bit (WAL and checkpoint files depend on it).
+  auto reference = [](std::string_view data) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (unsigned char ch : data) {
+      c ^= ch;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::string buf(64 + 8, '\0');
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<char>((i * 131 + 7) ^ (i >> 3));
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const std::string_view slice(buf.data() + start, len);
+      EXPECT_EQ(Crc32(slice), reference(slice))
+          << "start " << start << " len " << len;
+    }
+  }
 }
 
 TEST(RngTest, DeterministicPerSeed) {

@@ -1142,6 +1142,51 @@ TEST_F(ShardRecoveryTest, TwoPhaseCommitSurvivesCleanRestart) {
   EXPECT_EQ(rows.size(), 2u);
 }
 
+TEST_F(ShardRecoveryTest, ShardHeapsHoldOnlyLocalRowIds) {
+  // The router tags RowIds on the way out and strips the tag on the way in,
+  // so a shard's heap (and its WAL) only ever sees local ids — a tagged id
+  // would sit past Table::kMaxRowId and be refused by redo.
+  std::vector<RowId> tagged;
+  {
+    ASSERT_OK_AND_ASSIGN(auto r, Router::Open(DurableOptions()));
+    ASSERT_OK(r->CreateTable("Acct", AcctSchema()).status());
+    auto txn = r->Begin();
+    for (int64_t k = 0; k < 40; ++k) {
+      ASSERT_OK_AND_ASSIGN(
+          RowId rid, r->Insert(txn.get(), "Acct",
+                               Row({Value::Int(k), Value::Int(k),
+                                    Value::Str("c")})));
+      ASSERT_TRUE(Router::RidTagged(rid));
+      tagged.push_back(rid);
+    }
+    ASSERT_OK(r->Commit(txn.get()));
+    auto upd = r->Begin();
+    ASSERT_OK(r->Update(upd.get(), "Acct", tagged[3],
+                        Row({Value::Int(3), Value::Int(33), Value::Str("d")})));
+    ASSERT_OK(r->Delete(upd.get(), "Acct", tagged[4]));
+    ASSERT_OK(r->Commit(upd.get()));
+  }
+  ASSERT_OK_AND_ASSIGN(auto r, Router::Recover(DurableOptions()));
+  size_t rows = 0;
+  for (size_t s = 0; s < r->num_shards(); ++s) {
+    r->shard_db(s)->GetTable("Acct").value()->Scan([&](RowId rid, const Row&) {
+      EXPECT_FALSE(Router::RidTagged(rid));
+      EXPECT_LT(rid, Table::kMaxRowId);
+      ++rows;
+      return true;
+    });
+  }
+  EXPECT_EQ(rows, tagged.size() - 1);
+  for (size_t i = 0; i < tagged.size(); ++i) {
+    auto got = r->shard_db(Router::RidShard(tagged[i]))
+                   ->GetTable("Acct")
+                   .value()
+                   ->Get(Router::LocalRid(tagged[i]), ReadView::Latest());
+    EXPECT_EQ(got.ok(), i != 4) << i;
+    if (i == 3 && got.ok()) EXPECT_EQ(got.value()[1], Value::Int(33));
+  }
+}
+
 // --- Drain-exhaustion contract (satellite; MergedCursor relies on it). ----
 
 TEST(CursorDrainTest, DrainingAnExhaustedRouterCursorVisitsNothing) {

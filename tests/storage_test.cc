@@ -626,5 +626,208 @@ TEST(TableTest, ScanChunkCoversHeapInResumableChunks) {
   EXPECT_TRUE(chunk.empty());
 }
 
+// --- The paged heap. ---
+
+/// Every live RowId a chunked scan at `view` returns, chunk by chunk.
+std::vector<RowId> ChunkedScanRids(const Table& t, const ReadView& view,
+                                   size_t chunk_rows) {
+  std::vector<std::pair<RowId, Row>> chunk;
+  std::vector<RowId> seen;
+  RowId from = 1;
+  while (true) {
+    RowId next = t.ScanChunk(view, from, chunk_rows, &chunk);
+    EXPECT_LE(chunk.size(), chunk_rows);
+    for (const auto& [rid, row] : chunk) seen.push_back(rid);
+    if (next == 0) return seen;
+    EXPECT_GT(next, from);
+    from = next;
+  }
+}
+
+Row UserRow(int64_t uid) {
+  return Row({Value::Int(uid), Value::Str("c" + std::to_string(uid % 5))});
+}
+
+TEST(HeapTest, ChunkedScanCrossesPagesAndSkipsAFreedPage) {
+  constexpr RowId kPage = Table::kPageSlots;
+  Table t(0, "User", UserSchema());
+  ASSERT_OK(t.CreateIndex({"hometown"}));
+  // RowIds 1 .. 3 * kPage - 1 fill pages 0, 1 and 2.
+  for (RowId r = 1; r < 3 * kPage; ++r) {
+    ASSERT_OK(t.Insert(UserRow(static_cast<int64_t>(r))).status());
+  }
+  EXPECT_EQ(t.heap_pages(), 3u);
+  // Erase the whole middle page and a few rows around it.
+  std::vector<RowId> want;
+  for (RowId r = 1; r < 3 * kPage; ++r) {
+    const bool erase = (r >= kPage && r < 2 * kPage) || r % 97 == 0 ||
+                       r == kPage - 1 || r == 2 * kPage;
+    if (erase) {
+      ASSERT_OK(t.Delete(r, /*writer=*/0));
+    } else {
+      want.push_back(r);
+    }
+  }
+  EXPECT_EQ(t.heap_pages(), 2u);  // the emptied page is freed
+  EXPECT_EQ(t.size(), want.size());
+  EXPECT_EQ(ChunkedScanRids(t, kLatest, 7), want);
+  // A resume point inside the freed page lands on the next live row.
+  std::vector<std::pair<RowId, Row>> chunk;
+  t.ScanChunk(kLatest, kPage + 5, 1, &chunk);
+  ASSERT_EQ(chunk.size(), 1u);
+  EXPECT_EQ(chunk[0].first, 2 * kPage + 1);
+  // Index probes still find rows on both sides of the hole.
+  ASSERT_OK_AND_ASSIGN(std::vector<RowId> hits,
+                       LookupRids(t, {1}, Row({Value::Str("c1")})));
+  EXPECT_FALSE(hits.empty());
+  for (RowId r : hits) EXPECT_TRUE(r < kPage || r > 2 * kPage) << r;
+  // The freed page fills again in place.
+  ASSERT_OK(t.InsertWithId(kPage + 3, UserRow(-1)));
+  EXPECT_EQ(t.heap_pages(), 3u);
+  EXPECT_EQ(t.Get(kPage + 3, kLatest).value()[0], Value::Int(-1));
+}
+
+TEST(HeapTest, DescendingInsertWithIdAcrossPages) {
+  constexpr RowId kPage = Table::kPageSlots;
+  Table t(0, "User", UserSchema());
+  std::vector<RowId> want;
+  for (RowId r = 3 * kPage + 10; r >= 2; r -= 3) {
+    ASSERT_OK(t.InsertWithId(r, UserRow(static_cast<int64_t>(r))));
+    want.push_back(r);
+  }
+  std::reverse(want.begin(), want.end());
+  EXPECT_EQ(t.heap_pages(), 4u);
+  EXPECT_EQ(t.size(), want.size());
+  EXPECT_EQ(ChunkedScanRids(t, kLatest, 7), want);
+  for (RowId r : want) {
+    EXPECT_EQ(t.Get(r, kLatest).value()[0], Value::Int(static_cast<int64_t>(r)));
+  }
+  EXPECT_FALSE(t.Get(3, kLatest).ok());
+  // The allocator continues past the highest id, not the last inserted.
+  ASSERT_OK_AND_ASSIGN(RowId next, t.Insert(UserRow(-1)));
+  EXPECT_EQ(next, 3 * kPage + 11);
+}
+
+TEST(HeapTest, CloneIsIndependentOfItsSource) {
+  constexpr RowId kPage = Table::kPageSlots;
+  Table t(0, "User", UserSchema());
+  ASSERT_OK(t.CreateIndex({"hometown"}));
+  for (RowId r = 1; r < 2 * kPage + 3; ++r) {
+    ASSERT_OK(t.Insert(UserRow(static_cast<int64_t>(r))).status());
+  }
+  std::unique_ptr<Table> copy = t.Clone();
+  const std::vector<RowId> before = ChunkedScanRids(*copy, kLatest, 64);
+
+  // Writes to the source, including freeing a page, leave the copy alone.
+  for (RowId r = 1; r < kPage; ++r) ASSERT_OK(t.Delete(r, /*writer=*/0));
+  ASSERT_OK(t.Update(kPage + 1, UserRow(-7)));
+  ASSERT_OK(t.Insert(UserRow(-8)).status());
+  EXPECT_EQ(copy->heap_pages(), 3u);
+  EXPECT_EQ(ChunkedScanRids(*copy, kLatest, 64), before);
+  EXPECT_EQ(copy->Get(kPage + 1, kLatest).value()[0],
+            Value::Int(static_cast<int64_t>(kPage + 1)));
+  EXPECT_EQ(copy->Get(5, kLatest).value()[0], Value::Int(5));
+  EXPECT_TRUE(LookupRids(*copy, {1}, Row({Value::Str("c-3")})).value().empty());
+  EXPECT_FALSE(LookupRids(t, {1}, Row({Value::Str("c-3")})).value().empty());
+
+  // And writes to the copy leave the source alone.
+  ASSERT_OK(copy->Delete(kPage + 2, /*writer=*/0));
+  EXPECT_TRUE(t.Get(kPage + 2, kLatest).ok());
+  EXPECT_EQ(t.Get(kPage + 1, kLatest).value()[0], Value::Int(-7));
+}
+
+TEST(HeapTest, GcErasedTombstonesLeaveScansCorrect) {
+  constexpr RowId kPage = Table::kPageSlots;
+  Table t(0, "User", UserSchema());
+  for (RowId r = 1; r < 2 * kPage + 3; ++r) {
+    ASSERT_OK(t.Insert(UserRow(static_cast<int64_t>(r))).status());
+  }
+  // Transaction 9 deletes all of page 1 plus some rows of pages 0 and 2,
+  // and commits at ts 10.
+  std::vector<RowId> deleted, live;
+  for (RowId r = 1; r < 2 * kPage + 3; ++r) {
+    if ((r >= kPage && r < 2 * kPage) || r % 5 == 0) {
+      ASSERT_OK(t.Delete(r, /*writer=*/9));
+      deleted.push_back(r);
+    } else {
+      live.push_back(r);
+    }
+  }
+  for (RowId r : deleted) t.StampCommit(r, 9, /*ts=*/10);
+  // A snapshot before the delete still sees every row; the latest view
+  // sees the survivors.
+  std::vector<RowId> all = live;
+  all.insert(all.end(), deleted.begin(), deleted.end());
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(ChunkedScanRids(t, ReadView{5, 0}, 7), all);
+  EXPECT_EQ(ChunkedScanRids(t, kLatest, 7), live);
+
+  // GC past the delete erases the tombstones outright and frees page 1.
+  EXPECT_EQ(t.PruneRows(deleted, /*horizon=*/20), 2 * deleted.size());
+  EXPECT_EQ(t.heap_pages(), 2u);
+  EXPECT_EQ(t.version_count(), live.size());
+  EXPECT_EQ(ChunkedScanRids(t, kLatest, 7), live);
+  EXPECT_EQ(ChunkedScanRids(t, ReadView{30, 0}, 7), live);
+  std::vector<RowId> scanned;
+  t.Scan([&](RowId rid, const Row&) {
+    scanned.push_back(rid);
+    return true;
+  });
+  EXPECT_EQ(scanned, live);
+}
+
+TEST(HeapTest, AbsurdRowIdRefusedWithoutAllocating) {
+  Table t(0, "User", UserSchema());
+  // A shard-tagged id (shard tag in the top 16 bits) and the first id past
+  // the cap are both refused, before any page is allocated.
+  const RowId tagged = (RowId{4} << 48) | 5;
+  for (RowId rid : {tagged, Table::kMaxRowId, ~RowId{0}}) {
+    Status s = t.InsertWithId(rid, UserRow(1));
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << rid;
+    EXPECT_FALSE(t.Get(rid, kLatest).ok());
+  }
+  EXPECT_EQ(t.heap_pages(), 0u);
+  EXPECT_EQ(t.size(), 0u);
+  // The refused ids bumped nothing: the allocator still starts at 1.
+  ASSERT_OK_AND_ASSIGN(RowId first, t.Insert(UserRow(1)));
+  EXPECT_EQ(first, 1u);
+  EXPECT_EQ(t.heap_pages(), 1u);
+}
+
+TEST(DatabaseTest, CheckpointLoadKeepsTypesAndRowChecks) {
+  // A DOUBLE column holding an integral value keeps its type through a
+  // round trip, and a reloaded table still coerces and rejects rows as the
+  // original did.
+  Schema schema({{"id", TypeId::kInt64},
+                 {"price", TypeId::kDouble},
+                 {"name", TypeId::kString}});
+  schema.set_primary_key({0});
+  Database db;
+  ASSERT_OK_AND_ASSIGN(Table * t, db.CreateTable("P", schema));
+  ASSERT_OK(t->Insert(Row({Value::Int(1), Value::Int(3), Value::Str("a")}))
+                .status());
+  ASSERT_OK(t->Insert(Row({Value::Int(2), Value::Double(2.5), Value::Null()}))
+                .status());
+  std::stringstream ss;
+  ASSERT_OK(db.SaveTo(&ss));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> loaded,
+                       Database::LoadFrom(&ss));
+  EXPECT_TRUE(db.ContentEquals(*loaded));
+  Table* lt = loaded->GetTable("P").value();
+  EXPECT_TRUE(lt->Get(1, kLatest).value()[1].is_double());
+  EXPECT_TRUE(lt->Get(2, kLatest).value()[2].is_null());
+  ASSERT_OK(
+      lt->InsertWithId(5, Row({Value::Str("5"), Value::Int(4), Value::Null()})));
+  EXPECT_EQ(lt->Get(5, kLatest).value()[0], Value::Int(5));
+  EXPECT_TRUE(lt->Get(5, kLatest).value()[1].is_double());
+  EXPECT_FALSE(
+      lt->InsertWithId(9, Row({Value::Null(), Value::Int(1), Value::Null()}))
+          .ok());  // NULL primary key
+  EXPECT_FALSE(lt->InsertWithId(9, Row({Value::Int(1)})).ok());  // arity
+  EXPECT_FALSE(
+      lt->InsertWithId(9, Row({Value::Int(1), Value::Int(1), Value::Null()}))
+          .ok());  // duplicate primary key
+}
+
 }  // namespace
 }  // namespace youtopia

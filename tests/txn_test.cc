@@ -744,6 +744,20 @@ TEST_F(WalRecoveryTest, TornTailIsToleratedNotFatal) {
   EXPECT_EQ(r.db->GetTable("T").value()->size(), 1u);
 }
 
+TEST_F(WalRecoveryTest, UnreadableLogIsAnIOErrorNotAFreshDatabase) {
+  // Only a missing log means a fresh database.
+  ASSERT_OK_AND_ASSIGN(WalReader::Result fresh, WalReader::ReadAll(wal_path_));
+  EXPECT_TRUE(fresh.records.empty());
+  // A log path that opens but cannot be read (here a directory) must fail
+  // recovery rather than come back as an empty database.
+  ASSERT_TRUE(std::filesystem::create_directory(wal_path_));
+  auto read = WalReader::ReadAll(wal_path_);
+  EXPECT_EQ(read.status().code(), StatusCode::kIOError);
+  auto r = RecoveryManager::Recover(wal_path_);
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_TRUE(std::filesystem::is_directory(wal_path_));
+}
+
 TEST_F(WalRecoveryTest, CheckpointTruncatesLogAndRecovers) {
   std::string ckpt = wal_path_ + ".ckpt";
   {
